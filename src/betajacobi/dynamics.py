@@ -107,6 +107,15 @@ def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
     return mu, sigma
 
 
+def _record_stride(steps: int, record_every: int | None) -> int:
+    """Steps between records: about 200 records by default, at least 1."""
+    if record_every is None:
+        return max(1, steps // 200)
+    if record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {record_every}")
+    return record_every
+
+
 def drift(state: ParticleState, a: float, b: float, beta: float):
     """(drift, diffusion) vectors of the particle SDE at `state`."""
     return _drift_arrays(state.positions, a, b, beta)
@@ -157,9 +166,10 @@ def simulate_moments(
         raise ParameterError(f"need at least 2 paths, got {paths}")
     if t_end <= 0.0 or dt <= 0.0:
         raise ParameterError("need t_end > 0 and dt > 0")
+    if k_max < 0:
+        raise ParameterError(f"k_max must be >= 0, got {k_max}")
     steps = int(round(t_end / dt))
-    if record_every is None:
-        record_every = max(1, steps // 200)
+    record_every = _record_stride(steps, record_every)
 
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -244,8 +254,7 @@ def integrate_moments(
     if t_end <= 0.0 or dt <= 0.0:
         raise ParameterError("need t_end > 0 and dt > 0")
     steps = int(round(t_end / dt))
-    if record_every is None:
-        record_every = max(1, steps // 200)
+    record_every = _record_stride(steps, record_every)
     times = [0.0]
     rows = [m.copy()]
     for step in range(1, steps + 1):
@@ -287,7 +296,11 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
         u[k] = ((a + k) * u[k - 1] + c * low - c * high) / den
     if k_max >= 1:
         expect = lambda_hat0(JacobiParams(a, b, c))
-        assert abs(u[1] - expect) <= 1e-12 * max(1.0, abs(expect))
+        if not abs(u[1] - expect) <= 1e-12 * max(1.0, abs(expect)):
+            raise ConvergenceError(
+                f"stationary u_1 = {u[1]!r} misses the spectral head "
+                f"coefficient {expect!r}"
+            )
     return MomentVector(u)
 
 

@@ -4,10 +4,12 @@ The N-point ensemble with density proportional to
 prod |l_j - l_i|^beta * prod l^a (1-l)^b on (0,1)^N is realized as
 J = B B^T for a lower bidiagonal B built from independent Beta variates;
 J is symmetric tridiagonal, so sampling plus a tridiagonal eigensolver
-gives the spectrum in O(N^2).  Moments can also be computed exactly for
-small N by enumerating closed walks and averaging monomials in the Beta
-variables.  Sending kappa = beta/2 to infinity with a = A kappa,
-b = B kappa freezes the matrix onto deterministic entries.
+gives the spectrum in O(N^2).  Monte Carlo moments need no spectrum:
+(1/N) tr J^k is read from the tridiagonal entries by band powers of J.
+Moments can also be computed exactly for small N by enumerating closed
+walks and averaging monomials in the Beta variables.  Sending
+kappa = beta/2 to infinity with a = A kappa, b = B kappa freezes the
+matrix onto deterministic entries.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ MAX_EXACT_K = 8
 
 _CLAMP_TOL = 1e-12
 _FAIL_TOL = 1e-10
-_MAX_FAILURE_RATE = 1e-3
 _CHUNK = 65536
 _CHUNK_KEY_BASE = 1 << 62
 
@@ -68,6 +69,10 @@ class EnsembleConfig:
             raise ParameterError(f"N must be a positive integer, got {self.N!r}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ParameterError(f"beta must be >= 0, got {self.beta!r}")
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ParameterError(
+                f"weights must be finite, got a={self.a!r}, b={self.b!r}"
+            )
         if self.a <= -1.0 or self.b <= -1.0:
             raise ParameterError(
                 f"need a > -1 and b > -1, got a={self.a}, b={self.b}"
@@ -239,20 +244,68 @@ def empirical_measure(
     return DiscreteMeasure(clamped, np.full(cfg.N, 1.0 / cfg.N))
 
 
-def _eig_batch(diags: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of tridiagonal matrices, ascending."""
+def _band_step(band: list, d: np.ndarray, e: np.ndarray) -> list:
+    """Upper diagonals of A J from those of a symmetric banded A.
+
+    band[o] holds (A)_{r, r+o} as an (N - o, m) array; d (N, m) and
+    e (N - 1, m) are the diagonal and off-diagonal of J.  Row r of
+    diagonal o of A J is A_{r, r+o-1} e_{r+o-1} + A_{r, r+o} d_{r+o}
+    + A_{r, r+o+1} e_{r+o}; on the main diagonal the first term reads
+    the lower neighbour A_{r, r-1} = A_{r-1, r} by symmetry.
+    """
+    n = d.shape[0]
+    width = len(band) - 1
+    out = []
+    for o in range(min(width + 1, n - 1) + 1):
+        res = band[o] * d[o:] if o <= width else np.zeros((n - o, d.shape[1]))
+        if o + 1 <= width:
+            res[:-1] += band[o + 1] * e[o:]
+        if o == 0:
+            if width >= 1:
+                res[1:] += band[1] * e
+        else:
+            res += band[o - 1][: n - o] * e[o - 1 :]
+        out.append(res)
+    return out
+
+
+def _frobenius(x: list, y: list) -> np.ndarray:
+    """<X, Y>_F per column for symmetric banded X, Y given by upper diagonals."""
+    acc = np.einsum("ij,ij->j", x[0], y[0])
+    for o in range(1, min(len(x), len(y))):
+        acc += 2.0 * np.einsum("ij,ij->j", x[o], y[o])
+    return acc
+
+
+def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarray:
+    """(1/N) tr J^k for k = 0..k_max over a stack of tridiagonal matrices.
+
+    diags is (m, N), offs is (m, N - 1); returns (m, k_max + 1).  J^j is
+    symmetric with bandwidth j, so only its upper diagonals are kept,
+    stepped up to j = ceil(k_max / 2) by the three-term product with J,
+    and each trace is read as a Frobenius inner product,
+    tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max) per
+    step: no dense matrix is formed.  This is the closed-walk sum that
+    exact_moment expands symbolically, evaluated numerically.
+    """
     m, n = diags.shape
-    if n == 1:
-        return diags.copy()
-    dense = np.zeros((m, n, n))
-    idx = np.arange(n)
-    dense[:, idx, idx] = diags
-    dense[:, idx[:-1], idx[1:]] = offs
-    dense[:, idx[1:], idx[:-1]] = offs
-    return np.linalg.eigvalsh(dense)
+    # diagonals run along axis 0 so row slices stay contiguous
+    d = np.ascontiguousarray(diags.T)
+    e = np.ascontiguousarray(offs.T)
+    out = np.empty((m, k_max + 1))
+    half = (k_max + 1) // 2
+    prev, cur = None, [np.ones((n, m))]
+    for j in range(half + 1):
+        if j >= 1:
+            out[:, 2 * j - 1] = _frobenius(prev, cur) / n
+        if 2 * j <= k_max:
+            out[:, 2 * j] = _frobenius(cur, cur) / n
+        if j < half:
+            prev, cur = cur, _band_step(cur, d, e)
+    return out
 
 
-def _mc_chunk(cfg, shapes, folded, lo, hi, k_max, out, fail_counts, slot):
+def _mc_chunk(cfg, shapes, folded, lo, hi, k_max, out):
     n = cfg.N
     m = hi - lo
     alpha_p, beta_p, alpha_q, beta_q = shapes
@@ -278,28 +331,7 @@ def _mc_chunk(cfg, shapes, folded, lo, hi, k_max, out, fail_counts, slot):
     else:
         diags = p.copy()
         offs = np.empty((m, 0))
-    try:
-        vals = _eig_batch(diags, offs)
-    except np.linalg.LinAlgError:
-        vals = np.full((m, n), np.nan)
-        for j in range(m):
-            try:
-                vals[j] = eigen_tridiagonal(SymmetricTridiagonal(diags[j], offs[j]))
-            except ConvergenceError:
-                pass
-    finite = np.isfinite(vals).all(axis=1)
-    in_range = (vals[:, 0] >= -_FAIL_TOL) & (vals[:, -1] <= 1.0 + _FAIL_TOL)
-    good = finite & in_range
-    vals[(vals < 0.0) & (vals >= -_CLAMP_TOL)] = 0.0
-    vals[(vals > 1.0) & (vals <= 1.0 + _CLAMP_TOL)] = 1.0
-    vals[~good] = np.nan
-    fail_counts[slot] += int(m - good.sum())
-    pw = np.ones((m, n))
-    for k in range(k_max + 1):
-        out[lo:hi, k] = pw.mean(axis=1)
-        if k < k_max:
-            pw *= vals
-    out[lo:hi][~good] = np.nan
+    out[lo:hi] = _trace_moments(diags, offs, k_max)
 
 
 def mc_moments(
@@ -312,12 +344,15 @@ def mc_moments(
 ) -> tuple[MomentVector, np.ndarray]:
     """Monte Carlo estimate of the mean empirical moments m_k, k <= k_max.
 
-    Trials are drawn in fixed-size chunks, each from its own keyed
-    stream, so the estimate depends only on the seed: reruns are
-    identical and the thread count never changes the result.  Returns
-    (means, standard errors); means[0] is exactly 1, stderr[0] is 0.
-    Trials whose eigensolve fails are dropped; a failure rate above 0.1%
-    aborts.
+    Each trial draws the tridiagonal entries of J and reads its moments
+    (1/N) tr J^k straight from them by band powers (_trace_moments); no
+    eigensolve is done, so every trial counts.  Sampled spectra, the
+    independent route, come from empirical_measure.  Trials are drawn
+    in fixed-size chunks, each from its own keyed stream, so the
+    estimate depends only on the seed: reruns are identical and the
+    thread count never changes the result.  Returns (means, standard
+    errors); means[0] is exactly 1, stderr[0] is 0.  A non-finite trace
+    raises ConvergenceError.
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
@@ -330,29 +365,24 @@ def mc_moments(
     per_trial = np.empty((trials, k_max + 1))
     bounds = list(range(0, trials, _CHUNK)) + [trials]
     jobs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    fail_counts = np.zeros(len(jobs), dtype=int)
 
-    def run(job_idx: int) -> None:
-        lo, hi = jobs[job_idx]
-        _mc_chunk(cfg, shapes, folded, lo, hi, k_max, per_trial, fail_counts, job_idx)
+    def run(job: tuple[int, int]) -> None:
+        _mc_chunk(cfg, shapes, folded, *job, k_max, per_trial)
 
     if threads == 1 or len(jobs) == 1:
-        for j in range(len(jobs)):
-            run(j)
+        for job in jobs:
+            run(job)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(jobs))))
+            list(pool.map(run, jobs))
 
-    failures = int(fail_counts.sum())
-    if failures > _MAX_FAILURE_RATE * trials:
+    if not np.isfinite(per_trial).all():
         raise ConvergenceError(
-            f"{failures}/{trials} trials failed the eigensolve; "
-            "refusing to report biased moments"
+            f"non-finite trace moment in {trials} trials; "
+            "refusing to report moments"
         )
-    ok = per_trial[~np.isnan(per_trial[:, 0])]
-    n_ok = len(ok)
-    means = ok.mean(axis=0)
-    stderr = ok.std(axis=0, ddof=1) / np.sqrt(n_ok)
+    means = per_trial.mean(axis=0)
+    stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
     means[0] = 1.0
     stderr[0] = 0.0
     return MomentVector(means), stderr

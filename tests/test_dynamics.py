@@ -145,6 +145,17 @@ class TestSimulateMoments:
         with pytest.raises(ParameterError):
             simulate_moments(2, 0.0, 0.0, 2.0, np.array([0.5]), 0.01, 1e-3, 10, 2, seed=1)
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_record_every_below_one_raises(self, every):
+        with pytest.raises(ParameterError):
+            simulate_moments(
+                2, 0.0, 0.0, 2.0, 0.5, 0.01, 1e-3, 10, 2, seed=1, record_every=every
+            )
+
+    def test_negative_kmax_raises(self):
+        with pytest.raises(ParameterError):
+            simulate_moments(2, 0.0, 0.0, 2.0, 0.5, 0.01, 1e-3, 10, -1, seed=1)
+
     def test_generator_one_step_drift(self):
         # path-mean finite difference of m_k over one EM step against the
         # hierarchy drift with its finite-N correction
@@ -207,6 +218,16 @@ class TestStationaryMoments:
         with pytest.raises(ParameterError):
             stationary_uk(P_REF, -1)
 
+    def test_head_mismatch_raises(self, monkeypatch):
+        # the u_1 invariant is an explicit check, so it also holds under -O
+        import betajacobi.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "lambda_hat0", lambda p: lambda_hat0(p) + 1e-6)
+        with pytest.raises(ConvergenceError):
+            stationary_uk(P_REF, 3)
+        # k_max = 0 has no u_1 to check
+        assert stationary_uk(P_REF, 0)[0] == 1.0
+
 
 class TestIntegrateMoments:
     def test_fixed_point_stays_put(self):
@@ -254,6 +275,13 @@ class TestIntegrateMoments:
             integrate_moments(np.array([0.5, 0.5]), P_REF, 1.0, 1e-3)
         with pytest.raises(ParameterError):
             integrate_moments(np.array([1.0, 0.5]), P_REF, -1.0, 1e-3)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_raises(self, every):
+        with pytest.raises(ParameterError):
+            integrate_moments(
+                np.array([1.0, 0.5]), P_REF, 0.01, 1e-3, record_every=every
+            )
 
 
 class TestFiniteNCorrection:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from betajacobi import (
     BidiagonalFactor,
+    ConvergenceError,
     EnsembleConfig,
     JacobiParams,
     ModelKind,
     ParameterError,
     RegimeParams,
+    SymmetricTridiagonal,
     eigen_tridiagonal,
     empirical_measure,
     exact_moment,
@@ -28,6 +30,7 @@ from betajacobi import (
     to_tridiagonal,
     tridiag_entries,
 )
+from betajacobi.ensemble import _trace_moments
 
 from oracles import dense_bbt, quadrature_moment_n2
 
@@ -47,6 +50,13 @@ class TestConfig:
             EnsembleConfig(4, -1.0, 0.5, 0.5)
         with pytest.raises(ParameterError):
             EnsembleConfig(4, 2.0, -1.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_nonfinite_weights_raise(self, bad, which):
+        weights = {"a": 0.5, "b": 0.5, which: bad}
+        with pytest.raises(ParameterError):
+            EnsembleConfig(4, 2.0, **weights)
 
     def test_factor_validation(self):
         with pytest.raises(ParameterError):
@@ -148,6 +158,55 @@ class TestEmpiricalMeasure:
         assert np.all((m.nodes >= 0.0) & (m.nodes <= 1.0))
 
 
+def _random_tridiagonals(rng, m, n):
+    # J = B B^T from bidiagonal entries in [0, 1], as the sampler builds it:
+    # positive semidefinite with nonnegative entries, so no trace cancels
+    s = rng.uniform(0.0, 1.0, (m, n))
+    t = rng.uniform(0.0, 1.0, (m, n - 1))
+    diags = s**2
+    diags[:, 1:] += t**2
+    return diags, s[:, :-1] * t
+
+
+def _eigen_moments(diags, offs, k_max):
+    out = np.empty((len(diags), k_max + 1))
+    for r in range(len(diags)):
+        vals = np.asarray(eigen_tridiagonal(SymmetricTridiagonal(diags[r], offs[r])))
+        out[r] = [np.mean(vals**k) for k in range(k_max + 1)]
+    return out
+
+
+def _assert_trace_route_matches(n, k_max, seed, m=6):
+    diags, offs = _random_tridiagonals(np.random.default_rng(seed), m, n)
+    got = _trace_moments(diags, offs, k_max)
+    want = _eigen_moments(diags, offs, k_max)
+    assert got.shape == (m, k_max + 1)
+    np.testing.assert_array_equal(got[:, 0], 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestTraceMoments:
+    """The band-power trace kernel against the eigenvalue route."""
+
+    @pytest.mark.parametrize(
+        "n, k_max",
+        [
+            (1, 0), (1, 5),
+            (2, 0), (2, 1), (2, 2), (2, 7),
+            (5, 3), (5, 4),  # odd and even k_max
+            (4, 4), (4, 9),  # k_max >= N: bandwidth saturates
+            (30, 8),
+        ],
+    )
+    def test_matches_eigen_powers(self, n, k_max):
+        _assert_trace_route_matches(n, k_max, seed=1000 * n + k_max)
+
+    @given(n=st.integers(1, 25), k_max=st.integers(0, 12), seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_eigen_powers(self, n, k_max, seed):
+        _assert_trace_route_matches(n, k_max, seed, m=3)
+
+
 class TestMcMoments:
     def test_thread_count_is_invisible(self):
         # trials span multiple chunks; per-chunk streams make the result
@@ -174,6 +233,18 @@ class TestMcMoments:
     def test_trial_guard(self):
         with pytest.raises(ParameterError):
             mc_moments(CFG, 2, 1, seed=1)
+
+    def test_nonfinite_trace_raises(self, monkeypatch):
+        import betajacobi.ensemble as ens
+
+        def poisoned(diags, offs, k_max):
+            out = np.ones((len(diags), k_max + 1))
+            out[0, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(ens, "_trace_moments", poisoned)
+        with pytest.raises(ConvergenceError):
+            mc_moments(CFG, 2, 10, seed=1)
 
 
 class TestExactMoments:
