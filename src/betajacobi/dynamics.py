@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import JacobiParams, lambda_hat0
-from .ensemble import substream
+from .ensemble import EnsembleConfig, substream
 from .errors import ConvergenceError, ParameterError
 from .spectral import MomentVector
 
@@ -74,7 +74,9 @@ class MomentPath:
         object.__setattr__(self, "moments", m)
         if m.ndim != 2 or len(t) != m.shape[0]:
             raise ParameterError("moments must be (len(times), k_max + 1)")
-        if np.any(np.abs(m[:, 0] - 1.0) > 1e-9):
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("moments must be finite")
+        if not np.all(np.abs(m[:, 0] - 1.0) <= 1e-9):
             raise ParameterError("column 0 must be the constant 1")
 
     @property
@@ -96,10 +98,13 @@ def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
     one noise step separates the pair.
     """
     gaps = x[..., :, None] - x[..., None, :]
+    ties = gaps == 0.0
+    # in place: a second (..., N, N) buffer makes the allocator hand the
+    # memory back and fault it in again on every step
     with np.errstate(divide="ignore"):
-        inv = 1.0 / gaps
+        inv = np.divide(1.0, gaps, out=gaps)
     np.clip(inv, -1.0 / EPS_DIV, 1.0 / EPS_DIV, out=inv)
-    inv[gaps == 0.0] = 0.0
+    inv[ties] = 0.0
     interaction = inv.sum(axis=-1)
     xx = x * (1.0 - x)
     mu = (a + 1.0) - (a + b + 2.0) * x + beta * xx * interaction
@@ -107,13 +112,32 @@ def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
     return mu, sigma
 
 
-def _record_stride(steps: int, record_every: int | None) -> int:
-    """Steps between records: about 200 records by default, at least 1."""
+def _check_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _schedule(t_end: float, dt: float, record_every: int | None):
+    """(steps, stride): fixed steps of dt up to t_end, and the steps
+    between records, about 200 records by default and at least 1."""
+    _check_positive("t_end", t_end)
+    _check_positive("dt", dt)
+    steps = int(round(t_end / dt))
     if record_every is None:
-        return max(1, steps // 200)
+        return steps, max(1, steps // 200)
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
-    return record_every
+    return steps, record_every
+
+
+def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
+    """Euler-Maruyama step of (..., N) positions: clamps to [0, 1] and
+    re-sorts each configuration."""
+    mu, sigma = _drift_arrays(x, a, b, beta)
+    x = x + mu * dt + sigma * (np.sqrt(dt) * rng.standard_normal(x.shape))
+    np.clip(x, 0.0, 1.0, out=x)
+    x.sort(axis=-1)
+    return x
 
 
 def drift(state: ParticleState, a: float, b: float, beta: float):
@@ -130,13 +154,8 @@ def em_step(
     rng: np.random.Generator,
 ) -> ParticleState:
     """One Euler-Maruyama step; clamps to [0, 1] and re-sorts."""
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    mu, sigma = _drift_arrays(state.positions, a, b, beta)
-    noise = rng.standard_normal(state.n)
-    x = state.positions + mu * dt + sigma * np.sqrt(dt) * noise
-    np.clip(x, 0.0, 1.0, out=x)
-    x.sort()
+    _check_positive("dt", dt)
+    x = _em_step(state.positions, a, b, beta, dt, rng)
     return ParticleState(state.time + dt, x)
 
 
@@ -164,26 +183,21 @@ def simulate_moments(
     """
     if paths < 2:
         raise ParameterError(f"need at least 2 paths, got {paths}")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ParameterError("need t_end > 0 and dt > 0")
     if k_max < 0:
         raise ParameterError(f"k_max must be >= 0, got {k_max}")
-    steps = int(round(t_end / dt))
-    record_every = _record_stride(steps, record_every)
+    EnsembleConfig(n, beta, a, b)  # the ensemble's checks on n, beta, a, b
+    steps, record_every = _schedule(t_end, dt, record_every)
 
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
-        x = np.full((paths, n), float(x0))
+        start = np.full(n, float(x0))
     elif x0.shape == (n,):
-        x = np.tile(np.sort(x0), (paths, 1))
+        start = np.sort(x0)
     else:
         raise ParameterError("x0 must be a scalar or a length-N array")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ParameterError("x0 must lie in [0, 1]")
-    x = np.sort(x, axis=1)
+    x = np.tile(ParticleState(0.0, start).positions, (paths, 1))
 
     rng = substream(seed, 0)
-    sqdt = np.sqrt(dt)
     times = [0.0]
     kvec = np.arange(k_max + 1)
 
@@ -195,10 +209,7 @@ def simulate_moments(
     m0, s0 = record(x)
     mom_rows, err_rows = [m0], [s0]
     for step in range(1, steps + 1):
-        mu, sigma = _drift_arrays(x, a, b, beta)
-        x = x + mu * dt + sigma * (sqdt * rng.standard_normal(x.shape))
-        np.clip(x, 0.0, 1.0, out=x)
-        x.sort(axis=1)
+        x = _em_step(x, a, b, beta, dt, rng)
         if step % record_every == 0 or step == steps:
             mk, sk = record(x)
             mom_rows.append(mk)
@@ -251,10 +262,7 @@ def integrate_moments(
         raise ParameterError("m0 must be a nonempty 1-d array")
     if abs(m[0] - 1.0) > 1e-9:
         raise ParameterError("m0[0] must be 1")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ParameterError("need t_end > 0 and dt > 0")
-    steps = int(round(t_end / dt))
-    record_every = _record_stride(steps, record_every)
+    steps, record_every = _schedule(t_end, dt, record_every)
     times = [0.0]
     rows = [m.copy()]
     for step in range(1, steps + 1):

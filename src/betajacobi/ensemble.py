@@ -147,23 +147,24 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def _beta_draw(
-    alpha: np.ndarray, beta: np.ndarray, rng: np.random.Generator
+    alpha: np.ndarray, beta: np.ndarray, rng: np.random.Generator, size=None
 ) -> np.ndarray:
-    """Beta variates as gamma ratios X / (X + Y), elementwise.
+    """Beta variates as gamma ratios X / (X + Y), elementwise, with the
+    shapes broadcast to `size` when it is given.
 
     Shape 0 is taken as the degenerate point mass at 0 (the kappa -> 0
     edge of the q variables).  Ratios 0/0 from underflowing tiny shapes
     are redrawn.
     """
-    x = rng.standard_gamma(alpha)
-    y = rng.standard_gamma(beta)
+    x = rng.standard_gamma(alpha, size)
+    y = rng.standard_gamma(beta, size)
     tot = x + y
     for _ in range(100):
         bad = (tot == 0.0) & (alpha > 0.0)
         if not np.any(bad):
             break
-        x[bad] = rng.standard_gamma(alpha[bad])
-        y[bad] = rng.standard_gamma(beta[bad])
+        x[bad] = rng.standard_gamma(np.broadcast_to(alpha, x.shape)[bad])
+        y[bad] = rng.standard_gamma(np.broadcast_to(beta, x.shape)[bad])
         tot = x + y
     else:
         raise ConvergenceError("beta sampler kept underflowing; shapes too small")
@@ -190,21 +191,29 @@ def _shape_arrays(cfg: EnsembleConfig):
     return alpha_p, beta_p, alpha_q, beta_q
 
 
-def _sample_st(cfg: EnsembleConfig, shapes, rng: np.random.Generator):
+def _bidiagonal_squares(p: np.ndarray, q: np.ndarray):
+    """Squares of the bidiagonal entries from (..., N) p and (..., N-1) q:
+    s_n^2 = p_n (1 - q_{n-1}) with q_0 = 0, t_n^2 = q_n (1 - p_n)."""
+    s2 = p.copy()
+    s2[..., 1:] *= 1.0 - q
+    t2 = q * (1.0 - p[..., :-1])
+    return s2, t2
+
+
+def _draw_squares(shapes, rng: np.random.Generator, m: int):
+    """m independent draws of (s^2, t^2), as (m, N) and (m, N-1) arrays;
+    all p variables are drawn before all q variables."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
-    p = _beta_draw(alpha_p, beta_p, rng)
-    q = _beta_draw(alpha_q, beta_q, rng)
-    q_prev = np.concatenate(([0.0], q))
-    s = np.sqrt(p * (1.0 - q_prev))
-    t = np.sqrt(q * (1.0 - p[:-1])) if cfg.N > 1 else np.empty(0)
-    return s, t
+    p = _beta_draw(alpha_p, beta_p, rng, (m, len(alpha_p)))
+    q = _beta_draw(alpha_q, beta_q, rng, (m, len(alpha_q)))
+    return _bidiagonal_squares(p, q)
 
 
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
-    s, t = _sample_st(cfg, _shape_arrays(cfg), rng)
-    return BidiagonalFactor(s, t)
+    s2, t2 = _draw_squares(_shape_arrays(cfg), rng, 1)
+    return BidiagonalFactor(np.sqrt(s2[0]), np.sqrt(t2[0]))
 
 
 def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
@@ -219,29 +228,21 @@ def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag, off)
 
 
-def _clamp_spectrum(vals: np.ndarray) -> np.ndarray | None:
-    """Zero out roundoff-level boundary violations; None if beyond 1e-10."""
-    if vals[0] < -_FAIL_TOL or vals[-1] > 1.0 + _FAIL_TOL:
-        return None
-    out = vals.copy()
-    out[(out < 0.0) & (out >= -_CLAMP_TOL)] = 0.0
-    out[(out > 1.0) & (out <= 1.0 + _CLAMP_TOL)] = 1.0
-    return out
-
-
 def empirical_measure(
     cfg: EnsembleConfig, rng: np.random.Generator
 ) -> DiscreteMeasure:
-    """One sampled spectrum as a uniform-weight measure."""
+    """One sampled spectrum as a uniform-weight measure; roundoff-level
+    excursions past [0, 1] are clamped, larger ones raise."""
     t = to_tridiagonal(sample_model(cfg, rng))
     vals = np.sort(np.asarray(eigen_tridiagonal(t)))
-    clamped = _clamp_spectrum(vals)
-    if clamped is None:
+    if vals[0] < -_FAIL_TOL or vals[-1] > 1.0 + _FAIL_TOL:
         raise ConvergenceError(
             f"sampled spectrum escapes [0,1] beyond {_FAIL_TOL}: "
             f"[{vals[0]!r}, {vals[-1]!r}]"
         )
-    return DiscreteMeasure(clamped, np.full(cfg.N, 1.0 / cfg.N))
+    vals[(vals < 0.0) & (vals >= -_CLAMP_TOL)] = 0.0
+    vals[(vals > 1.0) & (vals <= 1.0 + _CLAMP_TOL)] = 1.0
+    return DiscreteMeasure(vals, np.full(cfg.N, 1.0 / cfg.N))
 
 
 def _band_step(band: list, d: np.ndarray, e: np.ndarray) -> list:
@@ -305,32 +306,14 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     return out
 
 
-def _mc_chunk(cfg, shapes, folded, lo, hi, k_max, out):
-    n = cfg.N
-    m = hi - lo
-    alpha_p, beta_p, alpha_q, beta_q = shapes
+def _mc_chunk(shapes, folded, lo, hi, k_max, out):
     # one stream per chunk, drawn in bulk; keys are offset so they never
     # collide with the per-trial substream keys used by empirical_measure
     rng = _stream(folded, _CHUNK_KEY_BASE + lo // _CHUNK)
-    p = _beta_draw(
-        np.broadcast_to(alpha_p, (m, n)), np.broadcast_to(beta_p, (m, n)), rng
-    )
-    if n > 1:
-        q = _beta_draw(
-            np.broadcast_to(alpha_q, (m, n - 1)),
-            np.broadcast_to(beta_q, (m, n - 1)),
-            rng,
-        )
-        # squares of the bidiagonal entries, same algebra as _sample_st
-        s2 = p.copy()
-        s2[:, 1:] *= 1.0 - q
-        t2 = q * (1.0 - p[:, :-1])
-        diags = s2.copy()
-        diags[:, 1:] += t2
-        offs = np.sqrt(s2[:, :-1] * t2)
-    else:
-        diags = p.copy()
-        offs = np.empty((m, 0))
+    s2, t2 = _draw_squares(shapes, rng, hi - lo)
+    diags = s2.copy()
+    diags[:, 1:] += t2
+    offs = np.sqrt(s2[:, :-1] * t2)
     out[lo:hi] = _trace_moments(diags, offs, k_max)
 
 
@@ -367,7 +350,7 @@ def mc_moments(
     jobs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
     def run(job: tuple[int, int]) -> None:
-        _mc_chunk(cfg, shapes, folded, *job, k_max, per_trial)
+        _mc_chunk(shapes, folded, *job, k_max, per_trial)
 
     if threads == 1 or len(jobs) == 1:
         for job in jobs:
@@ -585,15 +568,10 @@ def limit_bidiagonal_squares(
 ):
     """Deterministic limits of (s_n^2, t_n^2) under a = A kappa, b = B kappa.
 
-    Assembled from limit_pq exactly as the sampler assembles s, t from
-    p, q (with q_0 = 0), so the finite-kappa and limit pipelines share
-    their arithmetic shape.
+    Assembled from limit_pq by the sampler's own kernel (with q_0 = 0),
+    so the finite-kappa and limit pipelines share their arithmetic.
     """
-    p_lim, q_lim = limit_pq(size, n_param, a_slope, b_slope)
-    q_prev = np.concatenate(([0.0], q_lim))
-    s2 = p_lim * (1.0 - q_prev)
-    t2 = q_lim * (1.0 - p_lim[:-1]) if size > 1 else np.empty(0)
-    return s2, t2
+    return _bidiagonal_squares(*limit_pq(size, n_param, a_slope, b_slope))
 
 
 def limit_tridiagonal(n: int, regime: RegimeParams) -> SymmetricTridiagonal:

@@ -1,5 +1,9 @@
 """Gauss hypergeometric function and log-gamma with sign tracking.
 
+ln_gamma wraps scipy.special.gammaln and gammasgn, turning poles into
+PoleError and non-finite arguments into ParameterError; gamma_ratio and
+the connection formula work in its log space.
+
 Only the regions needed by the closed-form Stieltjes transforms and the
 explicit polynomial formulas are implemented: the direct power series for
 moduli up to 0.7, the Pfaff map x -> x/(x-1) when it shrinks the modulus
@@ -13,47 +17,14 @@ from __future__ import annotations
 
 import math
 
+from scipy.special import gammaln, gammasgn
+
 from .errors import ConvergenceError, ParameterError, PoleError, UnsupportedRegionError
 
 __all__ = ["ln_gamma", "pochhammer", "gamma_ratio", "hyp2f1"]
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error on Gamma
-# stays below ~1e-14 on the right half line.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _SERIES_CAP = 0.7
 _STOP_REL = 1e-16
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) without the catastrophic loss of math.sin at large x."""
-    m = math.floor(x)
-    r = x - m
-    if r == 0.0:
-        return 0.0
-    v = math.sin(math.pi * (r if r <= 0.5 else 1.0 - r))
-    return v if m % 2 == 0 else -v
-
-
-def _lanczos_ln(x: float) -> float:
-    # valid for x >= 0.5
-    z = x - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
 
 
 def ln_gamma(x: float) -> tuple[float, int]:
@@ -64,15 +35,9 @@ def ln_gamma(x: float) -> tuple[float, int]:
     x = float(x)
     if not math.isfinite(x):
         raise ParameterError(f"ln_gamma needs a finite argument, got {x!r}")
-    if x >= 0.5:
-        return _lanczos_ln(x), 1
-    s = _sinpi(x)
-    if s == 0.0:
+    if _is_nonpos_int(x):
         raise PoleError(f"gamma pole at x = {x}")
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x)), and 1-x > 0.5
-    return math.log(math.pi) - math.log(abs(s)) - _lanczos_ln(1.0 - x), (
-        1 if s > 0.0 else -1
-    )
+    return float(gammaln(x)), int(gammasgn(x))
 
 
 def pochhammer(q: float, n: int) -> float:

@@ -23,6 +23,7 @@ from betajacobi import (
     stationary_uk,
     substream,
 )
+from betajacobi.dynamics import _em_step
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -53,6 +54,11 @@ class TestMomentPath:
             MomentPath(np.array([0.0]), np.array([[1.0, 0.5], [1.0, 0.4]]))
         with pytest.raises(ParameterError):
             MomentPath(np.array([0.0]), np.array([[0.7, 0.5]]))
+
+    @pytest.mark.parametrize("row", [[1.0, np.nan], [1.0, np.inf], [np.nan, 0.5]])
+    def test_nonfinite_moments_raise(self, row):
+        with pytest.raises(ParameterError):
+            MomentPath(np.array([0.0]), np.array([row]))
 
 
 class TestDrift:
@@ -94,6 +100,20 @@ class TestEmStep:
         s = ParticleState(0.0, np.array([0.5]))
         with pytest.raises(ParameterError):
             em_step(s, 0.0, 0.0, 2.0, 0.0, substream(4, 0))
+        with pytest.raises(ParameterError):
+            em_step(s, 0.0, 0.0, 2.0, np.nan, substream(4, 0))
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_batched_step_matches_single_steps(self, n):
+        # the kernel simulate_moments runs equals em_step row by row
+        starts = [np.sort(substream(8, i).uniform(size=n)) for i in range(2)]
+        rng = substream(6, 0)
+        single = [
+            em_step(ParticleState(0.0, x), 0.3, 0.7, 1.5, 1e-3, rng) for x in starts
+        ]
+        batch = _em_step(np.vstack(starts), 0.3, 0.7, 1.5, 1e-3, substream(6, 0))
+        for row, state in zip(batch, single):
+            np.testing.assert_array_equal(row, state.positions)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -144,6 +164,26 @@ class TestSimulateMoments:
             simulate_moments(2, 0.0, 0.0, 2.0, 1.5, 0.01, 1e-3, 10, 2, seed=1)
         with pytest.raises(ParameterError):
             simulate_moments(2, 0.0, 0.0, 2.0, np.array([0.5]), 0.01, 1e-3, 10, 2, seed=1)
+        with pytest.raises(ParameterError):
+            simulate_moments(2, 0.0, 0.0, 2.0, 0.5, 0.01, np.nan, 10, 2, seed=1)
+        with pytest.raises(ParameterError):
+            simulate_moments(2, 0.0, 0.0, 2.0, 0.5, np.nan, 1e-3, 10, 2, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, a, b, beta, x0",
+        [
+            (3, np.nan, 0.0, 2.0, 0.5),  # weight a
+            (3, 0.0, np.inf, 2.0, 0.5),  # weight b
+            (3, 0.0, 0.0, np.nan, 0.5),  # beta
+            (3, 0.0, 0.0, 2.0, np.nan),  # scalar start
+            (3, 0.0, 0.0, 2.0, np.array([0.2, np.nan, 0.5])),  # array start
+            (0, 0.0, 0.0, 2.0, 0.5),  # no particles
+        ],
+    )
+    def test_nonfinite_inputs_raise(self, n, a, b, beta, x0):
+        # these used to return NaN moments instead of raising
+        with pytest.raises(ParameterError):
+            simulate_moments(n, a, b, beta, x0, 0.01, 1e-3, 4, 2, seed=1)
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_record_every_below_one_raises(self, every):
@@ -275,6 +315,10 @@ class TestIntegrateMoments:
             integrate_moments(np.array([0.5, 0.5]), P_REF, 1.0, 1e-3)
         with pytest.raises(ParameterError):
             integrate_moments(np.array([1.0, 0.5]), P_REF, -1.0, 1e-3)
+        with pytest.raises(ParameterError):
+            integrate_moments(np.array([1.0, 0.5]), P_REF, 0.01, np.nan)
+        with pytest.raises(ParameterError):
+            integrate_moments(np.array([1.0, 0.5]), P_REF, np.nan, 1e-3)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_record_every_below_one_raises(self, every):

@@ -30,7 +30,7 @@ from betajacobi import (
     to_tridiagonal,
     tridiag_entries,
 )
-from betajacobi.ensemble import _trace_moments
+from betajacobi.ensemble import _beta_draw, _draw_squares, _shape_arrays, _trace_moments
 
 from oracles import dense_bbt, quadrature_moment_n2
 
@@ -111,6 +111,26 @@ class TestSampling:
         cfg = EnsembleConfig(4, 0.0, 0.5, 0.5)
         f = sample_model(cfg, substream(11, 0))
         np.testing.assert_array_equal(f.t, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 2.0])
+    @pytest.mark.parametrize("ab", [(0.3, 0.7), (-0.999, -0.999)])
+    def test_sample_model_is_the_batched_draw(self, n, beta, ab):
+        # sample_model is row 0 of a one-row batched draw, and both equal
+        # the textbook assembly from unbatched p then q draws, bit for bit;
+        # weights near -1 give shapes whose gamma draws underflow to 0/0
+        # and are redrawn
+        cfg = EnsembleConfig(n, beta, *ab)
+        shapes = _shape_arrays(cfg)
+        f = sample_model(cfg, substream(13, 4))
+        s2, t2 = _draw_squares(shapes, substream(13, 4), 1)
+        np.testing.assert_array_equal(f.s, np.sqrt(s2[0]))
+        np.testing.assert_array_equal(f.t, np.sqrt(t2[0]))
+        rng = substream(13, 4)
+        p = _beta_draw(shapes[0], shapes[1], rng)
+        q = _beta_draw(shapes[2], shapes[3], rng)
+        np.testing.assert_array_equal(f.s, np.sqrt(p * (1.0 - np.r_[0.0, q])))
+        np.testing.assert_array_equal(f.t, np.sqrt(q * (1.0 - p[:-1])))
 
 
 class TestTridiagonalAssembly:
