@@ -237,22 +237,27 @@ def density_profile(
 # associated polynomials
 
 
-def _rn_step(p: JacobiParams, j: int, x: float, r_j: float, r_jm1: float) -> float:
-    """One step of the shared three-term recurrence:
+def _rn_steps(p: JacobiParams, x: float, j0: int, n: int, r_prev: float, r: float) -> float:
+    """Steps j = j0..n-1 of the shared three-term recurrence
 
     (j+c+1)/(j+c+a+1) lambda_j R_{j+1}
-        = (x - lambda_j - mu_j) R_j - (j+c+a)/(j+c) mu_j R_{j-1}.
+        = (x - lambda_j - mu_j) R_j - (j+c+a)/(j+c) mu_j R_{j-1},
 
-    At j = 0 the trailing term multiplies R_{-1} = 0, so the (j+c)
-    denominator is never touched there.
+    from (R_{j0-1}, R_{j0}) = (r_prev, r); returns R_n.  Both coefficient
+    streams are computed once, with their checks, as arrays, and the
+    steps run on Python floats.  At j = 0 the trailing term multiplies
+    R_{-1} = 0, so the (j+c) denominator is never touched there.
     """
     a, c = p.a, p.c
-    lam = lambda_n(p, j)
-    mu = mu_n(p, j)
-    rhs = (x - lam - mu) * r_j
-    if r_jm1 != 0.0:
-        rhs -= (j + c + a) / (j + c) * mu * r_jm1
-    return rhs * (j + c + a + 1.0) / ((j + c + 1.0) * lam)
+    idx = np.arange(j0, n, dtype=float)
+    lams = lambda_n(p, idx).tolist()
+    mus = mu_n(p, idx).tolist()
+    for j, lam, mu in zip(range(j0, n), lams, mus):
+        rhs = (x - lam - mu) * r
+        if r_prev != 0.0:
+            rhs -= (j + c + a) / (j + c) * mu * r_prev
+        r_prev, r = r, rhs * (j + c + a + 1.0) / ((j + c + 1.0) * lam)
+    return r
 
 
 def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
@@ -260,10 +265,7 @@ def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
     n = int(n)
     if n < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n}")
-    r_prev, r = 0.0, 1.0
-    for j in range(n):
-        r_prev, r = r, _rn_step(p, j, x, r, r_prev)
-    return r
+    return _rn_steps(p, x, 0, n, 0.0, 1.0)
 
 
 def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
@@ -312,10 +314,8 @@ def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
         return 1.0
     a, c = p.a, p.c
     lam0 = lambda_hat0(p)
-    p_prev, p_cur = 1.0, (x - lam0) * (c + a + 1.0) / ((c + 1.0) * lam0)
-    for j in range(1, n):
-        p_prev, p_cur = p_cur, _rn_step(p, j, x, p_cur, p_prev)
-    return p_cur
+    p1 = (x - lam0) * (c + a + 1.0) / ((c + 1.0) * lam0)
+    return _rn_steps(p, x, 1, n, 1.0, p1)
 
 
 def pn_combination(p: JacobiParams, n: int, x: float) -> float:

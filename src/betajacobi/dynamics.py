@@ -122,7 +122,10 @@ def _schedule(t_end: float, dt: float, record_every: int | None):
     between records, about 200 records by default and at least 1."""
     _check_positive("t_end", t_end)
     _check_positive("dt", dt)
-    steps = int(round(t_end / dt))
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise ParameterError(f"t_end / dt overflows: t_end = {t_end!r}, dt = {dt!r}")
+    steps = int(round(ratio))
     if record_every is None:
         return steps, max(1, steps // 200)
     if record_every < 1:
@@ -219,6 +222,29 @@ def simulate_moments(
     return path, np.vstack(err_rows)
 
 
+def _hierarchy_coefficients(p: JacobiParams, k_max: int):
+    """The k-dependent factors of ode_rhs for k = 1..k_max:
+    -k (2c + a + b + k + 1), k (a + k) and c k."""
+    a, b, c = p.a, p.b, p.c
+    k = np.arange(1, k_max + 1, dtype=float)
+    return -k * (2.0 * c + a + b + k + 1.0), k * (a + k), c * k
+
+
+def _hierarchy_rhs(m: np.ndarray, coef) -> np.ndarray:
+    """ode_rhs at m with the factors of _hierarchy_coefficients."""
+    decay, feed, quad = coef
+    k_max = len(m) - 1
+    out = np.zeros_like(m)
+    if k_max == 0:
+        return out
+    conv = np.convolve(m, m)
+    low = conv[:k_max]  # sum_{i+j=k-1} m_i m_j for k = 1..k_max
+    # sum_{j=1}^{k-1} m_j m_{k-j} = conv[k] - 2 m_k (strip i=0 and i=k)
+    high = conv[1 : k_max + 1] - 2.0 * m[1:]
+    out[1:] = decay * m[1:] + feed * m[:-1] + quad * low - quad * high
+    return out
+
+
 def ode_rhs(m: np.ndarray, p: JacobiParams) -> np.ndarray:
     """Right side of the autonomous moment hierarchy.
 
@@ -229,23 +255,7 @@ def ode_rhs(m: np.ndarray, p: JacobiParams) -> np.ndarray:
     self-convolution of m.
     """
     m = np.asarray(m, dtype=float)
-    a, b, c = p.a, p.b, p.c
-    k_max = len(m) - 1
-    out = np.zeros_like(m)
-    if k_max == 0:
-        return out
-    conv = np.convolve(m, m)
-    k = np.arange(1, k_max + 1, dtype=float)
-    low = conv[:k_max]  # sum_{i+j=k-1} m_i m_j for k = 1..k_max
-    # sum_{j=1}^{k-1} m_j m_{k-j} = conv[k] - 2 m_k (strip i=0 and i=k)
-    high = conv[1 : k_max + 1] - 2.0 * m[1:]
-    out[1:] = (
-        -k * (2.0 * c + a + b + k + 1.0) * m[1:]
-        + k * (a + k) * m[:-1]
-        + c * k * low
-        - c * k * high
-    )
-    return out
+    return _hierarchy_rhs(m, _hierarchy_coefficients(p, len(m) - 1))
 
 
 def integrate_moments(
@@ -260,24 +270,29 @@ def integrate_moments(
     m = np.asarray(m0, dtype=float).copy()
     if m.ndim != 1 or len(m) < 1:
         raise ParameterError("m0 must be a nonempty 1-d array")
+    if not np.all(np.isfinite(m)):
+        raise ParameterError("m0 must be finite")
     if abs(m[0] - 1.0) > 1e-9:
         raise ParameterError("m0[0] must be 1")
     steps, record_every = _schedule(t_end, dt, record_every)
+    coef = _hierarchy_coefficients(p, len(m) - 1)
+    half, sixth = 0.5 * dt, dt / 6.0
     times = [0.0]
-    rows = [m.copy()]
+    rows = [m]
     for step in range(1, steps + 1):
-        k1 = ode_rhs(m, p)
-        k2 = ode_rhs(m + 0.5 * dt * k1, p)
-        k3 = ode_rhs(m + 0.5 * dt * k2, p)
-        k4 = ode_rhs(m + dt * k3, p)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(~np.isfinite(m)) or np.any(np.abs(m) > 10.0):
+        k1 = _hierarchy_rhs(m, coef)
+        k2 = _hierarchy_rhs(m + half * k1, coef)
+        k3 = _hierarchy_rhs(m + half * k2, coef)
+        k4 = _hierarchy_rhs(m + dt * k3, coef)
+        m = m + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # a NaN fails the comparison too
+        if not np.all(np.abs(m) <= 10.0):
             raise ConvergenceError(
                 f"moment hierarchy blew up at t = {step * dt:.6g}"
             )
         if step % record_every == 0 or step == steps:
             times.append(step * dt)
-            rows.append(m.copy())
+            rows.append(m)
     return MomentPath(np.array(times), np.vstack(rows))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .coeffs import JacobiParams, ModelKind, tridiag_entries
 from .errors import ConvergenceError, ConvergenceWarning, ParameterError
@@ -239,7 +240,14 @@ def stieltjes_cf(
     tail below `depth` set to zero (``tail="zero"``, the default) or to
     the constant-coefficient fixed point (``tail="limit"``, needed when z
     sits closer to the support than the truncation's eigenvalue spacing).
-    Accepts scalar or array z (complex, off the support).  When the
+    The fraction is evaluated as the resolvent entry (T - z)^{-1}_{11} of
+    the depth-by-depth truncation T, tail folded into its last diagonal
+    entry, by one LAPACK tridiagonal solve per point; the rows are taken
+    deepest first, so the elimination runs up the levels like the
+    backward recursion and equals it up to rounding.
+
+    Accepts scalar or array z (finite, complex, off the support); a z on
+    an eigenvalue of the truncation raises ConvergenceError.  When the
     depth-halved value differs by more than ``warn_tol`` (relative), a
     ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
     second evaluation.
@@ -250,8 +258,10 @@ def stieltjes_cf(
     if tail not in ("zero", "limit"):
         raise ParameterError(f"tail must be 'zero' or 'limit', got {tail!r}")
     zc = np.asarray(z, dtype=complex)
-    scalar = zc.ndim == 0
-    zc = np.atleast_1d(zc)
+    if not np.all(np.isfinite(zc)):
+        raise ParameterError(f"z must be finite, got {z!r}")
+    shape = zc.shape
+    zc = zc.ravel()
 
     # one extra row so the deepest level can couple to a nonzero tail
     d, e = tridiag_entries(kind, p, depth + 1)
@@ -259,10 +269,37 @@ def stieltjes_cf(
     seed = _limit_tail(zc) if tail == "limit" else np.zeros_like(zc)
 
     def _eval(levels: int) -> np.ndarray:
-        s = seed
-        for j in range(levels - 1, -1, -1):
-            s = -1.0 / (zc - d[j] + e2[j] * s)
-        return s
+        # Rows deepest first.  The off-diagonal pair (e2, 1) has the
+        # products e_j^2 of the symmetric pair (e, e), hence the same
+        # (1, 1) resolvent entry, without a square root.  The wrapper
+        # wants both off-diagonals at least one long, also at levels = 1
+        # where LAPACK never reads them.
+        diag = d[levels - 1 :: -1]
+        sub = np.zeros(max(levels - 1, 1), dtype=complex)
+        sub[: levels - 1] = e2[: levels - 1][::-1]
+        # buffers the solver overwrites, refilled for every point
+        dl, du = np.empty_like(sub), np.empty_like(sub)
+        dg = np.empty(levels, dtype=complex)
+        rhs = np.empty((levels, 1), dtype=complex)
+        out = np.empty(len(zc), dtype=complex)
+        for i, zi in enumerate(zc):
+            np.subtract(diag, zi, out=dg)
+            dg[0] -= e2[levels - 1] * seed[i]
+            dl[:] = sub
+            du[:] = 1.0
+            rhs[:] = 0.0
+            rhs[-1] = 1.0
+            x, info = _zgtsv(
+                dl, dg, du, rhs,
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+            )[3:]
+            if info > 0:
+                raise ConvergenceError(
+                    f"z = {complex(zi)} is an eigenvalue of the {levels}-level "
+                    f"truncation (depth {depth}), a pole of the continued fraction"
+                )
+            out[i] = x[-1, 0]
+        return out
 
     s_full = _eval(depth)
     if warn_tol is not None:
@@ -276,4 +313,4 @@ def stieltjes_cf(
                 ConvergenceWarning,
                 stacklevel=2,
             )
-    return complex(s_full[0]) if scalar else s_full
+    return complex(s_full[0]) if not shape else s_full.reshape(shape)

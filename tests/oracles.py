@@ -145,6 +145,37 @@ def uniform_stieltjes(z: complex) -> complex:
     return cmath.log(1.0 - z) - cmath.log(-z)
 
 
+def backward_cf(diag, offdiag, z: complex, tail: str = "zero") -> complex:
+    """Truncated Jacobi continued fraction by the plain backward recursion
+
+        s_j = -1 / (z - diag[j] + offdiag[j]^2 s_{j+1}),
+
+    one level at a time in Python complex arithmetic, from the tail s_L
+    (zero, or the Herglotz root of S = -1/(z - 1/2 + S/16), the fixed
+    point of constant coefficients d = 1/2, e^2 = 1/16) below the L =
+    len(diag) - 1 levels.  `offdiag` has length L.
+    """
+    import cmath
+
+    z = complex(z)
+    if tail == "zero":
+        s = 0j
+    else:
+        # S^2 / 16 + (z - 1/2) S + 1 = 0; of its two roots take the one
+        # in the half plane of z (a transform maps C+ into C+), on the
+        # real axis the one that decays like -1/z
+        w = z - 0.5
+        root = cmath.sqrt(w * w - 0.25)
+        pair = (8.0 * (-w + root), 8.0 * (-w - root))
+        if z.imag != 0.0:
+            s = next(r for r in pair if r.imag * z.imag > 0.0)
+        else:
+            s = min(pair, key=abs)
+    for j in range(len(diag) - 2, -1, -1):
+        s = -1.0 / (z - float(diag[j]) + float(offdiag[j]) ** 2 * s)
+    return s
+
+
 # ---------------------------------------------------------------------------
 # dense matrix oracle
 

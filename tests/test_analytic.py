@@ -293,6 +293,44 @@ class TestPnPolynomials:
             assert norm2 == pytest.approx(1.0, rel=1e-6)
 
 
+def _steps_scalar(p, x, j0, n, r_prev, r):
+    """The recurrence one step at a time on scalar lambda_n, mu_n."""
+    a, c = p.a, p.c
+    for j in range(j0, n):
+        lam, mu = lambda_n(p, j), mu_n(p, j)
+        rhs = (x - lam - mu) * r
+        if r_prev != 0.0:
+            rhs -= (j + c + a) / (j + c) * mu * r_prev
+        r_prev, r = r, rhs * (j + c + a + 1.0) / ((j + c + 1.0) * lam)
+    return r
+
+
+class TestRecurrenceStreams:
+    """The recurrences on precomputed coefficient streams against a
+    per-step loop on the scalar streams, bit for bit.  The parameter grid
+    holds a = b, where the odd degrees vanish at x = 1/2 and only the
+    rounding residue is compared."""
+
+    @pytest.mark.parametrize("x", [0.5, 0.2, 0.83, 1.3])
+    def test_bitwise_against_scalar_steps(self, params, x):
+        a, b, c = params.a, params.b, params.c
+        g = params.gamma
+        lam0 = lambda_hat0(params)
+        up = params.shifted(1.0)
+        coef = c * (c + b) * (2.0 * c + g + 1.0) / (
+            (c + 1.0) * (2.0 * c + g - 1.0) * (c + g)
+        ) - x * c * (2.0 * c + g + 1.0) / ((c + 1.0) * (c + g))
+        for n in range(26):
+            r = _steps_scalar(params, x, 0, n, 0.0, 1.0)
+            assert recurrence_rn(params, n, x) == r
+            p1 = (x - lam0) * (c + a + 1.0) / ((c + 1.0) * lam0)
+            pn = 1.0 if n == 0 else _steps_scalar(params, x, 1, n, 1.0, p1)
+            assert pn_recurrence(params, n, x) == pn
+            if n:
+                comb = r + coef * _steps_scalar(up, x, 0, n - 1, 0.0, 1.0)
+                assert pn_combination(params, n, x) == comb
+
+
 class TestZeta:
     def test_head_values(self, params):
         assert zeta_n(params, 0) == 1.0

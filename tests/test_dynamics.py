@@ -320,6 +320,34 @@ class TestIntegrateMoments:
         with pytest.raises(ParameterError):
             integrate_moments(np.array([1.0, 0.5]), P_REF, np.nan, 1e-3)
 
+    def test_nonfinite_start_raises(self):
+        # used to run a step and report a blow-up at t = 0.001
+        with pytest.raises(ParameterError, match="finite"):
+            integrate_moments(np.array([1.0, np.nan]), P_REF, 1.0, 1e-3)
+
+    def test_step_count_overflow_raises(self):
+        # t_end / dt overflows to inf; int(round(inf)) used to raise a bare
+        # OverflowError
+        with pytest.raises(ParameterError, match="overflows"):
+            integrate_moments(np.array([1.0, 0.5]), P_REF, 1e300, 1e-300)
+        with pytest.raises(ParameterError, match="overflows"):
+            simulate_moments(2, 0.0, 0.0, 2.0, 0.5, 1e300, 1e-300, 10, 2, seed=1)
+
+    def test_bitwise_against_rk4_on_ode_rhs(self):
+        m = 0.5 ** np.arange(7.0)
+        dt, steps = 1e-3, 500
+        rows = [m]
+        for _ in range(steps):
+            k1 = ode_rhs(m, P_REF)
+            k2 = ode_rhs(m + 0.5 * dt * k1, P_REF)
+            k3 = ode_rhs(m + 0.5 * dt * k2, P_REF)
+            k4 = ode_rhs(m + dt * k3, P_REF)
+            m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rows.append(m)
+        path = integrate_moments(rows[0], P_REF, steps * dt, dt, record_every=1)
+        np.testing.assert_array_equal(path.moments, np.vstack(rows))
+        np.testing.assert_array_equal(path.times, np.arange(steps + 1) * dt)
+
     @pytest.mark.parametrize("every", [0, -1])
     def test_record_every_below_one_raises(self, every):
         with pytest.raises(ParameterError):

@@ -25,7 +25,7 @@ from betajacobi import (
     tridiag_entries,
 )
 
-from oracles import frac_beta_moment, sturm_eigenvalues, uniform_stieltjes
+from oracles import backward_cf, frac_beta_moment, sturm_eigenvalues, uniform_stieltjes
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -268,6 +268,48 @@ class TestStieltjesCF:
     def test_min_depth_enforced(self):
         with pytest.raises(ParameterError):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 1.0j, depth=1)
+
+    @pytest.mark.parametrize("tail", ["zero", "limit"])
+    @pytest.mark.parametrize("depth", [2, 3, 400, 12000])
+    def test_matches_backward_recursion(self, tail, depth):
+        # the tridiagonal solve against the level-by-level fraction, far
+        # from the support, on the real axis off it, and hugging it
+        zs = np.array(
+            [0.5 + 0.5j, 2.0 + 1.0j, -1.0 + 0.25j, 1.4 - 0.3j, -0.5, 1.5,
+             0.3 + 1e-6j, 0.8 + 1e-6j, 0.05 - 1e-6j]
+        )
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, depth + 1)
+        want = np.array([backward_cf(d, e, z, tail) for z in zs])
+        opts = dict(depth=depth, warn_tol=None, tail=tail)
+        vec = stieltjes_cf(ModelKind.ASSOC_III, P_REF, zs, **opts)
+        assert vec.shape == zs.shape
+        np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0.0)
+        for z, w in zip(zs[[0, 4, 6]], want[[0, 4, 6]]):
+            s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, **opts)
+            assert isinstance(s, complex)
+            assert abs(s - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize(
+        "z",
+        [np.nan, complex(np.inf, 1.0), complex(0.5, np.nan), np.array([0.5j, np.inf])],
+    )
+    def test_nonfinite_z_raises(self, z):
+        # nan used to come back as nan+nanj and inf+1j as -0j
+        with pytest.raises(ParameterError):
+            stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
+
+    def test_eigenvalue_of_truncation_raises(self):
+        # uniform measure: every diagonal entry is 1/2, so z = 1/2 is an
+        # eigenvalue of the 1- and 3-level truncations (not of the 2-level
+        # one, whose (1, 1) resolvent entry there is 0 although the
+        # backward recursion divides by zero on the way)
+        p = JacobiParams(0.0, 0.0, 0.0)
+        pole = r"z = \(0\.5\+0j\) is an eigenvalue of the "
+        with pytest.raises(ConvergenceError, match=pole + r"1-level.*\(depth 2\)"):
+            stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=2)
+        with pytest.raises(ConvergenceError, match=pole + r"3-level.*\(depth 3\)"):
+            stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=3, warn_tol=None)
+        assert stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=2, warn_tol=None) == 0.0
 
 
 class TestJacobiMatrix:
