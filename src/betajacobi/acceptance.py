@@ -20,9 +20,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import (
+    _uv_denominator,
     density_closed,
     density_numeric,
     pn_combination,
@@ -31,8 +31,6 @@ from .analytic import (
     recurrence_rn,
     stieltjes_auto,
     stieltjes_closed,
-    u_of_x,
-    v_of_x,
     wimp_rn,
     zeta_n,
 )
@@ -231,18 +229,16 @@ def _moment_expansion(threads):
     return worst <= 1e-8, worst, 1e-8, {"radius": 10.0, "k_max": 8}
 
 
-def _uv_denominator(p: JacobiParams, x: float) -> float:
-    u = u_of_x(p, x)
-    v = v_of_x(p, x)
-    return u * u + 2.0 * math.cos(math.pi * p.a) * u * v + v * v
-
-
 @_criterion(
     "density",
     "closed-form density: mass, moments, inversion cross-check",
     10.0,
 )
 def _density(threads):
+    # the only scipy.integrate user; importing it here keeps it off the
+    # import path of the CLI
+    from scipy.integrate import quad
+
     worst_mass = 0.0
     worst_mom = 0.0
     worst_point = 0.0

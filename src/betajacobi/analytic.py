@@ -109,6 +109,13 @@ def v_of_x(p: JacobiParams, x: float) -> float:
     return coef * (1.0 - x) ** (1.0 + b) * x ** (1.0 + a) * val
 
 
+def _uv_denominator(p: JacobiParams, x: float) -> float:
+    """|U(x) + e^{i pi a} V(x)|^2 = U^2 + 2 U V cos(pi a) + V^2."""
+    u = u_of_x(p, x)
+    v = v_of_x(p, x)
+    return u * u + 2.0 * math.cos(math.pi * p.a) * u * v + v * v
+
+
 def _require_density_domain(p: JacobiParams) -> None:
     validate_model(ModelKind.ASSOC_III, p)
     if p.c < 0.0 or p.c + p.a <= 0.0 or p.c + p.b <= 0.0:
@@ -138,13 +145,9 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     if np.any((xs <= 0.0) | (xs >= 1.0)):
         raise ParameterError("density is defined on the open interval (0, 1)")
     norm = gamma_ratio((c + 1.0, c + a + b + 2.0), (c + a + 1.0, c + b + 1.0))
-    cos_a = math.cos(math.pi * a)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
-        u = u_of_x(p, float(xi))
-        v = v_of_x(p, float(xi))
-        denom = u * u + 2.0 * cos_a * u * v + v * v
-        out[i] = norm * xi**a * (1.0 - xi) ** b / denom
+        out[i] = norm * xi**a * (1.0 - xi) ** b / _uv_denominator(p, float(xi))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -165,8 +168,8 @@ def density_numeric(
     Im S(x + i eps) is eps * Re S'(x)); ``richardson`` removes it by
     linear extrapolation from eps and eps/2.
     """
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     if depth is None:
         depth = max(400, int(12.0 / math.sqrt(eps)))
     xs = np.atleast_1d(np.asarray(x, dtype=float))

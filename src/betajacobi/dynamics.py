@@ -340,6 +340,8 @@ def moment_drift_finite_n(
     m = np.asarray(moments, dtype=float)
     if not 1 <= k <= len(m) - 1:
         raise ParameterError(f"need 1 <= k <= {len(m) - 1}, got {k}")
+    if not 1 <= n < np.inf:
+        raise ParameterError(f"need finite N >= 1 particles, got {n}")
     rhs = ode_rhs(m, JacobiParams(a, b, c))[k]
     corr = (c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
     return float(rhs - corr)

@@ -176,8 +176,8 @@ def _beta_draw(
 
 def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
     """One Beta(alpha, beta) variate via two gamma variates."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ParameterError(f"beta shapes must be positive, got ({alpha}, {beta})")
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
+        raise ParameterError(f"beta shapes must be in (0, inf), got ({alpha}, {beta})")
     return float(_beta_draw(np.array([alpha]), np.array([beta]), rng)[0])
 
 
@@ -209,6 +209,15 @@ def _draw_squares(shapes, rng: np.random.Generator, m: int):
     return _bidiagonal_squares(p, q)
 
 
+def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
+    """J = B B^T from the squared entries of B, on (..., N) s^2 and
+    (..., N-1) t^2: diagonal s_n^2 + t_{n-1}^2 with t_0 = 0, off-diagonal
+    s_n t_n = sqrt(s_n^2 t_n^2).  Returns (diag, off)."""
+    diag = s2.copy()
+    diag[..., 1:] += t2
+    return diag, np.sqrt(s2[..., :-1] * t2)
+
+
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
@@ -217,23 +226,22 @@ def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFac
 
 
 def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
-    """J = B B^T: diagonal s_i^2 + t_{i-1}^2, off-diagonal s_i t_i."""
-    s, t = factor.s, factor.t
-    diag = s**2
-    if len(t):
-        diag = diag + np.concatenate(([0.0], t**2))
-        off = s[:-1] * t
-    else:
-        off = np.empty(0)
-    return SymmetricTridiagonal(diag, off)
+    """J = B B^T: diagonal s_i^2 + t_{i-1}^2, off-diagonal s_i t_i, by
+    the same assembly from the squares that the samplers use."""
+    return SymmetricTridiagonal(*_tridiagonal_from_squares(factor.s**2, factor.t**2))
 
 
 def empirical_measure(
     cfg: EnsembleConfig, rng: np.random.Generator
 ) -> DiscreteMeasure:
-    """One sampled spectrum as a uniform-weight measure; roundoff-level
-    excursions past [0, 1] are clamped, larger ones raise."""
-    t = to_tridiagonal(sample_model(cfg, rng))
+    """One sampled spectrum as a uniform-weight measure.
+
+    Draws the squares (s^2, t^2) from the same stream, in the same
+    order, as sample_model and assembles J from them directly;
+    roundoff-level excursions past [0, 1] are clamped, larger ones raise.
+    """
+    s2, t2 = _draw_squares(_shape_arrays(cfg), rng, 1)
+    t = SymmetricTridiagonal(*_tridiagonal_from_squares(s2[0], t2[0]))
     vals = np.sort(np.asarray(eigen_tridiagonal(t)))
     if vals[0] < -_FAIL_TOL or vals[-1] > 1.0 + _FAIL_TOL:
         raise ConvergenceError(
@@ -310,10 +318,7 @@ def _mc_chunk(shapes, folded, lo, hi, k_max, out):
     # one stream per chunk, drawn in bulk; keys are offset so they never
     # collide with the per-trial substream keys used by empirical_measure
     rng = _stream(folded, _CHUNK_KEY_BASE + lo // _CHUNK)
-    s2, t2 = _draw_squares(shapes, rng, hi - lo)
-    diags = s2.copy()
-    diags[:, 1:] += t2
-    offs = np.sqrt(s2[:, :-1] * t2)
+    diags, offs = _tridiagonal_from_squares(*_draw_squares(shapes, rng, hi - lo))
     out[lo:hi] = _trace_moments(diags, offs, k_max)
 
 
@@ -404,137 +409,78 @@ def _beta_power_mean(alpha: float, beta: float, j: int) -> float:
 def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     """Exact ensemble-mean moment E[(1/N) tr J^k] at finite N.
 
-    tr J^k is expanded over closed walks on the path graph; diagonal steps
-    carry d_v = p_v(1-q_{v-1}) + q_{v-1}(1-p_{v-1}), and each edge is
-    crossed an even number of times, contributing powers of
-    e_v^2 = p_v q_v (1-p_v)(1-q_{v-1}).  Monomials in the independent
-    p, q variables then average by the Beta moment product formula.
-    Guarded to N <= 8, k <= 8.
+    J is assembled as the sampler assembles it, in polynomials of the
+    independent Beta variables: s_v^2 = p_v (1 - q_{v-1}),
+    t_v^2 = q_v (1 - p_v), diagonal s_v^2 + t_{v-1}^2, squared
+    off-diagonal e_v^2 = t_v^2 s_v^2.  A closed-walk DP for tr J^k
+    multiplies by the diagonal on a stay and bumps the exponent of a
+    formal edge symbol on a crossing; each edge is crossed an even number
+    of times, so the symbols become cached powers of e_v^2 after the walk
+    sum, and monomials average by the Beta moment product formula with
+    the sampler's shapes (_shape_arrays of EnsembleConfig(n, 2 kappa, a,
+    b), which validates the parameters).  Guarded to N <= 8, k <= 8.
     """
     if not (1 <= n <= MAX_EXACT_N):
         raise ParameterError(f"exact_moment needs 1 <= N <= {MAX_EXACT_N}, got {n}")
     if not (0 <= k <= MAX_EXACT_K):
         raise ParameterError(f"exact_moment needs 0 <= k <= {MAX_EXACT_K}, got {k}")
-    if kappa < 0.0 or a <= -1.0 or b <= -1.0:
-        raise ParameterError("need kappa >= 0 and a, b > -1")
+    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(
+        EnsembleConfig(n, 2.0 * kappa, a, b)
+    )
     if k == 0:
         return 1.0
 
-    nvars = 3 * n - 2  # p_1..p_N, q_1..q_{N-1}, edge symbols E_1..E_{N-1}
-    zero = (0,) * nvars
+    # variables: p_1..p_N, q_1..q_{N-1}, then one symbol per edge
+    nvars = 3 * n - 2
+    edge0 = 2 * n - 1
 
-    def unit(var: int) -> tuple:
-        e = [0] * nvars
-        e[var] = 1
-        return tuple(e)
+    def mono(*vars_: int) -> tuple:
+        return tuple(vars_.count(i) for i in range(nvars))
 
-    def p_var(i: int) -> int:  # all index helpers take 1-based labels
-        return i - 1
+    def times_one_minus(x: int, y: int) -> dict:  # x (1 - y)
+        return {mono(x): 1, mono(x, y): -1}
 
-    def q_var(i: int) -> int:
-        return n + i - 1
-
-    def e_var(i: int) -> int:
-        return 2 * n - 1 + i - 1
-
-    one = {zero: 1}
-
-    # diagonal step polynomials d_v; q_0 = 0 kills half of d_1
-    d_poly = []
-    for v in range(1, n + 1):
-        if v == 1:
-            d_poly.append({unit(p_var(1)): 1})
-            continue
-        pv = {unit(p_var(v)): 1}
-        pm = {unit(p_var(v - 1)): 1}
-        qm = {unit(q_var(v - 1)): 1}
-        dv = _poly_mul(pv, {zero: 1, unit(q_var(v - 1)): -1})
-        _poly_add_into(dv, _poly_mul(qm, {zero: 1, unit(p_var(v - 1)): -1}))
-        d_poly.append(dv)
-
-    # squared off-diagonal polynomials e_v^2 = p_v q_v (1-p_v)(1-q_{v-1})
-    e2_poly = []
-    for v in range(1, n):
-        base = _poly_mul({unit(p_var(v)): 1}, {unit(q_var(v)): 1})
-        base = _poly_mul(base, {zero: 1, unit(p_var(v)): -1})
-        if v >= 2:
-            base = _poly_mul(base, {zero: 1, unit(q_var(v - 1)): -1})
-        e2_poly.append(base)
+    s2 = [{mono(0): 1}] + [times_one_minus(v, n + v - 1) for v in range(1, n)]
+    t2 = [times_one_minus(n + v, v) for v in range(n - 1)]
+    d = [s2[0]] + [{**s2[v], **t2[v - 1]} for v in range(1, n)]
+    e2_pows = [[_poly_mul(t2[v], s2[v])] for v in range(n - 1)]
 
     # walk-sum DP for tr J^k, edge crossings as formal symbols
-    trace_poly: dict = {}
+    trace: dict = {}
     for start in range(n):
-        layer: list[dict | None] = [None] * n
-        layer[start] = dict(one)
+        row = [{} for _ in range(n)]
+        row[start] = {mono(): 1}
         for _ in range(k):
-            nxt: list[dict | None] = [None] * n
-            for v in range(n):
-                g = layer[v]
+            nxt = [{} for _ in range(n)]
+            for v, g in enumerate(row):
                 if not g:
                     continue
-                stay = _poly_mul(g, d_poly[v])
-                if nxt[v] is None:
-                    nxt[v] = stay
-                else:
-                    _poly_add_into(nxt[v], stay)
-                for w, edge in ((v + 1, v + 1), (v - 1, v)):
-                    if not 0 <= w < n:
-                        continue
-                    ev = e_var(edge)
-                    moved: dict = {}
-                    for key, coef in g.items():
-                        lifted = list(key)
-                        lifted[ev] += 1
-                        moved[tuple(lifted)] = coef
-                    if nxt[w] is None:
-                        nxt[w] = moved
-                    else:
-                        _poly_add_into(nxt[w], moved)
-            layer = nxt
-        g = layer[start]
-        if g:
-            _poly_add_into(trace_poly, g)
+                _poly_add_into(nxt[v], _poly_mul(g, d[v]))
+                for w, sym in ((v + 1, edge0 + v), (v - 1, edge0 + v - 1)):
+                    if 0 <= w < n:
+                        for key, coef in g.items():
+                            lifted = key[:sym] + (key[sym] + 1,) + key[sym + 1 :]
+                            nxt[w][lifted] = nxt[w].get(lifted, 0) + coef
+            row = nxt
+        _poly_add_into(trace, row[start])
 
-    shape_p = [
-        ((n - i) * kappa + a + 1.0, (n - i) * kappa + b + 1.0)
-        for i in range(1, n + 1)
-    ]
-    shape_q = [
-        ((n - i) * kappa, (n - i - 1) * kappa + a + b + 2.0) for i in range(1, n)
-    ]
-
-    e2_pows: list[dict[int, dict]] = [dict() for _ in range(n - 1)]
-
-    def e2_power(edge: int, m: int) -> dict:
-        cache = e2_pows[edge]
-        if m not in cache:
-            cache[m] = (
-                e2_poly[edge]
-                if m == 1
-                else _poly_mul(e2_power(edge, m - 1), e2_poly[edge])
-            )
-        return cache[m]
-
+    shapes = list(zip(np.r_[alpha_p, alpha_q].tolist(), np.r_[beta_p, beta_q].tolist()))
     total = 0.0
-    for expo, coef in trace_poly.items():
-        pq_part = expo[: 2 * n - 1] + (0,) * (n - 1)
-        mono = {pq_part: coef}
-        for edge in range(n - 1):
-            m = expo[e_var(edge + 1)]
-            if m % 2 != 0:
+    for expo, coef in trace.items():
+        poly = {expo[:edge0] + (0,) * (n - 1): coef}
+        for v, m in enumerate(expo[edge0:]):
+            if m % 2:
                 raise AssertionError("odd edge power in a closed walk")
+            pows = e2_pows[v]
+            while len(pows) < m // 2:
+                pows.append(_poly_mul(pows[-1], pows[0]))
             if m:
-                mono = _poly_mul(mono, e2_power(edge, m // 2))
-        for key, cf in mono.items():
+                poly = _poly_mul(poly, pows[m // 2 - 1])
+        for key, cf in poly.items():
             val = float(cf)
-            for i in range(1, n + 1):
-                j = key[p_var(i)]
+            for (al, be), j in zip(shapes, key):
                 if j:
-                    val *= _beta_power_mean(*shape_p[i - 1], j)
-            for i in range(1, n):
-                j = key[q_var(i)]
-                if j:
-                    val *= _beta_power_mean(*shape_q[i - 1], j)
+                    val *= _beta_power_mean(al, be, j)
             total += val
     return total / n
 
@@ -554,6 +500,8 @@ def limit_pq(size: int, n_param: float, a_slope: float, b_slope: float):
     size = int(size)
     if size < 1:
         raise ParameterError(f"size must be >= 1, got {size}")
+    if not np.all(np.isfinite((n_param, a_slope, b_slope))):
+        raise ParameterError(f"need finite N, A, B, got {(n_param, a_slope, b_slope)}")
     n = np.arange(1, size + 1, dtype=float)
     den = 2.0 * n - 2.0 * n_param - a_slope - b_slope
     if np.any(den == 0.0) or np.any(den + 1.0 == 0.0):
@@ -577,6 +525,6 @@ def limit_bidiagonal_squares(
 def limit_tridiagonal(n: int, regime: RegimeParams) -> SymmetricTridiagonal:
     """The N-by-N deterministic matrix the ensemble freezes onto."""
     s2, t2 = limit_bidiagonal_squares(n, float(n), regime.A, regime.B)
-    if np.any(s2 < 0.0) or np.any(t2 < 0.0):
-        raise ParameterError("limit squares must be nonnegative")
-    return to_tridiagonal(BidiagonalFactor(np.sqrt(s2), np.sqrt(t2)))
+    if not all(np.all((x >= 0.0) & (x <= 1.0)) for x in (s2, t2)):
+        raise ParameterError("limit squares must lie in [0, 1]")
+    return SymmetricTridiagonal(*_tridiagonal_from_squares(s2, t2))

@@ -24,6 +24,7 @@ from .errors import ConvergenceError, ParameterError, PoleError, UnsupportedRegi
 __all__ = ["ln_gamma", "pochhammer", "gamma_ratio", "hyp2f1"]
 
 _SERIES_CAP = 0.7
+_MAX_TERMS = 100_000
 _STOP_REL = 1e-16
 
 
@@ -78,13 +79,13 @@ def _is_nonpos_int(v: float) -> bool:
     return v <= 0.0 and v == math.floor(v)
 
 
-def _series(alpha: float, beta: float, gamma: float, x, max_terms: int):
+def _series(alpha: float, beta: float, gamma: float, x):
     """Direct power series; caller guarantees |x| is under the cap."""
     term = 1.0 * (x * 0 + 1)  # one, in the dtype of x
     total = term
     sum_abs = 1.0
     small_run = 0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
         total += term
         sum_abs += abs(term)
@@ -113,7 +114,7 @@ def _series_terminating(alpha: float, beta: float, gamma: float, x, n_top: int):
     return total, err
 
 
-def hyp2f1(alpha: float, beta: float, gamma: float, x, *, max_terms: int = 100_000):
+def hyp2f1(alpha: float, beta: float, gamma: float, x):
     """Gauss hypergeometric 2F1(alpha, beta; gamma; x) with error estimate.
 
     Parameters are real; the argument may be real or complex (principal
@@ -153,11 +154,11 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x, *, max_terms: int = 100_0
         return x * 0 + 1.0, 0.0
 
     if abs(xc) <= _SERIES_CAP:
-        return _series(alpha, beta, gamma, x, max_terms)
+        return _series(alpha, beta, gamma, x)
 
     x_pfaff = x / (x - 1.0)
     if abs(x_pfaff) <= _SERIES_CAP:
-        val, err = _series(alpha, gamma - beta, gamma, x_pfaff, max_terms)
+        val, err = _series(alpha, gamma - beta, gamma, x_pfaff)
         pref = (1.0 - x) ** (-alpha)
         return pref * val, err + 1e-15
 
@@ -171,8 +172,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x, *, max_terms: int = 100_0
         w = 1.0 - x
         c1 = gamma_ratio((gamma, gab), (gamma - alpha, gamma - beta))
         c2 = gamma_ratio((gamma, -gab), (alpha, beta))
-        f1, e1 = _series(alpha, beta, alpha + beta - gamma + 1.0, w, max_terms)
-        f2, e2 = _series(gamma - alpha, gamma - beta, gab + 1.0, w, max_terms)
+        f1, e1 = _series(alpha, beta, alpha + beta - gamma + 1.0, w)
+        f2, e2 = _series(gamma - alpha, gamma - beta, gab + 1.0, w)
         t1 = c1 * f1
         t2 = c2 * (w**gab) * f2
         val = t1 + t2

@@ -304,7 +304,9 @@ def stieltjes_cf(
     s_full = _eval(depth)
     if warn_tol is not None:
         s_half = _eval(depth // 2)
-        rel = np.max(np.abs(s_full - s_half) / np.maximum(np.abs(s_full), 1e-300))
+        rel = np.max(
+            np.abs(s_full - s_half) / np.maximum(np.abs(s_full), 1e-300), initial=0.0
+        )
         if rel > warn_tol:
             warnings.warn(
                 f"continued fraction not converged at depth {depth} "

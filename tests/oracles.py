@@ -7,6 +7,8 @@ instead of tridiagonal assembly.  Agreement between the two stacks is
 the point of the tests.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -193,7 +195,7 @@ def dense_bbt(s, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor-quadrature oracle for the exact finite-N moment at N = 2
+# tensor-quadrature oracle for the exact finite-N moment
 
 
 def _beta_rule(alpha: float, beta: float, m: int):
@@ -205,19 +207,27 @@ def _beta_rule(alpha: float, beta: float, m: int):
     return (1.0 + u) / 2.0, w / w.sum()
 
 
-def quadrature_moment_n2(kappa: float, a: float, b: float, k: int, m: int = 24):
-    """E[(1/2) tr((B B^T)^k)] for the N = 2 model by 3-d tensor quadrature
-    over p1 ~ Beta(kappa+a+1, kappa+b+1), p2 ~ Beta(a+1, b+1),
-    q1 ~ Beta(kappa, a+b+2)."""
-    p1_x, p1_w = _beta_rule(kappa + a + 1.0, kappa + b + 1.0, m)
-    p2_x, p2_w = _beta_rule(a + 1.0, b + 1.0, m)
-    q1_x, q1_w = _beta_rule(kappa, a + b + 2.0, m)
+def quadrature_moment(n: int, kappa: float, a: float, b: float, k: int):
+    """E[(1/N) tr((B B^T)^k)] by tensor Gauss quadrature over the 2N - 1
+    independent variables p_i ~ Beta((N-i) kappa + a + 1, (N-i) kappa + b + 1),
+    i = 1..N, and q_i ~ Beta((N-i) kappa, (N-i-1) kappa + a + b + 2),
+    i = 1..N-1.  tr J^k has degree <= k in each variable, so floor(k/2) + 1
+    nodes per variable (exact through degree k + 1) make the rule exact."""
+    m = k // 2 + 1
+    rules = [
+        _beta_rule((n - i) * kappa + a + 1.0, (n - i) * kappa + b + 1.0, m)
+        for i in range(1, n + 1)
+    ] + [
+        _beta_rule((n - i) * kappa, (n - i - 1) * kappa + a + b + 2.0, m)
+        for i in range(1, n)
+    ]
     total = 0.0
-    for p1, w1 in zip(p1_x, p1_w):
-        for p2, w2 in zip(p2_x, p2_w):
-            for q1, w3 in zip(q1_x, q1_w):
-                s = np.sqrt([p1, p2 * (1.0 - q1)])
-                t = np.sqrt([q1 * (1.0 - p1)])
-                j = dense_bbt(s, t)
-                total += w1 * w2 * w3 * np.trace(np.linalg.matrix_power(j, k))
-    return total / 2.0
+    for idx in itertools.product(range(m), repeat=len(rules)):
+        x = [rule[0][j] for rule, j in zip(rules, idx)]
+        w = math.prod(rule[1][j] for rule, j in zip(rules, idx))
+        p, q = np.array(x[:n]), np.array(x[n:])
+        s = np.sqrt(p * (1.0 - np.r_[0.0, q]))
+        t = np.sqrt(q * (1.0 - p[:-1]))
+        j_mat = dense_bbt(s, t)
+        total += w * np.trace(np.linalg.matrix_power(j_mat, k))
+    return total / n

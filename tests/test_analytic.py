@@ -165,8 +165,10 @@ class TestDensityNumeric:
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_bad_eps_raises(self):
-        with pytest.raises(ParameterError):
-            density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=0.0)
+        # NaN used to raise a bare ValueError from int(12 / sqrt(eps))
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=eps)
 
 
 class TestDensityProfile:

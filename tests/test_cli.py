@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +268,21 @@ class TestErrorsAndFormats:
 
     def test_default_seed_constant(self):
         assert DEFAULT_SEED == 20177
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the density criterion integrates; its quad import is deferred
+    import betajacobi
+
+    src = str(Path(betajacobi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, betajacobi.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _fmt_float(v: float) -> str:

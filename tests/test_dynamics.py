@@ -368,3 +368,7 @@ class TestFiniteNCorrection:
     def test_k_range_guard(self):
         with pytest.raises(ParameterError):
             moment_drift_finite_n(np.array([1.0, 0.5]), 2, 0.3, 0.7, 1.2, 10)
+        # N = 0 used to raise ZeroDivisionError
+        for n in (0, np.nan):
+            with pytest.raises(ParameterError):
+                moment_drift_finite_n(np.array([1.0, 0.5]), 1, 0.3, 0.7, 1.2, n)

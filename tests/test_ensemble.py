@@ -30,9 +30,15 @@ from betajacobi import (
     to_tridiagonal,
     tridiag_entries,
 )
-from betajacobi.ensemble import _beta_draw, _draw_squares, _shape_arrays, _trace_moments
+from betajacobi.ensemble import (
+    _beta_draw,
+    _draw_squares,
+    _shape_arrays,
+    _trace_moments,
+    _tridiagonal_from_squares,
+)
 
-from oracles import dense_bbt, quadrature_moment_n2
+from oracles import dense_bbt, quadrature_moment
 
 CFG = EnsembleConfig(6, 2.0, 0.5, 0.5)
 
@@ -92,6 +98,10 @@ class TestSampling:
     def test_beta_shape_guard(self):
         with pytest.raises(ParameterError):
             sample_beta(0.0, 1.0, substream(1, 0))
+        # NaN used to come back as 0.0
+        for alpha, beta in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)]:
+            with pytest.raises(ParameterError):
+                sample_beta(alpha, beta, substream(1, 0))
 
     def test_single_point_marginal(self):
         # N = 1 collapses to one Beta(a+1, b+1) variable
@@ -152,6 +162,29 @@ class TestTridiagonalAssembly:
         assert t.diag[0] == pytest.approx(0.49)
         assert t.offdiag.size == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_assembly_for_sampled_and_batched(self, n):
+        # the batched Monte Carlo assembly row by row equals to_tridiagonal
+        # of the factor with the same squares, up to sqrt(s^2) squared
+        cfg = EnsembleConfig(n, 1.5, 0.3, 0.7)
+        s2, t2 = _draw_squares(_shape_arrays(cfg), substream(21, 0), 4)
+        diags, offs = _tridiagonal_from_squares(s2, t2)
+        assert diags.shape == (4, n) and offs.shape == (4, n - 1)
+        for r in range(4):
+            t = to_tridiagonal(BidiagonalFactor(np.sqrt(s2[r]), np.sqrt(t2[r])))
+            np.testing.assert_allclose(t.diag, diags[r], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(t.offdiag, offs[r], rtol=1e-15, atol=0.0)
+
+    def test_limit_matrix_range_checked(self, monkeypatch):
+        import betajacobi.ensemble as ens
+
+        def squares(size, n_param, a_slope, b_slope):
+            return np.full(size, 0.5), np.r_[1.5, np.full(size - 2, 0.5)]
+
+        monkeypatch.setattr(ens, "limit_bidiagonal_squares", squares)
+        with pytest.raises(ParameterError):
+            limit_tridiagonal(4, RegimeParams(1.5, 2.5))
+
 
 class TestEmpiricalMeasure:
     def test_support_and_weights(self):
@@ -163,6 +196,17 @@ class TestEmpiricalMeasure:
         m1 = empirical_measure(CFG, substream(3, 5))
         m2 = empirical_measure(CFG, substream(3, 5))
         np.testing.assert_array_equal(m1.nodes, m2.nodes)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 40])
+    def test_same_spectrum_as_sampled_factor(self, n):
+        # the squares are drawn from the same stream as sample_model; only
+        # the sqrt-then-square round trip of the factor differs
+        cfg = EnsembleConfig(n, 2.0 / n, 0.5, 0.25)
+        for idx in range(5):
+            m = empirical_measure(cfg, substream(8, idx))
+            t = to_tridiagonal(sample_model(cfg, substream(8, idx)))
+            want = np.sort(np.asarray(eigen_tridiagonal(t)))
+            np.testing.assert_allclose(m.nodes, want, rtol=0.0, atol=1e-14)
 
     @given(
         n=st.integers(1, 6),
@@ -288,8 +332,18 @@ class TestExactMoments:
     )
     def test_two_site_against_quadrature(self, case):
         kappa, a, b, k = case
-        want = quadrature_moment_n2(kappa, a, b, k)
+        want = quadrature_moment(2, kappa, a, b, k)
         assert exact_moment(2, kappa, a, b, k) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "n, kappa, a, b, k",
+        [(3, 1.0, 0.5, 0.25, k) for k in range(1, 7)]
+        + [(3, 0.7, -0.5, 1.7, 5), (4, 0.5, 0.3, -0.25, 3)]
+        + [(4, 2.0, -0.9, 0.1, k) for k in range(1, 5)],
+    )
+    def test_three_and_four_sites_against_quadrature(self, n, kappa, a, b, k):
+        want = quadrature_moment(n, kappa, a, b, k)
+        assert exact_moment(n, kappa, a, b, k) == pytest.approx(want, rel=1e-12)
 
     def test_guards(self):
         with pytest.raises(ParameterError):
@@ -298,6 +352,11 @@ class TestExactMoments:
             exact_moment(2, 1.0, 0.5, 0.5, 9)
         with pytest.raises(ParameterError):
             exact_moment(2, -0.5, 0.5, 0.5, 2)
+        # non-finite parameters used to come back as a NaN moment
+        for bad in (np.nan, np.inf):
+            for args in ((bad, 0.5, 0.5), (1.0, bad, 0.5), (1.0, 0.5, bad)):
+                with pytest.raises(ParameterError):
+                    exact_moment(3, *args, 2)
 
     def test_finite_n_approaches_operator_moments(self):
         # at fixed c = kappa N the mean moments drift toward the limiting
@@ -350,6 +409,11 @@ class TestKappaLimit:
     def test_vanishing_denominator_raises(self):
         with pytest.raises(ParameterError):
             limit_pq(2, 1.0, 1.0, 1.0)
+        # non-finite inputs used to come back as NaN or all-zero arrays
+        with pytest.raises(ParameterError):
+            limit_pq(3, np.nan, 0.7, 1.3)
+        with pytest.raises(ParameterError):
+            limit_bidiagonal_squares(3, 3.0, 0.7, np.inf)
 
     def test_regime_validation(self):
         with pytest.raises(ParameterError):

@@ -24,6 +24,7 @@ from betajacobi import (
     stieltjes_cf,
     tridiag_entries,
 )
+from betajacobi.spectral import DEFAULT_RTOL
 
 from oracles import backward_cf, frac_beta_moment, sturm_eigenvalues, uniform_stieltjes
 
@@ -297,6 +298,14 @@ class TestStieltjesCF:
         # nan used to come back as nan+nanj and inf+1j as -0j
         with pytest.raises(ParameterError):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
+
+    @pytest.mark.parametrize("warn_tol", [DEFAULT_RTOL, None])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_z_gives_empty_result(self, warn_tol, shape):
+        # the default depth-halving check used to take the max of nothing
+        z = np.empty(shape, dtype=complex)
+        s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, warn_tol=warn_tol)
+        assert s.shape == shape and s.dtype == complex
 
     def test_eigenvalue_of_truncation_raises(self):
         # uniform measure: every diagonal entry is 1/2, so z = 1/2 is an
