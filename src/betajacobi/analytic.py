@@ -142,7 +142,8 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     _require_density_domain(p)
     a, b, c = p.a, p.b, p.c
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((xs <= 0.0) | (xs >= 1.0)):
+    # written so that NaN fails it too
+    if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ParameterError("density is defined on the open interval (0, 1)")
     norm = gamma_ratio((c + 1.0, c + a + b + 2.0), (c + a + 1.0, c + b + 1.0))
     out = np.empty_like(xs)
@@ -223,6 +224,8 @@ def density_profile(
 ) -> tuple[DensityProfile, str]:
     """Evaluate the density on a grid; returns (profile, route used)."""
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("density grid must be finite")
     if method not in ("auto", "closed", "numeric"):
         raise ParameterError(f"unknown density method {method!r}")
     if method in ("auto", "closed"):
@@ -263,11 +266,17 @@ def _rn_steps(p: JacobiParams, x: float, j0: int, n: int, r_prev: float, r: floa
     return r
 
 
+def _check_finite_x(x: float) -> None:
+    if not math.isfinite(x):
+        raise ParameterError(f"x must be finite, got {x!r}")
+
+
 def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
     """R_n(x) by the three-term recurrence from R_{-1} = 0, R_0 = 1."""
     n = int(n)
     if n < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    _check_finite_x(x)
     return _rn_steps(p, x, 0, n, 0.0, 1.0)
 
 
@@ -313,6 +322,7 @@ def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
     n = int(n)
     if n < 0:
         raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    _check_finite_x(x)
     if n == 0:
         return 1.0
     a, c = p.a, p.c
@@ -408,8 +418,8 @@ def zeta_n(p: JacobiParams, n: int) -> float:
 
 def zeta_asymptotic(p: JacobiParams, n: int) -> float:
     """Large-n shape (2n)^(-1/2) * sqrt(G), the constant zeta_n levels to."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    if not (math.isfinite(n) and n >= 1):
+        raise ParameterError(f"need finite n >= 1, got {n}")
     a, b, c = p.a, p.b, p.c
     g = gamma_ratio((c + 1.0, c + a + b + 2.0), (c + a + 1.0, c + b + 1.0))
     return math.sqrt(g / (2.0 * n))

@@ -87,27 +87,57 @@ class MomentPath:
         return MomentVector(self.moments[-1])
 
 
-def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
-    """Drift and diffusion coefficient for a batch of configurations.
+def _interaction(x: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1 / (x_i - x_j) for each particle i of (..., N) positions.
 
-    x has shape (..., N).  The singular interaction sum uses reciprocal
-    gaps clipped at +-1/EPS_DIV, which for nonzero gaps equals flooring
-    |gap| at EPS_DIV with the sign kept.  Exactly coincident pairs (the
-    diagonal, a point-mass start, particles clamped to the same boundary)
+    The particle axis goes first, so every pass runs contiguously over
+    the batch.  Each unordered pair's gap x_{i+o} - x_i is taken once,
+    for offsets o = 1..N-1, into one (N(N-1)/2, ...) buffer of offset
+    blocks; the reciprocal, the clip at +-1/EPS_DIV and the tie rule run
+    once over that buffer.  Clipping the reciprocal equals flooring a
+    nonzero |gap| at EPS_DIV with the sign kept.  Exactly coincident
+    pairs (a point-mass start, particles clamped to the same wall)
     contribute zero: a tie has no well-defined repulsion direction, and
-    one noise step separates the pair.
+    one noise step separates the pair.  By antisymmetry each block is
+    added to the upper particle of its pairs and subtracted from the
+    lower one, offsets in increasing order, so a row of a batch gets the
+    same bits as the same configuration alone.
     """
-    gaps = x[..., :, None] - x[..., None, :]
-    ties = gaps == 0.0
-    # in place: a second (..., N, N) buffer makes the allocator hand the
-    # memory back and fault it in again on every step
-    with np.errstate(divide="ignore"):
-        inv = np.divide(1.0, gaps, out=gaps)
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    n = xt.shape[0]
+    # rows lo:hi of block o hold the gaps x_{i+o} - x_i, i = 0..N-o-1
+    blocks, lo = [], 0
+    for o in range(1, n):
+        blocks.append((o, lo, lo + n - o))
+        lo += n - o
+    inv = np.empty((lo,) + xt.shape[1:])
+    for o, lo, hi in blocks:
+        np.subtract(xt[o:], xt[:-o], out=inv[lo:hi])
+    ties = inv == 0.0
+    # ties give +-inf and subnormal gaps overflow; the clip and the tie
+    # mask below settle both
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, inv, out=inv)
     np.clip(inv, -1.0 / EPS_DIV, 1.0 / EPS_DIV, out=inv)
-    inv[ties] = 0.0
-    interaction = inv.sum(axis=-1)
+    np.copyto(inv, 0.0, where=ties)
+    total = np.zeros(xt.shape)
+    for o, lo, hi in blocks:
+        total[o:] += inv[lo:hi]
+        total[:-o] -= inv[lo:hi]
+    return np.moveaxis(total, 0, -1)
+
+
+def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
+    """Drift and diffusion coefficient for a batch of (..., N)
+    configurations.
+
+    The repulsion sum_{j != i} 1 / (x_i - x_j) comes from _interaction,
+    the half-pair kernel on particle-first arrays: each unordered pair
+    once, reciprocals clipped at +-1/EPS_DIV, exact ties contributing
+    zero.
+    """
     xx = x * (1.0 - x)
-    mu = (a + 1.0) - (a + b + 2.0) * x + beta * xx * interaction
+    mu = (a + 1.0) - (a + b + 2.0) * x + beta * xx * _interaction(x)
     sigma = np.sqrt(2.0 * np.maximum(xx, 0.0))
     return mu, sigma
 
@@ -162,6 +192,18 @@ def em_step(
     return ParticleState(state.time + dt, x)
 
 
+def _power_means(x: np.ndarray, k_max: int) -> np.ndarray:
+    """(paths, k_max + 1) means over the particles of x^k, k = 0..k_max,
+    for (paths, N) positions, by running products."""
+    out = np.empty((x.shape[0], k_max + 1))
+    out[:, 0] = 1.0
+    pw = np.ones_like(x)
+    for k in range(1, k_max + 1):
+        pw *= x
+        out[:, k] = pw.mean(axis=1)
+    return out
+
+
 def simulate_moments(
     n: int,
     a: float,
@@ -202,11 +244,9 @@ def simulate_moments(
 
     rng = substream(seed, 0)
     times = [0.0]
-    kvec = np.arange(k_max + 1)
 
     def record(xb):
-        pw = xb[:, :, None] ** kvec  # (paths, N, k+1)
-        per_path = pw.mean(axis=1)
+        per_path = _power_means(xb, k_max)
         return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / np.sqrt(paths)
 
     m0, s0 = record(x)
@@ -338,6 +378,8 @@ def moment_drift_finite_n(
     limit.
     """
     m = np.asarray(moments, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ParameterError("moments must be finite")
     if not 1 <= k <= len(m) - 1:
         raise ParameterError(f"need 1 <= k <= {len(m) - 1}, got {k}")
     if not 1 <= n < np.inf:

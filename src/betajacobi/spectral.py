@@ -127,6 +127,18 @@ def jacobi_matrix(kind: ModelKind, p: JacobiParams, size: int) -> SymmetricTridi
     return SymmetricTridiagonal(d, e)
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; a non-integral or non-finite value raises
+    ParameterError instead of being truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if out != value:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def moment11(
     kind: ModelKind, p: JacobiParams, k: int, *, size: int | None = None
 ) -> float:
@@ -136,12 +148,11 @@ def moment11(
     default truncation at that size is exact; any larger `size` gives the
     same value (a useful consistency check).
     """
-    k = int(k)
+    k = _as_int("moment order", k)
     if k < 0:
         raise ParameterError(f"moment order must be >= 0, got {k}")
-    if size is None:
-        size = k // 2 + 2
-    elif size < k // 2 + 2:
+    size = k // 2 + 2 if size is None else _as_int("size", size)
+    if size < k // 2 + 2:
         raise ParameterError(f"size {size} too small for moment order {k}")
     t = jacobi_matrix(kind, p, size)
     v = np.zeros(size)
@@ -192,6 +203,7 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
     node is the squared first component of its normalized eigenvector.
     Exact for polynomials of degree <= 2M-1.
     """
+    m = _as_int("m", m)
     if m < 1:
         raise ParameterError(f"need m >= 1 quadrature points, got {m}")
     t = jacobi_matrix(kind, p, m)

@@ -194,6 +194,22 @@ def dense_bbt(s, t) -> np.ndarray:
     return bmat @ bmat.T
 
 
+def dense_interaction(x, eps_div: float = 1e-12, *, magnitude: bool = False):
+    """sum_{j != i} 1 / (x_i - x_j) over the full (..., N, N) gap matrix:
+    reciprocals clipped at +-1/eps_div, exactly tied pairs (the diagonal
+    included) set to zero, summed along the last axis.  With `magnitude`,
+    the sum of the terms' absolute values, the scale of the rounding
+    error of any summation order."""
+    x = np.asarray(x, dtype=float)
+    gaps = x[..., :, None] - x[..., None, :]
+    ties = gaps == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / gaps
+    inv = np.clip(inv, -1.0 / eps_div, 1.0 / eps_div)
+    inv[ties] = 0.0
+    return (np.abs(inv) if magnitude else inv).sum(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # tensor-quadrature oracle for the exact finite-N moment
 

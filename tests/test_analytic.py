@@ -133,6 +133,18 @@ class TestDensityClosed:
         with pytest.raises(ParameterError):
             density_closed(P_REF, 1.0)
 
+    def test_rejects_nan_before_hyp2f1(self, monkeypatch):
+        # NaN used to reach hyp2f1 and raise UnsupportedRegionError
+        import betajacobi.analytic as an
+
+        def unreachable(*args):
+            raise AssertionError("hyp2f1 called")
+
+        monkeypatch.setattr(an, "hyp2f1", unreachable)
+        for x in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ParameterError):
+                density_closed(P_REF, x)
+
     def test_rejects_integer_a(self):
         with pytest.raises(ParameterError):
             density_closed(JacobiParams(1.0, 0.5, 1.0), 0.5)
@@ -193,6 +205,20 @@ class TestDensityProfile:
         with pytest.raises(ParameterError):
             density_profile(P_REF, np.array([0.3, 0.6]), method="mystery")
 
+    @pytest.mark.parametrize("method", ["auto", "closed", "numeric"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_grid_raises(self, monkeypatch, method, bad):
+        # rejected before a route is picked: neither route runs
+        import betajacobi.analytic as an
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a density route ran")
+
+        monkeypatch.setattr(an, "density_closed", unreachable)
+        monkeypatch.setattr(an, "density_numeric", unreachable)
+        with pytest.raises(ParameterError, match="finite"):
+            density_profile(P_REF, np.array([0.3, bad, 0.6]), method=method)
+
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             DensityProfile(P_REF, np.array([0.0, 0.5]), np.array([1.0, 1.0]))
@@ -223,6 +249,10 @@ class TestRnPolynomials:
     def test_negative_degree_raises(self):
         with pytest.raises(ParameterError):
             recurrence_rn(P_REF, -1, 0.5)
+        # a non-finite x used to return NaN
+        for x in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                recurrence_rn(P_REF, 3, x)
 
     @pytest.mark.parametrize(
         "abc",
@@ -257,6 +287,16 @@ class TestPnPolynomials:
                 v1 = pn_recurrence(params, n, x)
                 v2 = pn_combination(params, n, x)
                 assert v2 == pytest.approx(v1, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_x_raises(self, n, x):
+        # NaN used to come back as NaN (or as 1.0 at degree 0)
+        with pytest.raises(ParameterError):
+            pn_recurrence(P_REF, n, x)
+        if n > 0:
+            with pytest.raises(ParameterError):
+                pn_combination(P_REF, n, x)
 
     def test_three_routes_agree(self):
         p = JacobiParams(0.3, 0.7, 2.0)
@@ -355,3 +395,7 @@ class TestZeta:
             zeta_n(P_REF, -2)
         with pytest.raises(ParameterError):
             zeta_asymptotic(P_REF, 0)
+        # NaN used to pass the n < 1 test and return NaN
+        for n in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                zeta_asymptotic(P_REF, n)

@@ -23,7 +23,8 @@ from betajacobi import (
     stationary_uk,
     substream,
 )
-from betajacobi.dynamics import _em_step
+from betajacobi.dynamics import EPS_DIV, _em_step, _interaction, _power_means
+from oracles import dense_interaction
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -87,6 +88,93 @@ class TestDrift:
     def test_point_mass_start_is_finite(self):
         mu, _ = drift(ParticleState(0.0, np.full(5, 0.5)), 0.0, 0.0, 2.0)
         np.testing.assert_array_equal(mu, np.zeros(5))
+
+
+def _assert_matches_dense(x):
+    # any two summation orders differ by a few ulps of the sum of the
+    # terms' magnitudes; |ref| alone is no scale where the terms cancel
+    # (the middle of a 200-point grid)
+    ref = dense_interaction(x)
+    scale = np.maximum(1.0, dense_interaction(x, magnitude=True))
+    got = _interaction(x)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+class TestInteraction:
+    @pytest.mark.parametrize("batch", [(), (2,), (3, 4)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
+    def test_matches_dense_oracle(self, n, batch):
+        x = np.sort(substream(21, n).uniform(size=batch + (n,)), axis=-1)
+        _assert_matches_dense(x)
+
+    def test_unsorted_input(self):
+        x = substream(22, 0).uniform(size=(3, 40))
+        _assert_matches_dense(x)
+        _assert_matches_dense(x[0])
+
+    def test_exact_ties_contribute_zero(self):
+        x = np.array([0.8, 0.3, 0.3, 0.8, 0.1, 0.8])
+        got = _interaction(x)
+        _assert_matches_dense(x)
+        # each tied group sees only the particles outside it
+        want = 3 / (0.3 - 0.8) + 1 / (0.3 - 0.1)
+        assert got[1] == got[2] == pytest.approx(want, rel=1e-14)
+        assert got[0] == got[3] == got[5]
+
+    def test_point_mass_start(self):
+        for batch in [(), (2,), (3, 4)]:
+            got = _interaction(np.full(batch + (5,), 0.5))
+            np.testing.assert_array_equal(got, np.zeros(batch + (5,)))
+
+    def test_pair_clamped_to_each_wall(self):
+        x = np.array([[0.0, 0.0, 0.4, 1.0, 1.0], [0.0, 0.2, 0.4, 0.6, 1.0]])
+        got = _interaction(x)
+        _assert_matches_dense(x)
+        assert got[0, 0] == got[0, 1]
+        assert got[0, 3] == got[0, 4]
+        assert np.all(np.isfinite(got))
+
+    def test_gaps_below_eps_div_are_clipped(self):
+        x = np.array([0.3, 0.3 + 0.25 * EPS_DIV, 0.7, 0.7 + 0.5 * EPS_DIV])
+        got = _interaction(x)
+        _assert_matches_dense(x)
+        cap = 1.0 / EPS_DIV
+        # the clipped pair dominates; the far pair adds a few units
+        assert got[0] == pytest.approx(-cap, abs=10.0)
+        assert got[1] == pytest.approx(cap, abs=10.0)
+        # a lone pair gets exactly the cap, with opposite signs
+        pair = _interaction(np.array([0.3, 0.3 + 0.25 * EPS_DIV]))
+        np.testing.assert_array_equal(pair, [-cap, cap])
+
+    @given(
+        xs=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 0.5, 0.5 + 1e-13, 1.0]),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_against_dense(self, xs):
+        x = np.array(xs)
+        _assert_matches_dense(x)
+        _assert_matches_dense(np.vstack([x, x[::-1]]))
+
+
+class TestPowerMeans:
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 8])
+    def test_matches_pow(self, k_max):
+        x = substream(24, k_max).uniform(size=(400, 40))
+        x[0] = 0.0
+        x[1] = 1.0
+        want = (x[:, :, None] ** np.arange(k_max + 1)).mean(axis=1)
+        got = _power_means(x, k_max)
+        assert got.shape == (400, k_max + 1)
+        np.testing.assert_array_equal(got[:, 0], 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestEmStep:
@@ -372,3 +460,11 @@ class TestFiniteNCorrection:
         for n in (0, np.nan):
             with pytest.raises(ParameterError):
                 moment_drift_finite_n(np.array([1.0, 0.5]), 1, 0.3, 0.7, 1.2, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_moments_raise(self, bad):
+        # used to return NaN, where integrate_moments rejects the same vector
+        with pytest.raises(ParameterError, match="finite"):
+            moment_drift_finite_n(np.array([1.0, bad]), 1, 0.3, 0.7, 1.2, 10)
+        with pytest.raises(ParameterError, match="finite"):
+            moment_drift_finite_n(np.array([1.0, 0.5, bad]), 1, 0.3, 0.7, 1.2, 10)

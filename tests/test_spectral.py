@@ -119,10 +119,21 @@ class TestMoment11:
     def test_too_small_size_raises(self):
         with pytest.raises(ParameterError):
             moment11(ModelKind.ASSOC_III, P_REF, 10, size=3)
+        # a non-integer size used to be truncated
+        with pytest.raises(ParameterError):
+            moment11(ModelKind.ASSOC_III, P_REF, 2, size=5.5)
 
     def test_negative_order_raises(self):
         with pytest.raises(ParameterError):
             moment11(ModelKind.ASSOC_III, P_REF, -1)
+        # 2.5 used to be truncated to the k = 2 moment
+        for k in (2.5, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                moment11(ModelKind.ASSOC_III, P_REF, k)
+        # integral values of other types are accepted as they are
+        want = moment11(ModelKind.ASSOC_III, P_REF, 2)
+        assert moment11(ModelKind.ASSOC_III, P_REF, 2.0) == want
+        assert moment11(ModelKind.ASSOC_III, P_REF, np.int64(2), size=np.int64(4)) == want
 
     def test_moments_decreasing_on_unit_interval(self, params):
         # measure supported in [0, 1] forces m_k nonincreasing
@@ -188,6 +199,10 @@ class TestGaussQuadrature:
     def test_zero_points_raises(self):
         with pytest.raises(ParameterError):
             gauss_quadrature(ModelKind.ASSOC_III, P_REF, 0)
+        # 2.5 used to give a 2-point rule
+        for m in (2.5, np.nan):
+            with pytest.raises(ParameterError):
+                gauss_quadrature(ModelKind.ASSOC_III, P_REF, m)
 
 
 class TestStieltjesCF:
