@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (
+    _density_norm,
     _uv_denominator,
     density_closed,
     density_numeric,
@@ -46,7 +47,7 @@ from .ensemble import (
     to_tridiagonal,
 )
 from .errors import ParameterError, UnsupportedRegionError
-from .hypergeom import gamma_ratio, pochhammer
+from .hypergeom import pochhammer
 from .spectral import gauss_quadrature, moment11, stieltjes_cf
 
 __all__ = ["CriterionResult", "slugs", "run_criterion", "run_all", "format_line"]
@@ -243,9 +244,7 @@ def _density(threads):
     worst_mom = 0.0
     worst_point = 0.0
     for p in (JacobiParams(0.5, 0.5, 1.0), JacobiParams(-0.3, 0.8, 2.0)):
-        norm = gamma_ratio(
-            (p.c + 1.0, p.c + p.a + p.b + 2.0), (p.c + p.a + 1.0, p.c + p.b + 1.0)
-        )
+        norm = _density_norm(p)
 
         def smooth(x, k=0):
             # density with the x^a (1-x)^b factor peeled off (and x^k on),

@@ -21,7 +21,7 @@ from .coeffs import (
     mu_n,
     validate_model,
 )
-from .errors import ParameterError, PoleError, UnsupportedRegionError
+from .errors import ParameterError, PoleError, UnsupportedRegionError, as_count
 from .hypergeom import gamma_ratio, hyp2f1, ln_gamma
 from .spectral import stieltjes_cf
 
@@ -75,6 +75,7 @@ def stieltjes_auto(
 ) -> tuple[complex, str]:
     """Stieltjes transform by the closed form when its region allows,
     otherwise by the continued fraction.  Returns (value, route)."""
+    depth = as_count("depth", depth, 2)
     try:
         return stieltjes_closed(kind, p, z), "closed"
     except UnsupportedRegionError:
@@ -116,18 +117,17 @@ def _uv_denominator(p: JacobiParams, x: float) -> float:
     return u * u + 2.0 * math.cos(math.pi * p.a) * u * v + v * v
 
 
-def _require_density_domain(p: JacobiParams) -> None:
-    validate_model(ModelKind.ASSOC_III, p)
-    if p.c < 0.0 or p.c + p.a <= 0.0 or p.c + p.b <= 0.0:
-        raise ParameterError(
-            "closed-form density needs c >= 0, c+a > 0, c+b > 0; "
-            f"got (a, b, c) = ({p.a}, {p.b}, {p.c})"
-        )
-    if abs(p.a - round(p.a)) <= 1e-8:
-        raise ParameterError(
-            "closed-form density needs a away from the integers; "
-            "use density_numeric instead"
-        )
+def _require_noninteger_a(a: float, what: str) -> None:
+    if abs(a - round(a)) <= 1e-8:
+        raise ParameterError(f"{what} needs a away from the integers")
+
+
+def _density_norm(p: JacobiParams) -> float:
+    """Normalizer Z = Gamma(c+1) Gamma(c+a+b+2) / (Gamma(c+a+1) Gamma(c+b+1))
+    of the limiting density."""
+    return gamma_ratio(
+        (p.c + 1.0, p.c + p.a + p.b + 2.0), (p.c + p.a + 1.0, p.c + p.b + 1.0)
+    )
 
 
 def density_closed(p: JacobiParams, x) -> float | np.ndarray:
@@ -139,13 +139,15 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     integer a (or arguments past the hypergeometric regions) use
     density_numeric.
     """
-    _require_density_domain(p)
-    a, b, c = p.a, p.b, p.c
+    # the density's c conditions are exactly the ASSOC_I constraint set
+    validate_model(ModelKind.ASSOC_I, p)
+    _require_noninteger_a(p.a, "closed-form density")
+    a, b = p.a, p.b
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     # written so that NaN fails it too
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ParameterError("density is defined on the open interval (0, 1)")
-    norm = gamma_ratio((c + 1.0, c + a + b + 2.0), (c + a + 1.0, c + b + 1.0))
+    norm = _density_norm(p)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         out[i] = norm * xi**a * (1.0 - xi) ** b / _uv_denominator(p, float(xi))
@@ -273,9 +275,7 @@ def _check_finite_x(x: float) -> None:
 
 def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
     """R_n(x) by the three-term recurrence from R_{-1} = 0, R_0 = 1."""
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    n = as_count("polynomial degree", n)
     _check_finite_x(x)
     return _rn_steps(p, x, 0, n, 0.0, 1.0)
 
@@ -287,13 +287,11 @@ def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
     away from the integers and the generic-parameter conditions of the
     formula (gamma + 2c - 1 nonzero).
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    n = as_count("polynomial degree", n)
+    _check_finite_x(x)
     a, b, c = p.a, p.b, p.c
     g = p.gamma
-    if abs(a - round(a)) <= 1e-8 or a == 0.0:
-        raise ParameterError("explicit R_n formula needs a away from the integers")
+    _require_noninteger_a(a, "explicit R_n formula")
     if g + 2.0 * c - 1.0 == 0.0:
         raise ParameterError("explicit R_n formula breaks at gamma + 2c = 1")
 
@@ -319,9 +317,7 @@ def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
 def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
     """P_n(x): same recurrence as R_n but seeded by the modified head,
     (c+1)/(c+a+1) lambda_hat0 P_1 = (x - lambda_hat0) P_0."""
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    n = as_count("polynomial degree", n)
     _check_finite_x(x)
     if n == 0:
         return 1.0
@@ -337,9 +333,8 @@ def pn_combination(p: JacobiParams, n: int, x: float) -> float:
     P_n = R_n + [ c(c+b)(2c+gamma+1) / ((c+1)(2c+gamma-1)(c+gamma))
                   - x c(2c+gamma+1) / ((c+1)(c+gamma)) ] R_{n-1}(.; c+1).
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    n = as_count("polynomial degree", n)
+    _check_finite_x(x)
     if n == 0:
         return 1.0
     b, c = p.b, p.c
@@ -364,13 +359,11 @@ def pn_explicit(p: JacobiParams, n: int, x: float) -> float:
     with gamma-factor coefficients G1, G2.  Needs a away from the integers
     (and a != -1 in G2).
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"polynomial degree must be >= 0, got {n}")
+    n = as_count("polynomial degree", n)
+    _check_finite_x(x)
     a, b, c = p.a, p.b, p.c
     g = p.gamma
-    if abs(a - round(a)) <= 1e-8 or a == 0.0 or a == -1.0:
-        raise ParameterError("explicit P_n formula needs a away from the integers")
+    _require_noninteger_a(a, "explicit P_n formula")
 
     g1 = gamma_ratio((c + 1.0, n + c + a + 1.0), (n + c + 1.0, c + a + 1.0))
     f1a, _ = hyp2f1(c, -(c + g), -a, x)
@@ -392,9 +385,7 @@ def zeta_n(p: JacobiParams, n: int) -> float:
     zeta_n = sqrt(mu_1..mu_n / (lambda_hat0 lambda_1..lambda_{n-1}))
              * (c+a+1)_n / (c+1)_n, computed in log space.
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"index must be >= 0, got {n}")
+    n = as_count("index", n)
     if n == 0:
         return 1.0
     validate_model(ModelKind.ASSOC_III, p)
@@ -420,6 +411,4 @@ def zeta_asymptotic(p: JacobiParams, n: int) -> float:
     """Large-n shape (2n)^(-1/2) * sqrt(G), the constant zeta_n levels to."""
     if not (math.isfinite(n) and n >= 1):
         raise ParameterError(f"need finite n >= 1, got {n}")
-    a, b, c = p.a, p.b, p.c
-    g = gamma_ratio((c + 1.0, c + a + b + 2.0), (c + a + 1.0, c + b + 1.0))
-    return math.sqrt(g / (2.0 * n))
+    return math.sqrt(_density_norm(p) / (2.0 * n))

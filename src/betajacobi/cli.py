@@ -24,7 +24,7 @@ from .analytic import density_profile, stieltjes_auto
 from .coeffs import JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, empirical_measure, substream
-from .errors import ParameterError
+from .errors import ParameterError, as_count
 from .spectral import moment11
 
 DEFAULT_SEED = 20177
@@ -107,6 +107,9 @@ def _base_meta(command: str, p: JacobiParams | None = None) -> dict:
 
 
 def cmd_sample(args) -> int:
+    as_count("--n", args.n, 1)
+    as_count("--trials", args.trials, 1)
+    as_count("--bins", args.bins)
     seed = _resolve_seed(args)
     beta = args.beta if args.beta is not None else 2.0 * args.c / args.n
     cfg = EnsembleConfig(args.n, beta, args.a, args.b)
@@ -155,6 +158,7 @@ def cmd_density(args) -> int:
 def cmd_stieltjes(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     kind = ModelKind(args.kind)
+    as_count("--points", args.points, 1)
     meta = _base_meta("stieltjes", p)
     meta.update(
         kind=args.kind, re0=args.re0, re1=args.re1,
@@ -201,6 +205,7 @@ def cmd_dynamics(args) -> int:
         for t, m in zip(ode.times, ode.moments)
     ]
     if args.sde:
+        as_count("--sde-n", args.sde_n, 1)
         seed = _resolve_seed(args)
         beta = args.beta if args.beta is not None else 2.0 * args.c / args.sde_n
         meta.update(

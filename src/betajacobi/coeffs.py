@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_count
 
 __all__ = [
     "JacobiParams",
@@ -163,9 +163,7 @@ def tridiag_entries(
     (diag, offdiag) : arrays of length size and size-1.
     """
     validate_model(kind, p)
-    size = int(size)
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
+    size = as_count("size", size, 1)
 
     first_lam = lambda_hat0(p) if kind is ModelKind.ASSOC_III else lambda_n(p, 0)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coeffs import JacobiParams, lambda_hat0
 from .ensemble import EnsembleConfig, substream
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, as_count
 from .spectral import MomentVector
 
 __all__ = [
@@ -57,7 +57,7 @@ class ParticleState:
         return len(self.positions)
 
     def moment(self, k: int) -> float:
-        return float(np.mean(self.positions**k))
+        return float(np.mean(self.positions ** as_count("moment order", k)))
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ def _schedule(t_end: float, dt: float, record_every: int | None):
     steps = int(round(ratio))
     if record_every is None:
         return steps, max(1, steps // 200)
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
-    return steps, record_every
+    return steps, as_count("record_every", record_every, 1)
 
 
 def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
@@ -226,11 +224,9 @@ def simulate_moments(
     time.  `record_every` defaults to about 200 records plus the final
     time.
     """
-    if paths < 2:
-        raise ParameterError(f"need at least 2 paths, got {paths}")
-    if k_max < 0:
-        raise ParameterError(f"k_max must be >= 0, got {k_max}")
-    EnsembleConfig(n, beta, a, b)  # the ensemble's checks on n, beta, a, b
+    paths = as_count("paths", paths, 2)
+    k_max = as_count("k_max", k_max)
+    n = EnsembleConfig(n, beta, a, b).N  # the ensemble's checks on n, beta, a, b
     steps, record_every = _schedule(t_end, dt, record_every)
 
     x0 = np.asarray(x0, dtype=float)
@@ -345,8 +341,7 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
     u_0 = 1.  The j-sum never touches u_k, so the recursion is closed.
     u_1 reproduces the spectral head coefficient.
     """
-    if k_max < 0:
-        raise ParameterError(f"k_max must be >= 0, got {k_max}")
+    k_max = as_count("k_max", k_max)
     a, b, c = p.a, p.b, p.c
     u = np.empty(k_max + 1)
     u[0] = 1.0
@@ -380,10 +375,10 @@ def moment_drift_finite_n(
     m = np.asarray(moments, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ParameterError("moments must be finite")
-    if not 1 <= k <= len(m) - 1:
-        raise ParameterError(f"need 1 <= k <= {len(m) - 1}, got {k}")
-    if not 1 <= n < np.inf:
-        raise ParameterError(f"need finite N >= 1 particles, got {n}")
+    k = as_count("k", k, 1)
+    if k > len(m) - 1:
+        raise ParameterError(f"need k <= {len(m) - 1}, got {k}")
+    n = as_count("N", n, 1)
     rhs = ode_rhs(m, JacobiParams(a, b, c))[k]
     corr = (c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
     return float(rhs - corr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, as_count
 from .spectral import (
     DiscreteMeasure,
     MomentVector,
@@ -65,8 +65,7 @@ class EnsembleConfig:
     b: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ParameterError(f"N must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", as_count("N", self.N, 1))
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ParameterError(f"beta must be >= 0, got {self.beta!r}")
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
@@ -141,9 +140,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     Streams are keyed, not jumped, so any trial can be regenerated in
     isolation and results do not depend on scheduling.
     """
-    if index < 0:
-        raise ParameterError(f"stream index must be >= 0, got {index}")
-    return _stream(_fold_seed(seed), index)
+    return _stream(_fold_seed(seed), as_count("stream index", index))
 
 
 def _beta_draw(
@@ -342,10 +339,8 @@ def mc_moments(
     errors); means[0] is exactly 1, stderr[0] is 0.  A non-finite trace
     raises ConvergenceError.
     """
-    if trials < 2:
-        raise ParameterError(f"need at least 2 trials, got {trials}")
-    if k_max < 0:
-        raise ParameterError(f"k_max must be >= 0, got {k_max}")
+    trials = as_count("trials", trials, 2)
+    k_max = as_count("k_max", k_max)
     threads = max(1, int(threads))
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
@@ -420,10 +415,12 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     the sampler's shapes (_shape_arrays of EnsembleConfig(n, 2 kappa, a,
     b), which validates the parameters).  Guarded to N <= 8, k <= 8.
     """
-    if not (1 <= n <= MAX_EXACT_N):
-        raise ParameterError(f"exact_moment needs 1 <= N <= {MAX_EXACT_N}, got {n}")
-    if not (0 <= k <= MAX_EXACT_K):
-        raise ParameterError(f"exact_moment needs 0 <= k <= {MAX_EXACT_K}, got {k}")
+    n = as_count("N", n, 1)
+    if n > MAX_EXACT_N:
+        raise ParameterError(f"exact_moment needs N <= {MAX_EXACT_N}, got {n}")
+    k = as_count("k", k)
+    if k > MAX_EXACT_K:
+        raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
     alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(
         EnsembleConfig(n, 2.0 * kappa, a, b)
     )
@@ -497,9 +494,7 @@ def limit_pq(size: int, n_param: float, a_slope: float, b_slope: float):
     `size` but may be any real (the formulas continue analytically, which
     is how the substitution identity against the third model is checked).
     """
-    size = int(size)
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
+    size = as_count("size", size, 1)
     if not np.all(np.isfinite((n_param, a_slope, b_slope))):
         raise ParameterError(f"need finite N, A, B, got {(n_param, a_slope, b_slope)}")
     n = np.arange(1, size + 1, dtype=float)
@@ -524,6 +519,7 @@ def limit_bidiagonal_squares(
 
 def limit_tridiagonal(n: int, regime: RegimeParams) -> SymmetricTridiagonal:
     """The N-by-N deterministic matrix the ensemble freezes onto."""
+    n = as_count("n", n, 1)
     s2, t2 = limit_bidiagonal_squares(n, float(n), regime.A, regime.B)
     if not all(np.all((x >= 0.0) & (x <= 1.0)) for x in (s2, t2)):
         raise ParameterError("limit squares must lie in [0, 1]")

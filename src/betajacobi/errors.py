@@ -23,3 +23,21 @@ class ConvergenceError(RuntimeError):
 
 class ConvergenceWarning(UserWarning):
     """A result was returned but an internal convergence check was loose."""
+
+
+def as_count(name: str, value, minimum: int = 0) -> int:
+    """value as an int >= minimum, for sizes, orders, degrees, depths and
+    trial counts.
+
+    Python ints, numpy integers and integral floats are accepted; a
+    non-integral, non-finite or too-small value raises ParameterError
+    instead of being truncated or leaking TypeError, ValueError or
+    OverflowError.
+    """
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value or out < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return out

@@ -19,7 +19,13 @@ import math
 
 from scipy.special import gammaln, gammasgn
 
-from .errors import ConvergenceError, ParameterError, PoleError, UnsupportedRegionError
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    PoleError,
+    UnsupportedRegionError,
+    as_count,
+)
 
 __all__ = ["ln_gamma", "pochhammer", "gamma_ratio", "hyp2f1"]
 
@@ -43,10 +49,8 @@ def ln_gamma(x: float) -> tuple[float, int]:
 
 def pochhammer(q: float, n: int) -> float:
     """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise ParameterError(f"pochhammer order must be a nonnegative int, got {n!r}")
     out = 1.0
-    for j in range(int(n)):
+    for j in range(as_count("pochhammer order", n)):
         out *= q + j
     return out
 

@@ -15,7 +15,7 @@ import scipy.linalg
 from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .coeffs import JacobiParams, ModelKind, tridiag_entries
-from .errors import ConvergenceError, ConvergenceWarning, ParameterError
+from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count
 
 __all__ = [
     "DEFAULT_RTOL",
@@ -96,7 +96,7 @@ class DiscreteMeasure:
             raise ParameterError("nodes must be sorted ascending")
 
     def moment(self, k: int) -> float:
-        return float(np.sum(self.weights * self.nodes ** int(k)))
+        return float(np.sum(self.weights * self.nodes ** as_count("moment order", k)))
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,6 @@ def jacobi_matrix(kind: ModelKind, p: JacobiParams, size: int) -> SymmetricTridi
     return SymmetricTridiagonal(d, e)
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int; a non-integral or non-finite value raises
-    ParameterError instead of being truncated."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if out != value:
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return out
-
-
 def moment11(
     kind: ModelKind, p: JacobiParams, k: int, *, size: int | None = None
 ) -> float:
@@ -148,12 +136,10 @@ def moment11(
     default truncation at that size is exact; any larger `size` gives the
     same value (a useful consistency check).
     """
-    k = _as_int("moment order", k)
-    if k < 0:
-        raise ParameterError(f"moment order must be >= 0, got {k}")
-    size = k // 2 + 2 if size is None else _as_int("size", size)
-    if size < k // 2 + 2:
-        raise ParameterError(f"size {size} too small for moment order {k}")
+    k = as_count("moment order", k)
+    size = k // 2 + 2 if size is None else as_count(
+        f"size for moment order {k}", size, k // 2 + 2
+    )
     t = jacobi_matrix(kind, p, size)
     v = np.zeros(size)
     v[0] = 1.0
@@ -203,9 +189,7 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
     node is the squared first component of its normalized eigenvector.
     Exact for polynomials of degree <= 2M-1.
     """
-    m = _as_int("m", m)
-    if m < 1:
-        raise ParameterError(f"need m >= 1 quadrature points, got {m}")
+    m = as_count("quadrature points m", m, 1)
     t = jacobi_matrix(kind, p, m)
     nodes, first = eigen_tridiagonal(t, want_first_components=True)
     if np.any(np.diff(nodes) <= 0.0):
@@ -264,9 +248,7 @@ def stieltjes_cf(
     ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
     second evaluation.
     """
-    depth = int(depth)
-    if depth < 2:
-        raise ParameterError(f"depth must be >= 2, got {depth}")
+    depth = as_count("depth", depth, 2)
     if tail not in ("zero", "limit"):
         raise ParameterError(f"tail must be 'zero' or 'limit', got {tail!r}")
     zc = np.asarray(z, dtype=complex)

@@ -246,6 +246,24 @@ class TestErrorsAndFormats:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "0", "--c", "1"],
+            ["sample", "--n", "4", "--trials", "0"],
+            ["sample", "--n", "4", "--trials", "0", "--bins", "5"],
+            ["sample", "--n", "4", "--bins", "-3"],
+            ["stieltjes", "--c", "1", "--points", "0"],
+            ["dynamics", "--c", "1", "--t-end", "0.01", "--sde", "--sde-n", "0"],
+        ],
+    )
+    def test_bad_count_exits_two(self, capsys, argv):
+        # these used to emit an empty table, ignore the count, or leak
+        # ZeroDivisionError / ValueError
+        code, _, err = run_cli(argv + ["--a", "0.5", "--b", "0.5"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_json_structure(self, capsys):
         code, out, _ = run_cli(
             ["moments", "--a", "0.5", "--b", "0.5", "--c", "1",

@@ -1,0 +1,162 @@
+"""One input policy for counts: every size, order, degree, depth and trial
+count of the public API accepts ints, numpy integers and integral floats
+alike, and rejects a non-integral, non-finite or too-small value with
+ParameterError."""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+import betajacobi as bj
+from betajacobi import JacobiParams, ModelKind, ParameterError
+
+P = JacobiParams(0.3, 0.7, 1.2)
+K = ModelKind.ASSOC_III
+CFG = bj.EnsembleConfig(3, 2.0, 0.5, 0.5)
+
+
+def _simulate(n=3, paths=4, k_max=2, record_every=1):
+    return bj.simulate_moments(
+        n, 0.5, 0.5, 0.5, 0.5, 0.01, 0.005, paths, k_max, seed=1,
+        record_every=record_every,
+    )
+
+
+# "callable.parameter" -> (call with the count, smallest admissible count,
+# a valid count)
+COUNTS = {
+    "tridiag_entries.size": (lambda v: bj.tridiag_entries(K, P, v), 1, 4),
+    "jacobi_matrix.size": (lambda v: bj.jacobi_matrix(K, P, v), 1, 4),
+    "moment11.k": (lambda v: bj.moment11(K, P, v), 0, 3),
+    "moment11.size": (lambda v: bj.moment11(K, P, 4, size=v), 4, 6),
+    "gauss_quadrature.m": (lambda v: bj.gauss_quadrature(K, P, v), 1, 3),
+    "DiscreteMeasure.moment.k": (
+        lambda v: bj.gauss_quadrature(K, P, 3).moment(v), 0, 2
+    ),
+    "stieltjes_cf.depth": (
+        lambda v: bj.stieltjes_cf(K, P, 2.0 + 0.5j, depth=v, warn_tol=None), 2, 40
+    ),
+    "stieltjes_auto.depth": (
+        lambda v: bj.stieltjes_auto(K, P, 2.0 + 0.5j, depth=v), 2, 40
+    ),
+    "density_numeric.depth": (
+        lambda v: bj.density_numeric(K, P, [0.3, 0.6], depth=v), 2, 400
+    ),
+    "pochhammer.n": (lambda v: bj.pochhammer(0.3, v), 0, 4),
+    "recurrence_rn.n": (lambda v: bj.recurrence_rn(P, v, 0.4), 0, 3),
+    "wimp_rn.n": (lambda v: bj.wimp_rn(P, v, 0.4), 0, 3),
+    "pn_recurrence.n": (lambda v: bj.pn_recurrence(P, v, 0.4), 0, 3),
+    "pn_combination.n": (lambda v: bj.pn_combination(P, v, 0.4), 0, 3),
+    "pn_explicit.n": (lambda v: bj.pn_explicit(P, v, 0.4), 0, 3),
+    "zeta_n.n": (lambda v: bj.zeta_n(P, v), 0, 3),
+    "EnsembleConfig.N": (lambda v: bj.EnsembleConfig(v, 2.0, 0.5, 0.5), 1, 4),
+    "substream.index": (lambda v: bj.substream(11, v).random(3), 0, 5),
+    "mc_moments.k_max": (lambda v: bj.mc_moments(CFG, v, 50, seed=3), 0, 4),
+    "mc_moments.trials": (lambda v: bj.mc_moments(CFG, 2, v, seed=3), 2, 50),
+    "exact_moment.n": (lambda v: bj.exact_moment(v, 1.0, 0.5, 0.25, 3), 1, 3),
+    "exact_moment.k": (lambda v: bj.exact_moment(3, 1.0, 0.5, 0.25, v), 0, 3),
+    "limit_pq.size": (lambda v: bj.limit_pq(v, 6.0, 1.0, 2.0), 1, 4),
+    "limit_bidiagonal_squares.size": (
+        lambda v: bj.limit_bidiagonal_squares(v, 6.0, 1.0, 2.0), 1, 4
+    ),
+    "limit_tridiagonal.n": (
+        lambda v: bj.limit_tridiagonal(v, bj.RegimeParams(1.0, 2.0)), 1, 4
+    ),
+    "ParticleState.moment.k": (
+        lambda v: bj.ParticleState(0.0, [0.2, 0.5, 0.7]).moment(v), 0, 3
+    ),
+    "simulate_moments.n": (lambda v: _simulate(n=v), 1, 3),
+    "simulate_moments.paths": (lambda v: _simulate(paths=v), 2, 4),
+    "simulate_moments.k_max": (lambda v: _simulate(k_max=v), 0, 2),
+    "simulate_moments.record_every": (lambda v: _simulate(record_every=v), 1, 1),
+    "integrate_moments.record_every": (
+        lambda v: bj.integrate_moments([1.0, 0.5], P, 0.01, 0.001, record_every=v),
+        1,
+        2,
+    ),
+    "stationary_uk.k_max": (lambda v: bj.stationary_uk(P, v), 0, 4),
+    "moment_drift_finite_n.k": (
+        lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], v, 0.3, 0.7, 1.2, 10),
+        1,
+        2,
+    ),
+    "moment_drift_finite_n.n": (
+        lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], 1, 0.3, 0.7, 1.2, v),
+        1,
+        10,
+    ),
+}
+
+# count-named parameters that are not counts, with the reason
+EXEMPT = {
+    "zeta_asymptotic.n": "real by design: the large-n shape is continuous in n",
+    "limit_pq.n_param": "real by design: the limit formulas continue analytically in N",
+    "mc_moments.threads": "the thread count never changes results",
+    "lambda_n.n": "an index array; the stream is rational in n + c, _as_index checks n >= 0",
+    "mu_n.n": "an index array; the stream is rational in n + c, _as_index checks n >= 0",
+    "ode_rhs.m": "the moment vector, not a count",
+}
+
+COUNT_NAMES = {
+    "n", "N", "k", "k_max", "m", "size", "depth", "trials", "paths",
+    "record_every", "index",
+}
+
+
+def _public_parameters():
+    """{"callable.parameter"} over betajacobi.__all__: functions, class
+    constructors and the public methods of public classes."""
+    out = set()
+    for name in bj.__all__:
+        obj = getattr(bj, name)
+        targets = []
+        if inspect.isfunction(obj):
+            targets = [(name, obj)]
+        elif inspect.isclass(obj) and not issubclass(obj, (BaseException, Warning)):
+            targets = [(name, obj)] + [
+                (f"{name}.{attr}", fn)
+                for attr, fn in vars(obj).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+            ]
+        for label, fn in targets:
+            out.update(f"{label}.{p}" for p in inspect.signature(fn).parameters)
+    return out
+
+
+def _bits(v):
+    """An exact, comparable image of a result, type names included."""
+    if dataclasses.is_dataclass(v):
+        return type(v).__name__, tuple(
+            _bits(getattr(v, f.name)) for f in dataclasses.fields(v)
+        )
+    if isinstance(v, (tuple, list)):
+        return tuple(_bits(x) for x in v)
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    return type(v).__name__, repr(v)
+
+
+@pytest.mark.parametrize("label", sorted(COUNTS))
+class TestCountPolicy:
+    def test_bad_counts_raise(self, label):
+        call, minimum, _ = COUNTS[label]
+        for bad in (2.5, np.nan, np.inf, minimum - 1):
+            with pytest.raises(ParameterError):
+                call(bad)
+
+    def test_integer_types_agree(self, label):
+        call, _, v = COUNTS[label]
+        want = _bits(call(v))
+        assert _bits(call(np.int64(v))) == want
+        assert _bits(call(float(v))) == want
+
+
+def test_every_count_parameter_is_covered():
+    public = _public_parameters()
+    stale = sorted((set(COUNTS) | set(EXEMPT)) - public)
+    assert not stale, f"entries name no public parameter: {stale}"
+    counted = {label for label in public if label.rsplit(".", 1)[1] in COUNT_NAMES}
+    missing = sorted(counted - set(COUNTS) - set(EXEMPT))
+    assert not missing, f"count parameters outside the count table: {missing}"
