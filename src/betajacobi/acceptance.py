@@ -40,6 +40,7 @@ from .dynamics import integrate_moments, ode_rhs, simulate_moments, stationary_u
 from .ensemble import (
     BidiagonalFactor,
     EnsembleConfig,
+    _shape_arrays,
     exact_moment,
     limit_bidiagonal_squares,
     limit_pq,
@@ -73,31 +74,28 @@ class CriterionResult:
     detail: dict = field(default_factory=dict)
 
 
-_REGISTRY: list[tuple[str, str, float]] = []
-_BODIES: dict = {}
+# slug -> (title, runtime budget in seconds, body), in run order
+_REGISTRY: dict = {}
 
 
 def _criterion(slug: str, title: str, limit: float):
     def deco(fn):
-        _REGISTRY.append((slug, title, limit))
-        _BODIES[slug] = fn
+        _REGISTRY[slug] = (title, limit, fn)
         return fn
 
     return deco
 
 
 def slugs() -> list[str]:
-    return [s for s, _, _ in _REGISTRY]
+    return list(_REGISTRY)
 
 
 def run_criterion(slug: str, *, threads: int = 1) -> CriterionResult:
-    for s, title, limit in _REGISTRY:
-        if s == slug:
-            break
-    else:
+    if slug not in _REGISTRY:
         raise ParameterError(f"unknown criterion {slug!r}; known: {slugs()}")
+    title, limit, body = _REGISTRY[slug]
     t0 = time.perf_counter()
-    ok, measured, tolerance, detail = _BODIES[slug](threads)
+    ok, measured, tolerance, detail = body(threads)
     runtime = time.perf_counter() - t0
     detail = dict(detail)
     detail["runtime_s"] = round(runtime, 3)
@@ -318,14 +316,13 @@ def _regime_chain(threads):
     big_a, big_b = 0.7, 1.3
     n = 6
     p_lim, q_lim = limit_pq(n, float(n), big_a, big_b)
-    idx = np.arange(1, n + 1, dtype=float)
-    mean_p = ((n - idx) * kappa + big_a * kappa + 1.0) / (
-        2.0 * (n - idx) * kappa + (big_a + big_b) * kappa + 2.0
+    # the shapes the sampler draws from, at beta = 2 kappa, a = A kappa,
+    # b = B kappa; a Beta(alpha, beta) variable has mean alpha / (alpha + beta)
+    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(
+        EnsembleConfig(n, 2.0 * kappa, big_a * kappa, big_b * kappa)
     )
-    jdx = idx[:-1]
-    mean_q = ((n - jdx) * kappa) / (
-        (2.0 * (n - jdx) - 1.0) * kappa + (big_a + big_b) * kappa + 2.0
-    )
+    mean_p = alpha_p / (alpha_p + beta_p)
+    mean_q = alpha_q / (alpha_q + beta_q)
     worst_mean = max(
         float(np.max(np.abs(mean_p - p_lim))), float(np.max(np.abs(mean_q - q_lim)))
     )

@@ -155,38 +155,24 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
 
 
 def density_numeric(
-    kind: ModelKind,
-    p: JacobiParams,
-    x,
-    eps: float = 1e-6,
-    *,
-    depth: int | None = None,
-    richardson: bool = False,
+    kind: ModelKind, p: JacobiParams, x, eps: float = 1e-6
 ) -> float | np.ndarray:
     """Density by Stieltjes inversion, Im S(x + i eps) / pi.
 
-    The continued-fraction depth is chosen from eps (the tail-coefficient
-    error is damped like exp(-C depth sqrt(eps)) near the support) unless
-    given.  The smoothing bias is linear in eps (the next term of
-    Im S(x + i eps) is eps * Re S'(x)); ``richardson`` removes it by
-    linear extrapolation from eps and eps/2.
+    The continued-fraction depth is max(400, 12 / sqrt(eps)): near the
+    support the tail-coefficient error is damped like
+    exp(-C depth sqrt(eps)).  The tail is the constant-coefficient fixed
+    point, since at distance eps the zero-tail truncation resolves into
+    its own atoms and the imaginary part collapses between them.  The
+    smoothing bias is linear in eps (the next term of Im S(x + i eps) is
+    eps * Re S'(x)).
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(f"eps must be positive and finite, got {eps}")
-    if depth is None:
-        depth = max(400, int(12.0 / math.sqrt(eps)))
+    depth = max(400, int(12.0 / math.sqrt(eps)))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def _dens(e: float) -> np.ndarray:
-        # limit tail: at distance eps the zero-tail truncation resolves
-        # into its own atoms and the imaginary part collapses between them
-        s = stieltjes_cf(kind, p, xs + 1j * e, depth=depth, warn_tol=None, tail="limit")
-        return np.imag(s) / math.pi
-
-    if richardson:
-        out = 2.0 * _dens(eps / 2.0) - _dens(eps)
-    else:
-        out = _dens(eps)
+    s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None, tail="limit")
+    out = np.imag(s) / math.pi
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -51,9 +51,9 @@ def _resolve_seed(args) -> int:
 
 def _resolve_threads(args) -> int:
     if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
+        return as_count("--threads", args.threads, 1)
     env = _env_int("BETAJACOBI_THREADS")
-    return 1 if env is None else max(1, env)
+    return 1 if env is None else as_count("BETAJACOBI_THREADS", env, 1)
 
 
 def _fmt(v) -> str:

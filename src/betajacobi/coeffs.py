@@ -109,8 +109,8 @@ def lambda_hat0(p: JacobiParams) -> float:
 
 def _as_index(n) -> tuple[np.ndarray, bool]:
     arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError(f"coefficient index must be >= 0, got {n!r}")
+    if not np.all(np.isfinite(arr) & (arr >= 0)):
+        raise ParameterError(f"coefficient index must be finite and >= 0, got {n!r}")
     return arr, arr.ndim == 0
 
 

@@ -147,18 +147,16 @@ def _check_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _schedule(t_end: float, dt: float, record_every: int | None):
+def _schedule(t_end: float, dt: float):
     """(steps, stride): fixed steps of dt up to t_end, and the steps
-    between records, about 200 records by default and at least 1."""
+    between records, for about 200 records and at least 1."""
     _check_positive("t_end", t_end)
     _check_positive("dt", dt)
     ratio = t_end / dt
     if not np.isfinite(ratio):
         raise ParameterError(f"t_end / dt overflows: t_end = {t_end!r}, dt = {dt!r}")
     steps = int(round(ratio))
-    if record_every is None:
-        return steps, max(1, steps // 200)
-    return steps, as_count("record_every", record_every, 1)
+    return steps, max(1, steps // 200)
 
 
 def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
@@ -213,21 +211,18 @@ def simulate_moments(
     paths: int,
     k_max: int,
     seed: int,
-    *,
-    record_every: int | None = None,
 ) -> tuple[MomentPath, np.ndarray]:
     """Path-averaged empirical moments of the N-particle SDE.
 
     All paths step together as a (paths, N) batch on one substream, so
     the run is reproducible from (seed,) alone.  Returns (path, stderr)
     where stderr[t, k] is the across-path standard error at each record
-    time.  `record_every` defaults to about 200 records plus the final
-    time.
+    time: t = 0, about 200 evenly spaced steps, and the final step.
     """
     paths = as_count("paths", paths, 2)
     k_max = as_count("k_max", k_max)
     n = EnsembleConfig(n, beta, a, b).N  # the ensemble's checks on n, beta, a, b
-    steps, record_every = _schedule(t_end, dt, record_every)
+    steps, stride = _schedule(t_end, dt)
 
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -249,7 +244,7 @@ def simulate_moments(
     mom_rows, err_rows = [m0], [s0]
     for step in range(1, steps + 1):
         x = _em_step(x, a, b, beta, dt, rng)
-        if step % record_every == 0 or step == steps:
+        if step % stride == 0 or step == steps:
             mk, sk = record(x)
             mom_rows.append(mk)
             err_rows.append(sk)
@@ -299,10 +294,9 @@ def integrate_moments(
     p: JacobiParams,
     t_end: float,
     dt: float,
-    *,
-    record_every: int | None = None,
 ) -> MomentPath:
-    """Fixed-step RK4 for the moment hierarchy from m0 (with m0[0] = 1)."""
+    """Fixed-step RK4 for the moment hierarchy from m0 (with m0[0] = 1),
+    recorded like simulate_moments."""
     m = np.asarray(m0, dtype=float).copy()
     if m.ndim != 1 or len(m) < 1:
         raise ParameterError("m0 must be a nonempty 1-d array")
@@ -310,7 +304,7 @@ def integrate_moments(
         raise ParameterError("m0 must be finite")
     if abs(m[0] - 1.0) > 1e-9:
         raise ParameterError("m0[0] must be 1")
-    steps, record_every = _schedule(t_end, dt, record_every)
+    steps, stride = _schedule(t_end, dt)
     coef = _hierarchy_coefficients(p, len(m) - 1)
     half, sixth = 0.5 * dt, dt / 6.0
     times = [0.0]
@@ -326,7 +320,7 @@ def integrate_moments(
             raise ConvergenceError(
                 f"moment hierarchy blew up at t = {step * dt:.6g}"
             )
-        if step % record_every == 0 or step == steps:
+        if step % stride == 0 or step == steps:
             times.append(step * dt)
             rows.append(m)
     return MomentPath(np.array(times), np.vstack(rows))

@@ -341,7 +341,7 @@ def mc_moments(
     """
     trials = as_count("trials", trials, 2)
     k_max = as_count("k_max", k_max)
-    threads = max(1, int(threads))
+    threads = as_count("threads", threads, 1)
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
 

@@ -127,19 +127,14 @@ def jacobi_matrix(kind: ModelKind, p: JacobiParams, size: int) -> SymmetricTridi
     return SymmetricTridiagonal(d, e)
 
 
-def moment11(
-    kind: ModelKind, p: JacobiParams, k: int, *, size: int | None = None
-) -> float:
+def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
     """k-th moment of the spectral measure at e_1, via <e1, J^k e1>.
 
     A walk of length k from index 1 cannot pass floor(k/2)+2, so the
-    default truncation at that size is exact; any larger `size` gives the
-    same value (a useful consistency check).
+    truncation at that size is exact.
     """
     k = as_count("moment order", k)
-    size = k // 2 + 2 if size is None else as_count(
-        f"size for moment order {k}", size, k // 2 + 2
-    )
+    size = k // 2 + 2
     t = jacobi_matrix(kind, p, size)
     v = np.zeros(size)
     v[0] = 1.0
@@ -148,38 +143,19 @@ def moment11(
     return float(v[0])
 
 
-def eigen_tridiagonal(
-    t: SymmetricTridiagonal,
-    *,
-    want_first_components: bool = False,
-    check: bool = False,
-):
+def eigen_tridiagonal(t: SymmetricTridiagonal, *, want_first_components: bool = False):
     """Eigenvalues (ascending) of a symmetric tridiagonal matrix.
 
     With ``want_first_components`` also returns the first components of the
-    orthonormal eigenvectors (all that Gauss quadrature needs).  With
-    ``check`` the reconstruction residual of every pair is verified against
-    1e-10 * ||T||.
+    orthonormal eigenvectors (all that Gauss quadrature needs).
     """
-    need_vectors = want_first_components or check
     try:
-        if need_vectors:
+        if want_first_components:
             vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
-        else:
-            vals = scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag)
+            return vals, vecs[0]
+        return scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    if check:
-        norm = max(np.max(np.abs(t.diag)) + 2 * (np.max(np.abs(t.offdiag)) if len(t.offdiag) else 0.0), 1e-300)
-        resid = t.dense() @ vecs - vecs * vals
-        worst = np.max(np.sqrt(np.sum(resid**2, axis=0)))
-        if worst > 1e-10 * norm:
-            raise ConvergenceError(
-                f"eigenpair residual {worst:.3e} exceeds 1e-10 * ||T|| = {1e-10 * norm:.3e}"
-            )
-    if want_first_components:
-        return vals, vecs[0]
-    return vals
 
 
 def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasure:

@@ -161,19 +161,12 @@ class TestDensityNumeric:
         val = density_numeric(ModelKind.ASSOC_III, p, 0.5)
         assert val == pytest.approx(1.0, abs=1e-4)
 
-    def test_richardson_kills_linear_bias(self):
-        p = JacobiParams(0.0, 0.0, 0.0)
-        plain = density_numeric(ModelKind.ASSOC_III, p, 0.5, eps=1e-3)
-        rich = density_numeric(ModelKind.ASSOC_III, p, 0.5, eps=1e-3, richardson=True)
-        assert abs(plain - 1.0) > 1e-4  # bias visible at this eps
-        assert abs(rich - 1.0) < abs(plain - 1.0) / 100.0
-
     @pytest.mark.parametrize("abc", [(0.5, 0.5, 1.0), (-0.3, 0.8, 2.0)])
     def test_matches_closed_form(self, abc):
         p = JacobiParams(*abc)
         xs = np.array([0.2, 0.5, 0.8])
         want = density_closed(p, xs)
-        got = density_numeric(ModelKind.ASSOC_III, p, xs, eps=1e-6, richardson=True)
+        got = density_numeric(ModelKind.ASSOC_III, p, xs, eps=1e-6)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_bad_eps_raises(self):

@@ -222,10 +222,11 @@ class TestVerify:
         assert doc["criteria"][0]["passed"] is True
 
     def test_failing_criterion_sets_exit_code(self, capsys, monkeypatch):
+        title, limit, _ = acceptance._REGISTRY["gauss-exactness"]
         monkeypatch.setitem(
-            acceptance._BODIES,
+            acceptance._REGISTRY,
             "gauss-exactness",
-            lambda threads: (False, 1.0, 1e-20, {}),
+            (title, limit, lambda threads: (False, 1.0, 1e-20, {})),
         )
         code, out, _ = run_cli(["verify", "--only", "gauss-exactness"], capsys)
         assert code == 1
@@ -261,6 +262,17 @@ class TestErrorsAndFormats:
         # these used to emit an empty table, ignore the count, or leak
         # ZeroDivisionError / ValueError
         code, _, err = run_cli(argv + ["--a", "0.5", "--b", "0.5"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_bad_thread_count_exits_two(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            ["verify", "--only", "gauss-exactness", "--threads", "0"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        monkeypatch.setenv("BETAJACOBI_THREADS", "0")
+        code, _, err = run_cli(["verify", "--only", "gauss-exactness"], capsys)
         assert code == 2
         assert err.startswith("error:")
 

@@ -91,8 +91,11 @@ class TestStreamEdgeCases:
             lambda_n(JacobiParams(-0.5, -0.5, 0.0), 0)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ParameterError):
-            lambda_n(JacobiParams(0.5, 0.5, 0.0), -1)
+        p = JacobiParams(0.3, 0.7, 1.2)
+        for n in (-1, np.inf, np.nan, np.array([1.0, np.nan, 3.0])):
+            for stream in (lambda_n, mu_n):
+                with pytest.raises(ParameterError):
+                    stream(p, n)
 
     @pytest.mark.parametrize("c", [1, 2, 5])
     def test_integer_shift_identity(self, c):

@@ -1,9 +1,12 @@
-"""One input policy for counts: every size, order, degree, depth and trial
-count of the public API accepts ints, numpy integers and integral floats
-alike, and rejects a non-integral, non-finite or too-small value with
-ParameterError."""
+"""One input policy for counts: every size, order, degree, depth, trial
+and thread count of the public API accepts ints, numpy integers and
+integral floats alike, and rejects a non-integral, non-finite or
+too-small value with ParameterError.  And no dead options: every public
+parameter with a default is set by some caller in the package."""
 
 import dataclasses
+import enum
+import importlib
 import inspect
 
 import numpy as np
@@ -17,11 +20,8 @@ K = ModelKind.ASSOC_III
 CFG = bj.EnsembleConfig(3, 2.0, 0.5, 0.5)
 
 
-def _simulate(n=3, paths=4, k_max=2, record_every=1):
-    return bj.simulate_moments(
-        n, 0.5, 0.5, 0.5, 0.5, 0.01, 0.005, paths, k_max, seed=1,
-        record_every=record_every,
-    )
+def _simulate(n=3, paths=4, k_max=2):
+    return bj.simulate_moments(n, 0.5, 0.5, 0.5, 0.5, 0.01, 0.005, paths, k_max, seed=1)
 
 
 # "callable.parameter" -> (call with the count, smallest admissible count,
@@ -30,7 +30,6 @@ COUNTS = {
     "tridiag_entries.size": (lambda v: bj.tridiag_entries(K, P, v), 1, 4),
     "jacobi_matrix.size": (lambda v: bj.jacobi_matrix(K, P, v), 1, 4),
     "moment11.k": (lambda v: bj.moment11(K, P, v), 0, 3),
-    "moment11.size": (lambda v: bj.moment11(K, P, 4, size=v), 4, 6),
     "gauss_quadrature.m": (lambda v: bj.gauss_quadrature(K, P, v), 1, 3),
     "DiscreteMeasure.moment.k": (
         lambda v: bj.gauss_quadrature(K, P, 3).moment(v), 0, 2
@@ -40,9 +39,6 @@ COUNTS = {
     ),
     "stieltjes_auto.depth": (
         lambda v: bj.stieltjes_auto(K, P, 2.0 + 0.5j, depth=v), 2, 40
-    ),
-    "density_numeric.depth": (
-        lambda v: bj.density_numeric(K, P, [0.3, 0.6], depth=v), 2, 400
     ),
     "pochhammer.n": (lambda v: bj.pochhammer(0.3, v), 0, 4),
     "recurrence_rn.n": (lambda v: bj.recurrence_rn(P, v, 0.4), 0, 3),
@@ -55,6 +51,10 @@ COUNTS = {
     "substream.index": (lambda v: bj.substream(11, v).random(3), 0, 5),
     "mc_moments.k_max": (lambda v: bj.mc_moments(CFG, v, 50, seed=3), 0, 4),
     "mc_moments.trials": (lambda v: bj.mc_moments(CFG, 2, v, seed=3), 2, 50),
+    # two chunks, so that two threads share the work
+    "mc_moments.threads": (
+        lambda v: bj.mc_moments(CFG, 2, 70_000, seed=3, threads=v), 1, 2
+    ),
     "exact_moment.n": (lambda v: bj.exact_moment(v, 1.0, 0.5, 0.25, 3), 1, 3),
     "exact_moment.k": (lambda v: bj.exact_moment(3, 1.0, 0.5, 0.25, v), 0, 3),
     "limit_pq.size": (lambda v: bj.limit_pq(v, 6.0, 1.0, 2.0), 1, 4),
@@ -70,12 +70,6 @@ COUNTS = {
     "simulate_moments.n": (lambda v: _simulate(n=v), 1, 3),
     "simulate_moments.paths": (lambda v: _simulate(paths=v), 2, 4),
     "simulate_moments.k_max": (lambda v: _simulate(k_max=v), 0, 2),
-    "simulate_moments.record_every": (lambda v: _simulate(record_every=v), 1, 1),
-    "integrate_moments.record_every": (
-        lambda v: bj.integrate_moments([1.0, 0.5], P, 0.01, 0.001, record_every=v),
-        1,
-        2,
-    ),
     "stationary_uk.k_max": (lambda v: bj.stationary_uk(P, v), 0, 4),
     "moment_drift_finite_n.k": (
         lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], v, 0.3, 0.7, 1.2, 10),
@@ -93,35 +87,60 @@ COUNTS = {
 EXEMPT = {
     "zeta_asymptotic.n": "real by design: the large-n shape is continuous in n",
     "limit_pq.n_param": "real by design: the limit formulas continue analytically in N",
-    "mc_moments.threads": "the thread count never changes results",
-    "lambda_n.n": "an index array; the stream is rational in n + c, _as_index checks n >= 0",
-    "mu_n.n": "an index array; the stream is rational in n + c, _as_index checks n >= 0",
+    "lambda_n.n": "an index array; the stream is rational in n + c, _as_index "
+    "checks that n is finite and >= 0",
+    "mu_n.n": "an index array; the stream is rational in n + c, _as_index "
+    "checks that n is finite and >= 0",
     "ode_rhs.m": "the moment vector, not a count",
 }
 
 COUNT_NAMES = {
     "n", "N", "k", "k_max", "m", "size", "depth", "trials", "paths",
-    "record_every", "index",
+    "threads", "index",
+}
+
+# public parameter with a default -> "module.function" of a caller outside
+# the tests that passes it by keyword
+OPTIONS = {
+    "eigen_tridiagonal.want_first_components": "spectral.gauss_quadrature",
+    "stieltjes_cf.depth": "analytic.density_numeric",
+    "stieltjes_cf.warn_tol": "analytic.density_numeric",
+    "stieltjes_cf.tail": "analytic.density_numeric",
+    "stieltjes_auto.depth": "cli.cmd_stieltjes",
+    "density_numeric.eps": "analytic.density_profile",
+    "density_profile.method": "cli.cmd_density",
+    "density_profile.eps": "cli.cmd_density",
+    "mc_moments.threads": "acceptance._weak_convergence",
+}
+
+# defaulted parameters that are not options, with the reason
+OPTION_EXEMPT = {
+    "JacobiParams.c": "a model parameter: c = 0 is the classical model",
 }
 
 
 def _public_parameters():
-    """{"callable.parameter"} over betajacobi.__all__: functions, class
-    constructors and the public methods of public classes."""
-    out = set()
+    """{"callable.parameter": inspect.Parameter} over betajacobi.__all__:
+    functions, class constructors and the public methods of public
+    classes; enum classes are skipped (their signature is the enum
+    machinery)."""
+    out = {}
     for name in bj.__all__:
         obj = getattr(bj, name)
         targets = []
         if inspect.isfunction(obj):
             targets = [(name, obj)]
-        elif inspect.isclass(obj) and not issubclass(obj, (BaseException, Warning)):
+        elif inspect.isclass(obj) and not issubclass(
+            obj, (BaseException, Warning, enum.Enum)
+        ):
             targets = [(name, obj)] + [
                 (f"{name}.{attr}", fn)
                 for attr, fn in vars(obj).items()
                 if not attr.startswith("_") and inspect.isfunction(fn)
             ]
         for label, fn in targets:
-            out.update(f"{label}.{p}" for p in inspect.signature(fn).parameters)
+            for p in inspect.signature(fn).parameters.values():
+                out[f"{label}.{p.name}"] = p
     return out
 
 
@@ -154,9 +173,30 @@ class TestCountPolicy:
 
 
 def test_every_count_parameter_is_covered():
-    public = _public_parameters()
+    public = set(_public_parameters())
     stale = sorted((set(COUNTS) | set(EXEMPT)) - public)
     assert not stale, f"entries name no public parameter: {stale}"
     counted = {label for label in public if label.rsplit(".", 1)[1] in COUNT_NAMES}
     missing = sorted(counted - set(COUNTS) - set(EXEMPT))
     assert not missing, f"count parameters outside the count table: {missing}"
+
+
+def test_every_option_has_a_caller():
+    options = {
+        label
+        for label, p in _public_parameters().items()
+        if p.default is not inspect.Parameter.empty
+    }
+    stale = sorted((set(OPTIONS) | set(OPTION_EXEMPT)) - options)
+    assert not stale, f"entries name no public parameter with a default: {stale}"
+    missing = sorted(options - set(OPTIONS) - set(OPTION_EXEMPT))
+    assert not missing, f"options without a recorded caller: {missing}"
+    for label, where in OPTIONS.items():
+        callee, param = label.rsplit(".", 1)
+        module, func = where.split(".")
+        src = inspect.getsource(
+            getattr(importlib.import_module(f"betajacobi.{module}"), func)
+        )
+        assert f"{callee}(" in src and f"{param}=" in src, (
+            f"{where} does not pass {param}= to {callee}"
+        )
