@@ -8,6 +8,7 @@ sides intact when modifying formulas.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ import numpy as np
 from .coeffs import (
     JacobiParams,
     ModelKind,
+    _lambda_terms,
+    _mu_terms,
     lambda_hat0,
     lambda_n,
     mu_n,
@@ -54,6 +57,8 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
     """
     validate_model(kind, p)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterError(f"z must be finite, got {z!r}")
     if z == 0.0:
         raise ParameterError("z = 0 is on the support")
     a, b, c = p.a, p.b, p.c
@@ -94,6 +99,7 @@ def u_of_x(p: JacobiParams, x: float) -> float:
 def v_of_x(p: JacobiParams, x: float) -> float:
     """Companion solution carrying the x^(1+a) (1-x)^(1+b) prefactor;
     identically zero at c = 0."""
+    _check_finite_x(x)
     a, b, c = p.a, p.b, p.c
     if c == 0.0:
         return 0.0
@@ -237,16 +243,26 @@ def _rn_steps(p: JacobiParams, x: float, j0: int, n: int, r_prev: float, r: floa
     (j+c+1)/(j+c+a+1) lambda_j R_{j+1}
         = (x - lambda_j - mu_j) R_j - (j+c+a)/(j+c) mu_j R_{j-1},
 
-    from (R_{j0-1}, R_{j0}) = (r_prev, r); returns R_n.  Both coefficient
-    streams are computed once, with their checks, as arrays, and the
-    steps run on Python floats.  At j = 0 the trailing term multiplies
+    from (R_{j0-1}, R_{j0}) = (r_prev, r); returns R_n.
+
+    Everything runs on Python floats: a degree-n call takes a few
+    microseconds, where two numpy calls for the coefficient arrays took
+    about 80.  Each step forms lambda_j and mu_j from the terms of
+    coeffs._lambda_terms and coeffs._mu_terms, with the operations and
+    the denominator checks of lambda_n and mu_n, so the values are the
+    same bits and a vanishing denominator raises ParameterError; mu_j is
+    exactly 0 at j + c = 0.  At j = 0 the trailing term multiplies
     R_{-1} = 0, so the (j+c) denominator is never touched there.
     """
-    a, c = p.a, p.c
-    idx = np.arange(j0, n, dtype=float)
-    lams = lambda_n(p, idx).tolist()
-    mus = mu_n(p, idx).tolist()
-    for j, lam, mu in zip(range(j0, n), lams, mus):
+    a, b, c = p.a, p.b, p.c
+    for j in range(j0, n):
+        t = j + c
+        ln1, ld1, ln2, ld2 = _lambda_terms(t, a, b)
+        mn1, md1, mn2, md2 = _mu_terms(t, a, b)
+        if ld1 == 0.0 or ld2 == 0.0 or md1 == 0.0 or (md2 == 0.0 and t != 0.0):
+            raise ParameterError(f"a coefficient denominator vanishes at index {j}")
+        lam = (ln1 / ld1) * (ln2 / ld2)
+        mu = (mn1 / md1) * (mn2 / md2) if t != 0.0 else 0.0
         rhs = (x - lam - mu) * r
         if r_prev != 0.0:
             rhs -= (j + c + a) / (j + c) * mu * r_prev

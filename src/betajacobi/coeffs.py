@@ -114,6 +114,26 @@ def _as_index(n) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _lambda_terms(t, a, b):
+    """(num1, den1, num2, den2) with lambda_n = (num1 / den1) * (num2 / den2)
+    at t = n + c.
+
+    Arithmetic only, so t may be a Python float (the recurrence loop of
+    analytic._rn_steps) or an array (lambda_n); the caller checks the
+    denominators before it divides.
+    """
+    den1 = 2.0 * t + a + b + 2.0
+    return t + a + 1.0, den1, t + a + b + 1.0, den1 - 1.0
+
+
+def _mu_terms(t, a, b):
+    """(num1, den1, num2, den2) with mu_n = (num1 / den1) * (num2 / den2)
+    at t = n + c, for floats and arrays like _lambda_terms.  At t = 0 the
+    value is exactly 0: only den1 must not vanish there."""
+    den1 = 2.0 * t + a + b + 1.0
+    return t, den1, t + b, den1 - 1.0
+
+
 def lambda_n(p: JacobiParams, n) -> float | np.ndarray:
     """Coefficient stream lambda_n(c), n >= 0.
 
@@ -121,12 +141,10 @@ def lambda_n(p: JacobiParams, n) -> float | np.ndarray:
     Accepts a scalar index or an integer array.
     """
     arr, scalar = _as_index(n)
-    t = arr + p.c
-    den1 = 2.0 * t + p.a + p.b + 2.0
-    den2 = den1 - 1.0
+    num1, den1, num2, den2 = _lambda_terms(arr + p.c, p.a, p.b)
     if np.any(den1 == 0.0) or np.any(den2 == 0.0):
         raise ParameterError("lambda_n denominator vanishes for some index")
-    out = ((t + p.a + 1.0) / den1) * ((t + p.a + p.b + 1.0) / den2)
+    out = (num1 / den1) * (num2 / den2)
     return float(out) if scalar else out
 
 
@@ -139,13 +157,12 @@ def mu_n(p: JacobiParams, n) -> float | np.ndarray:
     """
     arr, scalar = _as_index(n)
     t = arr + p.c
-    den1 = 2.0 * t + p.a + p.b + 1.0
-    den2 = den1 - 1.0
+    num1, den1, num2, den2 = _mu_terms(t, p.a, p.b)
     zero = t == 0.0
     if np.any(den1 == 0.0) or np.any((den2 == 0.0) & ~zero):
         raise ParameterError("mu_n denominator vanishes for some index")
     safe_den2 = np.where(zero, 1.0, den2)
-    out = np.where(zero, 0.0, (t / den1) * ((t + p.b) / safe_den2))
+    out = np.where(zero, 0.0, (num1 / den1) * (num2 / safe_den2))
     return float(out) if scalar else out
 
 

@@ -311,12 +311,36 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     return out
 
 
-def _mc_chunk(shapes, folded, lo, hi, k_max, out):
+def _mc_chunk(shapes, folded, lo, hi, k_max):
+    """(count, mean, M2) of the trace moments of trials lo..hi-1, M2 the
+    sum of squared deviations from the chunk mean."""
     # one stream per chunk, drawn in bulk; keys are offset so they never
     # collide with the per-trial substream keys used by empirical_measure
     rng = _stream(folded, _CHUNK_KEY_BASE + lo // _CHUNK)
     diags, offs = _tridiagonal_from_squares(*_draw_squares(shapes, rng, hi - lo))
-    out[lo:hi] = _trace_moments(diags, offs, k_max)
+    moments = _trace_moments(diags, offs, k_max)
+    if not np.isfinite(moments).all():
+        raise ConvergenceError(
+            f"non-finite trace moment in trials {lo}..{hi - 1}; "
+            "refusing to report moments"
+        )
+    mean = moments.mean(axis=0)
+    dev = moments - mean
+    return hi - lo, mean, np.einsum("ij,ij->j", dev, dev)
+
+
+def _merge_moments(left, right):
+    """Pooled (count, mean, M2) of two disjoint samples (Chan, Golub and
+    LeVeque's update)."""
+    n_l, mean_l, m2_l = left
+    n_r, mean_r, m2_r = right
+    n = n_l + n_r
+    delta = mean_r - mean_l
+    return (
+        n,
+        mean_l + delta * (n_r / n),
+        m2_l + m2_r + delta * delta * (n_l * n_r / n),
+    )
 
 
 def mc_moments(
@@ -333,39 +357,32 @@ def mc_moments(
     (1/N) tr J^k straight from them by band powers (_trace_moments); no
     eigensolve is done, so every trial counts.  Sampled spectra, the
     independent route, come from empirical_measure.  Trials are drawn
-    in fixed-size chunks, each from its own keyed stream, so the
-    estimate depends only on the seed: reruns are identical and the
-    thread count never changes the result.  Returns (means, standard
-    errors); means[0] is exactly 1, stderr[0] is 0.  A non-finite trace
-    raises ConvergenceError.
+    in fixed-size chunks, each from its own keyed stream.  Each chunk
+    reduces to (count, mean, M2), and the chunks merge in chunk order, so
+    reruns are identical, the thread count never changes the result, and
+    memory holds at most `threads` chunks whatever the trial count.
+    Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
+    0.  A non-finite trace raises ConvergenceError.
     """
     trials = as_count("trials", trials, 2)
     k_max = as_count("k_max", k_max)
     threads = as_count("threads", threads, 1)
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
+    starts = range(0, trials, _CHUNK)
 
-    per_trial = np.empty((trials, k_max + 1))
-    bounds = list(range(0, trials, _CHUNK)) + [trials]
-    jobs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    def run(lo: int):
+        return _mc_chunk(shapes, folded, lo, min(lo + _CHUNK, trials), k_max)
 
-    def run(job: tuple[int, int]) -> None:
-        _mc_chunk(shapes, folded, *job, k_max, per_trial)
-
-    if threads == 1 or len(jobs) == 1:
-        for job in jobs:
-            run(job)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, jobs))
-
-    if not np.isfinite(per_trial).all():
-        raise ConvergenceError(
-            f"non-finite trace moment in {trials} trials; "
-            "refusing to report moments"
-        )
-    means = per_trial.mean(axis=0)
-    stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
+    total = None
+    with ThreadPoolExecutor(threads) as pool:
+        spread = pool.map if threads > 1 else map
+        # one window of `threads` chunks at a time bounds the memory
+        for w in range(0, len(starts), threads):
+            for stats in spread(run, starts[w : w + threads]):
+                total = stats if total is None else _merge_moments(total, stats)
+    _, means, m2 = total
+    stderr = np.sqrt(m2 / (trials - 1)) / np.sqrt(trials)
     means[0] = 1.0
     stderr[0] = 0.0
     return MomentVector(means), stderr

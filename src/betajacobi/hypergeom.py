@@ -15,6 +15,7 @@ continued-fraction route, which needs no special-function machinery.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from scipy.special import gammaln, gammasgn
@@ -49,6 +50,8 @@ def ln_gamma(x: float) -> tuple[float, int]:
 
 def pochhammer(q: float, n: int) -> float:
     """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
+    if not math.isfinite(q):
+        raise ParameterError(f"pochhammer needs a finite base, got {q!r}")
     out = 1.0
     for j in range(as_count("pochhammer order", n)):
         out *= q + j
@@ -127,6 +130,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
 
     Raises
     ------
+    ParameterError
+        a non-finite parameter or argument.
     PoleError
         gamma at a nonpositive integer not rescued by earlier termination.
     UnsupportedRegionError
@@ -137,6 +142,9 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(v):
             raise ParameterError(f"{name} must be finite, got {v!r}")
+    xc = complex(x)
+    if not cmath.isfinite(xc):
+        raise ParameterError(f"hyp2f1 needs a finite argument, got {x!r}")
 
     term_n = None
     for par in (alpha, beta):
@@ -151,7 +159,6 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
     if term_n is not None:
         return _series_terminating(alpha, beta, gamma, x, term_n)
 
-    xc = complex(x)
     if xc.imag == 0.0 and xc.real >= 1.0:
         raise UnsupportedRegionError(f"argument {x!r} on the branch cut [1, inf)")
     if xc == 0.0:

@@ -210,6 +210,33 @@ def dense_interaction(x, eps_div: float = 1e-12, *, magnitude: bool = False):
     return (np.abs(inv) if magnitude else inv).sum(axis=-1)
 
 
+def convolve_hierarchy(m, a: float, b: float, c: float, *, magnitude: bool = False):
+    """Right side of the moment hierarchy by one np.convolve of m with
+    itself, on (K+1,) arrays: row k is -k (2c+a+b+k+1) m_k + k (a+k) m_{k-1}
+    + c k conv[k-1] - c k (conv[k] - 2 m_k), row 0 is zero.  With
+    `magnitude`, the same rows with every term and every product of the
+    convolutions taken in absolute value, the scale of the rounding error
+    of any evaluation order."""
+    m = np.asarray(m, dtype=float)
+    k_max = len(m) - 1
+    out = np.zeros_like(m)
+    if k_max == 0:
+        return out
+    k = np.arange(1, k_max + 1, dtype=float)
+    decay, feed, quad = -k * (2.0 * c + a + b + k + 1.0), k * (a + k), c * k
+    if magnitude:
+        am = np.abs(m)
+        conv = np.convolve(am, am)
+        high = conv[1 : k_max + 1] + 2.0 * am[1:]
+        out[1:] = (np.abs(decay * m[1:]) + np.abs(feed * m[:-1])
+                   + np.abs(quad) * (conv[:k_max] + high))
+        return out
+    conv = np.convolve(m, m)
+    high = conv[1 : k_max + 1] - 2.0 * m[1:]
+    out[1:] = decay * m[1:] + feed * m[:-1] + quad * conv[:k_max] - quad * high
+    return out
+
+
 # ---------------------------------------------------------------------------
 # tensor-quadrature oracle for the exact finite-N moment
 

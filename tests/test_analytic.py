@@ -78,6 +78,13 @@ class TestStieltjesClosed:
     def test_zero_z_raises(self):
         with pytest.raises(ParameterError):
             stieltjes_closed(ModelKind.ASSOC_III, P_REF, 0.0)
+        # z = inf and i inf used to give nan+nanj labelled closed, and z =
+        # nan UnsupportedRegionError
+        for z in (complex("inf"), complex(0.0, float("inf")), complex("nan")):
+            with pytest.raises(ParameterError):
+                stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
+            with pytest.raises(ParameterError):
+                stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
 
     def test_auto_routes(self):
         val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, 2.0 + 1.0j)
@@ -108,6 +115,16 @@ class TestBoundarySolutions:
 
         with pytest.raises(ParameterError):
             v_of_x(JacobiParams(0.0, 0.5, 1.0), 0.3)
+
+    def test_nonfinite_x_raises(self):
+        from betajacobi import u_of_x, v_of_x
+
+        for x in (np.nan, np.inf):
+            for p in (P_REF, JacobiParams(0.3, 0.7, 0.0)):
+                with pytest.raises(ParameterError):
+                    u_of_x(p, x)
+                with pytest.raises(ParameterError):
+                    v_of_x(p, x)
 
 
 class TestDensityClosed:

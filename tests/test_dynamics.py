@@ -24,7 +24,7 @@ from betajacobi import (
     substream,
 )
 from betajacobi.dynamics import EPS_DIV, _em_step, _interaction, _power_means
-from oracles import dense_interaction
+from oracles import convolve_hierarchy, dense_interaction
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -88,6 +88,20 @@ class TestDrift:
     def test_point_mass_start_is_finite(self):
         mu, _ = drift(ParticleState(0.0, np.full(5, 0.5)), 0.0, 0.0, 2.0)
         np.testing.assert_array_equal(mu, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "a, b, beta",
+        [(np.nan, 0.7, 1.0), (0.3, np.inf, 1.0), (0.3, 0.7, np.nan),
+         (-1.0, 0.7, 1.0), (0.3, 0.7, -0.5)],
+    )
+    def test_bad_parameters_raise(self, a, b, beta):
+        # the checks of EnsembleConfig, as in simulate_moments; a NaN weight
+        # used to give a NaN drift
+        state = ParticleState(0.0, np.array([0.25, 0.75]))
+        with pytest.raises(ParameterError):
+            drift(state, a, b, beta)
+        with pytest.raises(ParameterError):
+            em_step(state, a, b, beta, 1e-3, substream(4, 0))
 
 
 def _assert_matches_dense(x):
@@ -190,6 +204,12 @@ class TestEmStep:
             em_step(s, 0.0, 0.0, 2.0, 0.0, substream(4, 0))
         with pytest.raises(ParameterError):
             em_step(s, 0.0, 0.0, 2.0, np.nan, substream(4, 0))
+
+    def test_nan_beta_names_beta(self):
+        # used to fail later with "positions must lie in [0, 1]"
+        s = ParticleState(0.0, np.array([0.3, 0.6]))
+        with pytest.raises(ParameterError, match="beta"):
+            em_step(s, 0.5, 0.5, np.nan, 1e-3, substream(4, 0))
 
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_batched_step_matches_single_steps(self, n):
@@ -314,6 +334,33 @@ class TestOdeRhs:
 
     def test_order_zero_vector(self):
         np.testing.assert_array_equal(ode_rhs(np.array([1.0]), P_REF), [0.0])
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 4, 6, 12, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_convolve_oracle(self, k_max, seed):
+        # the float-list kernel against one np.convolve per call; the two
+        # sum in different orders, so compare on the terms' magnitude
+        rng = np.random.default_rng([seed, k_max])
+        m = np.r_[1.0, rng.uniform(-1.0, 1.0, size=k_max)]
+        p = JacobiParams(*rng.uniform([-0.9, -0.9, 0.0], [2.0, 2.0, 3.0]))
+        got = ode_rhs(m, p)
+        ref = convolve_hierarchy(m, p.a, p.b, p.c)
+        scale = convolve_hierarchy(m, p.a, p.b, p.c, magnitude=True)
+        assert isinstance(got, np.ndarray) and got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize(
+        "m",
+        [[1.0, np.nan], [1.0, 0.5, np.inf], [2.0, 0.5], [[1.0, 0.5]], [], 1.0],
+        ids=["nan", "inf", "m0-not-1", "2-d", "empty", "0-d"],
+    )
+    def test_bad_input_raises(self, m):
+        # the checks of integrate_moments; NaN used to come back as NaN,
+        # m0 = 2 as a number and 2-d or empty input as a bare ValueError
+        with pytest.raises(ParameterError):
+            ode_rhs(np.array(m), P_REF)
+        with pytest.raises(ParameterError):
+            integrate_moments(np.array(m), P_REF, 0.01, 1e-3)
 
 
 class TestStationaryMoments:

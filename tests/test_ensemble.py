@@ -294,6 +294,45 @@ class TestMcMoments:
             want = exact_moment(3, 1.0, 0.5, 0.25, k)
             assert abs(means[k] - want) < 4.0 * stderr[k]
 
+    def test_chunk_merge_matches_pooled_trials(self, monkeypatch):
+        # per-chunk (count, mean, M2) merged in chunk order equals the
+        # mean and standard error of all trials' moments at once, the last
+        # chunk short; the thread count changes no bit
+        import betajacobi.ensemble as ens
+
+        monkeypatch.setattr(ens, "_CHUNK", 100)
+        cfg, k_max, trials, seed = EnsembleConfig(4, 1.5, 0.3, 0.7), 3, 1050, 5
+        means, stderr = mc_moments(cfg, k_max, trials, seed)
+        folded, shapes = ens._fold_seed(seed), _shape_arrays(cfg)
+        rows = []
+        for lo in range(0, trials, 100):
+            rng = ens._stream(folded, ens._CHUNK_KEY_BASE + lo // 100)
+            squares = _draw_squares(shapes, rng, min(100, trials - lo))
+            rows.append(_trace_moments(*_tridiagonal_from_squares(*squares), k_max))
+        per_trial = np.vstack(rows)
+        want_se = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
+        np.testing.assert_allclose(means.values[1:], per_trial.mean(axis=0)[1:], rtol=1e-13)
+        np.testing.assert_allclose(stderr[1:], want_se[1:], rtol=1e-12)
+        m3, s3 = mc_moments(cfg, k_max, trials, seed, threads=3)
+        np.testing.assert_array_equal(m3.values, means.values)
+        np.testing.assert_array_equal(s3, stderr)
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # a (trials, k_max + 1) array used to hold every trial's moments
+        import tracemalloc
+
+        import betajacobi.ensemble as ens
+
+        monkeypatch.setattr(ens, "_CHUNK", 256)
+        peaks = []
+        for chunks in (4, 64):
+            tracemalloc.start()
+            mc_moments(EnsembleConfig(4, 2.0, 0.5, 0.5), 3, 256 * chunks, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # 64 chunks' moments alone would be 64 * 256 * 4 * 8 bytes = 512 kB
+        assert peaks[1] < peaks[0] + 64_000
+
     def test_trial_guard(self):
         with pytest.raises(ParameterError):
             mc_moments(CFG, 2, 1, seed=1)

@@ -84,6 +84,10 @@ class TestPochhammer:
             pochhammer(1.0, -1)
         with pytest.raises(ParameterError):
             pochhammer(1.0, 2.5)
+        # a non-finite base used to come back as NaN or inf
+        for q in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                pochhammer(q, 3)
 
 
 class TestGammaRatio:
@@ -161,6 +165,11 @@ class TestHyp2F1Basics:
     def test_nonfinite_params_raise(self):
         with pytest.raises(ParameterError):
             hyp2f1(float("nan"), 1.0, 2.0, 0.3)
+        # a non-finite argument too, on the terminating series as well
+        for x in (float("nan"), float("inf"), complex(0.0, float("inf"))):
+            for alpha in (0.3, -2.0):
+                with pytest.raises(ParameterError):
+                    hyp2f1(alpha, 0.7, 1.2, x)
 
     def test_far_region_raises(self):
         # |x|, |x/(x-1)|, |1-x| all over the series cap
