@@ -14,6 +14,7 @@ matrix onto deterministic entries.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -331,7 +332,7 @@ def _mc_chunk(shapes, folded, lo, hi, k_max):
 
 def _merge_moments(left, right):
     """Pooled (count, mean, M2) of two disjoint samples (Chan, Golub and
-    LeVeque's update)."""
+    LeVeque's update).  (0, 0.0, 0.0) is its identity, bit for bit."""
     n_l, mean_l, m2_l = left
     n_r, mean_r, m2_r = right
     n = n_l + n_r
@@ -359,8 +360,9 @@ def mc_moments(
     independent route, come from empirical_measure.  Trials are drawn
     in fixed-size chunks, each from its own keyed stream.  Each chunk
     reduces to (count, mean, M2), and the chunks merge in chunk order, so
-    reruns are identical, the thread count never changes the result, and
-    memory holds at most `threads` chunks whatever the trial count.
+    reruns are identical and the thread count never changes the result.
+    At most 2 * threads chunks are queued or running at once, so memory
+    does not grow with the trial count.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.
     """
@@ -374,13 +376,17 @@ def mc_moments(
     def run(lo: int):
         return _mc_chunk(shapes, folded, lo, min(lo + _CHUNK, trials), k_max)
 
-    total = None
+    total = (0, 0.0, 0.0)
     with ThreadPoolExecutor(threads) as pool:
-        spread = pool.map if threads > 1 else map
-        # one window of `threads` chunks at a time bounds the memory
-        for w in range(0, len(starts), threads):
-            for stats in spread(run, starts[w : w + threads]):
-                total = stats if total is None else _merge_moments(total, stats)
+        # two chunks per thread in flight keep the workers busy while
+        # this thread merges
+        ahead = deque()
+        for lo in starts:
+            ahead.append(pool.submit(run, lo))
+            if len(ahead) == 2 * threads:
+                total = _merge_moments(total, ahead.popleft().result())
+        for future in ahead:
+            total = _merge_moments(total, future.result())
     _, means, m2 = total
     stderr = np.sqrt(m2 / (trials - 1)) / np.sqrt(trials)
     means[0] = 1.0
