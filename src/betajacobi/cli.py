@@ -23,7 +23,7 @@ from .acceptance import format_line, run_all, slugs
 from .analytic import density_profile, stieltjes_auto
 from .coeffs import JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
-from .ensemble import EnsembleConfig, empirical_measure, substream
+from .ensemble import EnsembleConfig, _spectrum_blocks
 from .errors import ParameterError, as_count
 from .spectral import moment11
 
@@ -118,13 +118,14 @@ def cmd_sample(args) -> int:
         n=args.n, beta=beta, c=cfg.c, a=args.a, b=args.b,
         trials=args.trials, seed=seed, bins=args.bins,
     )
-    spectra = [
-        empirical_measure(cfg, substream(seed, i)).nodes for i in range(args.trials)
-    ]
+    # blocks of spectra in trial order; the histogram counts of the
+    # blocks add up to those of all eigenvalues at once
+    blocks = _spectrum_blocks(cfg, seed, args.trials)
     if args.bins > 0:
-        counts, edges = np.histogram(
-            np.concatenate(spectra), bins=args.bins, range=(0.0, 1.0)
-        )
+        counts = np.zeros(args.bins, dtype=np.int64)
+        for block in blocks:
+            block_counts, edges = np.histogram(block, bins=args.bins, range=(0.0, 1.0))
+            counts += block_counts
         total = counts.sum()
         rows = [
             [float(edges[i]), float(edges[i + 1]), int(counts[i]), counts[i] / total]
@@ -132,6 +133,7 @@ def cmd_sample(args) -> int:
         ]
         _emit(meta, ["bin_left", "bin_right", "count", "mass"], rows, args)
     else:
+        spectra = (nodes for block in blocks for nodes in block)
         rows = [
             [trial, i, float(v)]
             for trial, nodes in enumerate(spectra)

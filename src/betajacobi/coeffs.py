@@ -107,11 +107,26 @@ def lambda_hat0(p: JacobiParams) -> float:
     return (p.c + p.a + 1.0) / den
 
 
-def _as_index(n) -> tuple[np.ndarray, bool]:
+# largest truncation tridiag_entries builds (two 32 MiB arrays), far above
+# the continued-fraction depths in use (12000 at density_numeric's default
+# eps)
+_MAX_SIZE = 1 << 22
+# the streams' largest term is 2 (n + c), finite while |n + c| <= _MAX_T
+_MAX_T = np.finfo(float).max / 2.0
+
+
+def _as_index(n, c: float) -> tuple[np.ndarray, bool]:
+    """(t, scalar) with t = n + c, for an index n >= 0 at which 2 (n + c)
+    does not overflow."""
     arr = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr >= 0)):
-        raise ParameterError(f"coefficient index must be finite and >= 0, got {n!r}")
-    return arr, arr.ndim == 0
+    top = _MAX_T - max(c, 0.0) if c >= -_MAX_T else -1.0
+    # NaN fails both comparisons, +inf the second
+    if not np.all((arr >= 0) & (arr <= top)):
+        raise ParameterError(
+            f"coefficient index must be >= 0 and keep 2(n + c) finite, "
+            f"got n={n!r} at c={c!r}"
+        )
+    return arr + c, arr.ndim == 0
 
 
 def _lambda_terms(t, a, b):
@@ -140,8 +155,8 @@ def lambda_n(p: JacobiParams, n) -> float | np.ndarray:
     lambda_n = (n+c+a+1)/(2n+2c+a+b+2) * (n+c+a+b+1)/(2n+2c+a+b+1).
     Accepts a scalar index or an integer array.
     """
-    arr, scalar = _as_index(n)
-    num1, den1, num2, den2 = _lambda_terms(arr + p.c, p.a, p.b)
+    t, scalar = _as_index(n, p.c)
+    num1, den1, num2, den2 = _lambda_terms(t, p.a, p.b)
     if np.any(den1 == 0.0) or np.any(den2 == 0.0):
         raise ParameterError("lambda_n denominator vanishes for some index")
     out = (num1 / den1) * (num2 / den2)
@@ -155,8 +170,7 @@ def mu_n(p: JacobiParams, n) -> float | np.ndarray:
     vanishes exactly at n = 0, c = 0 and the second is then never
     evaluated (its denominator can vanish there too, e.g. a = -b).
     """
-    arr, scalar = _as_index(n)
-    t = arr + p.c
+    t, scalar = _as_index(n, p.c)
     num1, den1, num2, den2 = _mu_terms(t, p.a, p.b)
     zero = t == 0.0
     if np.any(den1 == 0.0) or np.any((den2 == 0.0) & ~zero):
@@ -178,9 +192,13 @@ def tridiag_entries(
     Returns
     -------
     (diag, offdiag) : arrays of length size and size-1.
+
+    A size above 2**22 raises ParameterError before anything is allocated.
     """
     validate_model(kind, p)
     size = as_count("size", size, 1)
+    if size > _MAX_SIZE:
+        raise ParameterError(f"size must be <= 2**22 = {_MAX_SIZE}, got {size}")
 
     first_lam = lambda_hat0(p) if kind is ModelKind.ASSOC_III else lambda_n(p, 0)
 

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, as_count
-from .spectral import (
-    DiscreteMeasure,
-    MomentVector,
-    SymmetricTridiagonal,
-    eigen_tridiagonal,
-)
+from .spectral import DiscreteMeasure, MomentVector, SymmetricTridiagonal, _stevd
 
 __all__ = [
     "EnsembleConfig",
@@ -54,6 +49,8 @@ _CLAMP_TOL = 1e-12
 _FAIL_TOL = 1e-10
 _CHUNK = 65536
 _CHUNK_KEY_BASE = 1 << 62
+# matrix entries (trials times N) per block of sampled spectra
+_SPECTRUM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -144,6 +141,27 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return _stream(_fold_seed(seed), as_count("stream index", index))
 
 
+def _redraw_empty(x, y, tot, alpha, beta, rng: np.random.Generator) -> None:
+    """Redraw in place the pairs whose total x + y = tot underflowed to 0
+    at a positive alpha (0/0 ratios from tiny shapes), until none is left."""
+    for _ in range(100):
+        bad = (tot == 0.0) & (alpha > 0.0)
+        if not np.any(bad):
+            return
+        x[bad] = rng.standard_gamma(np.broadcast_to(alpha, x.shape)[bad])
+        y[bad] = rng.standard_gamma(np.broadcast_to(beta, x.shape)[bad])
+        np.add(x, y, out=tot)
+    raise ConvergenceError("beta sampler kept underflowing; shapes too small")
+
+
+def _gamma_ratio(x: np.ndarray, tot: np.ndarray) -> np.ndarray:
+    """x / tot, and 0 where tot is 0."""
+    out = np.zeros_like(x)
+    nz = tot > 0.0
+    out[nz] = x[nz] / tot[nz]
+    return out
+
+
 def _beta_draw(
     alpha: np.ndarray, beta: np.ndarray, rng: np.random.Generator, size=None
 ) -> np.ndarray:
@@ -157,19 +175,8 @@ def _beta_draw(
     x = rng.standard_gamma(alpha, size)
     y = rng.standard_gamma(beta, size)
     tot = x + y
-    for _ in range(100):
-        bad = (tot == 0.0) & (alpha > 0.0)
-        if not np.any(bad):
-            break
-        x[bad] = rng.standard_gamma(np.broadcast_to(alpha, x.shape)[bad])
-        y[bad] = rng.standard_gamma(np.broadcast_to(beta, x.shape)[bad])
-        tot = x + y
-    else:
-        raise ConvergenceError("beta sampler kept underflowing; shapes too small")
-    out = np.zeros_like(x)
-    nz = tot > 0.0
-    out[nz] = x[nz] / tot[nz]
-    return out
+    _redraw_empty(x, y, tot, alpha, beta, rng)
+    return _gamma_ratio(x, tot)
 
 
 def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
@@ -207,6 +214,31 @@ def _draw_squares(shapes, rng: np.random.Generator, m: int):
     return _bidiagonal_squares(p, q)
 
 
+def _draw_squares_each(shapes, streams: list) -> tuple:
+    """(s^2, t^2) of one trial per stream, as (m, N) and (m, N-1) arrays.
+
+    Row i is bit for bit _draw_squares(shapes, streams[i], 1): each
+    trial draws its p gammas, redraws their empty pairs, then does the
+    same for q, from its own stream; only the ratios and the squares run
+    on the whole block.
+    """
+    m = len(streams)
+    parts = [
+        (np.empty((2, m, len(al))), np.empty((m, len(al))), al, be)
+        for al, be in (shapes[:2], shapes[2:])
+    ]
+    for i, rng in enumerate(streams):
+        for xy, tot, al, be in parts:
+            x, y, row = xy[0, i], xy[1, i], tot[i]
+            rng.standard_gamma(al, out=x)
+            rng.standard_gamma(be, out=y)
+            np.add(x, y, out=row)
+            if not row.all():
+                _redraw_empty(x, y, row, al, be, rng)
+    p, q = (_gamma_ratio(xy[0], tot) for xy, tot, _, _ in parts)
+    return _bidiagonal_squares(p, q)
+
+
 def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
     """J = B B^T from the squared entries of B, on (..., N) s^2 and
     (..., N-1) t^2: diagonal s_n^2 + t_{n-1}^2 with t_0 = 0, off-diagonal
@@ -229,6 +261,48 @@ def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(*_tridiagonal_from_squares(factor.s**2, factor.t**2))
 
 
+def _spectra(shapes, streams: list) -> np.ndarray:
+    """Sorted spectra of one sampled J per stream, as an (m, N) array.
+
+    The one kernel behind empirical_measure and the `sample` command:
+    the squares come from _draw_squares_each, J is assembled once for
+    the block and checked finite once, each row goes through one LAPACK
+    call, and the escape check and the clamp run on the whole block.
+    Eigenvalues more than _FAIL_TOL outside [0, 1] raise
+    ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
+    """
+    diag, off = _tridiagonal_from_squares(*_draw_squares_each(shapes, streams))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ParameterError("tridiagonal entries must be finite")
+    vals = np.empty_like(diag)
+    for i in range(len(vals)):
+        vals[i] = _stevd(diag[i], off[i])[0]
+    vals.sort(axis=1)
+    lo, hi = vals[:, 0], vals[:, -1]
+    escaped = (lo < -_FAIL_TOL) | (hi > 1.0 + _FAIL_TOL)
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise ConvergenceError(
+            f"sampled spectrum escapes [0,1] beyond {_FAIL_TOL}: "
+            f"[{lo[i]!r}, {hi[i]!r}]"
+        )
+    vals[(vals < 0.0) & (vals >= -_CLAMP_TOL)] = 0.0
+    vals[(vals > 1.0) & (vals <= 1.0 + _CLAMP_TOL)] = 1.0
+    return vals
+
+
+def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
+    """Spectra of trials 0..trials-1 under `seed`, yielded in order as
+    (m, N) blocks of about _SPECTRUM_BLOCK entries; row for trial i is
+    bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
+    folded = _fold_seed(seed)
+    shapes = _shape_arrays(cfg)
+    step = max(1, _SPECTRUM_BLOCK // cfg.N)
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        yield _spectra(shapes, [_stream(folded, i) for i in range(lo, hi)])
+
+
 def empirical_measure(
     cfg: EnsembleConfig, rng: np.random.Generator
 ) -> DiscreteMeasure:
@@ -237,17 +311,9 @@ def empirical_measure(
     Draws the squares (s^2, t^2) from the same stream, in the same
     order, as sample_model and assembles J from them directly;
     roundoff-level excursions past [0, 1] are clamped, larger ones raise.
+    This is the one-trial block of the `sample` kernel, _spectra.
     """
-    s2, t2 = _draw_squares(_shape_arrays(cfg), rng, 1)
-    t = SymmetricTridiagonal(*_tridiagonal_from_squares(s2[0], t2[0]))
-    vals = np.sort(np.asarray(eigen_tridiagonal(t)))
-    if vals[0] < -_FAIL_TOL or vals[-1] > 1.0 + _FAIL_TOL:
-        raise ConvergenceError(
-            f"sampled spectrum escapes [0,1] beyond {_FAIL_TOL}: "
-            f"[{vals[0]!r}, {vals[-1]!r}]"
-        )
-    vals[(vals < 0.0) & (vals >= -_CLAMP_TOL)] = 0.0
-    vals[(vals > 1.0) & (vals <= 1.0 + _CLAMP_TOL)] = 1.0
+    vals = _spectra(_shape_arrays(cfg), [rng])[0]
     return DiscreteMeasure(vals, np.full(cfg.N, 1.0 / cfg.N))
 
 

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dstevd as _dstevd
 from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .coeffs import JacobiParams, ModelKind, tridiag_entries
@@ -143,19 +143,32 @@ def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
     return float(v[0])
 
 
+def _stevd(d: np.ndarray, e: np.ndarray, *, compute_v: bool = False):
+    """(eigenvalues ascending, eigenvectors as columns) of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e; the vectors
+    only with ``compute_v``.
+
+    The package's one tridiagonal eigensolver call: LAPACK dstevd, the
+    driver scipy's eigh_tridiagonal takes for a full spectrum, called
+    directly, so the same bits without that wrapper's per-call checks.
+    Callers check that d and e are finite.
+    """
+    if not len(e):
+        e = np.zeros(1)  # the wrapper wants e at least one long
+    vals, vecs, info = _dstevd(d, e, compute_v=compute_v)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: dstevd info = {info}")
+    return vals, vecs
+
+
 def eigen_tridiagonal(t: SymmetricTridiagonal, *, want_first_components: bool = False):
     """Eigenvalues (ascending) of a symmetric tridiagonal matrix.
 
     With ``want_first_components`` also returns the first components of the
     orthonormal eigenvectors (all that Gauss quadrature needs).
     """
-    try:
-        if want_first_components:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
-            return vals, vecs[0]
-        return scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    vals, vecs = _stevd(t.diag, t.offdiag, compute_v=want_first_components)
+    return (vals, vecs[0]) if want_first_components else vals
 
 
 def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasure:

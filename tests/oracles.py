@@ -274,3 +274,29 @@ def quadrature_moment(n: int, kappa: float, a: float, b: float, k: int):
         j_mat = dense_bbt(s, t)
         total += w * np.trace(np.linalg.matrix_power(j_mat, k))
     return total / n
+
+
+# ---------------------------------------------------------------------------
+# per-trial sampled spectrum, one matrix at a time
+
+
+def per_trial_spectrum(cfg, seed: int, i: int) -> np.ndarray:
+    """Sorted, clamped spectrum of trial i under seed, drawn and solved one
+    matrix at a time: the squares of substream(seed, i), J from them, and
+    scipy's own tridiagonal eigensolver wrapper (its full-spectrum driver,
+    stevd).  The block kernel of the package must match it bit for bit."""
+    import scipy.linalg
+
+    from betajacobi.ensemble import (
+        _draw_squares,
+        _shape_arrays,
+        _tridiagonal_from_squares,
+        substream,
+    )
+
+    s2, t2 = _draw_squares(_shape_arrays(cfg), substream(seed, i), 1)
+    d, e = _tridiagonal_from_squares(s2[0], t2[0])
+    vals = np.sort(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stevd"))
+    vals[(vals < 0.0) & (vals >= -1e-12)] = 0.0
+    vals[(vals > 1.0) & (vals <= 1.0 + 1e-12)] = 1.0
+    return vals

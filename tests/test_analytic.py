@@ -192,6 +192,12 @@ class TestDensityNumeric:
             with pytest.raises(ParameterError):
                 density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=eps)
 
+    def test_tiny_eps_hits_the_size_cap(self):
+        # depth 12 / sqrt(eps) = 1.2e151 reaches tridiag_entries' cap; it
+        # used to raise numpy's "Maximum allowed dimension exceeded"
+        with pytest.raises(ParameterError, match="size"):
+            density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-300)
+
 
 class TestDensityProfile:
     def test_mass_near_one(self):

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betajacobi import acceptance
+import betajacobi.ensemble as ens
+from betajacobi import EnsembleConfig, acceptance
 from betajacobi.cli import DEFAULT_SEED, main
 
-from oracles import beta_density, uniform_stieltjes
+from oracles import beta_density, per_trial_spectrum, uniform_stieltjes
 
 
 def run_cli(argv, capsys):
@@ -91,6 +92,88 @@ class TestSample:
         assert implicit.read_bytes() == explicit.read_bytes()
 
 
+def _data_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("# ")]
+
+
+def _fmt17(v) -> str:
+    return format(float(v), ".17g")
+
+
+# the spectrum grid of test_ensemble; a = b = -0.9999 takes the underflow
+# redraw
+SAMPLE_GRID = [(n, beta) for n in (1, 2, 3, 60) for beta in (0.0, 2.0 / n, 4.0)]
+
+
+class TestSampleBlocks:
+    """`sample` output against the one-matrix-at-a-time route, byte for
+    byte, with the trials spread over four blocks."""
+
+    TRIALS, SEED = 7, 13
+
+    def _run(self, capsys, monkeypatch, n, beta, bins):
+        monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 2 * n)
+        code, out, _ = run_cli(
+            ["sample", "--n", str(n), "--beta", _fmt17(beta), "--a", "-0.9999",
+             "--b", "-0.9999", "--trials", str(self.TRIALS), "--seed", str(self.SEED),
+             "--bins", str(bins)],
+            capsys,
+        )
+        assert code == 0
+        cfg = EnsembleConfig(n, beta, -0.9999, -0.9999)
+        spectra = [per_trial_spectrum(cfg, self.SEED, i) for i in range(self.TRIALS)]
+        return _data_lines(out), spectra
+
+    @pytest.mark.parametrize("n, beta", SAMPLE_GRID)
+    def test_raw_rows(self, capsys, monkeypatch, n, beta):
+        lines, spectra = self._run(capsys, monkeypatch, n, beta, 0)
+        want = ["trial,index,eigenvalue"] + [
+            f"{trial},{i},{_fmt17(v)}"
+            for trial, vals in enumerate(spectra)
+            for i, v in enumerate(vals)
+        ]
+        assert lines == want
+
+    @pytest.mark.parametrize("n, beta", SAMPLE_GRID)
+    def test_histogram_rows(self, capsys, monkeypatch, n, beta):
+        lines, spectra = self._run(capsys, monkeypatch, n, beta, 40)
+        counts, edges = np.histogram(np.concatenate(spectra), bins=40, range=(0.0, 1.0))
+        total = counts.sum()
+        want = ["bin_left,bin_right,count,mass"] + [
+            f"{_fmt17(edges[i])},{_fmt17(edges[i + 1])},{counts[i]},"
+            f"{_fmt17(counts[i] / total)}"
+            for i in range(40)
+        ]
+        assert lines == want
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path):
+        # every spectrum used to be kept until the histogram was taken
+        import tracemalloc
+
+        monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 32 * 32)
+
+        def run(blocks):
+            return main(
+                ["sample", "--n", "32", "--c", "1", "--a", "0.5", "--b", "0.5",
+                 "--trials", str(32 * blocks), "--bins", "40", "--seed", "3",
+                 "--output", str(tmp_path / f"{blocks}.csv")]
+            )
+
+        # an untraced run first fills numpy's one-off caches, which
+        # otherwise land in whichever traced run comes first
+        assert run(64) == 0
+        peaks = []
+        for blocks in (4, 64):
+            tracemalloc.start()
+            code = run(blocks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert code == 0
+        # 64 blocks' spectra alone would be 64 * 32 * 32 * 8 bytes = 524 kB;
+        # run-to-run noise of the peak is about 50 kB
+        assert peaks[1] < peaks[0] + 128_000
+
+
 class TestDensity:
     def test_c0_matches_beta_density(self, capsys):
         code, out, _ = run_cli(
@@ -118,6 +201,12 @@ class TestDensity:
         assert "note" in doc["meta"]
         assert len(doc["data"]["rows"]) == 9
         assert all(row[1] >= 0.0 for row in doc["data"]["rows"])
+
+    def test_tiny_eps_exits_two(self, capsys):
+        # the fraction depth 12 / sqrt(eps) would pass the size cap
+        code, _, err = run_cli(["density", "--a", "1", "--b", "0.5", "--eps", "1e-300"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_forced_closed_on_integer_a_fails_cleanly(self, capsys):
         code, _, err = run_cli(

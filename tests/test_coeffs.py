@@ -97,6 +97,24 @@ class TestStreamEdgeCases:
                 with pytest.raises(ParameterError):
                     stream(p, n)
 
+    def test_overflowing_index_rejected(self):
+        # at n = 1e308 the term 2(n + c) overflows, and the streams used
+        # to return 0.0 with a RuntimeWarning instead of tending to 1/4
+        import warnings
+
+        p = JacobiParams(0.3, 0.7, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stream in (lambda_n, mu_n):
+                with pytest.raises(ParameterError, match="finite"):
+                    stream(p, 1e308)
+                with pytest.raises(ParameterError):
+                    stream(p, np.array([1.0, 1e308]))
+                assert stream(p, 1e300) == 0.25
+            # c so large that 2c itself overflows: no index is admissible
+            with pytest.raises(ParameterError):
+                lambda_n(JacobiParams(0.3, 0.7, 1e308), 0)
+
     @pytest.mark.parametrize("c", [1, 2, 5])
     def test_integer_shift_identity(self, c):
         # the c-stream is the plain (c = 0) stream started c steps in
@@ -160,6 +178,16 @@ class TestTridiagEntries:
         d1, e1 = tridiag_entries(ModelKind.ASSOC_I, params.shifted(1.0), 8)
         np.testing.assert_allclose(d3[1:], d1, rtol=1e-15)
         np.testing.assert_allclose(e3[1:], e1, rtol=1e-14)
+
+    def test_size_cap(self):
+        # refused before anything is allocated: 10**12 used to raise a
+        # bare MemoryError
+        p = JacobiParams(0.3, 0.7, 1.2)
+        for size in (10**12, 2**22 + 1):
+            with pytest.raises(ParameterError, match="2\\*\\*22"):
+                tridiag_entries(ModelKind.ASSOC_III, p, size)
+        d, e = tridiag_entries(ModelKind.ASSOC_III, p, 12001)
+        assert d.shape == (12001,) and e.shape == (12000,)
 
     def test_size_one(self, params):
         d, e = tridiag_entries(ModelKind.ASSOC_III, params, 1)

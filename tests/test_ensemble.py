@@ -30,6 +30,7 @@ from betajacobi import (
     to_tridiagonal,
     tridiag_entries,
 )
+import betajacobi.ensemble as ens
 from betajacobi.ensemble import (
     _beta_draw,
     _draw_squares,
@@ -38,7 +39,7 @@ from betajacobi.ensemble import (
     _tridiagonal_from_squares,
 )
 
-from oracles import dense_bbt, quadrature_moment
+from oracles import dense_bbt, per_trial_spectrum, quadrature_moment
 
 CFG = EnsembleConfig(6, 2.0, 0.5, 0.5)
 
@@ -220,6 +221,77 @@ class TestEmpiricalMeasure:
         cfg = EnsembleConfig(n, beta, a, b)
         m = empirical_measure(cfg, substream(99, idx))
         assert np.all((m.nodes >= 0.0) & (m.nodes <= 1.0))
+
+
+# a = b = -0.9999 puts shapes of 1e-4 into the last p (and, at beta = 0,
+# the q) draws, where both gammas often underflow to 0 and are redrawn
+SPECTRUM_GRID = [
+    EnsembleConfig(n, beta, -0.9999, -0.9999)
+    for n in (1, 2, 3, 60)
+    for beta in (0.0, 2.0 / n, 4.0)
+]
+
+
+def _per_trial(cfg, seed, trials):
+    return np.array([per_trial_spectrum(cfg, seed, i) for i in range(trials)])
+
+
+class TestSpectrumKernel:
+    """The block kernel behind empirical_measure and `sample` against the
+    one-matrix-at-a-time route (per-trial squares, scipy's stevd
+    wrapper), byte for byte."""
+
+    @pytest.mark.parametrize("cfg", SPECTRUM_GRID, ids=repr)
+    def test_empirical_measure_is_the_per_trial_route(self, cfg):
+        for i in range(4):
+            got = empirical_measure(cfg, substream(13, i)).nodes
+            assert got.tobytes() == per_trial_spectrum(cfg, 13, i).tobytes()
+
+    @pytest.mark.parametrize("cfg", SPECTRUM_GRID, ids=repr)
+    def test_blocks_are_the_per_trial_route(self, cfg, monkeypatch):
+        monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 2 * cfg.N)
+        blocks = list(ens._spectrum_blocks(cfg, 13, 7))
+        assert [b.shape for b in blocks] == [(2, cfg.N)] * 3 + [(1, cfg.N)]
+        assert np.vstack(blocks).tobytes() == _per_trial(cfg, 13, 7).tobytes()
+
+    def test_default_block_size(self):
+        cfg = EnsembleConfig(60, 2.0 / 60, 0.5, 0.5)
+        blocks = list(ens._spectrum_blocks(cfg, 3, 1100))
+        assert [len(b) for b in blocks] == [(1 << 16) // 60, 1100 - (1 << 16) // 60]
+        assert np.vstack(blocks)[-3:].tobytes() == np.array(
+            [per_trial_spectrum(cfg, 3, i) for i in (1097, 1098, 1099)]
+        ).tobytes()
+
+    def test_grid_takes_the_redraw(self, monkeypatch):
+        # the underflow redraw runs inside the blocks, on the trial's own
+        # stream, between its p and q draws
+        calls = []
+        redraw = ens._redraw_empty
+        monkeypatch.setattr(
+            ens, "_redraw_empty", lambda *args: calls.append(1) or redraw(*args)
+        )
+        list(ens._spectrum_blocks(EnsembleConfig(1, 2.0, -0.9999, -0.9999), 13, 7))
+        assert len(calls) >= 3
+
+    def test_clamp_and_escape(self, monkeypatch):
+        shapes = _shape_arrays(CFG)
+        near = np.r_[-5e-13, np.full(4, 0.5), 1.0 + 5e-13]
+        monkeypatch.setattr(ens, "_stevd", lambda d, e: (near.copy(), None))
+        got = ens._spectra(shapes, [substream(1, 0), substream(1, 1)])
+        np.testing.assert_array_equal(got[:, 0], 0.0)
+        np.testing.assert_array_equal(got[:, -1], 1.0)
+        far = np.r_[np.full(5, 0.5), 1.0 + 1e-9]
+        monkeypatch.setattr(ens, "_stevd", lambda d, e: (far.copy(), None))
+        with pytest.raises(ConvergenceError, match="escapes"):
+            ens._spectra(shapes, [substream(1, 0)])
+
+    def test_nonfinite_entries_raise(self, monkeypatch):
+        def nan_j(s2, t2):
+            return np.full_like(s2, np.nan), t2
+
+        monkeypatch.setattr(ens, "_tridiagonal_from_squares", nan_j)
+        with pytest.raises(ParameterError, match="finite"):
+            empirical_measure(CFG, substream(1, 0))
 
 
 def _random_tridiagonals(rng, m, n):

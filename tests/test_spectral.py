@@ -164,6 +164,36 @@ class TestEigenTridiagonal:
         assert vals.shape == first.shape == (9,)
         assert np.sum(first**2) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_bits_of_scipys_stevd_wrapper(self, n):
+        # one direct dstevd call per matrix, the driver scipy picks for a
+        # full spectrum: values and first components to the bit
+        import scipy.linalg
+
+        rng = np.random.default_rng(n)
+        d, e = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n - 1)
+        t = SymmetricTridiagonal(d, e)
+        want = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stevd")
+        assert eigen_tridiagonal(t).tobytes() == want.tobytes()
+        # with vectors LAPACK takes another path, so other last bits
+        want_vals, want_vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+        vals, first = eigen_tridiagonal(t, want_first_components=True)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert first.tobytes() == want_vecs[0].tobytes()
+        assert t.diag.tobytes() == d.tobytes() and t.offdiag.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("want_first_components", [False, True])
+    def test_lapack_failure_raises(self, monkeypatch, want_first_components):
+        import betajacobi.spectral as spectral
+
+        def failing(d, e, compute_v):
+            return d.copy(), np.eye(len(d)), 3
+
+        monkeypatch.setattr(spectral, "_dstevd", failing)
+        t = SymmetricTridiagonal(np.zeros(4), np.ones(3))
+        with pytest.raises(ConvergenceError, match="info = 3"):
+            eigen_tridiagonal(t, want_first_components=want_first_components)
+
 
 class TestGaussQuadrature:
     def test_single_point_rule(self, params):
