@@ -4,7 +4,8 @@ The N-point ensemble with density proportional to
 prod |l_j - l_i|^beta * prod l^a (1-l)^b on (0,1)^N is realized as
 J = B B^T for a lower bidiagonal B built from independent Beta variates;
 J is symmetric tridiagonal, so sampling plus a tridiagonal eigensolver
-gives the spectrum in O(N^2).  Monte Carlo moments need no spectrum:
+gives the spectrum in O(N^2).  Every sampler draws its Beta variates
+through one kernel, a block of gamma ratios per keyed stream.  Monte Carlo moments need no spectrum:
 (1/N) tr J^k is read from the tridiagonal entries by band powers of J.
 Moments can also be computed exactly for small N by enumerating closed
 walks and averaging monomials in the Beta variables.  Sending
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import _MAX_SIZE
 from .errors import ConvergenceError, ParameterError, as_count
 from .spectral import DiscreteMeasure, MomentVector, SymmetricTridiagonal, _stevd
 
@@ -47,7 +49,10 @@ MAX_EXACT_K = 8
 
 _CLAMP_TOL = 1e-12
 _FAIL_TOL = 1e-10
+# Monte Carlo chunks: at most _CHUNK trials and _CHUNK_ENTRIES matrix
+# entries (trials times N) each, so memory stays bounded at every N
 _CHUNK = 65536
+_CHUNK_ENTRIES = 1 << 20
 _CHUNK_KEY_BASE = 1 << 62
 # matrix entries (trials times N) per block of sampled spectra
 _SPECTRUM_BLOCK = 1 << 16
@@ -64,6 +69,8 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", as_count("N", self.N, 1))
+        if self.N > _MAX_SIZE:
+            raise ParameterError(f"N must be <= 2**22 = {_MAX_SIZE}, got {self.N}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ParameterError(f"beta must be >= 0, got {self.beta!r}")
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
@@ -125,7 +132,8 @@ class RegimeParams:
 
 
 def _fold_seed(seed: int) -> int:
-    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    sequence = np.random.SeedSequence(as_count("seed", seed))
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def _stream(folded: int, index: int) -> np.random.Generator:
@@ -154,36 +162,35 @@ def _redraw_empty(x, y, tot, alpha, beta, rng: np.random.Generator) -> None:
     raise ConvergenceError("beta sampler kept underflowing; shapes too small")
 
 
-def _gamma_ratio(x: np.ndarray, tot: np.ndarray) -> np.ndarray:
-    """x / tot, and 0 where tot is 0."""
-    out = np.zeros_like(x)
-    nz = tot > 0.0
-    out[nz] = x[nz] / tot[nz]
-    return out
+def _beta_rows(alpha, beta, streams: list, rows: int) -> np.ndarray:
+    """Beta(alpha, beta) variates as gamma ratios X / (X + Y): `rows` rows
+    of len(alpha) variates per stream, stacked in stream order.
 
-
-def _beta_draw(
-    alpha: np.ndarray, beta: np.ndarray, rng: np.random.Generator, size=None
-) -> np.ndarray:
-    """Beta variates as gamma ratios X / (X + Y), elementwise, with the
-    shapes broadcast to `size` when it is given.
-
-    Shape 0 is taken as the degenerate point mass at 0 (the kappa -> 0
-    edge of the q variables).  Ratios 0/0 from underflowing tiny shapes
-    are redrawn.
+    The one Beta draw behind every sampler.  Each stream draws all X
+    gammas of its rows, then all Y gammas, then redraws its pairs whose
+    total underflowed (_redraw_empty); that order fixes every seeded
+    byte.  Shape 0 is taken as the degenerate point mass at 0 (the
+    kappa -> 0 edge of the q variables).
     """
-    x = rng.standard_gamma(alpha, size)
-    y = rng.standard_gamma(beta, size)
-    tot = x + y
-    _redraw_empty(x, y, tot, alpha, beta, rng)
-    return _gamma_ratio(x, tot)
+    shape = (len(streams) * rows, len(alpha))
+    x, y, tot = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i, rng in enumerate(streams):
+        part = slice(i * rows, (i + 1) * rows)
+        xs, ys, ts = x[part], y[part], tot[part]
+        rng.standard_gamma(alpha, out=xs)
+        rng.standard_gamma(beta, out=ys)
+        np.add(xs, ys, out=ts)
+        if not ts.all():
+            _redraw_empty(xs, ys, ts, alpha, beta, rng)
+    # x is 0 wherever its total is
+    return np.divide(x, tot, out=x, where=tot > 0.0)
 
 
 def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
     """One Beta(alpha, beta) variate via two gamma variates."""
     if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
         raise ParameterError(f"beta shapes must be in (0, inf), got ({alpha}, {beta})")
-    return float(_beta_draw(np.array([alpha]), np.array([beta]), rng)[0])
+    return float(_beta_rows(np.array([alpha]), np.array([beta]), [rng], 1)[0, 0])
 
 
 def _shape_arrays(cfg: EnsembleConfig):
@@ -205,37 +212,13 @@ def _bidiagonal_squares(p: np.ndarray, q: np.ndarray):
     return s2, t2
 
 
-def _draw_squares(shapes, rng: np.random.Generator, m: int):
-    """m independent draws of (s^2, t^2), as (m, N) and (m, N-1) arrays;
-    all p variables are drawn before all q variables."""
+def _draw_squares(shapes, streams: list, rows: int):
+    """(s^2, t^2) of `rows` trials per stream, as (m, N) and (m, N-1)
+    arrays stacked in stream order; each stream draws all the p
+    variables of its rows before all their q variables."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
-    p = _beta_draw(alpha_p, beta_p, rng, (m, len(alpha_p)))
-    q = _beta_draw(alpha_q, beta_q, rng, (m, len(alpha_q)))
-    return _bidiagonal_squares(p, q)
-
-
-def _draw_squares_each(shapes, streams: list) -> tuple:
-    """(s^2, t^2) of one trial per stream, as (m, N) and (m, N-1) arrays.
-
-    Row i is bit for bit _draw_squares(shapes, streams[i], 1): each
-    trial draws its p gammas, redraws their empty pairs, then does the
-    same for q, from its own stream; only the ratios and the squares run
-    on the whole block.
-    """
-    m = len(streams)
-    parts = [
-        (np.empty((2, m, len(al))), np.empty((m, len(al))), al, be)
-        for al, be in (shapes[:2], shapes[2:])
-    ]
-    for i, rng in enumerate(streams):
-        for xy, tot, al, be in parts:
-            x, y, row = xy[0, i], xy[1, i], tot[i]
-            rng.standard_gamma(al, out=x)
-            rng.standard_gamma(be, out=y)
-            np.add(x, y, out=row)
-            if not row.all():
-                _redraw_empty(x, y, row, al, be, rng)
-    p, q = (_gamma_ratio(xy[0], tot) for xy, tot, _, _ in parts)
+    p = _beta_rows(alpha_p, beta_p, streams, rows)
+    q = _beta_rows(alpha_q, beta_q, streams, rows)
     return _bidiagonal_squares(p, q)
 
 
@@ -251,7 +234,7 @@ def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
-    s2, t2 = _draw_squares(_shape_arrays(cfg), rng, 1)
+    s2, t2 = _draw_squares(_shape_arrays(cfg), [rng], 1)
     return BidiagonalFactor(np.sqrt(s2[0]), np.sqrt(t2[0]))
 
 
@@ -265,13 +248,14 @@ def _spectra(shapes, streams: list) -> np.ndarray:
     """Sorted spectra of one sampled J per stream, as an (m, N) array.
 
     The one kernel behind empirical_measure and the `sample` command:
-    the squares come from _draw_squares_each, J is assembled once for
-    the block and checked finite once, each row goes through one LAPACK
-    call, and the escape check and the clamp run on the whole block.
+    each trial draws its squares from its own stream, J is assembled
+    once for the block and checked finite once, each row goes through one
+    LAPACK call, and the escape check and the clamp run on the whole
+    block.
     Eigenvalues more than _FAIL_TOL outside [0, 1] raise
     ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
     """
-    diag, off = _tridiagonal_from_squares(*_draw_squares_each(shapes, streams))
+    diag, off = _tridiagonal_from_squares(*_draw_squares(shapes, streams, 1))
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ParameterError("tridiagonal entries must be finite")
     vals = np.empty_like(diag)
@@ -378,13 +362,11 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     return out
 
 
-def _mc_chunk(shapes, folded, lo, hi, k_max):
-    """(count, mean, M2) of the trace moments of trials lo..hi-1, M2 the
-    sum of squared deviations from the chunk mean."""
-    # one stream per chunk, drawn in bulk; keys are offset so they never
-    # collide with the per-trial substream keys used by empirical_measure
-    rng = _stream(folded, _CHUNK_KEY_BASE + lo // _CHUNK)
-    diags, offs = _tridiagonal_from_squares(*_draw_squares(shapes, rng, hi - lo))
+def _mc_chunk(shapes, rng, lo, hi, k_max):
+    """(count, mean, M2) of the trace moments of trials lo..hi-1, drawn in
+    bulk from the chunk's stream rng, M2 the sum of squared deviations
+    from the chunk mean."""
+    diags, offs = _tridiagonal_from_squares(*_draw_squares(shapes, [rng], hi - lo))
     moments = _trace_moments(diags, offs, k_max)
     if not np.isfinite(moments).all():
         raise ConvergenceError(
@@ -424,11 +406,12 @@ def mc_moments(
     (1/N) tr J^k straight from them by band powers (_trace_moments); no
     eigensolve is done, so every trial counts.  Sampled spectra, the
     independent route, come from empirical_measure.  Trials are drawn
-    in fixed-size chunks, each from its own keyed stream.  Each chunk
-    reduces to (count, mean, M2), and the chunks merge in chunk order, so
-    reruns are identical and the thread count never changes the result.
+    in chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries,
+    each from its own keyed stream.  Each chunk reduces to (count, mean,
+    M2), and the chunks merge in chunk order, so reruns are identical and
+    the thread count never changes the result.
     At most 2 * threads chunks are queued or running at once, so memory
-    does not grow with the trial count.
+    grows neither with the trial count nor with N.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.
     """
@@ -437,17 +420,20 @@ def mc_moments(
     threads = as_count("threads", threads, 1)
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
-    starts = range(0, trials, _CHUNK)
+    step = min(_CHUNK, max(1, _CHUNK_ENTRIES // cfg.N))
 
     def run(lo: int):
-        return _mc_chunk(shapes, folded, lo, min(lo + _CHUNK, trials), k_max)
+        # one stream per chunk; keys are offset so they never collide
+        # with the per-trial substream keys used by empirical_measure
+        rng = _stream(folded, _CHUNK_KEY_BASE + lo // step)
+        return _mc_chunk(shapes, rng, lo, min(lo + step, trials), k_max)
 
     total = (0, 0.0, 0.0)
     with ThreadPoolExecutor(threads) as pool:
         # two chunks per thread in flight keep the workers busy while
         # this thread merges
         ahead = deque()
-        for lo in starts:
+        for lo in range(0, trials, step):
             ahead.append(pool.submit(run, lo))
             if len(ahead) == 2 * threads:
                 total = _merge_moments(total, ahead.popleft().result())

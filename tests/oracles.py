@@ -280,21 +280,51 @@ def quadrature_moment(n: int, kappa: float, a: float, b: float, k: int):
 # per-trial sampled spectrum, one matrix at a time
 
 
+def textbook_squares(shapes, rng, m: int):
+    """m draws of the bidiagonal squares (s^2, t^2) from one stream, as
+    (m, N) and (m, N-1) arrays, written out from the model: p ~ Beta as
+    X / (X + Y), all X gammas first, then all Y gammas, then the pairs
+    whose X + Y underflowed to 0 at a positive X shape redrawn until none
+    is left; then the same for q; s_n^2 = p_n (1 - q_{n-1}) with q_0 = 0
+    and t_n^2 = q_n (1 - p_n).  A shape-0 variable is the point mass at 0.
+    The package's draw kernel must match it bit for bit."""
+    alpha_p, beta_p, alpha_q, beta_q = shapes
+
+    def beta_block(al, be):
+        size = (m, len(al))
+        al, be = np.broadcast_to(al, size), np.broadcast_to(be, size)
+        x = rng.standard_gamma(al)
+        y = rng.standard_gamma(be)
+        for _ in range(100):
+            empty = (x + y == 0.0) & (al > 0.0)
+            if not empty.any():
+                break
+            x[empty] = rng.standard_gamma(al[empty])
+            y[empty] = rng.standard_gamma(be[empty])
+        else:
+            raise AssertionError("gamma draws kept underflowing")
+        tot = x + y
+        with np.errstate(invalid="ignore"):
+            return np.where(tot > 0.0, x / tot, 0.0)
+
+    p = beta_block(alpha_p, beta_p)
+    q = beta_block(alpha_q, beta_q)
+    s2 = p * (1.0 - np.concatenate([np.zeros((m, 1)), q], axis=1))
+    t2 = q * (1.0 - p[:, :-1])
+    return s2, t2
+
+
 def per_trial_spectrum(cfg, seed: int, i: int) -> np.ndarray:
     """Sorted, clamped spectrum of trial i under seed, drawn and solved one
-    matrix at a time: the squares of substream(seed, i), J from them, and
-    scipy's own tridiagonal eigensolver wrapper (its full-spectrum driver,
-    stevd).  The block kernel of the package must match it bit for bit."""
+    matrix at a time: the textbook squares of substream(seed, i), J from
+    them, and scipy's own tridiagonal eigensolver wrapper (its
+    full-spectrum driver, stevd).  The block kernel of the package must
+    match it bit for bit."""
     import scipy.linalg
 
-    from betajacobi.ensemble import (
-        _draw_squares,
-        _shape_arrays,
-        _tridiagonal_from_squares,
-        substream,
-    )
+    from betajacobi.ensemble import _shape_arrays, _tridiagonal_from_squares, substream
 
-    s2, t2 = _draw_squares(_shape_arrays(cfg), substream(seed, i), 1)
+    s2, t2 = textbook_squares(_shape_arrays(cfg), substream(seed, i), 1)
     d, e = _tridiagonal_from_squares(s2[0], t2[0])
     vals = np.sort(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stevd"))
     vals[(vals < 0.0) & (vals >= -1e-12)] = 0.0

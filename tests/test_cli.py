@@ -345,14 +345,29 @@ class TestErrorsAndFormats:
             ["sample", "--n", "4", "--bins", "-3"],
             ["stieltjes", "--c", "1", "--points", "0"],
             ["dynamics", "--c", "1", "--t-end", "0.01", "--sde", "--sde-n", "0"],
+            ["sample", "--n", "1000000000000", "--c", "1", "--trials", "1"],
+            ["sample", "--n", "4", "--c", "1", "--trials", "2", "--seed", "-1"],
+            ["dynamics", "--c", "1", "--t-end", "0.01", "--sde", "--sde-n", "2",
+             "--paths", "2", "--seed", "-1"],
         ],
     )
     def test_bad_count_exits_two(self, capsys, argv):
         # these used to emit an empty table, ignore the count, or leak
-        # ZeroDivisionError / ValueError
+        # ZeroDivisionError / ValueError; N above 2**22 leaked numpy's
+        # memory error and a negative seed ValueError from SeedSequence
         code, _, err = run_cli(argv + ["--a", "0.5", "--b", "0.5"], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_bad_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("BETAJACOBI_SEED", "-1")
+        code, out, err = run_cli(
+            ["sample", "--n", "4", "--c", "1", "--a", "0.5", "--b", "0.5",
+             "--trials", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err and out == ""
 
     def test_bad_thread_count_exits_two(self, capsys, monkeypatch):
         code, _, err = run_cli(

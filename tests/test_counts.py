@@ -20,8 +20,8 @@ K = ModelKind.ASSOC_III
 CFG = bj.EnsembleConfig(3, 2.0, 0.5, 0.5)
 
 
-def _simulate(n=3, paths=4, k_max=2):
-    return bj.simulate_moments(n, 0.5, 0.5, 0.5, 0.5, 0.01, 0.005, paths, k_max, seed=1)
+def _simulate(n=3, paths=4, k_max=2, seed=1):
+    return bj.simulate_moments(n, 0.5, 0.5, 0.5, 0.5, 0.01, 0.005, paths, k_max, seed=seed)
 
 
 # "callable.parameter" -> (call with the count, smallest admissible count,
@@ -49,8 +49,10 @@ COUNTS = {
     "zeta_n.n": (lambda v: bj.zeta_n(P, v), 0, 3),
     "EnsembleConfig.N": (lambda v: bj.EnsembleConfig(v, 2.0, 0.5, 0.5), 1, 4),
     "substream.index": (lambda v: bj.substream(11, v).random(3), 0, 5),
+    "substream.seed": (lambda v: bj.substream(v, 5).random(3), 0, 11),
     "mc_moments.k_max": (lambda v: bj.mc_moments(CFG, v, 50, seed=3), 0, 4),
     "mc_moments.trials": (lambda v: bj.mc_moments(CFG, 2, v, seed=3), 2, 50),
+    "mc_moments.seed": (lambda v: bj.mc_moments(CFG, 2, 50, seed=v), 0, 3),
     # two chunks, so that two threads share the work
     "mc_moments.threads": (
         lambda v: bj.mc_moments(CFG, 2, 70_000, seed=3, threads=v), 1, 2
@@ -70,6 +72,7 @@ COUNTS = {
     "simulate_moments.n": (lambda v: _simulate(n=v), 1, 3),
     "simulate_moments.paths": (lambda v: _simulate(paths=v), 2, 4),
     "simulate_moments.k_max": (lambda v: _simulate(k_max=v), 0, 2),
+    "simulate_moments.seed": (lambda v: _simulate(seed=v), 0, 1),
     "stationary_uk.k_max": (lambda v: bj.stationary_uk(P, v), 0, 4),
     "moment_drift_finite_n.k": (
         lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], v, 0.3, 0.7, 1.2, 10),
@@ -96,7 +99,7 @@ EXEMPT = {
 
 COUNT_NAMES = {
     "n", "N", "k", "k_max", "m", "size", "depth", "trials", "paths",
-    "threads", "index",
+    "threads", "index", "seed",
 }
 
 # public parameter with a default -> "module.function" of a caller outside

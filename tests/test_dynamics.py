@@ -281,6 +281,7 @@ class TestSimulateMoments:
             (3, 0.0, 0.0, 2.0, np.nan),  # scalar start
             (3, 0.0, 0.0, 2.0, np.array([0.2, np.nan, 0.5])),  # array start
             (0, 0.0, 0.0, 2.0, 0.5),  # no particles
+            (10**12, 0.0, 0.0, 2.0, 0.5),  # N above 2**22
         ],
     )
     def test_nonfinite_inputs_raise(self, n, a, b, beta, x0):

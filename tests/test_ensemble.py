@@ -32,14 +32,13 @@ from betajacobi import (
 )
 import betajacobi.ensemble as ens
 from betajacobi.ensemble import (
-    _beta_draw,
     _draw_squares,
     _shape_arrays,
     _trace_moments,
     _tridiagonal_from_squares,
 )
 
-from oracles import dense_bbt, per_trial_spectrum, quadrature_moment
+from oracles import dense_bbt, per_trial_spectrum, quadrature_moment, textbook_squares
 
 CFG = EnsembleConfig(6, 2.0, 0.5, 0.5)
 
@@ -57,6 +56,15 @@ class TestConfig:
             EnsembleConfig(4, -1.0, 0.5, 0.5)
         with pytest.raises(ParameterError):
             EnsembleConfig(4, 2.0, -1.0, 0.5)
+
+    def test_size_cap(self):
+        # N above the cap of tridiag_entries used to fail only when the
+        # sampler allocated, with numpy's memory error
+        assert EnsembleConfig(2**22, 2.0, 0.5, 0.5).N == 2**22
+        with pytest.raises(ParameterError, match=r"2\*\*22"):
+            EnsembleConfig(2**22 + 1, 2.0, 0.5, 0.5)
+        with pytest.raises(ParameterError, match=r"2\*\*22"):
+            mc_moments(EnsembleConfig(10**12, 0.0, 0.0, 0.0), 2, 2, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["a", "b"])
@@ -127,21 +135,36 @@ class TestSampling:
     @pytest.mark.parametrize("beta", [0.0, 0.05, 2.0])
     @pytest.mark.parametrize("ab", [(0.3, 0.7), (-0.999, -0.999)])
     def test_sample_model_is_the_batched_draw(self, n, beta, ab):
-        # sample_model is row 0 of a one-row batched draw, and both equal
-        # the textbook assembly from unbatched p then q draws, bit for bit;
-        # weights near -1 give shapes whose gamma draws underflow to 0/0
-        # and are redrawn
+        # sample_model and a several-row draw from one stream equal the
+        # textbook draw of the oracle, bit for bit; weights near -1 give
+        # shapes whose gamma draws underflow to 0/0 and are redrawn
         cfg = EnsembleConfig(n, beta, *ab)
         shapes = _shape_arrays(cfg)
         f = sample_model(cfg, substream(13, 4))
-        s2, t2 = _draw_squares(shapes, substream(13, 4), 1)
+        s2, t2 = textbook_squares(shapes, substream(13, 4), 1)
         np.testing.assert_array_equal(f.s, np.sqrt(s2[0]))
         np.testing.assert_array_equal(f.t, np.sqrt(t2[0]))
-        rng = substream(13, 4)
-        p = _beta_draw(shapes[0], shapes[1], rng)
-        q = _beta_draw(shapes[2], shapes[3], rng)
-        np.testing.assert_array_equal(f.s, np.sqrt(p * (1.0 - np.r_[0.0, q])))
-        np.testing.assert_array_equal(f.t, np.sqrt(q * (1.0 - p[:-1])))
+        got = _draw_squares(shapes, [substream(13, 5)], 3)
+        want = textbook_squares(shapes, substream(13, 5), 3)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shapes", [(5.0, 2.0), (1e-4, 1e-4), (0.3, 1e-3)])
+    def test_sample_beta_is_the_textbook_draw(self, shapes, monkeypatch):
+        # successive draws from one stream, each the one-variable case of
+        # the oracle; (1e-4, 1e-4) underflows to 0/0 and takes the redraw
+        calls = []
+        redraw = ens._redraw_empty
+        monkeypatch.setattr(
+            ens, "_redraw_empty", lambda *args: calls.append(1) or redraw(*args)
+        )
+        rng, ref = substream(42, 0), substream(42, 0)
+        got = np.array([sample_beta(*shapes, rng) for _ in range(2000)])
+        one = (np.array([shapes[0]]), np.array([shapes[1]]), np.empty(0), np.empty(0))
+        want = np.array([textbook_squares(one, ref, 1)[0][0, 0] for _ in range(2000)])
+        assert got.tobytes() == want.tobytes()
+        if shapes == (1e-4, 1e-4):
+            assert calls
 
 
 class TestTridiagonalAssembly:
@@ -168,7 +191,7 @@ class TestTridiagonalAssembly:
         # the batched Monte Carlo assembly row by row equals to_tridiagonal
         # of the factor with the same squares, up to sqrt(s^2) squared
         cfg = EnsembleConfig(n, 1.5, 0.3, 0.7)
-        s2, t2 = _draw_squares(_shape_arrays(cfg), substream(21, 0), 4)
+        s2, t2 = _draw_squares(_shape_arrays(cfg), [substream(21, 0)], 4)
         diags, offs = _tridiagonal_from_squares(s2, t2)
         assert diags.shape == (4, n) and offs.shape == (4, n - 1)
         for r in range(4):
@@ -379,7 +402,7 @@ class TestMcMoments:
         rows = []
         for lo in range(0, trials, 100):
             rng = ens._stream(folded, ens._CHUNK_KEY_BASE + lo // 100)
-            squares = _draw_squares(shapes, rng, min(100, trials - lo))
+            squares = textbook_squares(shapes, rng, min(100, trials - lo))
             rows.append(_trace_moments(*_tridiagonal_from_squares(*squares), k_max))
         per_trial = np.vstack(rows)
         want_se = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -388,6 +411,38 @@ class TestMcMoments:
         m3, s3 = mc_moments(cfg, k_max, trials, seed, threads=3)
         np.testing.assert_array_equal(m3.values, means.values)
         np.testing.assert_array_equal(s3, stderr)
+
+    def test_chunks_are_bounded_in_n(self, monkeypatch):
+        # a chunk used to hold _CHUNK trials at every N; now it holds at
+        # most _CHUNK_ENTRIES matrix entries, and the chunks still cover
+        # the trials in order, each drawn from its own keyed stream
+        monkeypatch.setattr(ens, "_CHUNK_ENTRIES", 64)
+        sizes = []
+        chunk = ens._mc_chunk
+        monkeypatch.setattr(
+            ens, "_mc_chunk",
+            lambda shapes, rng, lo, hi, k_max: sizes.append((lo, hi))
+            or chunk(shapes, rng, lo, hi, k_max),
+        )
+        cfg, k_max, trials, seed = EnsembleConfig(10, 1.5, 0.3, 0.7), 3, 40, 5
+        means, _ = mc_moments(cfg, k_max, trials, seed, threads=2)
+        sizes.sort()  # on two threads, chunks may start out of order
+        assert all((hi - lo) * cfg.N <= 64 for lo, hi in sizes)
+        assert sizes == [(lo, min(lo + 6, trials)) for lo in range(0, trials, 6)]
+        folded, shapes = ens._fold_seed(seed), _shape_arrays(cfg)
+        rows = [
+            _trace_moments(*_tridiagonal_from_squares(*textbook_squares(
+                shapes, ens._stream(folded, ens._CHUNK_KEY_BASE + i), hi - lo
+            )), k_max)
+            for i, (lo, hi) in enumerate(sizes)
+        ]
+        np.testing.assert_allclose(
+            means.values[1:], np.vstack(rows).mean(axis=0)[1:], rtol=1e-13
+        )
+        # one trial per chunk once N alone passes the cap
+        sizes.clear()
+        mc_moments(EnsembleConfig(100, 1.5, 0.3, 0.7), 1, 3, seed)
+        assert sizes == [(0, 1), (1, 2), (2, 3)]
 
     def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # a (trials, k_max + 1) array used to hold every trial's moments
