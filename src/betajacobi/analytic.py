@@ -75,16 +75,14 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
     return -num / (z * den)
 
 
-def stieltjes_auto(
-    kind: ModelKind, p: JacobiParams, z: complex, depth: int = 2000
-) -> tuple[complex, str]:
+def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[complex, str]:
     """Stieltjes transform by the closed form when its region allows,
-    otherwise by the continued fraction.  Returns (value, route)."""
-    depth = as_count("depth", depth, 2)
+    otherwise by the continued fraction at its default depth
+    (spectral.DEFAULT_DEPTH).  Returns (value, route)."""
     try:
         return stieltjes_closed(kind, p, z), "closed"
     except UnsupportedRegionError:
-        return stieltjes_cf(kind, p, z, depth=depth), "cf"
+        return stieltjes_cf(kind, p, z), "cf"
 
 
 def u_of_x(p: JacobiParams, x: float) -> float:
@@ -167,17 +165,16 @@ def density_numeric(
 
     The continued-fraction depth is max(400, 12 / sqrt(eps)): near the
     support the tail-coefficient error is damped like
-    exp(-C depth sqrt(eps)).  The tail is the constant-coefficient fixed
-    point, since at distance eps the zero-tail truncation resolves into
-    its own atoms and the imaginary part collapses between them.  The
-    smoothing bias is linear in eps (the next term of Im S(x + i eps) is
-    eps * Re S'(x)).
+    exp(-C depth sqrt(eps)).  The fraction's constant-coefficient tail
+    keeps the imaginary part from collapsing between the truncation's
+    atoms at distance eps.  The smoothing bias is linear in eps (the next
+    term of Im S(x + i eps) is eps * Re S'(x)).
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     depth = max(400, int(12.0 / math.sqrt(eps)))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None, tail="limit")
+    s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None)
     out = np.imag(s) / math.pi
     return float(out[0]) if np.ndim(x) == 0 else out
 

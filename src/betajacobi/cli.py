@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import numpy as np
@@ -25,7 +26,7 @@ from .coeffs import JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, _spectrum_blocks
 from .errors import ParameterError, as_count
-from .spectral import moment11
+from .spectral import DEFAULT_DEPTH, moment11
 
 DEFAULT_SEED = 20177
 
@@ -75,24 +76,21 @@ def _clean(v):
     return v
 
 
-def _emit(meta: dict, columns: list[str], rows: list[list], args) -> None:
-    rows = [[_clean(v) for v in row] for row in rows]
-    if args.format == "csv":
-        lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        doc = {
-            "meta": {k: _clean(v) for k, v in meta.items()},
-            "data": {"columns": columns, "rows": rows},
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(meta: dict, columns: list[str], rows, args) -> None:
+    """Write the table: CSV row by row as `rows` yields them, so a
+    generator of rows is never held whole; JSON as one document."""
+    out = open(args.output, "w", newline="\n") if args.output else nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "csv":
+            fh.writelines(f"# {k}={_fmt(v)}\n" for k, v in meta.items())
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        else:
+            doc = {
+                "meta": {k: _clean(v) for k, v in meta.items()},
+                "data": {"columns": columns, "rows": [list(map(_clean, row)) for row in rows]},
+            }
+            fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _base_meta(command: str, p: JacobiParams | None = None) -> dict:
@@ -134,11 +132,11 @@ def cmd_sample(args) -> int:
         _emit(meta, ["bin_left", "bin_right", "count", "mass"], rows, args)
     else:
         spectra = (nodes for block in blocks for nodes in block)
-        rows = [
+        rows = (
             [trial, i, float(v)]
             for trial, nodes in enumerate(spectra)
             for i, v in enumerate(nodes)
-        ]
+        )
         _emit(meta, ["trial", "index", "eigenvalue"], rows, args)
     return 0
 
@@ -164,12 +162,12 @@ def cmd_stieltjes(args) -> int:
     meta = _base_meta("stieltjes", p)
     meta.update(
         kind=args.kind, re0=args.re0, re1=args.re1,
-        points=args.points, im=args.im, depth=args.depth,
+        points=args.points, im=args.im, depth=DEFAULT_DEPTH,
     )
     rows = []
     for re in np.linspace(args.re0, args.re1, args.points):
         z = complex(re, args.im)
-        s, route = stieltjes_auto(kind, p, z, depth=args.depth)
+        s, route = stieltjes_auto(kind, p, z)
         rows.append([float(re), args.im, s.real, s.imag, route])
     _emit(meta, ["re_z", "im_z", "re_s", "im_s", "route"], rows, args)
     return 0
@@ -308,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--re0", type=float, default=-1.0)
     sp.add_argument("--re1", type=float, default=2.0)
     sp.add_argument("--points", type=int, default=61)
-    sp.add_argument("--im", type=float, default=0.5, help="imaginary offset (nonzero)")
-    sp.add_argument("--depth", type=int, default=2000,
-                    help="continued-fraction depth for the fallback route")
+    sp.add_argument("--im", type=float, default=0.5,
+                    help="imaginary offset (at 0, points with re_z in [0, 1] are refused)")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_stieltjes)
 

@@ -276,15 +276,16 @@ def _spectra(shapes, streams: list) -> np.ndarray:
 
 
 def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
-    """Spectra of trials 0..trials-1 under `seed`, yielded in order as
-    (m, N) blocks of about _SPECTRUM_BLOCK entries; row for trial i is
-    bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
+    """Spectra of trials 0..trials-1 under `seed` (checked at the call),
+    in order as (m, N) blocks of about _SPECTRUM_BLOCK entries; row for
+    trial i is bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
     step = max(1, _SPECTRUM_BLOCK // cfg.N)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        yield _spectra(shapes, [_stream(folded, i) for i in range(lo, hi)])
+    return (
+        _spectra(shapes, [_stream(folded, i) for i in range(lo, min(lo + step, trials))])
+        for lo in range(0, trials, step)
+    )
 
 
 def empirical_measure(

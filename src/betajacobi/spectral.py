@@ -19,6 +19,7 @@ from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_cou
 
 __all__ = [
     "DEFAULT_RTOL",
+    "DEFAULT_DEPTH",
     "SymmetricTridiagonal",
     "DiscreteMeasure",
     "MomentVector",
@@ -31,6 +32,9 @@ __all__ = [
 
 # default relative tolerance for deterministic identity checks
 DEFAULT_RTOL = 1e-10
+
+# continued-fraction depth of stieltjes_cf when the caller gives none
+DEFAULT_DEPTH = 400
 
 
 @dataclass(frozen=True)
@@ -187,14 +191,14 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
 
 
 def _limit_tail(zc: np.ndarray) -> np.ndarray:
-    """Herglotz fixed point of the deep-level fraction map.
+    """Herglotz fixed point of the deep-level map, every fraction's tail.
 
     The coefficient streams tend to 1/4, so levels far down look like the
     constant-coefficient operator with d = 1/2, e^2 = 1/16, whose
     transform solves S = -1/(z - 1/2 + S/16).  Seeding the tail with this
-    root keeps the approximated spectrum continuous, which matters for z
-    within an eigenvalue spacing of the support; the zero tail instead
-    converges to the purely atomic measure of the truncation.
+    root keeps the approximated spectrum continuous for z within an
+    eigenvalue spacing of the support, where a zero tail would converge
+    to the purely atomic measure of the truncation.
     """
     w = zc - 0.5
     disc = np.sqrt(w * w - 0.25 + 0j)
@@ -213,43 +217,43 @@ def stieltjes_cf(
     kind: ModelKind,
     p: JacobiParams,
     z,
-    depth: int = 400,
+    depth: int = DEFAULT_DEPTH,
     *,
     warn_tol: float | None = DEFAULT_RTOL,
-    tail: str = "zero",
 ):
     """Stieltjes transform S(z) = integral d nu(x) / (x - z), truncated
     continued fraction of the given depth.
 
     Satisfies -1/S_J(z) = z - d_1 + e_1^2 S_J'(z) level by level, with the
-    tail below `depth` set to zero (``tail="zero"``, the default) or to
-    the constant-coefficient fixed point (``tail="limit"``, needed when z
-    sits closer to the support than the truncation's eigenvalue spacing).
-    The fraction is evaluated as the resolvent entry (T - z)^{-1}_{11} of
-    the depth-by-depth truncation T, tail folded into its last diagonal
+    tail below `depth` set to the constant-coefficient fixed point
+    (_limit_tail), so that z closer to the support than the truncation's
+    eigenvalue spacing still sees a continuous spectrum.  The fraction is
+    evaluated as the resolvent entry (T - z)^{-1}_{11} of the
+    depth-by-depth truncation T, tail folded into its last diagonal
     entry, by one LAPACK tridiagonal solve per point; the rows are taken
     deepest first, so the elimination runs up the levels like the
     backward recursion and equals it up to rounding.
 
-    Accepts scalar or array z (finite, complex, off the support); a z on
-    an eigenvalue of the truncation raises ConvergenceError.  When the
-    depth-halved value differs by more than ``warn_tol`` (relative), a
-    ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
-    second evaluation.
+    Accepts scalar or array z (finite, complex, off the support): a real
+    z in [0, 1] raises ParameterError, and a z the solver finds singular
+    raises ConvergenceError.  When the depth-halved value differs by more
+    than ``warn_tol`` (relative), a ConvergenceWarning is emitted; pass
+    ``warn_tol=None`` to skip that second evaluation.
     """
     depth = as_count("depth", depth, 2)
-    if tail not in ("zero", "limit"):
-        raise ParameterError(f"tail must be 'zero' or 'limit', got {tail!r}")
     zc = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zc)):
         raise ParameterError(f"z must be finite, got {z!r}")
     shape = zc.shape
     zc = zc.ravel()
+    on_support = zc.real[(zc.imag == 0.0) & (zc.real >= 0.0) & (zc.real <= 1.0)]
+    if len(on_support):
+        raise ParameterError(f"z = {on_support[0]} is real and on the support [0, 1]")
 
-    # one extra row so the deepest level can couple to a nonzero tail
+    # one extra row so the deepest level can couple to the tail
     d, e = tridiag_entries(kind, p, depth + 1)
     e2 = e**2
-    seed = _limit_tail(zc) if tail == "limit" else np.zeros_like(zc)
+    seed = _limit_tail(zc)
 
     def _eval(levels: int) -> np.ndarray:
         # Rows deepest first.  The off-diagonal pair (e2, 1) has the
@@ -278,8 +282,8 @@ def stieltjes_cf(
             )[3:]
             if info > 0:
                 raise ConvergenceError(
-                    f"z = {complex(zi)} is an eigenvalue of the {levels}-level "
-                    f"truncation (depth {depth}), a pole of the continued fraction"
+                    f"z = {complex(zi)} is a pole of the {levels}-level "
+                    f"continued fraction (depth {depth})"
                 )
             out[i] = x[-1, 0]
         return out

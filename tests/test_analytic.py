@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from betajacobi import (
+    ConvergenceWarning,
     DensityProfile,
     JacobiParams,
     ModelKind,
@@ -31,7 +32,7 @@ from betajacobi import (
     zeta_n,
 )
 
-from oracles import beta_density, uniform_stieltjes
+from oracles import backward_cf, beta_density, uniform_stieltjes
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -85,6 +86,11 @@ class TestStieltjesClosed:
                 stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
             with pytest.raises(ParameterError):
                 stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+        # real z in (0, 1] is on the closed form's cut, and the fallback
+        # fraction refuses it (it used to return a real number)
+        for z in (0.25, 0.5, 1.0):
+            with pytest.raises(ParameterError, match="on the support"):
+                stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
 
     def test_auto_routes(self):
         val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, 2.0 + 1.0j)
@@ -93,6 +99,17 @@ class TestStieltjesClosed:
         val2, route2 = stieltjes_auto(ModelKind.ASSOC_III, P_REF, -0.5j)
         assert route2 == "cf"
         assert val2.imag != 0.0
+
+    def test_cf_fallback_near_support(self):
+        # the fallback fraction keeps a continuous tail: at depth 2000 a
+        # zero tail was off by 6.7e-4 here, at depth 400 by 0.34
+        z = 0.5 + 1e-3j
+        with pytest.warns(ConvergenceWarning):
+            val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+        assert route == "cf"
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, 40001)
+        want = backward_cf(d, e, z, "limit")
+        assert abs(val - want) <= 1e-6 * abs(want)
 
 
 class TestBoundarySolutions:

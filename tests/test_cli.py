@@ -146,8 +146,10 @@ class TestSampleBlocks:
         ]
         assert lines == want
 
-    def test_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path):
-        # every spectrum used to be kept until the histogram was taken
+    @pytest.mark.parametrize("bins", ["40", "0"])
+    def test_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path, bins):
+        # every spectrum used to be kept until the histogram was taken,
+        # and every raw row until the table was written
         import tracemalloc
 
         monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 32 * 32)
@@ -155,7 +157,7 @@ class TestSampleBlocks:
         def run(blocks):
             return main(
                 ["sample", "--n", "32", "--c", "1", "--a", "0.5", "--b", "0.5",
-                 "--trials", str(32 * blocks), "--bins", "40", "--seed", "3",
+                 "--trials", str(32 * blocks), "--bins", bins, "--seed", "3",
                  "--output", str(tmp_path / f"{blocks}.csv")]
             )
 
@@ -243,8 +245,26 @@ class TestStieltjes:
             capsys,
         )
         assert code == 0
-        _, _, rows = read_csv_text(out)
+        meta, _, rows = read_csv_text(out)
         assert all(float(r[3]) > 0.0 for r in rows)
+        # the depth the fallback fraction runs at
+        assert meta["depth"] == "400"
+
+    def test_real_points_on_support_exit_two(self, capsys):
+        # these rows used to be the zero-tail fraction's real values
+        code, out, err = run_cli(
+            ["stieltjes", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--re0", "0.25",
+             "--re1", "0.75", "--points", "3", "--im", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "on the support" in err and out == ""
+
+    def test_im_help_names_refused_points(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stieltjes", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "at 0, points with re_z in [0, 1] are refused" in help_text
 
 
 class TestMoments:

@@ -37,9 +37,6 @@ COUNTS = {
     "stieltjes_cf.depth": (
         lambda v: bj.stieltjes_cf(K, P, 2.0 + 0.5j, depth=v, warn_tol=None), 2, 40
     ),
-    "stieltjes_auto.depth": (
-        lambda v: bj.stieltjes_auto(K, P, 2.0 + 0.5j, depth=v), 2, 40
-    ),
     "pochhammer.n": (lambda v: bj.pochhammer(0.3, v), 0, 4),
     "recurrence_rn.n": (lambda v: bj.recurrence_rn(P, v, 0.4), 0, 3),
     "wimp_rn.n": (lambda v: bj.wimp_rn(P, v, 0.4), 0, 3),
@@ -108,8 +105,6 @@ OPTIONS = {
     "eigen_tridiagonal.want_first_components": "spectral.gauss_quadrature",
     "stieltjes_cf.depth": "analytic.density_numeric",
     "stieltjes_cf.warn_tol": "analytic.density_numeric",
-    "stieltjes_cf.tail": "analytic.density_numeric",
-    "stieltjes_auto.depth": "cli.cmd_stieltjes",
     "density_numeric.eps": "analytic.density_profile",
     "density_profile.method": "cli.cmd_density",
     "density_profile.eps": "cli.cmd_density",

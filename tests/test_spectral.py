@@ -275,50 +275,35 @@ class TestStieltjesCF:
         with pytest.warns(ConvergenceWarning):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 0.5 + 1e-4j, depth=8)
 
-    def test_tail_choices_agree_far_from_support(self):
-        z = 3.0 + 1.0j
-        s0 = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, tail="zero")
-        s1 = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, tail="limit")
-        assert s1 == pytest.approx(s0, rel=1e-12)
-
     def test_limit_tail_helps_on_support_edge(self):
-        # z hugging the support: the zero tail sees the truncation's atoms,
+        # z hugging the support: a zero tail sees the truncation's atoms,
         # the seeded tail converges (quadratically in depth) to the smooth
         # transform
         z = 0.5 + 1e-7j
-        near = stieltjes_cf(
-            ModelKind.ASSOC_III, P_REF, z, depth=3200, tail="limit", warn_tol=None
-        )
-        deep = stieltjes_cf(
-            ModelKind.ASSOC_III, P_REF, z, depth=6400, tail="limit", warn_tol=None
-        )
-        atoms = stieltjes_cf(
-            ModelKind.ASSOC_III, P_REF, z, depth=6400, tail="zero", warn_tol=None
-        )
+        near = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, depth=3200, warn_tol=None)
+        deep = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, depth=6400, warn_tol=None)
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, 6401)
+        atoms = backward_cf(d, e, z, "zero")
         assert near == pytest.approx(deep, rel=1e-7)
         assert deep.imag > 0.0
         assert abs(atoms - deep) > 0.5 * abs(deep)
-
-    def test_invalid_tail_raises(self):
-        with pytest.raises(ParameterError):
-            stieltjes_cf(ModelKind.ASSOC_III, P_REF, 1.0j, tail="flat")
 
     def test_min_depth_enforced(self):
         with pytest.raises(ParameterError):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 1.0j, depth=1)
 
-    @pytest.mark.parametrize("tail", ["zero", "limit"])
     @pytest.mark.parametrize("depth", [2, 3, 400, 12000])
-    def test_matches_backward_recursion(self, tail, depth):
+    def test_matches_backward_recursion(self, depth):
         # the tridiagonal solve against the level-by-level fraction, far
-        # from the support, on the real axis off it, and hugging it
+        # from the support, on the real axis off it (also just off it),
+        # and hugging it
         zs = np.array(
             [0.5 + 0.5j, 2.0 + 1.0j, -1.0 + 0.25j, 1.4 - 0.3j, -0.5, 1.5,
-             0.3 + 1e-6j, 0.8 + 1e-6j, 0.05 - 1e-6j]
+             0.3 + 1e-6j, 0.8 + 1e-6j, 0.05 - 1e-6j, -1e-3, 1.0 + 1e-3]
         )
         d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, depth + 1)
-        want = np.array([backward_cf(d, e, z, tail) for z in zs])
-        opts = dict(depth=depth, warn_tol=None, tail=tail)
+        want = np.array([backward_cf(d, e, z, "limit") for z in zs])
+        opts = dict(depth=depth, warn_tol=None)
         vec = stieltjes_cf(ModelKind.ASSOC_III, P_REF, zs, **opts)
         assert vec.shape == zs.shape
         np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0.0)
@@ -344,18 +329,29 @@ class TestStieltjesCF:
         s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, warn_tol=warn_tol)
         assert s.shape == shape and s.dtype == complex
 
-    def test_eigenvalue_of_truncation_raises(self):
-        # uniform measure: every diagonal entry is 1/2, so z = 1/2 is an
-        # eigenvalue of the 1- and 3-level truncations (not of the 2-level
-        # one, whose (1, 1) resolvent entry there is 0 although the
-        # backward recursion divides by zero on the way)
-        p = JacobiParams(0.0, 0.0, 0.0)
-        pole = r"z = \(0\.5\+0j\) is an eigenvalue of the "
-        with pytest.raises(ConvergenceError, match=pole + r"1-level.*\(depth 2\)"):
-            stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=2)
-        with pytest.raises(ConvergenceError, match=pole + r"3-level.*\(depth 3\)"):
-            stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=3, warn_tol=None)
-        assert stieltjes_cf(ModelKind.CLASSICAL, p, 0.5, depth=2, warn_tol=None) == 0.0
+    @pytest.mark.parametrize(
+        "z", [0.0, 0.25, 1.0, complex(0.5, -0.0), np.array([2.0j, 0.7]), np.array([[1.5, 0.0]])]
+    )
+    def test_real_z_on_support_raises(self, z):
+        # with the zero tail 0.25 used to give 4.24 and a warning; with the
+        # limit tail it would give S(x + i0) without one
+        with pytest.raises(ParameterError, match="on the support"):
+            stieltjes_cf(ModelKind.CLASSICAL, JacobiParams(0.0, 0.0, 0.0), z)
+
+    def test_singular_solve_raises(self, monkeypatch):
+        import betajacobi.spectral as spectral
+
+        levels = []
+
+        def singular(dl, d, du, b, **kw):
+            levels.append(len(d))
+            return dl, d, du, b, 2
+
+        monkeypatch.setattr(spectral, "_zgtsv", singular)
+        pole = r"z = \(0\.5\+0\.5j\) is a pole of the "
+        with pytest.raises(ConvergenceError, match=pole + r"7-level.*\(depth 7\)"):
+            stieltjes_cf(ModelKind.ASSOC_III, P_REF, 0.5 + 0.5j, depth=7)
+        assert levels == [7]
 
 
 class TestJacobiMatrix:
