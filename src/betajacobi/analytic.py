@@ -8,13 +8,13 @@ sides intact when modifying formulas.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import (
+    _MAX_SIZE,
     JacobiParams,
     ModelKind,
     _lambda_terms,
@@ -26,7 +26,7 @@ from .coeffs import (
 )
 from .errors import ParameterError, PoleError, UnsupportedRegionError, as_count
 from .hypergeom import gamma_ratio, hyp2f1, ln_gamma
-from .spectral import stieltjes_cf
+from .spectral import _cf_depth, _support_distance, stieltjes_cf
 
 __all__ = [
     "DensityProfile",
@@ -52,15 +52,13 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
 
     All three associated models share the numerator 2F1(c+1, c+a+1;
     2c+a+b+2; 1/z); they differ in the denominator series.  Principal
-    branch; raises UnsupportedRegionError when 1/z falls outside the
-    implemented 2F1 regions (fall back to stieltjes_cf then).
+    branch.  A non-finite z or a real z in [0, 1] raises ParameterError,
+    as in stieltjes_cf; UnsupportedRegionError is raised when 1/z falls
+    outside the implemented 2F1 regions (fall back to stieltjes_cf then).
     """
     validate_model(kind, p)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ParameterError(f"z must be finite, got {z!r}")
-    if z == 0.0:
-        raise ParameterError("z = 0 is on the support")
+    _support_distance(z)
     a, b, c = p.a, p.b, p.c
     x = 1.0 / z
     num, _ = hyp2f1(c + 1.0, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
@@ -77,12 +75,14 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
 
 def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[complex, str]:
     """Stieltjes transform by the closed form when its region allows,
-    otherwise by the continued fraction at its default depth
-    (spectral.DEFAULT_DEPTH).  Returns (value, route)."""
+    otherwise by the continued fraction at the depth spectral._cf_depth
+    gives for z's distance to the support (400 from 0.0009 on).  Returns
+    (value, route)."""
     try:
         return stieltjes_closed(kind, p, z), "closed"
     except UnsupportedRegionError:
-        return stieltjes_cf(kind, p, z), "cf"
+        depth = _cf_depth(_support_distance(z))
+        return stieltjes_cf(kind, p, z, depth=depth), "cf"
 
 
 def u_of_x(p: JacobiParams, x: float) -> float:
@@ -163,16 +163,15 @@ def density_numeric(
 ) -> float | np.ndarray:
     """Density by Stieltjes inversion, Im S(x + i eps) / pi.
 
-    The continued-fraction depth is max(400, 12 / sqrt(eps)): near the
-    support the tail-coefficient error is damped like
-    exp(-C depth sqrt(eps)).  The fraction's constant-coefficient tail
-    keeps the imaginary part from collapsing between the truncation's
-    atoms at distance eps.  The smoothing bias is linear in eps (the next
+    The continued-fraction depth is spectral._cf_depth's at distance eps,
+    that of x + i eps to the support for x in [0, 1].  The fraction's
+    constant-coefficient tail keeps the imaginary part from collapsing
+    between the truncation's atoms at distance eps.  The smoothing bias is linear in eps (the next
     term of Im S(x + i eps) is eps * Re S'(x)).
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ParameterError(f"eps must be positive and finite, got {eps}")
-    depth = max(400, int(12.0 / math.sqrt(eps)))
+    depth = _cf_depth(eps)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None)
     out = np.imag(s) / math.pi
@@ -385,6 +384,9 @@ def zeta_n(p: JacobiParams, n: int) -> float:
              * (c+a+1)_n / (c+1)_n, computed in log space.
     """
     n = as_count("index", n)
+    # the coefficient arrays below are O(n): the truncation size cap
+    if n > _MAX_SIZE:
+        raise ParameterError(f"index must be <= 2**22 = {_MAX_SIZE}, got {n}")
     if n == 0:
         return 1.0
     validate_model(ModelKind.ASSOC_III, p)

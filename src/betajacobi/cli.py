@@ -26,7 +26,7 @@ from .coeffs import JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, _spectrum_blocks
 from .errors import ParameterError, as_count
-from .spectral import DEFAULT_DEPTH, moment11
+from .spectral import _cf_depth, _support_distance, moment11
 
 DEFAULT_SEED = 20177
 
@@ -159,16 +159,19 @@ def cmd_stieltjes(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     kind = ModelKind(args.kind)
     as_count("--points", args.points, 1)
-    meta = _base_meta("stieltjes", p)
-    meta.update(
-        kind=args.kind, re0=args.re0, re1=args.re1,
-        points=args.points, im=args.im, depth=DEFAULT_DEPTH,
-    )
-    rows = []
+    rows, cf_z = [], []
     for re in np.linspace(args.re0, args.re1, args.points):
         z = complex(re, args.im)
         s, route = stieltjes_auto(kind, p, z)
         rows.append([float(re), args.im, s.real, s.imag, route])
+        if route == "cf":
+            cf_z.append(z)
+    meta = _base_meta("stieltjes", p)
+    meta.update(
+        kind=args.kind, re0=args.re0, re1=args.re1, points=args.points, im=args.im,
+        # the deepest fraction a cf row used (the least depth when none did)
+        depth=_cf_depth(_support_distance(cf_z)),
+    )
     _emit(meta, ["re_z", "im_z", "re_s", "im_s", "route"], rows, args)
     return 0
 
@@ -207,7 +210,7 @@ def cmd_dynamics(args) -> int:
     if args.sde:
         as_count("--sde-n", args.sde_n, 1)
         seed = _resolve_seed(args)
-        beta = args.beta if args.beta is not None else 2.0 * args.c / args.sde_n
+        beta = 2.0 * args.c / args.sde_n
         meta.update(
             sde_n=args.sde_n, sde_beta=beta, sde_dt=args.sde_dt,
             paths=args.paths, seed=seed,
@@ -280,10 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="sample spectra of the random matrix model")
-    _add_params(sp)
+    _add_params(sp, with_c=False)
+    # beta = 2c/N, so one of the two fixes the other
+    shape = sp.add_mutually_exclusive_group()
+    shape.add_argument("--c", type=float, default=0.0,
+                       help="association shift c (default 0)")
+    shape.add_argument("--beta", type=float, default=None,
+                       help="Dyson beta (default: derived as 2c/N)")
     sp.add_argument("--n", type=int, required=True, help="matrix size N")
-    sp.add_argument("--beta", type=float, default=None,
-                    help="Dyson beta (default: derived as 2c/N)")
     sp.add_argument("--trials", type=int, default=1, help="number of matrices")
     sp.add_argument("--bins", type=int, default=0,
                     help="histogram bin count; 0 emits raw eigenvalues")
@@ -323,12 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-end", type=float, default=10.0)
     sp.add_argument("--dt", type=float, default=1e-3, help="hierarchy step")
     sp.add_argument("--x0", type=float, default=0.5, help="common start point in [0,1]")
-    sp.add_argument("--sde", action="store_true", help="add a particle-system overlay")
+    sp.add_argument("--sde", action="store_true",
+                    help="add a particle-system overlay (beta = 2c/N)")
     sp.add_argument("--sde-n", type=int, default=40, help="particle count")
     sp.add_argument("--sde-dt", type=float, default=1e-4)
     sp.add_argument("--paths", type=int, default=100)
-    sp.add_argument("--beta", type=float, default=None,
-                    help="particle beta (default: derived as 2c/N)")
     _add_seed(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_dynamics)

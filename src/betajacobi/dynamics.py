@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import JacobiParams, lambda_hat0
+from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
 from .errors import ConvergenceError, ParameterError, as_count
 from .spectral import MomentVector
@@ -382,9 +382,12 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
             - c sum_{j=1}^{k-1} u_j u_{k-j} ] / (2c + a + b + k + 1),
 
     u_0 = 1.  The j-sum never touches u_k, so the recursion is closed.
-    u_1 reproduces the spectral head coefficient.
+    u_1 reproduces the spectral head coefficient.  The u_k are the
+    moments of the ASSOC_III spectral measure, so p must satisfy that
+    model's constraints, as in moment11.
     """
     k_max = as_count("k_max", k_max)
+    validate_model(ModelKind.ASSOC_III, p)
     a, b, c = p.a, p.b, p.c
     u = np.empty(k_max + 1)
     u[0] = 1.0

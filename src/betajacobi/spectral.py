@@ -7,6 +7,7 @@ quadrature rules read off eigen-decompositions, and the resolvent
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +34,8 @@ __all__ = [
 # default relative tolerance for deterministic identity checks
 DEFAULT_RTOL = 1e-10
 
-# continued-fraction depth of stieltjes_cf when the caller gives none
+# continued-fraction depth of stieltjes_cf when the caller gives none,
+# and the least depth _cf_depth picks
 DEFAULT_DEPTH = 400
 
 
@@ -165,14 +167,9 @@ def _stevd(d: np.ndarray, e: np.ndarray, *, compute_v: bool = False):
     return vals, vecs
 
 
-def eigen_tridiagonal(t: SymmetricTridiagonal, *, want_first_components: bool = False):
-    """Eigenvalues (ascending) of a symmetric tridiagonal matrix.
-
-    With ``want_first_components`` also returns the first components of the
-    orthonormal eigenvectors (all that Gauss quadrature needs).
-    """
-    vals, vecs = _stevd(t.diag, t.offdiag, compute_v=want_first_components)
-    return (vals, vecs[0]) if want_first_components else vals
+def eigen_tridiagonal(t: SymmetricTridiagonal) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric tridiagonal matrix."""
+    return _stevd(t.diag, t.offdiag)[0]
 
 
 def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasure:
@@ -184,10 +181,35 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
     """
     m = as_count("quadrature points m", m, 1)
     t = jacobi_matrix(kind, p, m)
-    nodes, first = eigen_tridiagonal(t, want_first_components=True)
+    nodes, vecs = _stevd(t.diag, t.offdiag, compute_v=True)
     if np.any(np.diff(nodes) <= 0.0):
         raise ConvergenceError("quadrature nodes are not strictly increasing")
-    return DiscreteMeasure(nodes, first**2)
+    return DiscreteMeasure(nodes, vecs[0] ** 2)
+
+
+def _support_distance(z) -> np.ndarray:
+    """Distance (> 0) of each point of z, flattened, to the support [0, 1].
+
+    The transform's one domain test: a non-finite z, or a real z in
+    [0, 1], has no value and raises ParameterError.
+    """
+    zc = np.asarray(z, dtype=complex).ravel()
+    if not np.all(np.isfinite(zc)):
+        raise ParameterError(f"z must be finite and not on the support [0, 1], got {z!r}")
+    gap = np.maximum(np.maximum(-zc.real, zc.real - 1.0), 0.0)
+    on_support = zc.real[(zc.imag == 0.0) & (gap == 0.0)]
+    if len(on_support):
+        raise ParameterError(f"z = {on_support[0]} is real and on the support [0, 1]")
+    return np.hypot(gap, zc.imag)
+
+
+def _cf_depth(dist) -> int:
+    """Fraction depth max(DEFAULT_DEPTH, 12 / sqrt(d)) for points at least
+    d = min(dist) from the support (DEFAULT_DEPTH for none): the tail's
+    error is damped like exp(-C depth sqrt(d)).  Past the 2**22 size cap
+    tridiag_entries raises ParameterError."""
+    d = float(np.min(dist, initial=math.inf))
+    return max(DEFAULT_DEPTH, int(12.0 / math.sqrt(d)))
 
 
 def _limit_tail(zc: np.ndarray) -> np.ndarray:
@@ -241,14 +263,10 @@ def stieltjes_cf(
     ``warn_tol=None`` to skip that second evaluation.
     """
     depth = as_count("depth", depth, 2)
+    _support_distance(z)
     zc = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(zc)):
-        raise ParameterError(f"z must be finite, got {z!r}")
     shape = zc.shape
     zc = zc.ravel()
-    on_support = zc.real[(zc.imag == 0.0) & (zc.real >= 0.0) & (zc.real <= 1.0)]
-    if len(on_support):
-        raise ParameterError(f"z = {on_support[0]} is real and on the support [0, 1]")
 
     # one extra row so the deepest level can couple to the tail
     d, e = tridiag_entries(kind, p, depth + 1)

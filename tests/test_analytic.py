@@ -1,6 +1,7 @@
 """Closed-form transforms, density routes, and the polynomial formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,9 +87,12 @@ class TestStieltjesClosed:
                 stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
             with pytest.raises(ParameterError):
                 stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
-        # real z in (0, 1] is on the closed form's cut, and the fallback
-        # fraction refuses it (it used to return a real number)
+        # real z in (0, 1] is on the support: the closed form refuses it
+        # (it used to raise UnsupportedRegionError from its cut), and so
+        # does the fallback fraction (it used to return a real number)
         for z in (0.25, 0.5, 1.0):
+            with pytest.raises(ParameterError, match="on the support"):
+                stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
             with pytest.raises(ParameterError, match="on the support"):
                 stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
 
@@ -110,6 +114,18 @@ class TestStieltjesClosed:
         d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, 40001)
         want = backward_cf(d, e, z, "limit")
         assert abs(val - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("z", [1e-5j, -1e-5, -1e-6, -1e-4])
+    def test_cf_fallback_deepens_at_the_lower_edge(self, z):
+        # the fallback depth grows like 12 / sqrt(distance to [0, 1]):
+        # at a fixed depth 400 these were off by 1.6e-5, 3.5e-6, 3.3e-4
+        # and 1.6e-11, each with only a ConvergenceWarning
+        want = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, depth=400_000, warn_tol=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+        assert route == "cf"
+        assert abs(val - want) <= 1e-12 * abs(want)
 
 
 class TestBoundarySolutions:
@@ -431,3 +447,16 @@ class TestZeta:
         for n in (np.nan, np.inf):
             with pytest.raises(ParameterError):
                 zeta_asymptotic(P_REF, n)
+
+    def test_index_past_the_size_cap_raises_before_allocating(self, monkeypatch):
+        # the coefficient arrays are O(n): n = 10**9 used to ask for 8 GB
+        # each; the refusal comes before the streams are evaluated
+        import betajacobi.analytic as analytic
+
+        def no_streams(*args):
+            raise AssertionError("coefficient stream evaluated")
+
+        monkeypatch.setattr(analytic, "mu_n", no_streams)
+        monkeypatch.setattr(analytic, "lambda_n", no_streams)
+        with pytest.raises(ParameterError, match="index must be <= 2\\*\\*22"):
+            zeta_n(P_REF, 2**22 + 1)

@@ -54,6 +54,15 @@ class TestSample:
         assert meta["seed"] == "7"
         assert meta["beta"] == _fmt_float(2.0 / 60.0)
 
+    def test_beta_and_c_are_exclusive(self, capsys):
+        # beta = 2c/N: --beta used to override --c without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--n", "60", "--c", "1", "--beta", "0.5", "--a", "0.5",
+                  "--b", "0.5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     def test_histogram_masses(self, capsys):
         code, out, _ = run_cli(
             ["sample", "--n", "20", "--a", "0.5", "--b", "0.5", "--c", "1",
@@ -250,6 +259,19 @@ class TestStieltjes:
         # the depth the fallback fraction runs at
         assert meta["depth"] == "400"
 
+    def test_depth_is_the_deepest_cf_row(self, capsys):
+        # every row falls back to the fraction; the one at distance 1e-4
+        # from the support runs 12 / sqrt(1e-4) = 1200 levels deep
+        code, out, _ = run_cli(
+            ["stieltjes", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--re0=-1e-3",
+             "--re1=-1e-4", "--points", "3", "--im", "0"],
+            capsys,
+        )
+        assert code == 0
+        meta, _, rows = read_csv_text(out)
+        assert [r[4] for r in rows] == ["cf"] * 3
+        assert meta["depth"] == "1200"
+
     def test_real_points_on_support_exit_two(self, capsys):
         # these rows used to be the zero-tail fraction's real values
         code, out, err = run_cli(
@@ -304,12 +326,32 @@ class TestDynamics:
             capsys,
         )
         assert code == 0
-        _, header, rows = read_csv_text(out)
+        meta, header, rows = read_csv_text(out)
         series = {r[0] for r in rows}
         assert series == {"ode", "sde"}
         sde_rows = [r for r in rows if r[0] == "sde"]
         # per-path spread shows up in the sde standard-error columns
         assert any(float(r[-1]) > 0.0 for r in sde_rows)
+        # the particles run the hierarchy's model, beta = 2c/N
+        assert meta["sde_beta"] == _fmt_float(2.0 * 0.5 / 5)
+
+    def test_no_beta_flag(self, capsys):
+        # the particle beta is always 2c/--sde-n
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--sde",
+                  "--beta", "0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_parameters_outside_the_model_exit_two(self, capsys):
+        # c + 1 < 0: the stationary moments used to be printed, m_3 < 0
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c=-1.2", "--kmax", "4",
+             "--t-end", "0.01"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and out == ""
 
 
 class TestVerify:

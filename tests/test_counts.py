@@ -102,7 +102,6 @@ COUNT_NAMES = {
 # public parameter with a default -> "module.function" of a caller outside
 # the tests that passes it by keyword
 OPTIONS = {
-    "eigen_tridiagonal.want_first_components": "spectral.gauss_quadrature",
     "stieltjes_cf.depth": "analytic.density_numeric",
     "stieltjes_cf.warn_tol": "analytic.density_numeric",
     "density_numeric.eps": "analytic.density_profile",
@@ -198,3 +197,26 @@ def test_every_option_has_a_caller():
         assert f"{callee}(" in src and f"{param}=" in src, (
             f"{where} does not pass {param}= to {callee}"
         )
+
+
+# parameters the benchmark's tracer (bench/spans.py) binds by name, with
+# defaults applied, to count levels, trials and steps
+TRACED = {
+    "stieltjes_cf": ("z", "depth", "warn_tol"),
+    "mc_moments": ("trials",),
+    "simulate_moments": ("n", "paths", "t_end", "dt"),
+    "integrate_moments": ("t_end", "dt"),
+}
+
+
+@pytest.mark.parametrize("func", sorted(TRACED))
+def test_traced_parameters_exist(func):
+    params = inspect.signature(getattr(bj, func)).parameters
+    missing = [name for name in TRACED[func] if name not in params]
+    assert not missing, f"{func} lost the traced parameters {missing}"
+
+
+def test_stieltjes_cf_depth_default_is_an_int():
+    # the tracer computes int(depth) from the bound default
+    default = inspect.signature(bj.stieltjes_cf).parameters["depth"].default
+    assert type(default) is int and default >= 2

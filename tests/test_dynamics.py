@@ -380,6 +380,16 @@ class TestStationaryMoments:
         with pytest.raises(ParameterError):
             stationary_uk(P_REF, -1)
 
+    def test_outside_the_model_raises(self):
+        # c + 1 = -0.2 violates ASSOC_III's constraints, as in moment11;
+        # the recursion used to return m_3 = -0.0076 and m_4 = -0.0060,
+        # moments no measure on [0, 1] has
+        p = JacobiParams(0.3, 0.7, -1.2)
+        with pytest.raises(ParameterError):
+            moment11(ModelKind.ASSOC_III, p, 4)
+        with pytest.raises(ParameterError):
+            stationary_uk(p, 4)
+
     def test_head_mismatch_raises(self, monkeypatch):
         # the u_1 invariant is an explicit check, so it also holds under -O
         import betajacobi.dynamics as dyn

@@ -158,16 +158,10 @@ class TestEigenTridiagonal:
         slow = sturm_eigenvalues(t.diag, t.offdiag)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
-    def test_first_components_square_to_one(self):
-        t = jacobi_matrix(ModelKind.ASSOC_III, P_REF, 9)
-        vals, first = eigen_tridiagonal(t, want_first_components=True)
-        assert vals.shape == first.shape == (9,)
-        assert np.sum(first**2) == pytest.approx(1.0, rel=1e-12)
-
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_bits_of_scipys_stevd_wrapper(self, n):
         # one direct dstevd call per matrix, the driver scipy picks for a
-        # full spectrum: values and first components to the bit
+        # full spectrum: the values to the bit
         import scipy.linalg
 
         rng = np.random.default_rng(n)
@@ -175,24 +169,25 @@ class TestEigenTridiagonal:
         t = SymmetricTridiagonal(d, e)
         want = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stevd")
         assert eigen_tridiagonal(t).tobytes() == want.tobytes()
-        # with vectors LAPACK takes another path, so other last bits
-        want_vals, want_vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
-        vals, first = eigen_tridiagonal(t, want_first_components=True)
-        assert vals.tobytes() == want_vals.tobytes()
-        assert first.tobytes() == want_vecs[0].tobytes()
         assert t.diag.tobytes() == d.tobytes() and t.offdiag.tobytes() == e.tobytes()
 
-    @pytest.mark.parametrize("want_first_components", [False, True])
-    def test_lapack_failure_raises(self, monkeypatch, want_first_components):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: eigen_tridiagonal(SymmetricTridiagonal(np.zeros(4), np.ones(3))),
+            lambda: gauss_quadrature(ModelKind.ASSOC_III, P_REF, 4),
+        ],
+        ids=["eigen_tridiagonal", "gauss_quadrature"],
+    )
+    def test_lapack_failure_raises(self, monkeypatch, solve):
         import betajacobi.spectral as spectral
 
         def failing(d, e, compute_v):
             return d.copy(), np.eye(len(d)), 3
 
         monkeypatch.setattr(spectral, "_dstevd", failing)
-        t = SymmetricTridiagonal(np.zeros(4), np.ones(3))
         with pytest.raises(ConvergenceError, match="info = 3"):
-            eigen_tridiagonal(t, want_first_components=want_first_components)
+            solve()
 
 
 class TestGaussQuadrature:
@@ -217,6 +212,19 @@ class TestGaussQuadrature:
         rule = gauss_quadrature(ModelKind.ASSOC_I, JacobiParams(0.5, 0.5, 1.0), 3)
         assert np.all(rule.weights > 0.0)
         assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 40])
+    def test_bits_of_scipys_stevd_wrapper(self, m):
+        # nodes and first eigenvector components from one dstevd call with
+        # vectors: the bits of scipy's eigh_tridiagonal with that driver
+        import scipy.linalg
+
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, m)
+        rule = gauss_quadrature(ModelKind.ASSOC_III, P_REF, m)
+        vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+        assert rule.nodes.tobytes() == vals.tobytes()
+        assert rule.weights.tobytes() == (vecs[0] ** 2).tobytes()
+        assert np.sum(rule.weights) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_points_raises(self):
         with pytest.raises(ParameterError):
