@@ -143,7 +143,8 @@ def cmd_sample(args) -> int:
 
 def cmd_density(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
-    xs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
+    # a DensityProfile needs two points
+    xs = np.arange(1, as_count("--grid", args.grid, 2) + 1) / (args.grid + 1.0)
     profile, route = density_profile(p, xs, method=args.method, eps=args.eps)
     meta = _base_meta("density", p)
     meta.update(grid=args.grid, method=args.method, eps=args.eps, route=route)
@@ -192,6 +193,8 @@ def cmd_moments(args) -> int:
 def cmd_dynamics(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     u = stationary_uk(p, args.kmax)
+    if not 0.0 <= args.x0 <= 1.0:
+        raise ParameterError(f"--x0 must lie in [0, 1], got {args.x0!r}")
     m0 = float(args.x0) ** np.arange(args.kmax + 1)
     ode = integrate_moments(m0, p, args.t_end, args.dt)
     meta = _base_meta("dynamics", p)

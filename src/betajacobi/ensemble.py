@@ -7,8 +7,8 @@ J is symmetric tridiagonal, so sampling plus a tridiagonal eigensolver
 gives the spectrum in O(N^2).  Every sampler draws its Beta variates
 through one kernel, a block of gamma ratios per keyed stream.  Monte Carlo moments need no spectrum:
 (1/N) tr J^k is read from the tridiagonal entries by band powers of J.
-Moments can also be computed exactly for small N by enumerating closed
-walks and averaging monomials in the Beta variables.  Sending
+Exact small-N moments sum the closed walks of J, whose means factor
+into Beta moments of the independent variables.  Sending
 kappa = beta/2 to infinity with a = A kappa, b = B kappa freezes the
 matrix onto deterministic entries.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
     "MAX_EXACT_K",
 ]
 
-# closed-walk enumeration is exponential in k; keep it at desk scale
+# the N and k exact_moment is tested to; its O(N k^3) cost is not the limit
 MAX_EXACT_N = 8
 MAX_EXACT_K = 8
 
@@ -344,7 +345,7 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     and each trace is read as a Frobenius inner product,
     tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max) per
     step: no dense matrix is formed.  This is the closed-walk sum that
-    exact_moment expands symbolically, evaluated numerically.
+    exact_moment averages over the Beta variables, on sampled entries.
     """
     m, n = diags.shape
     # diagonals run along axis 0 so row slices stay contiguous
@@ -448,48 +449,24 @@ def mc_moments(
 
 
 # ---------------------------------------------------------------------------
-# exact moments for small N: closed walks + Beta monomial averages
-
-
-def _poly_mul(pa: dict, pb: dict) -> dict:
-    out: dict = {}
-    for ea, ca in pa.items():
-        for eb, cb in pb.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def _poly_add_into(target: dict, other: dict) -> None:
-    for key, coef in other.items():
-        target[key] = target.get(key, 0) + coef
-
-
-def _beta_power_mean(alpha: float, beta: float, j: int) -> float:
-    """E[X^j] for X ~ Beta(alpha, beta); alpha = 0 means X = 0."""
-    if j == 0:
-        return 1.0
-    if alpha == 0.0:
-        return 0.0
-    out = 1.0
-    for r in range(j):
-        out *= (alpha + r) / (alpha + beta + r)
-    return out
+# exact moments for small N: closed walks over the chain of Beta variables
 
 
 def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     """Exact ensemble-mean moment E[(1/N) tr J^k] at finite N.
 
-    J is assembled as the sampler assembles it, in polynomials of the
-    independent Beta variables: s_v^2 = p_v (1 - q_{v-1}),
-    t_v^2 = q_v (1 - p_v), diagonal s_v^2 + t_{v-1}^2, squared
-    off-diagonal e_v^2 = t_v^2 s_v^2.  A closed-walk DP for tr J^k
-    multiplies by the diagonal on a stay and bumps the exponent of a
-    formal edge symbol on a crossing; each edge is crossed an even number
-    of times, so the symbols become cached powers of e_v^2 after the walk
-    sum, and monomials average by the Beta moment product formula with
-    the sampler's shapes (_shape_arrays of EnsembleConfig(n, 2 kappa, a,
-    b), which validates the parameters).  Guarded to N <= 8, k <= 8.
+    The sampler's Beta variables form one chain y_1..y_{2N-1} = p_1, q_1,
+    p_2, ..., p_N, with y_0 = 0 and the shapes of _shape_arrays (whose
+    EnsembleConfig(n, 2 kappa, a, b) validates the parameters).  The
+    squares w_j = y_j (1 - y_{j-1}) are s_n^2 (odd j) and t_n^2 (even j),
+    and J is the even-vertex block of C^2 for the zero-diagonal path
+    matrix C with off-diagonal sqrt(w_j) on vertices 0..2N-1, so
+    tr J^k = tr C^(2k) / 2.  A closed walk crossing edge j 2 m_j times
+    has mean prod_v E[y_v^m_v (1 - y_v)^m_{v+1}] = prod_v (alpha_v)_{m_v}
+    (beta_v)_{m_{v+1}} / (alpha_v + beta_v)_{m_v + m_{v+1}}, and from a
+    start s there are C(m_s + m_{s+1}, m_s) such walks at s times
+    C(m_parent + m_child - 1, m_child) at every other vertex.  One pass
+    over the vertices sums every term, all positive, in O(N k^3).
     """
     n = as_count("N", n, 1)
     if n > MAX_EXACT_N:
@@ -497,65 +474,36 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     k = as_count("k", k)
     if k > MAX_EXACT_K:
         raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
-    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(
-        EnsembleConfig(n, 2.0 * kappa, a, b)
-    )
+    shapes = _shape_arrays(EnsembleConfig(n, 2.0 * kappa, a, b))
     if k == 0:
         return 1.0
+    alpha, beta = np.zeros(2 * n), np.ones(2 * n)  # y_0 = 0 is Beta(0, 1)
+    alpha[1::2], beta[1::2], alpha[2::2], beta[2::2] = shapes
+    m = np.arange(k + 1)
 
-    # variables: p_1..p_N, q_1..q_{N-1}, then one symbol per edge
-    nvars = 3 * n - 2
-    edge0 = 2 * n - 1
+    def ratio(x, y):  # (x)_j / (y)_j for j = 0..k on a new last axis
+        steps = (x[..., None] + m[:-1]) / (y[..., None] + m[:-1])
+        return np.cumprod(np.concatenate([np.ones_like(steps[..., :1]), steps], -1), -1)
 
-    def mono(*vars_: int) -> tuple:
-        return tuple(vars_.count(i) for i in range(nvars))
-
-    def times_one_minus(x: int, y: int) -> dict:  # x (1 - y)
-        return {mono(x): 1, mono(x, y): -1}
-
-    s2 = [{mono(0): 1}] + [times_one_minus(v, n + v - 1) for v in range(1, n)]
-    t2 = [times_one_minus(n + v, v) for v in range(n - 1)]
-    d = [s2[0]] + [{**s2[v], **t2[v - 1]} for v in range(1, n)]
-    e2_pows = [[_poly_mul(t2[v], s2[v])] for v in range(n - 1)]
-
-    # walk-sum DP for tr J^k, edge crossings as formal symbols
-    trace: dict = {}
-    for start in range(n):
-        row = [{} for _ in range(n)]
-        row[start] = {mono(): 1}
-        for _ in range(k):
-            nxt = [{} for _ in range(n)]
-            for v, g in enumerate(row):
-                if not g:
-                    continue
-                _poly_add_into(nxt[v], _poly_mul(g, d[v]))
-                for w, sym in ((v + 1, edge0 + v), (v - 1, edge0 + v - 1)):
-                    if 0 <= w < n:
-                        for key, coef in g.items():
-                            lifted = key[:sym] + (key[sym] + 1,) + key[sym + 1 :]
-                            nxt[w][lifted] = nxt[w].get(lifted, 0) + coef
-            row = nxt
-        _poly_add_into(trace, row[start])
-
-    shapes = list(zip(np.r_[alpha_p, alpha_q].tolist(), np.r_[beta_p, beta_q].tolist()))
-    total = 0.0
-    for expo, coef in trace.items():
-        poly = {expo[:edge0] + (0,) * (n - 1): coef}
-        for v, m in enumerate(expo[edge0:]):
-            if m % 2:
-                raise AssertionError("odd edge power in a closed walk")
-            pows = e2_pows[v]
-            while len(pows) < m // 2:
-                pows.append(_poly_mul(pows[-1], pows[0]))
-            if m:
-                poly = _poly_mul(poly, pows[m // 2 - 1])
-        for key, cf in poly.items():
-            val = float(cf)
-            for (al, be), j in zip(shapes, key):
-                if j:
-                    val *= _beta_power_mean(al, be, j)
-            total += val
-    return total / n
+    # mean[v, m_v, m_{v+1}] of y_v^m_v (1 - y_v)^m_{v+1}; ratios stay finite
+    ab = alpha + beta
+    mean = ratio(alpha, ab)[:, :, None] * ratio(beta[:, None], ab[:, None] + m)
+    # walks per vertex [m_v, m_{v+1}]: at the start, right of it (.T: left of it)
+    at_start = np.array([[comb(i + j, i) for j in m] for i in m], float)
+    past = np.array([[comb(i + j - 1, j) if i + j else 1 for j in m] for i in m], float)
+    # spend[u, m', u'] = [u' == u + m']: crossings used before and after
+    spend = (m[:, None, None] + m[:, None] == m).astype(float)
+    step = "mu,mp,upw->pw"
+    # [m_v, crossings used] with the start ahead of v, and behind it
+    ahead, behind = np.zeros((2, k + 1, k + 1))
+    ahead[0, 0] = 1.0
+    for f in mean:
+        ahead, behind = (
+            np.einsum(step, ahead, f * past.T, spend),
+            np.einsum(step, ahead, f * at_start, spend)
+            + np.einsum(step, behind, f * past, spend),
+        )
+    return float(behind[0, k]) / (2 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dstevd as _dstevd
 from scipy.linalg.lapack import zgtsv as _zgtsv
 
-from .coeffs import JacobiParams, ModelKind, tridiag_entries
+from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, tridiag_entries
 from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count
 
 __all__ = [
@@ -206,10 +206,16 @@ def _support_distance(z) -> np.ndarray:
 def _cf_depth(dist) -> int:
     """Fraction depth max(DEFAULT_DEPTH, 12 / sqrt(d)) for points at least
     d = min(dist) from the support (DEFAULT_DEPTH for none): the tail's
-    error is damped like exp(-C depth sqrt(d)).  Past the 2**22 size cap
-    tridiag_entries raises ParameterError."""
+    error is damped like exp(-C depth sqrt(d)).  A depth whose depth + 1
+    rows would pass the 2**22 size cap raises ParameterError."""
     d = float(np.min(dist, initial=math.inf))
-    return max(DEFAULT_DEPTH, int(12.0 / math.sqrt(d)))
+    depth = max(DEFAULT_DEPTH, int(12.0 / math.sqrt(d)))
+    if depth + 1 > _MAX_SIZE:
+        raise ParameterError(
+            f"a point {d:.3g} from the support [0, 1] needs continued-fraction "
+            f"depth {depth}, past the 2**22 = {_MAX_SIZE} size cap"
+        )
+    return depth
 
 
 def _limit_tail(zc: np.ndarray) -> np.ndarray:

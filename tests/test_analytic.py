@@ -127,6 +127,13 @@ class TestStieltjesClosed:
         assert route == "cf"
         assert abs(val - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("z", [-1e-13, 1e-13j])
+    def test_cf_fallback_past_the_size_cap_names_point_and_depth(self, z):
+        # depth 12 / sqrt(1e-13) passes 2**22 rows; the error used to be
+        # tridiag_entries' "size must be <= 2**22", naming neither
+        with pytest.raises(ParameterError, match="1e-13 from the support.*depth 37947331"):
+            stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+
 
 class TestBoundarySolutions:
     def test_u_at_origin_is_gamma_normalizer(self):
@@ -230,6 +237,8 @@ class TestDensityNumeric:
         # used to raise numpy's "Maximum allowed dimension exceeded"
         with pytest.raises(ParameterError, match="size"):
             density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-300)
+        with pytest.raises(ParameterError, match="1e-15 from the support.*depth 379473319"):
+            density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-15)
 
 
 class TestDensityProfile:

@@ -218,6 +218,22 @@ class TestDensity:
         code, _, err = run_cli(["density", "--a", "1", "--b", "0.5", "--eps", "1e-300"], capsys)
         assert code == 2
         assert err.startswith("error:")
+        # the message names the eps and the depth, not a size the user never set
+        code, _, err = run_cli(
+            ["density", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--method", "numeric",
+             "--eps", "1e-15"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: a point 1e-15 from the support")
+        assert "depth 379473319" in err
+
+    @pytest.mark.parametrize("grid", ["1", "-3"])
+    def test_grid_below_two_exits_two(self, capsys, grid):
+        # these used to report "grid and values must be matching 1d arrays"
+        code, out, err = run_cli(["density", "--a", "0.5", "--b", "0.5", "--grid", grid], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid must be an integer >= 2, got {grid}\n"
 
     def test_forced_closed_on_integer_a_fails_cleanly(self, capsys):
         code, _, err = run_cli(
@@ -352,6 +368,29 @@ class TestDynamics:
         )
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("x0", ["1.5", "-0.5", "2", "nan"])
+    def test_start_outside_unit_interval_exits_two(self, capsys, x0):
+        # 1.5 and -0.5 used to print a flow from moments no measure on
+        # [0, 1] has, and 2 ended in a ConvergenceError traceback
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1.2", f"--x0={x0}",
+             "--kmax", "3", "--t-end", "0.01"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --x0 must lie in [0, 1]")
+
+    @pytest.mark.parametrize("x0", ["0", "1"])
+    def test_start_at_the_ends_runs(self, capsys, x0):
+        code, out, _ = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--x0", x0,
+             "--kmax", "3", "--t-end", "0.01"],
+            capsys,
+        )
+        assert code == 0
+        _, _, rows = read_csv_text(out)
+        assert float(rows[0][3]) == float(x0)  # m_1 at t = 0
 
 
 class TestVerify:

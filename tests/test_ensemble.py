@@ -1,6 +1,7 @@
 """Finite-N sampler, exact small-N moments, and the frozen-limit matrices."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from betajacobi import (
 )
 import betajacobi.ensemble as ens
 from betajacobi.ensemble import (
+    MAX_EXACT_K,
+    MAX_EXACT_N,
     _draw_squares,
     _shape_arrays,
     _trace_moments,
@@ -533,6 +536,52 @@ class TestExactMoments:
             devs = [abs(exact_moment(n, c / n, a, b, k) - lim) for n in (2, 4, 8)]
             assert devs[2] < devs[1] < devs[0]
             assert devs[2] < 0.05
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.25), (-0.999, 0.3), (1.3, -0.6)])
+    def test_kappa_zero_is_iid_beta(self, a, b):
+        # at kappa = 0 the q variables vanish, J is diagonal with iid
+        # Beta(a + 1, b + 1) entries, and m_k = (a + 1)_k / (a + b + 2)_k
+        for k in range(MAX_EXACT_K + 1):
+            want = np.prod([(a + 1 + r) / (a + b + 2 + r) for r in range(k)])
+            for n in range(1, MAX_EXACT_N + 1):
+                assert exact_moment(n, 0.0, a, b, k) == pytest.approx(want, rel=2e-15)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("kappa, a", [(0.7, 0.4), (2.0, -0.5)])
+    def test_equal_weights_are_symmetric_about_one_half(self, n, kappa, a):
+        # at a = b the law is invariant under l -> 1 - l: m_1 = 1/2 and
+        # the odd central moments vanish
+        m = [exact_moment(n, kappa, a, a, k) for k in range(8)]
+        assert m[1] == pytest.approx(0.5, rel=1e-15)
+        for j in (3, 5, 7):
+            central = sum(comb(j, i) * (-0.5) ** (j - i) * m[i] for i in range(j + 1))
+            assert abs(central) <= 2e-15
+
+    @pytest.mark.parametrize("A, B", [(1.0, 1.0), (0.3, 1.7)])
+    def test_large_kappa_reaches_the_frozen_matrix(self, A, B):
+        # a = A kappa, b = B kappa at kappa = 1e100 is the frozen limit to
+        # rounding; Pochhammer symbols of these shapes overflow a double
+        for n in (3, MAX_EXACT_N):
+            frozen = limit_tridiagonal(n, RegimeParams(A, B))
+            d, e = frozen.diag, frozen.offdiag
+            dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            for k in range(1, MAX_EXACT_K + 1):
+                want = np.trace(np.linalg.matrix_power(dense, k)) / n
+                got = exact_moment(n, 1e100, A * 1e100, B * 1e100, k)
+                assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((5, 0.001, -0.99, 0.5, 7), 6.411228708980758e-4),
+            ((6, 0.05, -0.999, -0.999, 6), 0.4162045701642955),
+            ((7, 0.2, 1.3, -0.4, 6), 0.31674963932764777),
+            ((8, 0.3, 0.5, 0.5, 8), 0.13449157647443388),
+        ],
+    )
+    def test_pinned_values(self, args, want):
+        # values of the symbolic closed-walk expansion this pass replaced
+        assert exact_moment(*args) == pytest.approx(want, rel=1e-13)
 
 
 class TestKappaLimit:
