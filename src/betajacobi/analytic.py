@@ -24,7 +24,7 @@ from .coeffs import (
     mu_n,
     validate_model,
 )
-from .errors import ParameterError, PoleError, UnsupportedRegionError, as_count
+from .errors import ParameterError, PoleError, UnsupportedRegionError, as_count, as_real
 from .hypergeom import gamma_ratio, hyp2f1, ln_gamma
 from .spectral import _cf_depth, _support_distance, stieltjes_cf
 
@@ -88,6 +88,7 @@ def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[comple
 def u_of_x(p: JacobiParams, x: float) -> float:
     """Boundary solution U(x) = G * 2F1(c, -c-a-b-1; -a; x), G the gamma
     normalizer; requires a away from the integers."""
+    x = as_real("x", x)
     a, b, c = p.a, p.b, p.c
     coef = gamma_ratio((c + 1.0, a + 1.0), (c + a + 1.0,))
     val, _ = hyp2f1(c, -(c + a + b + 1.0), -a, x)
@@ -97,7 +98,7 @@ def u_of_x(p: JacobiParams, x: float) -> float:
 def v_of_x(p: JacobiParams, x: float) -> float:
     """Companion solution carrying the x^(1+a) (1-x)^(1+b) prefactor;
     identically zero at c = 0."""
-    _check_finite_x(x)
+    x = as_real("x", x)
     a, b, c = p.a, p.b, p.c
     if c == 0.0:
         return 0.0
@@ -134,6 +135,16 @@ def _density_norm(p: JacobiParams) -> float:
     )
 
 
+def _open_unit(x) -> np.ndarray:
+    """x as a 1-d float array, each point inside (0, 1): the one domain
+    of both density routes."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    # written so that NaN fails it too
+    if not np.all((xs > 0.0) & (xs < 1.0)):
+        raise ParameterError("density is defined on the open interval (0, 1)")
+    return xs
+
+
 def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     """Limiting spectral density at x in (0,1).
 
@@ -147,10 +158,7 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     validate_model(ModelKind.ASSOC_I, p)
     _require_noninteger_a(p.a, "closed-form density")
     a, b = p.a, p.b
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    # written so that NaN fails it too
-    if not np.all((xs > 0.0) & (xs < 1.0)):
-        raise ParameterError("density is defined on the open interval (0, 1)")
+    xs = _open_unit(x)
     norm = _density_norm(p)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
@@ -166,13 +174,15 @@ def density_numeric(
     The continued-fraction depth is spectral._cf_depth's at distance eps,
     that of x + i eps to the support for x in [0, 1].  The fraction's
     constant-coefficient tail keeps the imaginary part from collapsing
-    between the truncation's atoms at distance eps.  The smoothing bias is linear in eps (the next
-    term of Im S(x + i eps) is eps * Re S'(x)).
+    between the truncation's atoms at distance eps.  The smoothing bias
+    is linear in eps (the next term of Im S(x + i eps) is eps * Re S'(x)).
+    Like density_closed, it takes x inside (0, 1) only.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
+    eps = as_real("eps", eps)
+    if eps <= 0.0:
+        raise ParameterError(f"eps must be positive, got {eps!r}")
+    xs = _open_unit(x)
     depth = _cf_depth(eps)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None)
     out = np.imag(s) / math.pi
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -213,6 +223,7 @@ def density_profile(
     eps: float = 1e-6,
 ) -> tuple[DensityProfile, str]:
     """Evaluate the density on a grid; returns (profile, route used)."""
+    eps = as_real("eps", eps)
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ParameterError("density grid must be finite")
@@ -266,15 +277,10 @@ def _rn_steps(p: JacobiParams, x: float, j0: int, n: int, r_prev: float, r: floa
     return r
 
 
-def _check_finite_x(x: float) -> None:
-    if not math.isfinite(x):
-        raise ParameterError(f"x must be finite, got {x!r}")
-
-
 def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
     """R_n(x) by the three-term recurrence from R_{-1} = 0, R_0 = 1."""
     n = as_count("polynomial degree", n)
-    _check_finite_x(x)
+    x = as_real("x", x)
     return _rn_steps(p, x, 0, n, 0.0, 1.0)
 
 
@@ -286,7 +292,7 @@ def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
     formula (gamma + 2c - 1 nonzero).
     """
     n = as_count("polynomial degree", n)
-    _check_finite_x(x)
+    x = as_real("x", x)
     a, b, c = p.a, p.b, p.c
     g = p.gamma
     _require_noninteger_a(a, "explicit R_n formula")
@@ -316,7 +322,7 @@ def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
     """P_n(x): same recurrence as R_n but seeded by the modified head,
     (c+1)/(c+a+1) lambda_hat0 P_1 = (x - lambda_hat0) P_0."""
     n = as_count("polynomial degree", n)
-    _check_finite_x(x)
+    x = as_real("x", x)
     if n == 0:
         return 1.0
     a, c = p.a, p.c
@@ -332,7 +338,7 @@ def pn_combination(p: JacobiParams, n: int, x: float) -> float:
                   - x c(2c+gamma+1) / ((c+1)(c+gamma)) ] R_{n-1}(.; c+1).
     """
     n = as_count("polynomial degree", n)
-    _check_finite_x(x)
+    x = as_real("x", x)
     if n == 0:
         return 1.0
     b, c = p.b, p.c
@@ -358,7 +364,7 @@ def pn_explicit(p: JacobiParams, n: int, x: float) -> float:
     (and a != -1 in G2).
     """
     n = as_count("polynomial degree", n)
-    _check_finite_x(x)
+    x = as_real("x", x)
     a, b, c = p.a, p.b, p.c
     g = p.gamma
     _require_noninteger_a(a, "explicit P_n formula")
@@ -410,6 +416,7 @@ def zeta_n(p: JacobiParams, n: int) -> float:
 
 def zeta_asymptotic(p: JacobiParams, n: int) -> float:
     """Large-n shape (2n)^(-1/2) * sqrt(G), the constant zeta_n levels to."""
-    if not (math.isfinite(n) and n >= 1):
-        raise ParameterError(f"need finite n >= 1, got {n}")
+    n = as_real("n", n)
+    if n < 1.0:
+        raise ParameterError(f"need n >= 1, got {n!r}")
     return math.sqrt(_density_norm(p) / (2.0 * n))

@@ -149,7 +149,7 @@ def cmd_density(args) -> int:
     meta = _base_meta("density", p)
     meta.update(grid=args.grid, method=args.method, eps=args.eps, route=route)
     if route == "numeric" and args.method == "auto":
-        meta["note"] = "closed form unavailable here (integer a); inverted transform used"
+        meta["note"] = "closed form unavailable here; inverted transform used"
     meta["trapezoid_mass"] = profile.mass
     rows = [[float(x), float(v)] for x, v in zip(profile.grid, profile.values)]
     _emit(meta, ["x", "density"], rows, args)

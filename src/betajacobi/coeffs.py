@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_count
+from .errors import ParameterError, as_count, as_real
 
 __all__ = [
     "JacobiParams",
@@ -44,10 +44,7 @@ class JacobiParams:
     c: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise ParameterError(f"{name} must be a finite real, got {v!r}")
+        vars(self).update({n: as_real(n, getattr(self, n)) for n in ("a", "b", "c")})
         if self.a <= -1.0 or self.b <= -1.0:
             raise ParameterError(
                 f"need a > -1 and b > -1, got a={self.a}, b={self.b}"
@@ -60,7 +57,7 @@ class JacobiParams:
 
     def shifted(self, dc: float) -> "JacobiParams":
         """Same (a, b) with c moved by dc."""
-        return JacobiParams(self.a, self.b, self.c + dc)
+        return JacobiParams(self.a, self.b, self.c + as_real("dc", dc))
 
 
 class ModelKind(enum.Enum):

@@ -10,13 +10,13 @@ the hierarchy, plus the recursion generating the stationary moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
-from .errors import ConvergenceError, ParameterError, as_count
+from .errors import ConvergenceError, ParameterError, as_count, as_real
 from .spectral import MomentVector
 
 __all__ = [
@@ -142,21 +142,17 @@ def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
     return mu, sigma
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _schedule(t_end: float, dt: float):
-    """(steps, stride): fixed steps of dt up to t_end, and the steps
-    between records, for about 200 records and at least 1."""
-    _check_positive("t_end", t_end)
-    _check_positive("dt", dt)
+    """(dt, steps, stride): dt as a float, fixed steps of dt up to t_end,
+    and the steps between records, for about 200 records and at least 1."""
+    t_end, dt = as_real("t_end", t_end), as_real("dt", dt)
+    if not (t_end > 0.0 and dt > 0.0):
+        raise ParameterError(f"t_end and dt must be positive, got {t_end!r}, {dt!r}")
     ratio = t_end / dt
     if not np.isfinite(ratio):
         raise ParameterError(f"t_end / dt overflows: t_end = {t_end!r}, dt = {dt!r}")
     steps = int(round(ratio))
-    return steps, max(1, steps // 200)
+    return dt, steps, max(1, steps // 200)
 
 
 def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
@@ -172,8 +168,8 @@ def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
 def drift(state: ParticleState, a: float, b: float, beta: float):
     """(drift, diffusion) vectors of the particle SDE at `state`; (a, b,
     beta) pass the checks of EnsembleConfig."""
-    EnsembleConfig(state.n, beta, a, b)
-    return _drift_arrays(state.positions, a, b, beta)
+    cfg = EnsembleConfig(state.n, beta, a, b)
+    return _drift_arrays(state.positions, cfg.a, cfg.b, cfg.beta)
 
 
 def em_step(
@@ -186,9 +182,11 @@ def em_step(
 ) -> ParticleState:
     """One Euler-Maruyama step; clamps to [0, 1] and re-sorts.  (a, b,
     beta) pass the checks of EnsembleConfig."""
-    _check_positive("dt", dt)
-    EnsembleConfig(state.n, beta, a, b)
-    x = _em_step(state.positions, a, b, beta, dt, rng)
+    dt = as_real("dt", dt)
+    if dt <= 0.0:
+        raise ParameterError(f"dt must be positive, got {dt!r}")
+    cfg = EnsembleConfig(state.n, beta, a, b)
+    x = _em_step(state.positions, cfg.a, cfg.b, cfg.beta, dt, rng)
     return ParticleState(state.time + dt, x)
 
 
@@ -225,17 +223,13 @@ def simulate_moments(
     """
     paths = as_count("paths", paths, 2)
     k_max = as_count("k_max", k_max)
-    n = EnsembleConfig(n, beta, a, b).N  # the ensemble's checks on n, beta, a, b
-    steps, stride = _schedule(t_end, dt)
+    n, beta, a, b = astuple(EnsembleConfig(n, beta, a, b))  # the ensemble's checks
+    dt, steps, stride = _schedule(t_end, dt)
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        start = np.full(n, float(x0))
-    elif x0.shape == (n,):
-        start = np.sort(x0)
-    else:
+    start = np.asarray(x0, dtype=float) if np.ndim(x0) else np.full(n, as_real("x0", x0))
+    if start.shape != (n,):
         raise ParameterError("x0 must be a scalar or a length-N array")
-    x = np.tile(ParticleState(0.0, start).positions, (paths, 1))
+    x = np.tile(ParticleState(0.0, np.sort(start)).positions, (paths, 1))
 
     rng = substream(seed, 0)
     times = [0.0]
@@ -349,7 +343,7 @@ def integrate_moments(
     every step checks |m_k| <= 10.
     """
     m = _moment_list(m0, "m0")
-    steps, stride = _schedule(t_end, dt)
+    dt, steps, stride = _schedule(t_end, dt)
     coef = _hierarchy_coefficients(p, len(m) - 1)
     rhs = _hierarchy_rhs
     half, sixth = 0.5 * dt, dt / 6.0
@@ -423,6 +417,6 @@ def moment_drift_finite_n(
     if k > len(m) - 1:
         raise ParameterError(f"need k <= {len(m) - 1}, got {k}")
     n = as_count("N", n, 1)
-    rhs = ode_rhs(m, JacobiParams(a, b, c))[k]
-    corr = (c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
-    return float(rhs - corr)
+    p = JacobiParams(a, b, c)
+    corr = (p.c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
+    return float(ode_rhs(m, p)[k] - corr)

@@ -22,8 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .coeffs import _MAX_SIZE
-from .errors import ConvergenceError, ParameterError, as_count
+from .coeffs import _MAX_SIZE, JacobiParams
+from .errors import ConvergenceError, ParameterError, as_count, as_real
 from .spectral import DiscreteMeasure, MomentVector, SymmetricTridiagonal, _stevd
 
 __all__ = [
@@ -72,16 +72,18 @@ class EnsembleConfig:
         object.__setattr__(self, "N", as_count("N", self.N, 1))
         if self.N > _MAX_SIZE:
             raise ParameterError(f"N must be <= 2**22 = {_MAX_SIZE}, got {self.N}")
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ParameterError(f"beta must be >= 0, got {self.beta!r}")
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+        beta = as_real("beta", self.beta)
+        if beta < 0.0:
+            raise ParameterError(f"beta must be >= 0, got {beta!r}")
+        w = JacobiParams(self.a, self.b)  # the weight rule, and a, b as floats
+        # (N - 1) beta + |a| + |b| + 2 bounds every shape sum; twice it
+        # finite, no shape and no gamma total X + Y overflows
+        if 2.0 * ((self.N - 1) * beta + abs(w.a) + abs(w.b) + 2.0) == np.inf:
             raise ParameterError(
-                f"weights must be finite, got a={self.a!r}, b={self.b!r}"
+                f"beta = {beta!r}, a = {w.a!r}, b = {w.b!r} overflow the Beta "
+                f"shapes at N = {self.N}"
             )
-        if self.a <= -1.0 or self.b <= -1.0:
-            raise ParameterError(
-                f"need a > -1 and b > -1, got a={self.a}, b={self.b}"
-            )
+        vars(self).update(beta=beta, a=w.a, b=w.b)
 
     @property
     def kappa(self) -> float:
@@ -124,8 +126,7 @@ class RegimeParams:
     B: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.A) and np.isfinite(self.B)):
-            raise ParameterError("regime slopes must be finite")
+        vars(self).update(A=as_real("A", self.A), B=as_real("B", self.B))
         if self.A <= 0.0 or self.B <= 0.0:
             raise ParameterError(
                 f"regime slopes must be positive, got A={self.A}, B={self.B}"
@@ -189,7 +190,8 @@ def _beta_rows(alpha, beta, streams: list, rows: int) -> np.ndarray:
 
 def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
     """One Beta(alpha, beta) variate via two gamma variates."""
-    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
+    alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
+    if not (alpha > 0.0 and beta > 0.0):
         raise ParameterError(f"beta shapes must be in (0, inf), got ({alpha}, {beta})")
     return float(_beta_rows(np.array([alpha]), np.array([beta]), [rng], 1)[0, 0])
 
@@ -474,7 +476,7 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     k = as_count("k", k)
     if k > MAX_EXACT_K:
         raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
-    shapes = _shape_arrays(EnsembleConfig(n, 2.0 * kappa, a, b))
+    shapes = _shape_arrays(EnsembleConfig(n, 2.0 * as_real("kappa", kappa), a, b))
     if k == 0:
         return 1.0
     alpha, beta = np.zeros(2 * n), np.ones(2 * n)  # y_0 = 0 is Beta(0, 1)
@@ -519,8 +521,8 @@ def limit_pq(size: int, n_param: float, a_slope: float, b_slope: float):
     is how the substitution identity against the third model is checked).
     """
     size = as_count("size", size, 1)
-    if not np.all(np.isfinite((n_param, a_slope, b_slope))):
-        raise ParameterError(f"need finite N, A, B, got {(n_param, a_slope, b_slope)}")
+    n_param = as_real("n_param", n_param)
+    a_slope, b_slope = as_real("a_slope", a_slope), as_real("b_slope", b_slope)
     n = np.arange(1, size + 1, dtype=float)
     den = 2.0 * n - 2.0 * n_param - a_slope - b_slope
     if np.any(den == 0.0) or np.any(den + 1.0 == 0.0):

@@ -1,4 +1,7 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the count and real guards."""
+
+import math
+from numbers import Real
 
 
 class ParameterError(ValueError):
@@ -40,4 +43,18 @@ def as_count(name: str, value, minimum: int = 0) -> int:
         out = None
     if out is None or out != value or out < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return out
+
+
+def as_real(name: str, value) -> float:
+    """value as a finite Python float: ints, floats and numpy integer and
+    floating scalars pass, a float (np.float64 too) at one isfinite test; a
+    bool, str, complex, None, any array, NaN or +-inf raise ParameterError."""
+    real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+    try:
+        out = float(value) if real else math.nan
+    except OverflowError:  # an int past the largest double
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParameterError(f"{name} must be a finite real, got {value!r}")
     return out

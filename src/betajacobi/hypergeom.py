@@ -1,8 +1,9 @@
 """Gauss hypergeometric function and log-gamma with sign tracking.
 
-ln_gamma wraps scipy.special.gammaln and gammasgn, turning poles into
-PoleError and non-finite arguments into ParameterError; gamma_ratio and
-the connection formula work in its log space.
+ln_gamma takes log|Gamma| from the standard library's math.lgamma and
+the sign from the parity of floor(x), turning poles into PoleError and
+non-finite arguments into ParameterError; gamma_ratio and the connection
+formula work in its log space.
 
 Only the regions needed by the closed-form Stieltjes transforms and the
 explicit polynomial formulas are implemented: the direct power series for
@@ -15,17 +16,14 @@ continued-fraction route, which needs no special-function machinery.
 
 from __future__ import annotations
 
-import cmath
 import math
-
-from scipy.special import gammaln, gammasgn
 
 from .errors import (
     ConvergenceError,
-    ParameterError,
     PoleError,
     UnsupportedRegionError,
     as_count,
+    as_real,
 )
 
 __all__ = ["ln_gamma", "pochhammer", "gamma_ratio", "hyp2f1"]
@@ -38,20 +36,23 @@ _STOP_REL = 1e-16
 def ln_gamma(x: float) -> tuple[float, int]:
     """Return (log|Gamma(x)|, sign) so that sign*exp(log) == Gamma(x).
 
-    Raises PoleError at the poles x = 0, -1, -2, ...
+    Raises PoleError at the poles x = 0, -1, -2, ...  Gamma is negative
+    exactly where x < 0 and floor(x) is odd; past x = 2.5e305 or so
+    log|Gamma(x)| overflows, and inf is returned.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError(f"ln_gamma needs a finite argument, got {x!r}")
+    x = as_real("x", x)
     if _is_nonpos_int(x):
         raise PoleError(f"gamma pole at x = {x}")
-    return float(gammaln(x)), int(gammasgn(x))
+    try:
+        log = math.lgamma(x)
+    except OverflowError:
+        log = math.inf
+    return log, -1 if x < 0.0 and math.floor(x) % 2 else 1
 
 
 def pochhammer(q: float, n: int) -> float:
     """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
-    if not math.isfinite(q):
-        raise ParameterError(f"pochhammer needs a finite base, got {q!r}")
+    q = as_real("q", q)
     out = 1.0
     for j in range(as_count("pochhammer order", n)):
         out *= q + j
@@ -131,7 +132,7 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
     Raises
     ------
     ParameterError
-        a non-finite parameter or argument.
+        a parameter not a finite real, or an argument not a finite number.
     PoleError
         gamma at a nonpositive integer not rescued by earlier termination.
     UnsupportedRegionError
@@ -139,12 +140,12 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
         regions, or gamma-alpha-beta within 1e-8 of an integer when only
         the 1-x connection would apply.
     """
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(v):
-            raise ParameterError(f"{name} must be finite, got {v!r}")
-    xc = complex(x)
-    if not cmath.isfinite(xc):
-        raise ParameterError(f"hyp2f1 needs a finite argument, got {x!r}")
+    alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
+    gamma = as_real("gamma", gamma)
+    if isinstance(x, complex):  # np.complex128 too
+        x = complex(as_real("x.real", x.real), as_real("x.imag", x.imag))
+    else:
+        x = as_real("x", x)
 
     term_n = None
     for par in (alpha, beta):
@@ -159,12 +160,12 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
     if term_n is not None:
         return _series_terminating(alpha, beta, gamma, x, term_n)
 
-    if xc.imag == 0.0 and xc.real >= 1.0:
+    if x.imag == 0.0 and x.real >= 1.0:
         raise UnsupportedRegionError(f"argument {x!r} on the branch cut [1, inf)")
-    if xc == 0.0:
+    if x == 0.0:
         return x * 0 + 1.0, 0.0
 
-    if abs(xc) <= _SERIES_CAP:
+    if abs(x) <= _SERIES_CAP:
         return _series(alpha, beta, gamma, x)
 
     x_pfaff = x / (x - 1.0)
@@ -173,7 +174,7 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
         pref = (1.0 - x) ** (-alpha)
         return pref * val, err + 1e-15
 
-    if abs(1.0 - xc) <= _SERIES_CAP:
+    if abs(1.0 - x) <= _SERIES_CAP:
         gab = gamma - alpha - beta
         if abs(gab - round(gab)) <= 1e-8:
             raise UnsupportedRegionError(

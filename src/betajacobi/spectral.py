@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dstevd as _dstevd
 from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, tridiag_entries
-from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count
+from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count, as_real
 
 __all__ = [
     "DEFAULT_RTOL",
@@ -265,10 +265,12 @@ def stieltjes_cf(
     Accepts scalar or array z (finite, complex, off the support): a real
     z in [0, 1] raises ParameterError, and a z the solver finds singular
     raises ConvergenceError.  When the depth-halved value differs by more
-    than ``warn_tol`` (relative), a ConvergenceWarning is emitted; pass
-    ``warn_tol=None`` to skip that second evaluation.
+    than ``warn_tol`` (relative, a real >= 0), a ConvergenceWarning is
+    emitted; pass ``warn_tol=None`` to skip that second evaluation.
     """
     depth = as_count("depth", depth, 2)
+    if warn_tol is not None and as_real("warn_tol", warn_tol) < 0.0:
+        raise ParameterError(f"warn_tol must be >= 0, got {warn_tol!r}")
     _support_distance(z)
     zc = np.asarray(z, dtype=complex)
     shape = zc.shape

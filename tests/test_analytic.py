@@ -232,6 +232,24 @@ class TestDensityNumeric:
             with pytest.raises(ParameterError):
                 density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=eps)
 
+    @pytest.mark.parametrize("x", [-0.5, 0.0, 1.0, 1.5, np.nan, [0.5, 1.0]])
+    def test_open_interval_domain(self, x, monkeypatch):
+        # one domain for both density routes, checked before any fraction
+        # is built; at x = -0.5 and 1.0 the numeric route used to return
+        # 4.6e-7 and 7.8e-4, and a NaN reported "z must be finite"
+        import betajacobi.analytic as an
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a continued fraction was built")
+
+        monkeypatch.setattr(an, "stieltjes_cf", unreachable)
+        for route in (
+            lambda: density_numeric(ModelKind.ASSOC_III, P_REF, x),
+            lambda: density_closed(P_REF, x),
+        ):
+            with pytest.raises(ParameterError, match=r"open interval \(0, 1\)"):
+                route()
+
     def test_tiny_eps_hits_the_size_cap(self):
         # depth 12 / sqrt(eps) = 1.2e151 reaches tridiag_entries' cap; it
         # used to raise numpy's "Maximum allowed dimension exceeded"

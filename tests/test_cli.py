@@ -17,6 +17,9 @@ from betajacobi.cli import DEFAULT_SEED, main
 
 from oracles import beta_density, per_trial_spectrum, uniform_stieltjes
 
+# the density note names no reason the code did not check
+FALLBACK_NOTE = "closed form unavailable here; inverted transform used"
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -200,6 +203,19 @@ class TestDensity:
             assert val == pytest.approx(beta_density(1.5, 1.5, x), rel=1e-8)
         assert float(meta["trapezoid_mass"]) == pytest.approx(1.0, abs=0.05)
 
+    def test_negative_c_note_names_no_unchecked_reason(self, capsys):
+        # the note used to blame an integer a also where the closed form
+        # refused c < 0 (a = 0.3 here)
+        code, out, _ = run_cli(
+            ["density", "--a", "0.3", "--b", "0.7", "--c", "-0.5", "--grid", "9",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["route"] == "numeric"
+        assert meta["note"] == FALLBACK_NOTE
+
     def test_integer_a_notes_fallback(self, capsys):
         code, out, _ = run_cli(
             ["density", "--a", "1", "--b", "0.5", "--c", "1", "--grid", "9",
@@ -209,7 +225,7 @@ class TestDensity:
         assert code == 0
         doc = json.loads(out)
         assert doc["meta"]["route"] == "numeric"
-        assert "note" in doc["meta"]
+        assert doc["meta"]["note"] == FALLBACK_NOTE
         assert len(doc["data"]["rows"]) == 9
         assert all(row[1] >= 0.0 for row in doc["data"]["rows"])
 
@@ -512,12 +528,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     src = str(Path(betajacobi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, betajacobi.cli; print('scipy.integrate' in sys.modules)"
+    # nor does the package use scipy.special: ln_gamma is math.lgamma
+    probe = (
+        "import sys, betajacobi.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _fmt_float(v: float) -> str:

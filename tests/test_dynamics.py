@@ -101,7 +101,7 @@ class TestDrift:
         state = ParticleState(0.0, np.array([0.25, 0.75]))
         with pytest.raises(ParameterError):
             drift(state, a, b, beta)
-        with pytest.raises(ParameterError, match="beta|weights|need a"):
+        with pytest.raises(ParameterError, match="beta|must be a finite real|need a"):
             em_step(state, a, b, beta, 1e-3, substream(4, 0))
 
 
@@ -490,6 +490,25 @@ class TestFiniteNCorrection:
         d_large = moment_drift_finite_n(m, 2, 0.3, 0.7, 1.2, 10_000)
         assert abs(d_large - inf_n) < abs(d_small - inf_n)
         assert d_large == pytest.approx(inf_n, abs=1e-3)
+
+    def test_equals_particle_generator(self):
+        # at a configuration without ties the generator applied to
+        # (1/N) sum x_i^k is (1/N) sum [k x^(k-1) mu_i + k (k-1) x^(k-1) (1 - x_i)]
+        # with mu the drift at beta = 2c/N; the finite-N formula must
+        # match it to rounding, with no Monte Carlo band
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n, k = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+            a, b = rng.uniform(-0.9, 2.0, 2)
+            c = rng.uniform(0.0, 3.0)
+            x = np.sort(rng.uniform(0.0, 1.0, n))
+            m = [float(np.mean(x**j)) for j in range(k + 1)]
+            mu, _ = drift(ParticleState(0.0, x), a, b, 2.0 * c / n)
+            terms = np.concatenate([k * x ** (k - 1) * mu, k * (k - 1) * x ** (k - 1) * (1.0 - x)])
+            want = terms.sum() / n
+            scale = max(abs(want), np.abs(terms).sum() / n)
+            got = moment_drift_finite_n(m, k, a, b, c, n)
+            assert abs(got - want) <= 1e-13 * scale, (n, k, a, b, c, got, want)
 
     def test_k_range_guard(self):
         with pytest.raises(ParameterError):

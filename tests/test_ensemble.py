@@ -76,6 +76,26 @@ class TestConfig:
         with pytest.raises(ParameterError):
             EnsembleConfig(4, 2.0, **weights)
 
+    def test_overflowing_beta_refused(self):
+        # twice the largest Beta shape sum, 2((N - 1) beta + |a| + |b| + 2),
+        # must stay finite; these calls used to return NaN, fail with
+        # "s entries must lie in [0, 1]" and with a ConvergenceError
+        msg = r"beta = 8e\+307, a = .* overflow the Beta shapes at N = 8"
+        with pytest.raises(ParameterError, match=msg):
+            exact_moment(8, 4e307, 0.5, -0.3, 3)
+        with pytest.raises(ParameterError, match=msg):
+            sample_model(EnsembleConfig(8, 8e307, 0.5, 0.5), substream(1, 0))
+        with pytest.raises(ParameterError, match=msg):
+            mc_moments(EnsembleConfig(8, 8e307, 0.5, 0.5), 2, 10, seed=1)
+        # the largest shape sum 8e307 + 3 at N = 2 still samples
+        cfg = EnsembleConfig(2, 8e307, 0.5, 0.5)
+        assert np.all(np.isfinite(sample_model(cfg, substream(1, 0)).s))
+        assert np.all(np.isfinite(mc_moments(cfg, 2, 10, seed=1)[0].values))
+        # any finite beta at N = 1, where beta enters no shape
+        assert EnsembleConfig(1, 1e308, 0.5, 0.5).beta == 1e308
+        with pytest.raises(ParameterError, match="overflow the Beta shapes at N = 1"):
+            EnsembleConfig(1, 0.0, 1e308, 0.5)
+
     def test_factor_validation(self):
         with pytest.raises(ParameterError):
             BidiagonalFactor(np.array([0.5, 0.5]), np.array([]))
