@@ -8,6 +8,7 @@ sides intact when modifying formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,13 +53,14 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
 
     All three associated models share the numerator 2F1(c+1, c+a+1;
     2c+a+b+2; 1/z); they differ in the denominator series.  Principal
-    branch.  A non-finite z or a real z in [0, 1] raises ParameterError,
-    as in stieltjes_cf; UnsupportedRegionError is raised when 1/z falls
-    outside the implemented 2F1 regions (fall back to stieltjes_cf then).
+    branch.  A z that is not a number, a non-finite z or a real z in
+    [0, 1] raises ParameterError, as in stieltjes_cf;
+    UnsupportedRegionError is raised when 1/z falls outside the
+    implemented 2F1 regions (fall back to stieltjes_cf then).
     """
     validate_model(kind, p)
-    z = complex(z)
     _support_distance(z)
+    z = complex(z)
     a, b, c = p.a, p.b, p.c
     x = 1.0 / z
     num, _ = hyp2f1(c + 1.0, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
@@ -284,6 +286,22 @@ def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
     return _rn_steps(p, x, 0, n, 0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _degree_free_2f1(alpha: float, beta: float, gamma: float, x: float) -> float:
+    """Value of 2F1(alpha, beta; gamma; x), memoized for the last four
+    argument tuples.
+
+    wimp_rn and pn_explicit each have two 2F1 factors free of the degree
+    n.  A degree sweep n = 0, 1, ... at one (p, x), as the polynomial
+    checks run, evaluates these four factors once instead of once per
+    degree; four entries hold one point's factors, so only the most
+    recent point is kept.  No exception is stored, so every input raises
+    the same first exception as without the memo.  Keys compare floats by
+    ==, so 0.0 and -0.0 share an entry; hyp2f1 gives both the same bits.
+    """
+    return hyp2f1(alpha, beta, gamma, x)[0]
+
+
 def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
     """R_n(x) by the explicit two-by-two hypergeometric formula.
 
@@ -304,14 +322,14 @@ def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
         (c + 1.0, g + c, n + a + c + 1.0),
         (a + c, g + c - 1.0, n + c + 1.0),
     ) / (a * (g + 2.0 * c - 1.0))
-    f1a, _ = hyp2f1(c, 2.0 - g - c, 1.0 - a, x)
+    f1a = _degree_free_2f1(c, 2.0 - g - c, 1.0 - a, x)
     f1b, _ = hyp2f1(-n - c, n + g + c, a + 1.0, x)
 
     c2 = gamma_ratio(
         (c + 1.0, g + c, n + g + c - a),
         (g + c - a - 1.0, c, n + c + g),
     ) / (a * (g + 2.0 * c - 1.0))
-    f2a, _ = hyp2f1(1.0 - c, g + c - 1.0, a + 1.0, x)
+    f2a = _degree_free_2f1(1.0 - c, g + c - 1.0, a + 1.0, x)
     f2b, _ = hyp2f1(n + c + 1.0, 1.0 - n - g - c, 1.0 - a, x)
 
     sign = 1.0 if n % 2 == 0 else -1.0
@@ -370,13 +388,13 @@ def pn_explicit(p: JacobiParams, n: int, x: float) -> float:
     _require_noninteger_a(a, "explicit P_n formula")
 
     g1 = gamma_ratio((c + 1.0, n + c + a + 1.0), (n + c + 1.0, c + a + 1.0))
-    f1a, _ = hyp2f1(c, -(c + g), -a, x)
+    f1a = _degree_free_2f1(c, -(c + g), -a, x)
     f1b, _ = hyp2f1(-(c + n), c + n + g, 1.0 + a, x)
 
     g2 = gamma_ratio(
         (g + c + 1.0, n + c + b + 1.0), (g + n + c, c + b + 1.0)
     ) * (c / (a * (a + 1.0)))
-    f2a, _ = hyp2f1(1.0 - c, 1.0 + c + g, 2.0 + a, x)
+    f2a = _degree_free_2f1(1.0 - c, 1.0 + c + g, 2.0 + a, x)
     f2b, _ = hyp2f1(1.0 + c + n, -(c + n + a + b), 1.0 - a, x)
 
     sign = 1.0 if n % 2 == 0 else -1.0

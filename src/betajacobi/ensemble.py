@@ -193,6 +193,10 @@ def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
     alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
     if not (alpha > 0.0 and beta > 0.0):
         raise ParameterError(f"beta shapes must be in (0, inf), got ({alpha}, {beta})")
+    # EnsembleConfig's rule: twice the shape sum finite, so the gamma
+    # total X + Y does not overflow
+    if 2.0 * (alpha + beta) == np.inf:
+        raise ParameterError(f"beta shapes ({alpha}, {beta}) overflow the gamma total")
     return float(_beta_rows(np.array([alpha]), np.array([beta]), [rng], 1)[0, 0])
 
 

@@ -88,7 +88,18 @@ def _is_nonpos_int(v: float) -> bool:
 
 
 def _series(alpha: float, beta: float, gamma: float, x):
-    """Direct power series; caller guarantees |x| is under the cap."""
+    """Direct power series; caller guarantees |x| is under the cap.
+
+    Bit-identical to the textbook loop (tests/oracles.py textbook_series):
+    the term update and the running sum are the same operations in the
+    same order, so value and err keep their bits.  Per term the loop does
+    four additions, four multiplications and one division for the update,
+    two additions for the sums, two abs calls (|term|, taken once for both
+    sum_abs and the stop test, and |total|) and one multiply-compare for
+    the stop test, whose 1e-300 floor is an inline conditional; no module
+    global is read inside the loop.
+    """
+    stop_rel = _STOP_REL
     term = 1.0 * (x * 0 + 1)  # one, in the dtype of x
     total = term
     sum_abs = 1.0
@@ -96,8 +107,11 @@ def _series(alpha: float, beta: float, gamma: float, x):
     for k in range(_MAX_TERMS):
         term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
         total += term
-        sum_abs += abs(term)
-        if abs(term) <= _STOP_REL * max(abs(total), 1e-300):
+        size = abs(term)
+        sum_abs += size
+        scale = abs(total)
+        # max(scale, 1e-300) inline, NaN kept as max keeps it
+        if size <= stop_rel * (1e-300 if scale < 1e-300 else scale):
             small_run += 1
             if small_run >= 3:
                 break

@@ -190,10 +190,14 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
 def _support_distance(z) -> np.ndarray:
     """Distance (> 0) of each point of z, flattened, to the support [0, 1].
 
-    The transform's one domain test: a non-finite z, or a real z in
-    [0, 1], has no value and raises ParameterError.
+    The transform's one domain test: z must be a number or an array of
+    numbers (no str, bytes, bool or object dtype), and a non-finite z,
+    or a real z in [0, 1], has no value; each raises ParameterError.
     """
-    zc = np.asarray(z, dtype=complex).ravel()
+    zc = np.asarray(z)
+    if zc.dtype.kind not in "iufc":
+        raise ParameterError(f"z must be a number or an array of numbers, got {z!r}")
+    zc = zc.astype(complex, copy=False).ravel()
     if not np.all(np.isfinite(zc)):
         raise ParameterError(f"z must be finite and not on the support [0, 1], got {z!r}")
     gap = np.maximum(np.maximum(-zc.real, zc.real - 1.0), 0.0)
@@ -262,9 +266,10 @@ def stieltjes_cf(
     deepest first, so the elimination runs up the levels like the
     backward recursion and equals it up to rounding.
 
-    Accepts scalar or array z (finite, complex, off the support): a real
-    z in [0, 1] raises ParameterError, and a z the solver finds singular
-    raises ConvergenceError.  When the depth-halved value differs by more
+    Accepts scalar or array z (finite numbers off the support): a z of
+    str, bytes, bool or object dtype, or a real z in [0, 1], raises
+    ParameterError, and a z the solver finds singular raises
+    ConvergenceError.  When the depth-halved value differs by more
     than ``warn_tol`` (relative, a real >= 0), a ConvergenceWarning is
     emitted; pass ``warn_tol=None`` to skip that second evaluation.
     """

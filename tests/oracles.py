@@ -133,6 +133,38 @@ def mp_gamma_ratio(nums, dens) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the direct 2F1 series as first written
+
+
+def textbook_series(alpha: float, beta: float, gamma: float, x):
+    """hypergeom._series as first written, the reference its tuned loop
+    must match bit for bit in value and err."""
+    from betajacobi.errors import ConvergenceError
+
+    _MAX_TERMS = 100_000
+    _STOP_REL = 1e-16
+    term = 1.0 * (x * 0 + 1)  # one, in the dtype of x
+    total = term
+    sum_abs = 1.0
+    small_run = 0
+    for k in range(_MAX_TERMS):
+        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
+        total += term
+        sum_abs += abs(term)
+        if abs(term) <= _STOP_REL * max(abs(total), 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+    else:
+        raise ConvergenceError("hypergeometric series hit the term cap")
+    scale = max(abs(total), 1e-300)
+    err = (3.0 * abs(term) + 1e-16 * sum_abs) / scale
+    return total, err
+
+
+# ---------------------------------------------------------------------------
 # measure transforms
 
 

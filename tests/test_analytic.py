@@ -12,6 +12,7 @@ from betajacobi import (
     JacobiParams,
     ModelKind,
     ParameterError,
+    UnsupportedRegionError,
     density_closed,
     density_numeric,
     density_profile,
@@ -32,6 +33,8 @@ from betajacobi import (
     zeta_asymptotic,
     zeta_n,
 )
+
+from betajacobi.analytic import _degree_free_2f1
 
 from oracles import backward_cf, beta_density, uniform_stieltjes
 
@@ -95,6 +98,18 @@ class TestStieltjesClosed:
                 stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
             with pytest.raises(ParameterError, match="on the support"):
                 stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+
+    @pytest.mark.parametrize(
+        "z",
+        ["2", b"2", True, np.bool_(True), np.array(["2"]), [2.0, "3"], None, object()],
+        ids=["str", "bytes", "bool", "np_bool", "str_array", "mixed_list", "none", "object"],
+    )
+    def test_non_number_z_raises(self, z):
+        # '2' used to pass as 2 + 0j through complex(z) and np.asarray,
+        # and b'2' raised a bare TypeError in the closed route only
+        for route in (stieltjes_closed, stieltjes_cf, stieltjes_auto):
+            with pytest.raises(ParameterError, match="z must be a number"):
+                route(ModelKind.ASSOC_III, P_REF, z)
 
     def test_auto_routes(self):
         val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, 2.0 + 1.0j)
@@ -408,6 +423,75 @@ class TestPnPolynomials:
             pn = np.array([pn_recurrence(p, n, float(x)) for x in rule.nodes])
             norm2 = float(np.sum(rule.weights * (pn / zeta_n(p, n)) ** 2))
             assert norm2 == pytest.approx(1.0, rel=1e-6)
+
+
+def _route_outcome(route, p, n, x):
+    try:
+        return route(p, n, x).hex()
+    except (ParameterError, UnsupportedRegionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+MEMO_POINTS = [
+    (JacobiParams(0.3, 0.7, 1.5), 0.3),
+    (P_REF, 0.55),
+    (JacobiParams(-0.3, 0.8, 2.0), 0.9),
+    (JacobiParams(0.5, -0.25, 1.75), -0.4),
+]
+
+
+class TestDegreeFreeMemo:
+    """wimp_rn and pn_explicit evaluate their degree-free 2F1 factors
+    through a memo that keeps only the most recent point."""
+
+    def test_sweeps_match_unmemoized_calls(self):
+        # each point alone (the memo hits), then two points interleaved
+        schedules = [[pt] for pt in MEMO_POINTS] + [MEMO_POINTS[:2], MEMO_POINTS[2:]]
+        for points in schedules:
+            calls = [
+                (route, p, n, x)
+                for n in range(11)
+                for p, x in points
+                for route in (wimp_rn, pn_explicit)
+            ]
+            _degree_free_2f1.cache_clear()
+            warm = [_route_outcome(*call) for call in calls]
+            if len(points) == 1:
+                assert _degree_free_2f1.cache_info().hits == 40
+            cold = []
+            for call in calls:
+                _degree_free_2f1.cache_clear()
+                cold.append(_route_outcome(*call))
+            assert warm == cold
+
+    def test_raising_factor_raises_as_unmemoized(self):
+        # at x = -5 the first degree-free factor of both routes is outside
+        # every 2F1 region; no exception is stored, so every call raises
+        msg = (
+            "argument -5.0 outside the direct/Pfaff/1-x evaluation regions; "
+            "use the continued-fraction route"
+        )
+        _degree_free_2f1.cache_clear()
+        for route in (wimp_rn, pn_explicit):
+            for n in (0, 1, 4, 1):
+                with pytest.raises(UnsupportedRegionError) as info:
+                    route(JacobiParams(0.3, 0.7, 1.5), n, -5.0)
+                assert type(info.value) is UnsupportedRegionError
+                assert str(info.value) == msg
+        assert _degree_free_2f1.cache_info().currsize == 0
+
+    def test_memo_stays_bounded(self):
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            a, b = rng.uniform(0.1, 0.9, 2)
+            p = JacobiParams(float(a), float(b), float(rng.uniform(0.5, 2.5)))
+            x = float(rng.uniform(0.05, 0.95))
+            for n in range(3):
+                wimp_rn(p, n, x)
+                pn_explicit(p, n, x)
+        info = _degree_free_2f1.cache_info()
+        assert info.maxsize == 4
+        assert info.currsize <= info.maxsize
 
 
 def _steps_scalar(p, x, j0, n, r_prev, r):

@@ -134,6 +134,12 @@ class TestSampling:
         for alpha, beta in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)]:
             with pytest.raises(ParameterError):
                 sample_beta(alpha, beta, substream(1, 0))
+        # shapes whose gamma total X + Y can overflow, by EnsembleConfig's
+        # rule; (1e308, 1e308) used to come back as 0.0
+        for alpha, beta in [(1e308, 1e308), (5e307, 5e307), (1.7e308, 1.0)]:
+            with pytest.raises(ParameterError, match="overflow"):
+                sample_beta(alpha, beta, substream(1, 0))
+        assert sample_beta(4e307, 4e307, substream(1, 0)) == pytest.approx(0.5)
 
     def test_single_point_marginal(self):
         # N = 1 collapses to one Beta(a+1, b+1) variable

@@ -13,9 +13,10 @@ from betajacobi.errors import (
     PoleError,
     UnsupportedRegionError,
 )
+import betajacobi.hypergeom as hypergeom
 from betajacobi.hypergeom import gamma_ratio, hyp2f1, ln_gamma, pochhammer
 
-from oracles import mp_gamma_ratio, mp_hyp2f1, mp_ln_gamma
+from oracles import mp_gamma_ratio, mp_hyp2f1, mp_ln_gamma, textbook_series
 
 
 class TestLnGamma:
@@ -234,3 +235,75 @@ class TestHyp2F1Accuracy:
         v_cplx, _ = hyp2f1(0.3, 0.7, 1.2, complex(0.45, 0.0))
         assert v_cplx.imag == 0.0
         assert v_cplx.real == v_real
+
+
+def _bits(v):
+    c = complex(v)
+    return type(v).__name__, c.real.hex(), c.imag.hex()
+
+
+def _outcome(alpha, beta, gamma, x):
+    try:
+        val, err = hyp2f1(alpha, beta, gamma, x)
+    except (ConvergenceError, ParameterError, UnsupportedRegionError) as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(val), _bits(err)
+
+
+def _region(alpha, beta, x):
+    if any(v <= 0.0 and v == math.floor(v) for v in (alpha, beta)):
+        return "terminating"
+    if abs(x) <= 0.7:
+        return "direct"
+    if abs(x / (x - 1.0)) <= 0.7:
+        return "pfaff"
+    if abs(1.0 - x) <= 0.7:
+        return "one_minus_x"
+    return "outside"
+
+
+class TestSeriesLoop:
+    """The tuned direct-series loop against the textbook one, bit for bit
+    in both value and err: hyp2f1 with hypergeom._series, and with the
+    oracle in its place, over a seeded grid reaching every region."""
+
+    def _grid(self):
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            alpha, beta, gamma = rng.uniform(-4.0, 4.0, 3)
+            if rng.random() < 0.15:
+                alpha = -float(rng.integers(0, 6))
+            r = rng.uniform(0.0, 2.5)
+            t = rng.uniform(-math.pi, math.pi)
+            x = complex(r * math.cos(t), r * math.sin(t))
+            # real arguments along the axis, and near x = 1 for 1 - x
+            for arg in (x, x.real, 1.0 - 0.7 * x / max(r, 0.7)):
+                yield float(alpha), float(beta), float(gamma), arg
+
+    def test_hyp2f1_bits_match_the_textbook_loop(self, monkeypatch):
+        grid = list(self._grid())
+        tuned = [_outcome(*args) for args in grid]
+        monkeypatch.setattr(hypergeom, "_series", textbook_series)
+        textbook = [_outcome(*args) for args in grid]
+        assert tuned == textbook
+        values = {}
+        for (alpha, beta, _, x), out in zip(grid, tuned):
+            if len(out[0]) == 3:  # a value, not an exception
+                key = (_region(alpha, beta, x), isinstance(x, complex))
+                values[key] = values.get(key, 0) + 1
+        for region in ("direct", "pfaff", "one_minus_x", "terminating"):
+            for cplx in (False, True):
+                assert values.get((region, cplx), 0) >= 10, (region, cplx)
+
+    def test_series_bits_match_the_textbook_loop(self):
+        # direct calls, a terminating polynomial and |x| at the cap included
+        rng = np.random.default_rng(1616)
+        cases = [(1.0, -1.0, 1.0, 0.5), (0.5, 0.5, 1.5, 0.7), (2.0, 3.0, 0.1, -0.7j)]
+        for _ in range(300):
+            alpha, beta, gamma = (float(v) for v in rng.uniform(-6.0, 6.0, 3))
+            r, t = rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi)
+            cases += [(alpha, beta, gamma, r), (alpha, beta, gamma, -r)]
+            cases.append((alpha, beta, gamma, complex(r * math.cos(t), r * math.sin(t))))
+        for args in cases:
+            got, want = hypergeom._series(*args), textbook_series(*args)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], args
