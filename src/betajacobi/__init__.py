@@ -15,9 +15,6 @@ from .coeffs import (
 )
 from .dynamics import (
     MomentPath,
-    ParticleState,
-    drift,
-    em_step,
     integrate_moments,
     moment_drift_finite_n,
     ode_rhs,
@@ -27,14 +24,11 @@ from .dynamics import (
 from .ensemble import (
     BidiagonalFactor,
     EnsembleConfig,
-    RegimeParams,
     empirical_measure,
     exact_moment,
     limit_bidiagonal_squares,
     limit_pq,
-    limit_tridiagonal,
     mc_moments,
-    sample_beta,
     sample_model,
     substream,
     to_tridiagonal,
@@ -51,7 +45,6 @@ from .spectral import (
     DiscreteMeasure,
     MomentVector,
     SymmetricTridiagonal,
-    eigen_tridiagonal,
     gauss_quadrature,
     jacobi_matrix,
     moment11,
@@ -80,19 +73,17 @@ __all__ = [
     "JacobiParams", "ModelKind", "lambda_hat0", "lambda_n", "mu_n",
     "tridiag_entries", "validate_model",
     "SymmetricTridiagonal", "DiscreteMeasure", "MomentVector",
-    "jacobi_matrix", "moment11", "gauss_quadrature", "eigen_tridiagonal",
-    "stieltjes_cf",
+    "jacobi_matrix", "moment11", "gauss_quadrature", "stieltjes_cf",
     "ln_gamma", "pochhammer", "gamma_ratio", "hyp2f1",
     "stieltjes_closed", "stieltjes_auto", "u_of_x", "v_of_x",
     "density_closed", "density_numeric", "density_profile", "DensityProfile",
     "wimp_rn", "recurrence_rn", "pn_recurrence", "pn_combination",
     "pn_explicit", "zeta_n", "zeta_asymptotic",
-    "EnsembleConfig", "BidiagonalFactor", "RegimeParams", "substream",
-    "sample_beta", "sample_model", "to_tridiagonal", "empirical_measure",
-    "mc_moments", "exact_moment", "limit_pq", "limit_bidiagonal_squares",
-    "limit_tridiagonal",
-    "ParticleState", "MomentPath", "drift", "em_step", "simulate_moments",
-    "ode_rhs", "integrate_moments", "stationary_uk", "moment_drift_finite_n",
+    "EnsembleConfig", "BidiagonalFactor", "substream", "sample_model",
+    "to_tridiagonal", "empirical_measure", "mc_moments", "exact_moment",
+    "limit_pq", "limit_bidiagonal_squares",
+    "MomentPath", "simulate_moments", "ode_rhs", "integrate_moments",
+    "stationary_uk", "moment_drift_finite_n",
     "ParameterError", "PoleError", "UnsupportedRegionError",
     "ConvergenceError", "ConvergenceWarning",
 ]

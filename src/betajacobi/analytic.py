@@ -25,7 +25,14 @@ from .coeffs import (
     mu_n,
     validate_model,
 )
-from .errors import ParameterError, PoleError, UnsupportedRegionError, as_count, as_real
+from .errors import (
+    ParameterError,
+    PoleError,
+    UnsupportedRegionError,
+    as_count,
+    as_real,
+    as_real_array,
+)
 from .hypergeom import gamma_ratio, hyp2f1, ln_gamma
 from .spectral import _cf_depth, _support_distance, stieltjes_cf
 
@@ -54,12 +61,18 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
     All three associated models share the numerator 2F1(c+1, c+a+1;
     2c+a+b+2; 1/z); they differ in the denominator series.  Principal
     branch.  A z that is not a number, a non-finite z or a real z in
-    [0, 1] raises ParameterError, as in stieltjes_cf;
+    [0, 1] raises ParameterError, as in stieltjes_cf, and so does an
+    array z of any shape but 0-d (stieltjes_cf takes arrays);
     UnsupportedRegionError is raised when 1/z falls outside the
     implemented 2F1 regions (fall back to stieltjes_cf then).
     """
     validate_model(kind, p)
     _support_distance(z)
+    if np.ndim(z) != 0:
+        raise ParameterError(
+            f"stieltjes_closed takes one z, got shape {np.shape(z)}; "
+            "use stieltjes_cf for arrays"
+        )
     z = complex(z)
     a, b, c = p.a, p.b, p.c
     x = 1.0 / z
@@ -140,7 +153,7 @@ def _density_norm(p: JacobiParams) -> float:
 def _open_unit(x) -> np.ndarray:
     """x as a 1-d float array, each point inside (0, 1): the one domain
     of both density routes."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(as_real_array("x", x))
     # written so that NaN fails it too
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ParameterError("density is defined on the open interval (0, 1)")
@@ -226,7 +239,7 @@ def density_profile(
 ) -> tuple[DensityProfile, str]:
     """Evaluate the density on a grid; returns (profile, route used)."""
     eps = as_real("eps", eps)
-    grid = np.asarray(grid, dtype=float)
+    grid = as_real_array("density grid", grid)
     if not np.all(np.isfinite(grid)):
         raise ParameterError("density grid must be finite")
     if method not in ("auto", "closed", "numeric"):

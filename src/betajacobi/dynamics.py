@@ -16,14 +16,11 @@ import numpy as np
 
 from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
-from .errors import ConvergenceError, ParameterError, as_count, as_real
+from .errors import ConvergenceError, ParameterError, as_count, as_real, as_real_array
 from .spectral import MomentVector
 
 __all__ = [
-    "ParticleState",
     "MomentPath",
-    "drift",
-    "em_step",
     "simulate_moments",
     "ode_rhs",
     "integrate_moments",
@@ -33,31 +30,6 @@ __all__ = [
 
 # pairwise gaps below this are treated as hard collisions
 EPS_DIV = 1e-12
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """Sorted particle positions in [0, 1] at a given time."""
-
-    time: float
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "positions", x)
-        if x.ndim != 1 or len(x) < 1:
-            raise ParameterError("positions must be a nonempty 1-d array")
-        if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
-            raise ParameterError("positions must lie in [0, 1]")
-        if np.any(np.diff(x) < 0.0):
-            raise ParameterError("positions must be sorted ascending")
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def moment(self, k: int) -> float:
-        return float(np.mean(self.positions ** as_count("moment order", k)))
 
 
 @dataclass(frozen=True)
@@ -165,31 +137,6 @@ def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
     return x
 
 
-def drift(state: ParticleState, a: float, b: float, beta: float):
-    """(drift, diffusion) vectors of the particle SDE at `state`; (a, b,
-    beta) pass the checks of EnsembleConfig."""
-    cfg = EnsembleConfig(state.n, beta, a, b)
-    return _drift_arrays(state.positions, cfg.a, cfg.b, cfg.beta)
-
-
-def em_step(
-    state: ParticleState,
-    a: float,
-    b: float,
-    beta: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> ParticleState:
-    """One Euler-Maruyama step; clamps to [0, 1] and re-sorts.  (a, b,
-    beta) pass the checks of EnsembleConfig."""
-    dt = as_real("dt", dt)
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    cfg = EnsembleConfig(state.n, beta, a, b)
-    x = _em_step(state.positions, cfg.a, cfg.b, cfg.beta, dt, rng)
-    return ParticleState(state.time + dt, x)
-
-
 def _power_means(x: np.ndarray, k_max: int) -> np.ndarray:
     """(paths, k_max + 1) means over the particles of x^k, k = 0..k_max,
     for (paths, N) positions, by running products."""
@@ -216,20 +163,25 @@ def simulate_moments(
 ) -> tuple[MomentPath, np.ndarray]:
     """Path-averaged empirical moments of the N-particle SDE.
 
-    All paths step together as a (paths, N) batch on one substream, so
-    the run is reproducible from (seed,) alone.  Returns (path, stderr)
-    where stderr[t, k] is the across-path standard error at each record
-    time: t = 0, about 200 evenly spaced steps, and the final step.
+    x0 is one position for every particle or a length-N array, each in
+    [0, 1]; the start is sorted.  All paths step together as a
+    (paths, N) batch on one substream, so the run is reproducible from
+    (seed,) alone.  Returns (path, stderr) where stderr[t, k] is the
+    across-path standard error at each record time: t = 0, about 200
+    evenly spaced steps, and the final step.
     """
     paths = as_count("paths", paths, 2)
     k_max = as_count("k_max", k_max)
     n, beta, a, b = astuple(EnsembleConfig(n, beta, a, b))  # the ensemble's checks
     dt, steps, stride = _schedule(t_end, dt)
 
-    start = np.asarray(x0, dtype=float) if np.ndim(x0) else np.full(n, as_real("x0", x0))
+    start = as_real_array("x0", x0) if np.ndim(x0) else np.full(n, as_real("x0", x0))
     if start.shape != (n,):
         raise ParameterError("x0 must be a scalar or a length-N array")
-    x = np.tile(ParticleState(0.0, np.sort(start)).positions, (paths, 1))
+    # written so that NaN fails it too
+    if not np.all((start >= 0.0) & (start <= 1.0)):
+        raise ParameterError("positions must lie in [0, 1]")
+    x = np.tile(np.sort(start), (paths, 1))
 
     rng = substream(seed, 0)
     times = [0.0]
@@ -305,7 +257,7 @@ def _hierarchy_rhs(m: list, coef) -> list:
 def _moment_list(m, name: str) -> list:
     """m as a float list after the checks shared by ode_rhs and
     integrate_moments: a nonempty 1-d finite vector with m[0] = 1."""
-    arr = np.asarray(m, dtype=float)
+    arr = as_real_array(name, m)
     if arr.ndim != 1 or len(arr) < 1:
         raise ParameterError(f"{name} must be a nonempty 1-d array")
     if not np.all(np.isfinite(arr)):

@@ -29,9 +29,7 @@ from .spectral import DiscreteMeasure, MomentVector, SymmetricTridiagonal, _stev
 __all__ = [
     "EnsembleConfig",
     "BidiagonalFactor",
-    "RegimeParams",
     "substream",
-    "sample_beta",
     "sample_model",
     "to_tridiagonal",
     "empirical_measure",
@@ -39,7 +37,6 @@ __all__ = [
     "exact_moment",
     "limit_pq",
     "limit_bidiagonal_squares",
-    "limit_tridiagonal",
     "MAX_EXACT_N",
     "MAX_EXACT_K",
 ]
@@ -118,21 +115,6 @@ class BidiagonalFactor:
                 raise ParameterError(f"{name} entries must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RegimeParams:
-    """Slopes (A, B) of the weight exponents a = A kappa, b = B kappa."""
-
-    A: float
-    B: float
-
-    def __post_init__(self) -> None:
-        vars(self).update(A=as_real("A", self.A), B=as_real("B", self.B))
-        if self.A <= 0.0 or self.B <= 0.0:
-            raise ParameterError(
-                f"regime slopes must be positive, got A={self.A}, B={self.B}"
-            )
-
-
 def _fold_seed(seed: int) -> int:
     sequence = np.random.SeedSequence(as_count("seed", seed))
     return int(sequence.generate_state(1, np.uint64)[0])
@@ -186,18 +168,6 @@ def _beta_rows(alpha, beta, streams: list, rows: int) -> np.ndarray:
             _redraw_empty(xs, ys, ts, alpha, beta, rng)
     # x is 0 wherever its total is
     return np.divide(x, tot, out=x, where=tot > 0.0)
-
-
-def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, beta) variate via two gamma variates."""
-    alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ParameterError(f"beta shapes must be in (0, inf), got ({alpha}, {beta})")
-    # EnsembleConfig's rule: twice the shape sum finite, so the gamma
-    # total X + Y does not overflow
-    if 2.0 * (alpha + beta) == np.inf:
-        raise ParameterError(f"beta shapes ({alpha}, {beta}) overflow the gamma total")
-    return float(_beta_rows(np.array([alpha]), np.array([beta]), [rng], 1)[0, 0])
 
 
 def _shape_arrays(cfg: EnsembleConfig):
@@ -545,12 +515,3 @@ def limit_bidiagonal_squares(
     so the finite-kappa and limit pipelines share their arithmetic.
     """
     return _bidiagonal_squares(*limit_pq(size, n_param, a_slope, b_slope))
-
-
-def limit_tridiagonal(n: int, regime: RegimeParams) -> SymmetricTridiagonal:
-    """The N-by-N deterministic matrix the ensemble freezes onto."""
-    n = as_count("n", n, 1)
-    s2, t2 = limit_bidiagonal_squares(n, float(n), regime.A, regime.B)
-    if not all(np.all((x >= 0.0) & (x <= 1.0)) for x in (s2, t2)):
-        raise ParameterError("limit squares must lie in [0, 1]")
-    return SymmetricTridiagonal(*_tridiagonal_from_squares(s2, t2))

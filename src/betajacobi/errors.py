@@ -3,6 +3,16 @@
 import math
 from numbers import Real
 
+import numpy as np
+
+__all__ = [
+    "ParameterError",
+    "PoleError",
+    "UnsupportedRegionError",
+    "ConvergenceError",
+    "ConvergenceWarning",
+]
+
 
 class ParameterError(ValueError):
     """Parameters outside the admissible domain."""
@@ -58,3 +68,14 @@ def as_real(name: str, value) -> float:
     if not math.isfinite(out):
         raise ParameterError(f"{name} must be a finite real, got {value!r}")
     return out
+
+
+def as_real_array(name: str, value) -> np.ndarray:
+    """value as a float array of its own shape: a real number or an array
+    of them (integer or floating dtype); a str, bytes, bool, complex or
+    object dtype raises ParameterError.  Callers check shape, finiteness
+    and range."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be a real or an array of reals, got {value!r}")
+    return arr.astype(float, copy=False)

@@ -28,7 +28,6 @@ __all__ = [
     "moment11",
     "gauss_quadrature",
     "stieltjes_cf",
-    "eigen_tridiagonal",
 ]
 
 # default relative tolerance for deterministic identity checks
@@ -165,11 +164,6 @@ def _stevd(d: np.ndarray, e: np.ndarray, *, compute_v: bool = False):
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolver failed: dstevd info = {info}")
     return vals, vecs
-
-
-def eigen_tridiagonal(t: SymmetricTridiagonal) -> np.ndarray:
-    """Eigenvalues (ascending) of a symmetric tridiagonal matrix."""
-    return _stevd(t.diag, t.offdiag)[0]
 
 
 def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasure:

@@ -111,6 +111,27 @@ class TestStieltjesClosed:
             with pytest.raises(ParameterError, match="z must be a number"):
                 route(ModelKind.ASSOC_III, P_REF, z)
 
+    @pytest.mark.parametrize(
+        "z",
+        [np.array([2.0]), [2.0, 3.0], np.full((2, 2), 2.0 + 0.5j)],
+        ids=["one_element", "list", "two_by_two"],
+    )
+    def test_array_z_raises_in_the_one_point_routes(self, z):
+        # complex(z) used to leak a bare TypeError here, while
+        # stieltjes_cf takes the same z and returns an array
+        for route in (stieltjes_closed, stieltjes_auto):
+            with pytest.raises(ParameterError, match="use stieltjes_cf for arrays"):
+                route(ModelKind.ASSOC_III, P_REF, z)
+        assert np.shape(stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)) == np.shape(z)
+
+    def test_zero_d_array_z_is_one_point(self):
+        # -0.5j is past the closed form's regions: auto takes the fraction
+        for route, points in ((stieltjes_closed, (2.0, 2.0 + 1.0j)),
+                              (stieltjes_auto, (2.0, 2.0 + 1.0j, -0.5j))):
+            for z in points:
+                want = route(ModelKind.ASSOC_III, P_REF, z)
+                assert repr(route(ModelKind.ASSOC_III, P_REF, np.array(z))) == repr(want)
+
     def test_auto_routes(self):
         val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, 2.0 + 1.0j)
         assert route == "closed"
@@ -548,6 +569,15 @@ class TestZeta:
         r_large = zeta_n(P_REF, 10_000) / zeta_asymptotic(P_REF, 10_000)
         assert abs(r_large - 1.0) < 1e-2
         assert abs(r_large - 1.0) < abs(r_small - 1.0)
+
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5])
+    def test_large_n_gap_falls_as_one_over_n(self, n):
+        # at the polynomials criterion's parameters zeta_n / zeta_asymptotic
+        # - 1 is -1.355 / n to within 2%, so the criterion's bound of 1e-3
+        # at n = 10^4 sits a factor 7 above the true gap
+        p = JacobiParams(0.3, 0.7, 1.5)
+        scaled = n * (zeta_n(p, n) / zeta_asymptotic(p, n) - 1.0)
+        assert -1.38 < scaled < -1.32
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -60,12 +60,6 @@ COUNTS = {
     "limit_bidiagonal_squares.size": (
         lambda v: bj.limit_bidiagonal_squares(v, 6.0, 1.0, 2.0), 1, 4
     ),
-    "limit_tridiagonal.n": (
-        lambda v: bj.limit_tridiagonal(v, bj.RegimeParams(1.0, 2.0)), 1, 4
-    ),
-    "ParticleState.moment.k": (
-        lambda v: bj.ParticleState(0.0, [0.2, 0.5, 0.7]).moment(v), 0, 3
-    ),
     "simulate_moments.n": (lambda v: _simulate(n=v), 1, 3),
     "simulate_moments.paths": (lambda v: _simulate(paths=v), 2, 4),
     "simulate_moments.k_max": (lambda v: _simulate(k_max=v), 0, 2),

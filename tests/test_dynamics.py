@@ -11,9 +11,6 @@ from betajacobi import (
     ModelKind,
     MomentPath,
     ParameterError,
-    ParticleState,
-    drift,
-    em_step,
     integrate_moments,
     lambda_hat0,
     moment11,
@@ -23,25 +20,16 @@ from betajacobi import (
     stationary_uk,
     substream,
 )
-from betajacobi.dynamics import EPS_DIV, _em_step, _interaction, _power_means
+from betajacobi.dynamics import (
+    EPS_DIV,
+    _drift_arrays,
+    _em_step,
+    _interaction,
+    _power_means,
+)
 from oracles import convolve_hierarchy, dense_interaction
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
-
-
-class TestParticleState:
-    def test_properties(self):
-        s = ParticleState(0.5, np.array([0.2, 0.4, 0.9]))
-        assert s.n == 3
-        assert s.moment(2) == pytest.approx((0.04 + 0.16 + 0.81) / 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            ParticleState(0.0, np.array([0.4, 0.2]))  # unsorted
-        with pytest.raises(ParameterError):
-            ParticleState(0.0, np.array([-0.1, 0.5]))  # out of box
-        with pytest.raises(ParameterError):
-            ParticleState(0.0, np.array([0.1, np.nan]))
 
 
 class TestMomentPath:
@@ -64,45 +52,30 @@ class TestMomentPath:
 
 class TestDrift:
     def test_single_particle(self):
-        mu, sigma = drift(ParticleState(0.0, np.array([0.5])), 0.0, 0.0, 2.0)
+        mu, sigma = _drift_arrays(np.array([0.5]), 0.0, 0.0, 2.0)
         assert mu[0] == 0.0
         assert sigma[0] == pytest.approx(np.sqrt(0.5))
-        mu0, sigma0 = drift(ParticleState(0.0, np.array([0.0])), 0.0, 0.0, 2.0)
+        mu0, sigma0 = _drift_arrays(np.array([0.0]), 0.0, 0.0, 2.0)
         assert mu0[0] == 1.0 and sigma0[0] == 0.0
 
     def test_two_particle_repulsion(self):
-        mu, _ = drift(ParticleState(0.0, np.array([0.25, 0.75])), 0.0, 0.0, 2.0)
+        mu, _ = _drift_arrays(np.array([0.25, 0.75]), 0.0, 0.0, 2.0)
         np.testing.assert_allclose(mu, [-0.25, 0.25], rtol=1e-14)
 
     def test_tied_pair_contributes_nothing(self):
         # coincident particles see each other with zero force; both still
         # feel the third particle
-        mu, _ = drift(ParticleState(0.0, np.array([0.3, 0.3, 0.8])), 0.0, 0.0, 2.0)
+        mu, _ = _drift_arrays(np.array([0.3, 0.3, 0.8]), 0.0, 0.0, 2.0)
         assert mu[0] == mu[1]
         assert np.all(np.isfinite(mu))
-        solo, _ = drift(ParticleState(0.0, np.array([0.3, 0.8])), 0.0, 0.0, 2.0)
+        solo, _ = _drift_arrays(np.array([0.3, 0.8]), 0.0, 0.0, 2.0)
         lone_interaction = 2.0 * 0.3 * 0.7 / (0.3 - 0.8)
         assert mu[0] == pytest.approx(solo[0], rel=1e-14)
         assert mu[0] == pytest.approx(1.0 - 2.0 * 0.3 + lone_interaction, rel=1e-13)
 
     def test_point_mass_start_is_finite(self):
-        mu, _ = drift(ParticleState(0.0, np.full(5, 0.5)), 0.0, 0.0, 2.0)
+        mu, _ = _drift_arrays(np.full(5, 0.5), 0.0, 0.0, 2.0)
         np.testing.assert_array_equal(mu, np.zeros(5))
-
-    @pytest.mark.parametrize(
-        "a, b, beta",
-        [(np.nan, 0.7, 1.0), (0.3, np.inf, 1.0), (0.3, 0.7, np.nan),
-         (-1.0, 0.7, 1.0), (0.3, 0.7, -0.5)],
-    )
-    def test_bad_parameters_raise(self, a, b, beta):
-        # the checks of EnsembleConfig, as in simulate_moments; a NaN weight
-        # used to give a NaN drift, and em_step at beta = nan failed later
-        # with "positions must lie in [0, 1]"
-        state = ParticleState(0.0, np.array([0.25, 0.75]))
-        with pytest.raises(ParameterError):
-            drift(state, a, b, beta)
-        with pytest.raises(ParameterError, match="beta|must be a finite real|need a"):
-            em_step(state, a, b, beta, 1e-3, substream(4, 0))
 
 
 def _assert_matches_dense(x):
@@ -193,30 +166,20 @@ class TestPowerMeans:
 
 
 class TestEmStep:
-    def test_advances_time_and_sorts(self):
-        s = ParticleState(1.0, np.array([0.3, 0.6]))
-        out = em_step(s, 0.5, 0.5, 2.0, 1e-3, substream(4, 0))
-        assert out.time == pytest.approx(1.001)
-        assert np.all(np.diff(out.positions) >= 0.0)
-
-    def test_bad_dt_raises(self):
-        s = ParticleState(0.0, np.array([0.5]))
-        with pytest.raises(ParameterError):
-            em_step(s, 0.0, 0.0, 2.0, 0.0, substream(4, 0))
-        with pytest.raises(ParameterError):
-            em_step(s, 0.0, 0.0, 2.0, np.nan, substream(4, 0))
+    def test_sorts(self):
+        out = _em_step(np.array([0.3, 0.6]), 0.5, 0.5, 2.0, 1e-3, substream(4, 0))
+        assert out.shape == (2,)
+        assert np.all(np.diff(out) >= 0.0)
 
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_batched_step_matches_single_steps(self, n):
-        # the kernel simulate_moments runs equals em_step row by row
+        # a batch of configurations steps as its rows do one by one
         starts = [np.sort(substream(8, i).uniform(size=n)) for i in range(2)]
         rng = substream(6, 0)
-        single = [
-            em_step(ParticleState(0.0, x), 0.3, 0.7, 1.5, 1e-3, rng) for x in starts
-        ]
+        single = [_em_step(x, 0.3, 0.7, 1.5, 1e-3, rng) for x in starts]
         batch = _em_step(np.vstack(starts), 0.3, 0.7, 1.5, 1e-3, substream(6, 0))
-        for row, state in zip(batch, single):
-            np.testing.assert_array_equal(row, state.positions)
+        for row, x in zip(batch, single):
+            np.testing.assert_array_equal(row, x)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -226,12 +189,11 @@ class TestEmStep:
     @settings(max_examples=30, deadline=None)
     def test_stays_in_box(self, seed, n, beta):
         rng = substream(seed, 0)
-        start = ParticleState(0.0, np.sort(rng.uniform(size=n)))
-        s = start
+        x = np.sort(rng.uniform(size=n))
         for _ in range(5):
-            s = em_step(s, 0.5, 0.5, beta, 1e-3, rng)
-        assert np.all((s.positions >= 0.0) & (s.positions <= 1.0))
-        assert np.all(np.diff(s.positions) >= 0.0)
+            x = _em_step(x, 0.5, 0.5, beta, 1e-3, rng)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert np.all(np.diff(x) >= 0.0)
 
 
 class TestSimulateMoments:
@@ -259,6 +221,43 @@ class TestSimulateMoments:
         x0 = np.array([0.2, 0.5, 0.8])
         path, _ = simulate_moments(3, 0.0, 0.0, 1.0, x0, 0.01, 1e-3, 20, 2, seed=3)
         assert path.moments[0, 1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            ([-0.1, 0.5, 0.7], r"positions must lie in \[0, 1\]"),
+            ([0.2, 0.5, 1.5], r"positions must lie in \[0, 1\]"),
+            ([0.1, np.nan, 0.5], r"positions must lie in \[0, 1\]"),
+            (1.5, r"positions must lie in \[0, 1\]"),
+            ([0.2, 0.5], "x0 must be a scalar or a length-N array"),
+            ([], "x0 must be a scalar or a length-N array"),
+            (np.full((1, 3), 0.5), "x0 must be a scalar or a length-N array"),
+        ],
+        ids=["below", "above", "nan", "scalar_above", "short", "empty", "two_d"],
+    )
+    def test_bad_start_raises(self, x0, message):
+        # a start must be one position or N of them, each in [0, 1]
+        with pytest.raises(ParameterError, match=message):
+            simulate_moments(3, 0.0, 0.0, 1.0, x0, 0.01, 1e-3, 4, 2, seed=3)
+
+    @pytest.mark.parametrize(
+        "a, b, beta",
+        [(-1.0, 0.7, 1.0), (0.3, -1.5, 1.0), (0.3, 0.7, -0.5), (-2.0, -2.0, 1.0)],
+        ids=["a", "b", "beta", "both_weights"],
+    )
+    def test_out_of_range_parameters_raise(self, a, b, beta):
+        # the weight needs a, b > -1 and the ensemble beta >= 0; the
+        # particle drift runs only on what EnsembleConfig accepts
+        with pytest.raises(ParameterError, match="beta must be >= 0|need a"):
+            simulate_moments(3, a, b, beta, 0.5, 0.01, 1e-3, 4, 2, seed=3)
+
+    def test_unsorted_start_runs_sorted(self):
+        def run(x0):
+            return simulate_moments(3, 0.0, 0.0, 1.0, x0, 0.01, 1e-3, 4, 2, seed=3)
+
+        got, want = run(np.array([0.8, 0.2, 0.5])), run(np.array([0.2, 0.5, 0.8]))
+        np.testing.assert_array_equal(got[0].moments, want[0].moments)
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_guards(self):
         with pytest.raises(ParameterError):
@@ -503,7 +502,7 @@ class TestFiniteNCorrection:
             c = rng.uniform(0.0, 3.0)
             x = np.sort(rng.uniform(0.0, 1.0, n))
             m = [float(np.mean(x**j)) for j in range(k + 1)]
-            mu, _ = drift(ParticleState(0.0, x), a, b, 2.0 * c / n)
+            mu, _ = _drift_arrays(x, a, b, 2.0 * c / n)
             terms = np.concatenate([k * x ** (k - 1) * mu, k * (k - 1) * x ** (k - 1) * (1.0 - x)])
             want = terms.sum() / n
             scale = max(abs(want), np.abs(terms).sum() / n)

@@ -15,17 +15,12 @@ from betajacobi import (
     JacobiParams,
     ModelKind,
     ParameterError,
-    RegimeParams,
-    SymmetricTridiagonal,
-    eigen_tridiagonal,
     empirical_measure,
     exact_moment,
     limit_bidiagonal_squares,
     limit_pq,
-    limit_tridiagonal,
     mc_moments,
     moment11,
-    sample_beta,
     sample_model,
     substream,
     to_tridiagonal,
@@ -35,11 +30,13 @@ import betajacobi.ensemble as ens
 from betajacobi.ensemble import (
     MAX_EXACT_K,
     MAX_EXACT_N,
+    _beta_rows,
     _draw_squares,
     _shape_arrays,
     _trace_moments,
     _tridiagonal_from_squares,
 )
+from betajacobi.spectral import _stevd
 
 from oracles import dense_bbt, per_trial_spectrum, quadrature_moment, textbook_squares
 
@@ -121,25 +118,11 @@ class TestStreams:
 
 class TestSampling:
     def test_beta_moments_match(self):
-        rng = substream(42, 0)
-        draws = np.array([sample_beta(5.0, 2.0, rng) for _ in range(20_000)])
+        draws = _beta_rows(np.array([5.0]), np.array([2.0]), [substream(42, 0)], 20_000)
+        draws = draws[:, 0]
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - 5.0 / 7.0) < 3.0 * se
         assert np.all((draws > 0.0) & (draws < 1.0))
-
-    def test_beta_shape_guard(self):
-        with pytest.raises(ParameterError):
-            sample_beta(0.0, 1.0, substream(1, 0))
-        # NaN used to come back as 0.0
-        for alpha, beta in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)]:
-            with pytest.raises(ParameterError):
-                sample_beta(alpha, beta, substream(1, 0))
-        # shapes whose gamma total X + Y can overflow, by EnsembleConfig's
-        # rule; (1e308, 1e308) used to come back as 0.0
-        for alpha, beta in [(1e308, 1e308), (5e307, 5e307), (1.7e308, 1.0)]:
-            with pytest.raises(ParameterError, match="overflow"):
-                sample_beta(alpha, beta, substream(1, 0))
-        assert sample_beta(4e307, 4e307, substream(1, 0)) == pytest.approx(0.5)
 
     def test_single_point_marginal(self):
         # N = 1 collapses to one Beta(a+1, b+1) variable
@@ -179,18 +162,19 @@ class TestSampling:
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("shapes", [(5.0, 2.0), (1e-4, 1e-4), (0.3, 1e-3)])
-    def test_sample_beta_is_the_textbook_draw(self, shapes, monkeypatch):
-        # successive draws from one stream, each the one-variable case of
-        # the oracle; (1e-4, 1e-4) underflows to 0/0 and takes the redraw
+    def test_beta_rows_is_the_textbook_draw(self, shapes, monkeypatch):
+        # a many-row draw of one variable is the one-variable case of the
+        # oracle; (1e-4, 1e-4) underflows to 0/0 and takes the redraw
         calls = []
         redraw = ens._redraw_empty
         monkeypatch.setattr(
             ens, "_redraw_empty", lambda *args: calls.append(1) or redraw(*args)
         )
-        rng, ref = substream(42, 0), substream(42, 0)
-        got = np.array([sample_beta(*shapes, rng) for _ in range(2000)])
-        one = (np.array([shapes[0]]), np.array([shapes[1]]), np.empty(0), np.empty(0))
-        want = np.array([textbook_squares(one, ref, 1)[0][0, 0] for _ in range(2000)])
+        alpha, beta = np.array([shapes[0]]), np.array([shapes[1]])
+        got = _beta_rows(alpha, beta, [substream(42, 0)], 2000)
+        one = (alpha, beta, np.empty(0), np.empty(0))
+        want = textbook_squares(one, substream(42, 0), 2000)[0]
+        assert got.shape == (2000, 1)
         assert got.tobytes() == want.tobytes()
         if shapes == (1e-4, 1e-4):
             assert calls
@@ -228,17 +212,6 @@ class TestTridiagonalAssembly:
             np.testing.assert_allclose(t.diag, diags[r], rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(t.offdiag, offs[r], rtol=1e-15, atol=0.0)
 
-    def test_limit_matrix_range_checked(self, monkeypatch):
-        import betajacobi.ensemble as ens
-
-        def squares(size, n_param, a_slope, b_slope):
-            return np.full(size, 0.5), np.r_[1.5, np.full(size - 2, 0.5)]
-
-        monkeypatch.setattr(ens, "limit_bidiagonal_squares", squares)
-        with pytest.raises(ParameterError):
-            limit_tridiagonal(4, RegimeParams(1.5, 2.5))
-
-
 class TestEmpiricalMeasure:
     def test_support_and_weights(self):
         m = empirical_measure(CFG, substream(3, 0))
@@ -258,7 +231,7 @@ class TestEmpiricalMeasure:
         for idx in range(5):
             m = empirical_measure(cfg, substream(8, idx))
             t = to_tridiagonal(sample_model(cfg, substream(8, idx)))
-            want = np.sort(np.asarray(eigen_tridiagonal(t)))
+            want = np.sort(_stevd(t.diag, t.offdiag)[0])
             np.testing.assert_allclose(m.nodes, want, rtol=0.0, atol=1e-14)
 
     @given(
@@ -359,7 +332,7 @@ def _random_tridiagonals(rng, m, n):
 def _eigen_moments(diags, offs, k_max):
     out = np.empty((len(diags), k_max + 1))
     for r in range(len(diags)):
-        vals = np.asarray(eigen_tridiagonal(SymmetricTridiagonal(diags[r], offs[r])))
+        vals = _stevd(diags[r], offs[r])[0]
         out[r] = [np.mean(vals**k) for k in range(k_max + 1)]
     return out
 
@@ -588,7 +561,8 @@ class TestExactMoments:
         # a = A kappa, b = B kappa at kappa = 1e100 is the frozen limit to
         # rounding; Pochhammer symbols of these shapes overflow a double
         for n in (3, MAX_EXACT_N):
-            frozen = limit_tridiagonal(n, RegimeParams(A, B))
+            s2, t2 = limit_bidiagonal_squares(n, float(n), A, B)
+            frozen = to_tridiagonal(BidiagonalFactor(np.sqrt(s2), np.sqrt(t2)))
             d, e = frozen.diag, frozen.offdiag
             dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             for k in range(1, MAX_EXACT_K + 1):
@@ -643,8 +617,9 @@ class TestKappaLimit:
         np.testing.assert_allclose(t.offdiag, e, atol=1e-12)
 
     def test_limit_matrix_spectrum_in_box(self):
-        t = limit_tridiagonal(12, RegimeParams(1.5, 2.5))
-        vals = eigen_tridiagonal(t)
+        s2, t2 = limit_bidiagonal_squares(12, 12.0, 1.5, 2.5)
+        t = to_tridiagonal(BidiagonalFactor(np.sqrt(s2), np.sqrt(t2)))
+        vals = _stevd(t.diag, t.offdiag)[0]
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_vanishing_denominator_raises(self):
@@ -655,9 +630,3 @@ class TestKappaLimit:
             limit_pq(3, np.nan, 0.7, 1.3)
         with pytest.raises(ParameterError):
             limit_bidiagonal_squares(3, 3.0, 0.7, np.inf)
-
-    def test_regime_validation(self):
-        with pytest.raises(ParameterError):
-            RegimeParams(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            RegimeParams(1.0, -2.0)

@@ -1,8 +1,52 @@
-"""The package namespace as the introspecting tests and tools see it."""
+"""The package namespace as the introspecting tests and tools see it, and
+a public surface in which every name has a caller in the package or a
+written reason to be public without one."""
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import betajacobi
+
+SRC = Path(betajacobi.__file__).resolve().parent
+
+# the modules whose __all__ makes up the package's (errors holds the
+# exception types); cli and acceptance are reached through the CLI
+LAYERS = ("coeffs", "spectral", "hypergeom", "analytic", "ensemble", "dynamics", "errors")
+
+# public names with no caller in the package, each with why it stays public
+REASONS = {
+    "empirical_measure": "one sampled spectrum as a measure: the public "
+    "one-trial form of the `sample` kernel, which the benchmark's warm-up "
+    "calls (bench/worker.py)",
+    "sample_model": "the paper's matrix model B, and the only public draw "
+    "of the bidiagonal factor",
+    "moment_drift_finite_n": "the finite-N generator reference of "
+    "test_generator_one_step_drift, until the particle scheme is checked "
+    "against the generator inside the package",
+}
+
+
+def _public_names() -> set:
+    return set(betajacobi.__all__) - {"__version__"}
+
+
+def _called_names() -> set:
+    """Names loaded anywhere in src/betajacobi/*.py but __init__.py,
+    outside the top-level def or class that defines the same name; an
+    import or an __all__ string is no caller."""
+    called = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != own:
+                        called.add(node.id)
+    return called
 
 
 def test_public_callables_are_plain_functions():
@@ -14,3 +58,36 @@ def test_public_callables_are_plain_functions():
         obj = getattr(betajacobi, name)
         if callable(obj) and not inspect.isclass(obj):
             assert inspect.isfunction(obj), name
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    callerless = _public_names() - _called_names()
+    missing = sorted(callerless - set(REASONS))
+    assert not missing, f"public names with no caller in the package: {missing}"
+
+
+def test_no_stale_reason():
+    # a reason goes once its name gains a caller or stops being public
+    stale = sorted(set(REASONS) - (_public_names() - _called_names()))
+    assert not stale, f"REASONS entries for names that are called or gone: {stale}"
+
+
+def test_layer_all_entries_resolve():
+    # bench/spans.public_functions calls getattr on every entry of the
+    # layer modules' __all__; one stale entry would crash a traced run
+    for layer in LAYERS:
+        mod = importlib.import_module(f"betajacobi.{layer}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"betajacobi.{layer}.__all__ names nothing for {missing}"
+
+
+def test_package_all_is_the_union_of_the_layers():
+    # constants (upper-case names) stay in their module's namespace
+    layers = set()
+    for layer in LAYERS:
+        mod = importlib.import_module(f"betajacobi.{layer}")
+        layers |= {name for name in mod.__all__ if not name.isupper()}
+    assert len(betajacobi.__all__) == len(set(betajacobi.__all__))
+    assert _public_names() == layers
+    for name in layers:
+        assert hasattr(betajacobi, name), name

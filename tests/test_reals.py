@@ -1,7 +1,10 @@
 """One input policy for reals: every scalar real parameter of the public
 API goes through errors.as_real, which accepts ints, floats and numpy
 integer and floating scalars alike and refuses a bool, a string, a
-complex, None, an array, NaN and +-inf with ParameterError."""
+complex, None, an array, NaN and +-inf with ParameterError.  Every array
+of reals goes through errors.as_real_array, which takes integer and
+floating dtypes alike and refuses str, bytes, bool, complex and object
+dtypes."""
 
 import warnings
 
@@ -14,16 +17,11 @@ from test_counts import _bits, _public_parameters
 
 P = JacobiParams(0.3, 0.7, 1.2)
 K = ModelKind.ASSOC_III
-STATE = bj.ParticleState(0.0, [0.25, 0.5, 0.75])
 M = [1.0, 0.5, 0.25]
 
 
 def _simulate(a=0.5, b=0.5, beta=2.0, x0=0.5, t_end=0.03125, dt=0.00390625):
     return bj.simulate_moments(3, a, b, beta, x0, t_end, dt, 4, 2, seed=1)
-
-
-def _em_step(a=0.5, b=0.25, beta=2.0, dt=0.0078125):
-    return bj.em_step(STATE, a, b, beta, dt, bj.substream(4, 0))
 
 
 def _density_profile(eps):
@@ -40,15 +38,6 @@ REALS = {
     "EnsembleConfig.beta": (lambda v: bj.EnsembleConfig(3, v, 0.5, 0.5), 2.0),
     "EnsembleConfig.a": (lambda v: bj.EnsembleConfig(3, 2.0, v, 0.5), 0.5),
     "EnsembleConfig.b": (lambda v: bj.EnsembleConfig(3, 2.0, 0.5, v), 3.0),
-    "RegimeParams.A": (lambda v: bj.RegimeParams(v, 2.0), 1.0),
-    "RegimeParams.B": (lambda v: bj.RegimeParams(1.0, v), 0.75),
-    "drift.a": (lambda v: bj.drift(STATE, v, 0.25, 2.0), 0.5),
-    "drift.b": (lambda v: bj.drift(STATE, 0.5, v, 2.0), 1.0),
-    "drift.beta": (lambda v: bj.drift(STATE, 0.5, 0.25, v), 1.5),
-    "em_step.a": (lambda v: _em_step(a=v), 0.5),
-    "em_step.b": (lambda v: _em_step(b=v), 2.0),
-    "em_step.beta": (lambda v: _em_step(beta=v), 1.0),
-    "em_step.dt": (lambda v: _em_step(dt=v), 0.0078125),
     "simulate_moments.a": (lambda v: _simulate(a=v), 0.25),
     "simulate_moments.b": (lambda v: _simulate(b=v), 1.0),
     "simulate_moments.beta": (lambda v: _simulate(beta=v), 2.0),
@@ -71,8 +60,6 @@ REALS = {
     "exact_moment.kappa": (lambda v: bj.exact_moment(3, v, 0.5, 0.25, 3), 1.0),
     "exact_moment.a": (lambda v: bj.exact_moment(3, 0.5, v, 0.25, 3), 0.5),
     "exact_moment.b": (lambda v: bj.exact_moment(3, 0.5, 0.5, v, 3), 2.0),
-    "sample_beta.alpha": (lambda v: bj.sample_beta(v, 2.0, bj.substream(1, 0)), 1.5),
-    "sample_beta.beta": (lambda v: bj.sample_beta(1.5, v, bj.substream(1, 0)), 2.0),
     "limit_pq.n_param": (lambda v: bj.limit_pq(4, v, 1.0, 2.0), 6.0),
     "limit_pq.a_slope": (lambda v: bj.limit_pq(4, 6.0, v, 2.0), 0.5),
     "limit_pq.b_slope": (lambda v: bj.limit_pq(4, 6.0, 1.0, v), 2.0),
@@ -109,10 +96,10 @@ REALS = {
 
 # real-named parameters that are not scalar reals, with the reason
 EXEMPT = {
-    "density_closed.x": "an array of points; both density routes check that "
-    "each lies in (0, 1)",
-    "density_numeric.x": "an array of points; both density routes check that "
-    "each lies in (0, 1)",
+    "density_closed.x": "an array of points (ARRAYS); both density routes "
+    "check that each lies in (0, 1)",
+    "density_numeric.x": "an array of points (ARRAYS); both density routes "
+    "check that each lies in (0, 1)",
     "hyp2f1.x": "real or complex: a real x goes through as_real, a complex one "
     "part by part (test_hyp2f1_argument)",
 }
@@ -153,9 +140,53 @@ class TestRealPolicy:
             assert _bits(call(np.int64(v))) == want
 
 
+# "callable.parameter" -> (call with the array, a valid value whose
+# entries are exactly representable in float32)
+ARRAYS = {
+    "density_closed.x": (lambda v: bj.density_closed(P, v), [0.25, 0.5]),
+    "density_numeric.x": (lambda v: bj.density_numeric(K, P, v), [0.25, 0.5]),
+    "density_profile.grid": (lambda v: bj.density_profile(P, v), [0.25, 0.5, 0.75]),
+    "simulate_moments.x0": (lambda v: _simulate(x0=v), [0.25, 0.5, 0.75]),
+    "integrate_moments.m0": (lambda v: bj.integrate_moments(v, P, 0.5, 0.015625), M),
+    "ode_rhs.m": (lambda v: bj.ode_rhs(v, P), M),
+    "moment_drift_finite_n.moments": (
+        lambda v: bj.moment_drift_finite_n(v, 1, 0.5, 0.75, 1.5, 10), M
+    ),
+}
+
+BAD_ARRAYS = [
+    ["0.25", "0.5", "0.75"],
+    np.array(["0.25", "0.5", "0.75"]),
+    [b"0.25", b"0.5", b"0.75"],
+    [False, True, True],
+    np.array([1.0, 0.5, 0.25], dtype=object),
+    np.array([1.0, 0.5, 0.25], dtype=complex),
+    [0.25, "0.5", 0.75],
+]
+
+
+@pytest.mark.parametrize("label", sorted(ARRAYS))
+class TestRealArrayPolicy:
+    def test_bad_arrays_raise(self, label):
+        # strings, bools and complex numbers used to pass as their float
+        # values: density_closed(p, "0.5") returned 0.9212
+        call, _ = ARRAYS[label]
+        name = label.rsplit(".", 1)[1]
+        for bad in BAD_ARRAYS + ["0.5", b"0.5", True]:
+            with pytest.raises(ParameterError, match=f"{name} must be a (finite )?real"):
+                call(bad)
+
+    def test_real_dtypes_agree(self, label):
+        call, v = ARRAYS[label]
+        assert [float(np.float32(x)) for x in v] == v
+        want = _bits(call(v))
+        assert _bits(call(np.array(v))) == want
+        assert _bits(call(np.array(v, dtype=np.float32))) == want
+
+
 def test_every_real_parameter_is_covered():
     public = set(_public_parameters())
-    stale = sorted((set(REALS) | set(EXEMPT) | set(NONE_ALLOWED)) - public)
+    stale = sorted((set(REALS) | set(EXEMPT) | set(NONE_ALLOWED) | set(ARRAYS)) - public)
     assert not stale, f"entries name no public parameter: {stale}"
     named = {label for label in public if label.rsplit(".", 1)[1] in REAL_NAMES}
     missing = sorted(named - set(REALS) - set(EXEMPT))
