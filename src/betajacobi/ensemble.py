@@ -54,6 +54,9 @@ _CHUNK_ENTRIES = 1 << 20
 _CHUNK_KEY_BASE = 1 << 62
 # matrix entries (trials times N) per block of sampled spectra
 _SPECTRUM_BLOCK = 1 << 16
+# matrix entries per block of a Monte Carlo chunk whose J and band powers
+# are formed at once: small enough for L2 and the heap, not fresh mmaps
+_TRACE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,24 @@ def _stream(folded: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(folded << 64) | index))
 
 
+def _trial_streams(folded: int, indices: range):
+    """_stream(folded, i) for each i in indices, as one generator re-keyed
+    in place before each yield: key [i, folded] with a zero counter and
+    an empty buffer, the state Philox(key=...) starts from, at a fraction
+    of the cost of building one.  Each yield is spent before the next."""
+    bitgen = np.random.Philox(key=folded << 64)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for i in indices:
+        state["state"] = {
+            "counter": np.zeros(4, np.uint64),
+            "key": np.array([i, folded], np.uint64),
+        }
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        bitgen.state = state
+        yield rng
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for trial `index` under `seed`.
 
@@ -146,26 +167,22 @@ def _redraw_empty(x, y, tot, alpha, beta, rng: np.random.Generator) -> None:
     raise ConvergenceError("beta sampler kept underflowing; shapes too small")
 
 
-def _beta_rows(alpha, beta, streams: list, rows: int) -> np.ndarray:
-    """Beta(alpha, beta) variates as gamma ratios X / (X + Y): `rows` rows
-    of len(alpha) variates per stream, stacked in stream order.
+def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """`rows` rows of Beta(alpha, beta) variates as gamma ratios X / (X + Y),
+    drawn from one stream: all X gammas of the rows, then all Y gammas,
+    then the pairs whose total underflowed are redrawn (_redraw_empty).
 
-    The one Beta draw behind every sampler.  Each stream draws all X
-    gammas of its rows, then all Y gammas, then redraws its pairs whose
-    total underflowed (_redraw_empty); that order fixes every seeded
+    The one Beta draw behind every sampler; that order fixes every seeded
     byte.  Shape 0 is taken as the degenerate point mass at 0 (the
     kappa -> 0 edge of the q variables).
     """
-    shape = (len(streams) * rows, len(alpha))
+    shape = (rows, len(alpha))
     x, y, tot = np.empty(shape), np.empty(shape), np.empty(shape)
-    for i, rng in enumerate(streams):
-        part = slice(i * rows, (i + 1) * rows)
-        xs, ys, ts = x[part], y[part], tot[part]
-        rng.standard_gamma(alpha, out=xs)
-        rng.standard_gamma(beta, out=ys)
-        np.add(xs, ys, out=ts)
-        if not ts.all():
-            _redraw_empty(xs, ys, ts, alpha, beta, rng)
+    rng.standard_gamma(alpha, out=x)
+    rng.standard_gamma(beta, out=y)
+    np.add(x, y, out=tot)
+    if not tot.all():
+        _redraw_empty(x, y, tot, alpha, beta, rng)
     # x is 0 wherever its total is
     return np.divide(x, tot, out=x, where=tot > 0.0)
 
@@ -189,14 +206,19 @@ def _bidiagonal_squares(p: np.ndarray, q: np.ndarray):
     return s2, t2
 
 
-def _draw_squares(shapes, streams: list, rows: int):
-    """(s^2, t^2) of `rows` trials per stream, as (m, N) and (m, N-1)
-    arrays stacked in stream order; each stream draws all the p
-    variables of its rows before all their q variables."""
+def _draw_pq(shapes, streams, rows: int):
+    """(p, q) of `rows` trials per stream, as (m, N) and (m, N-1) arrays
+    stacked in stream order.  Each stream draws all the p variables of its
+    rows, then all their q variables, before the next stream starts, so
+    `streams` may re-key one generator between its items."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
-    p = _beta_rows(alpha_p, beta_p, streams, rows)
-    q = _beta_rows(alpha_q, beta_q, streams, rows)
-    return _bidiagonal_squares(p, q)
+    p, q = [], []
+    for rng in streams:
+        p.append(_beta_rows(alpha_p, beta_p, rng, rows))
+        q.append(_beta_rows(alpha_q, beta_q, rng, rows))
+    if len(p) == 1:
+        return p[0], q[0]
+    return np.concatenate(p), np.concatenate(q)
 
 
 def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
@@ -211,7 +233,7 @@ def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
-    s2, t2 = _draw_squares(_shape_arrays(cfg), [rng], 1)
+    s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), [rng], 1))
     return BidiagonalFactor(np.sqrt(s2[0]), np.sqrt(t2[0]))
 
 
@@ -221,7 +243,7 @@ def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(*_tridiagonal_from_squares(factor.s**2, factor.t**2))
 
 
-def _spectra(shapes, streams: list) -> np.ndarray:
+def _spectra(shapes, streams) -> np.ndarray:
     """Sorted spectra of one sampled J per stream, as an (m, N) array.
 
     The one kernel behind empirical_measure and the `sample` command:
@@ -232,7 +254,8 @@ def _spectra(shapes, streams: list) -> np.ndarray:
     Eigenvalues more than _FAIL_TOL outside [0, 1] raise
     ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
     """
-    diag, off = _tridiagonal_from_squares(*_draw_squares(shapes, streams, 1))
+    squares = _bidiagonal_squares(*_draw_pq(shapes, streams, 1))
+    diag, off = _tridiagonal_from_squares(*squares)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ParameterError("tridiagonal entries must be finite")
     vals = np.empty_like(diag)
@@ -260,7 +283,7 @@ def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
     shapes = _shape_arrays(cfg)
     step = max(1, _SPECTRUM_BLOCK // cfg.N)
     return (
-        _spectra(shapes, [_stream(folded, i) for i in range(lo, min(lo + step, trials))])
+        _spectra(shapes, _trial_streams(folded, range(lo, min(lo + step, trials))))
         for lo in range(0, trials, step)
     )
 
@@ -319,9 +342,12 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     symmetric with bandwidth j, so only its upper diagonals are kept,
     stepped up to j = ceil(k_max / 2) by the three-term product with J,
     and each trace is read as a Frobenius inner product,
-    tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max) per
-    step: no dense matrix is formed.  This is the closed-walk sum that
-    exact_moment averages over the Beta variables, on sampled entries.
+    tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max): no
+    dense matrix is formed, and _mc_chunk keeps m N near _TRACE_BLOCK.
+    A row's bits do not depend on the rows stacked with it while m >= 2;
+    einsum sums a lone row in another order.  This is the closed-walk sum
+    that exact_moment averages over the Beta variables, on sampled
+    entries.
     """
     m, n = diags.shape
     # diagonals run along axis 0 so row slices stay contiguous
@@ -343,9 +369,23 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
 def _mc_chunk(shapes, rng, lo, hi, k_max):
     """(count, mean, M2) of the trace moments of trials lo..hi-1, drawn in
     bulk from the chunk's stream rng, M2 the sum of squared deviations
-    from the chunk mean."""
-    diags, offs = _tridiagonal_from_squares(*_draw_squares(shapes, [rng], hi - lo))
-    moments = _trace_moments(diags, offs, k_max)
+    from the chunk mean.
+
+    The squares, J and its band powers are formed one block of about
+    _TRACE_BLOCK matrix entries at a time, so their memory grows with
+    neither the chunk nor k_max.  A block holds one trial only if the
+    chunk does (a lone last trial joins the block before it), so every
+    row keeps the bits of the whole chunk traced at once.
+    """
+    p, q = _draw_pq(shapes, [rng], hi - lo)
+    rows, n = p.shape
+    starts = list(range(0, rows, max(2, _TRACE_BLOCK // n)))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    moments = np.empty((rows, k_max + 1))
+    for a, b in zip(starts, starts[1:] + [rows]):
+        squares = _bidiagonal_squares(p[a:b], q[a:b])
+        moments[a:b] = _trace_moments(*_tridiagonal_from_squares(*squares), k_max)
     if not np.isfinite(moments).all():
         raise ConvergenceError(
             f"non-finite trace moment in trials {lo}..{hi - 1}; "
@@ -385,11 +425,12 @@ def mc_moments(
     eigensolve is done, so every trial counts.  Sampled spectra, the
     independent route, come from empirical_measure.  Trials are drawn
     in chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries,
-    each from its own keyed stream.  Each chunk reduces to (count, mean,
-    M2), and the chunks merge in chunk order, so reruns are identical and
-    the thread count never changes the result.
+    each from its own keyed stream; J and its band powers are formed one
+    block of about _TRACE_BLOCK entries of a chunk at a time.  Each chunk
+    reduces to (count, mean, M2), and the chunks merge in chunk order, so
+    reruns are identical and the thread count never changes the result.
     At most 2 * threads chunks are queued or running at once, so memory
-    grows neither with the trial count nor with N.
+    grows with neither the trial count, N nor k_max.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.
     """

@@ -31,7 +31,8 @@ from betajacobi.ensemble import (
     MAX_EXACT_K,
     MAX_EXACT_N,
     _beta_rows,
-    _draw_squares,
+    _bidiagonal_squares,
+    _draw_pq,
     _shape_arrays,
     _trace_moments,
     _tridiagonal_from_squares,
@@ -115,10 +116,27 @@ class TestStreams:
         with pytest.raises(ParameterError):
             substream(123, -1)
 
+    @pytest.mark.parametrize("seed", [0, 123, 2**63 + 5])
+    def test_rekeyed_generator_is_each_trial_stream(self, seed):
+        # one reused generator re-keyed per trial draws the bits of a fresh
+        # Philox per trial, whatever the trial before it left behind: the
+        # odd float32 count leaves half a 64-bit word, the rest a part-read
+        # buffer and a moved counter
+        folded = ens._fold_seed(seed)
+        indices = range(2**40, 2**40 + 4)
+        for i, rng in zip(indices, ens._trial_streams(folded, indices)):
+            fresh = ens._stream(folded, i)
+            for draw in (
+                lambda g: g.random(3, dtype=np.float32),
+                lambda g: g.standard_gamma(np.array([0.3, 2.0, 7.0])),
+                lambda g: g.random(5),
+            ):
+                assert draw(rng).tobytes() == draw(fresh).tobytes()
+
 
 class TestSampling:
     def test_beta_moments_match(self):
-        draws = _beta_rows(np.array([5.0]), np.array([2.0]), [substream(42, 0)], 20_000)
+        draws = _beta_rows(np.array([5.0]), np.array([2.0]), substream(42, 0), 20_000)
         draws = draws[:, 0]
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - 5.0 / 7.0) < 3.0 * se
@@ -156,7 +174,7 @@ class TestSampling:
         s2, t2 = textbook_squares(shapes, substream(13, 4), 1)
         np.testing.assert_array_equal(f.s, np.sqrt(s2[0]))
         np.testing.assert_array_equal(f.t, np.sqrt(t2[0]))
-        got = _draw_squares(shapes, [substream(13, 5)], 3)
+        got = _bidiagonal_squares(*_draw_pq(shapes, [substream(13, 5)], 3))
         want = textbook_squares(shapes, substream(13, 5), 3)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -171,7 +189,7 @@ class TestSampling:
             ens, "_redraw_empty", lambda *args: calls.append(1) or redraw(*args)
         )
         alpha, beta = np.array([shapes[0]]), np.array([shapes[1]])
-        got = _beta_rows(alpha, beta, [substream(42, 0)], 2000)
+        got = _beta_rows(alpha, beta, substream(42, 0), 2000)
         one = (alpha, beta, np.empty(0), np.empty(0))
         want = textbook_squares(one, substream(42, 0), 2000)[0]
         assert got.shape == (2000, 1)
@@ -204,7 +222,7 @@ class TestTridiagonalAssembly:
         # the batched Monte Carlo assembly row by row equals to_tridiagonal
         # of the factor with the same squares, up to sqrt(s^2) squared
         cfg = EnsembleConfig(n, 1.5, 0.3, 0.7)
-        s2, t2 = _draw_squares(_shape_arrays(cfg), [substream(21, 0)], 4)
+        s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), [substream(21, 0)], 4))
         diags, offs = _tridiagonal_from_squares(s2, t2)
         assert diags.shape == (4, n) and offs.shape == (4, n - 1)
         for r in range(4):
@@ -461,6 +479,72 @@ class TestMcMoments:
             tracemalloc.stop()
         # 64 chunks' moments alone would be 64 * 256 * 4 * 8 bytes = 512 kB
         assert peaks[1] < peaks[0] + 64_000
+
+    @pytest.mark.parametrize(
+        "n, trials, chunk",
+        [
+            (1, 20001, 10000),  # a one-trial last chunk
+            (2, 9001, 5000),
+            (3, 6000, 6000),
+            (60, 300, ens._CHUNK),
+            (200, 81, ens._CHUNK),  # a lone last trial joins the block before
+            (200, 95, ens._CHUNK),
+            (ens._TRACE_BLOCK + 1, 5, ens._CHUNK),  # N alone fills a block
+        ],
+    )
+    @pytest.mark.parametrize("k_max", [0, 1, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_are_the_whole_chunk(self, n, trials, chunk, k_max, threads,
+                                        monkeypatch):
+        # each chunk drawn by the textbook oracle and traced in one piece
+        # gives the bytes of the blocked chunks, short last blocks included
+        def whole_chunk(shapes, rng, lo, hi, k_max):
+            squares = textbook_squares(shapes, rng, hi - lo)
+            moments = _trace_moments(*_tridiagonal_from_squares(*squares), k_max)
+            mean = moments.mean(axis=0)
+            dev = moments - mean
+            return hi - lo, mean, np.einsum("ij,ij->j", dev, dev)
+
+        monkeypatch.setattr(ens, "_CHUNK", chunk)
+        cfg = EnsembleConfig(n, 2.0 / n, 0.3, 0.7)
+        means, stderr = mc_moments(cfg, k_max, trials, 11, threads=threads)
+        monkeypatch.setattr(ens, "_mc_chunk", whole_chunk)
+        want_means, want_stderr = mc_moments(cfg, k_max, trials, 11, threads=threads)
+        assert means.values.tobytes() == want_means.values.tobytes()
+        assert stderr.tobytes() == want_stderr.tobytes()
+
+    def test_memory_does_not_grow_with_k_max(self):
+        # band powers of the whole chunk used to be held at once: 24 MiB at
+        # k = 1, 87 MiB at k = 16; blocked, the draws set the peak
+        import tracemalloc
+
+        cfg = EnsembleConfig(200, 0.01, 0.5, 0.1)
+        mc_moments(cfg, 16, 2000, 7)  # fills numpy's one-off caches untraced
+        peaks = []
+        for k in (1, 16):
+            tracemalloc.start()
+            mc_moments(cfg, k, 2000, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_nonfinite_trace_in_a_later_block_names_the_chunk(self, monkeypatch):
+        calls = []
+        trace = ens._trace_moments
+
+        def poisoned(diags, offs, k_max):
+            calls.append(len(diags))
+            out = trace(diags, offs, k_max)
+            if len(calls) == 2:
+                out[-1, -1] = np.inf
+            return out
+
+        monkeypatch.setattr(ens, "_trace_moments", poisoned)
+        monkeypatch.setattr(ens, "_CHUNK", 100)
+        # N = 200 puts 40 trials in a block, so trials 0..99 take three
+        with pytest.raises(ConvergenceError, match=r"trials 0\.\.99;"):
+            mc_moments(EnsembleConfig(200, 0.01, 0.5, 0.1), 2, 250, 3)
+        assert calls[:3] == [40, 40, 20]
 
     def test_trial_guard(self):
         with pytest.raises(ParameterError):
