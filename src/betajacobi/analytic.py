@@ -8,6 +8,7 @@ sides intact when modifying formulas.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .coeffs import (
     validate_model,
 )
 from .errors import (
+    ConvergenceError,
     ParameterError,
     PoleError,
     UnsupportedRegionError,
@@ -64,7 +66,8 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
     [0, 1] raises ParameterError, as in stieltjes_cf, and so does an
     array z of any shape but 0-d (stieltjes_cf takes arrays);
     UnsupportedRegionError is raised when 1/z falls outside the
-    implemented 2F1 regions (fall back to stieltjes_cf then).
+    implemented 2F1 regions, when a series hits its term cap or when the
+    value is not finite (fall back to stieltjes_cf then).
     """
     validate_model(kind, p)
     _support_distance(z)
@@ -76,16 +79,22 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
     z = complex(z)
     a, b, c = p.a, p.b, p.c
     x = 1.0 / z
-    num, _ = hyp2f1(c + 1.0, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
-    if kind in (ModelKind.CLASSICAL, ModelKind.ASSOC_I):
-        den, _ = hyp2f1(c, c + a, 2.0 * c + a + b, x)
-    elif kind is ModelKind.ASSOC_II:
-        den, _ = hyp2f1(c, c + a + 1.0, 2.0 * c + a + b + 1.0, x)
-    else:
-        den, _ = hyp2f1(c, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
+    try:
+        num, _ = hyp2f1(c + 1.0, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
+        if kind in (ModelKind.CLASSICAL, ModelKind.ASSOC_I):
+            den, _ = hyp2f1(c, c + a, 2.0 * c + a + b, x)
+        elif kind is ModelKind.ASSOC_II:
+            den, _ = hyp2f1(c, c + a + 1.0, 2.0 * c + a + b + 1.0, x)
+        else:
+            den, _ = hyp2f1(c, c + a + 1.0, 2.0 * c + a + b + 2.0, x)
+    except ConvergenceError as exc:
+        raise UnsupportedRegionError(f"closed form fails at z = {z}: {exc}") from exc
     if den == 0.0:
         raise PoleError(f"denominator series vanishes at z = {z}")
-    return -num / (z * den)
+    s = -num / (z * den)
+    if not cmath.isfinite(s):
+        raise UnsupportedRegionError(f"closed form is not finite at z = {z}")
+    return s
 
 
 def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[complex, str]:
@@ -167,17 +176,23 @@ def density_closed(p: JacobiParams, x) -> float | np.ndarray:
     |.|^2 = U^2 + 2 U V cos(pi a) + V^2 (everything real).  At c = 0 this
     collapses to the Beta(a+1, b+1) density.  Needs a non-integer; for
     integer a (or arguments past the hypergeometric regions) use
-    density_numeric.
+    density_numeric.  A 2F1 series past its term cap, or a value that is
+    not finite, raises UnsupportedRegionError, as the regions do.
     """
     # the density's c conditions are exactly the ASSOC_I constraint set
     validate_model(ModelKind.ASSOC_I, p)
     _require_noninteger_a(p.a, "closed-form density")
     a, b = p.a, p.b
     xs = _open_unit(x)
-    norm = _density_norm(p)
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        out[i] = norm * xi**a * (1.0 - xi) ** b / _uv_denominator(p, float(xi))
+    try:
+        norm = _density_norm(p)
+        out = np.empty_like(xs)
+        for i, xi in enumerate(xs):
+            out[i] = norm * xi**a * (1.0 - xi) ** b / _uv_denominator(p, float(xi))
+    except ConvergenceError as exc:
+        raise UnsupportedRegionError(f"closed-form density fails at {p}: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise UnsupportedRegionError(f"closed-form density is not finite at {p}")
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -125,6 +125,10 @@ def _series(alpha: float, beta: float, gamma: float, x):
 
 
 def _series_terminating(alpha: float, beta: float, gamma: float, x, n_top: int):
+    """The polynomial of degree n_top, summed in full; past the term cap
+    of _series it raises ConvergenceError before summing."""
+    if n_top > _MAX_TERMS:
+        raise ConvergenceError("hypergeometric series hit the term cap")
     term = 1.0 * (x * 0 + 1)
     total = term
     sum_abs = 1.0

@@ -7,13 +7,15 @@ quadrature rules read off eigen-decompositions, and the resolvent
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd as _dstevd
-from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, tridiag_entries
 from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count, as_real
@@ -29,6 +31,45 @@ __all__ = [
     "gauss_quadrature",
     "stieltjes_cf",
 ]
+
+
+def _lapack_routines():
+    """(dstevd, zgtsv): scipy's compiled LAPACK wrappers, bound without
+    importing scipy.linalg.
+
+    scipy.linalg.lapack re-exports both from the extension module
+    scipy.linalg._flapack, but importing it runs all of scipy.linalg's
+    __init__, about half the package's import time.  The extension file
+    is loaded alone instead, under its real name and registered in
+    sys.modules, so these are the very objects scipy.linalg.lapack
+    re-exports after a later import of scipy.linalg.  A scipy whose
+    file is missing or does not load gets the public import.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        try:
+            import scipy
+
+            paths = [
+                os.path.join(root, "linalg", "_flapack" + suffix)
+                for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                for root in scipy.__path__
+            ]
+            path = next(f for f in paths if os.path.isfile(f))
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[name] = module
+        except (StopIteration, ImportError, OSError):
+            module = None
+    if module is None:
+        from scipy.linalg import lapack as module
+    return module.dstevd, module.zgtsv
+
+
+_dstevd, _zgtsv = _lapack_routines()
 
 # default relative tolerance for deterministic identity checks
 DEFAULT_RTOL = 1e-10
@@ -225,18 +266,28 @@ def _limit_tail(zc: np.ndarray) -> np.ndarray:
     root keeps the approximated spectrum continuous for z within an
     eigenvalue spacing of the support, where a zero tail would converge
     to the purely atomic measure of the truncation.
+
+    Past |w| = 1e153, w = z - 1/2, the root is -1/w to double precision
+    (the next term is 1/(16 w^2) relative), and it is taken so, because
+    w * w overflows from |w| = 1.3e154 on.
     """
     w = zc - 0.5
-    disc = np.sqrt(w * w - 0.25 + 0j)
-    s = 8.0 * (-w + disc)
-    alt = 8.0 * (-w - disc)
+    far = np.abs(w) > 1e153
+    w_near = np.where(far, 0.0, w)
+    disc = np.sqrt(w_near * w_near - 0.25 + 0j)
+    s = 8.0 * (-w_near + disc)
+    alt = 8.0 * (-w_near - disc)
     off_axis = zc.imag != 0.0
     pick_alt = np.where(
         off_axis,
         s.imag * np.sign(zc.imag) <= 0.0,
         np.abs(alt) < np.abs(s),
     )
-    return np.where(pick_alt, alt, s)
+    root = np.where(pick_alt, alt, s)
+    # halved first: the complex division overflows for a w near the
+    # largest double in both parts
+    root[far] = -0.5 / (0.5 * w[far])
+    return root
 
 
 def stieltjes_cf(

@@ -1,6 +1,7 @@
 """Closed-form transforms, density routes, and the polynomial formulas."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestStieltjesClosed:
         assert route2 == "cf"
         assert val2.imag != 0.0
 
+    def test_closed_term_cap_falls_back_to_cf(self):
+        # the closed form's 2F1 used to raise ConvergenceError out of auto
+        p = JacobiParams(0.3, 0.7, 1e5)
+        z = 2.0 + 1.0j
+        with pytest.raises(UnsupportedRegionError, match="term cap"):
+            stieltjes_closed(ModelKind.ASSOC_III, p, z)
+        val, route = stieltjes_auto(ModelKind.ASSOC_III, p, z)
+        assert route == "cf"
+        assert val == stieltjes_cf(ModelKind.ASSOC_III, p, z)
+        assert val == pytest.approx(-0.4562 + 0.3288j, abs=1e-4)
+
     def test_cf_fallback_near_support(self):
         # the fallback fraction keeps a continuous tail: at depth 2000 a
         # zero tail was off by 6.7e-4 here, at depth 400 by 0.34
@@ -242,6 +254,20 @@ class TestDensityClosed:
         with pytest.raises(ParameterError):
             density_closed(JacobiParams(1.0, 0.5, 1.0), 0.5)
 
+    def test_term_cap_is_unsupported_at_once(self):
+        # a + b + 1 is an integer, so U's 2F1 terminates at degree c + 2:
+        # 10^10 terms used to be summed, and at c = 10^6 NaN came back
+        t0 = time.perf_counter()
+        for c in (1e6, 1e10):
+            with pytest.raises(UnsupportedRegionError, match="term cap"):
+                density_closed(JacobiParams(0.3, 0.7, c), 0.5)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_nonfinite_value_is_unsupported(self):
+        # at c = 1000 the 2F1 sums lose every digit and the value was NaN
+        with pytest.raises(UnsupportedRegionError, match="not finite"):
+            density_closed(JacobiParams(0.3, 0.7, 1e3), np.array([0.3, 0.5]))
+
     def test_rejects_invalid_domain(self):
         # c + b <= 0 has no normalizable closed form
         with pytest.raises(ParameterError):
@@ -307,6 +333,17 @@ class TestDensityProfile:
         prof, route = density_profile(JacobiParams(1.0, 0.5, 1.0), grid, eps=1e-5)
         assert route == "numeric"
         assert np.all(prof.values >= 0.0)
+
+    def test_closed_term_cap_falls_back_to_numeric(self):
+        # the closed form used to raise ConvergenceError out of the auto route
+        p = JacobiParams(0.3, 0.6, 1e3)
+        prof, route = density_profile(p, [0.3, 0.5])
+        assert route == "numeric"
+        np.testing.assert_array_equal(
+            prof.values, density_numeric(ModelKind.ASSOC_III, p, [0.3, 0.5])
+        )
+        # c = 1000 is deep in the arcsine regime: 1 / (pi sqrt(x (1 - x)))
+        assert prof.values[1] == pytest.approx(2.0 / math.pi, rel=2e-3)
 
     def test_closed_method_raises_on_integer_a(self):
         grid = np.arange(1, 10) / 10.0

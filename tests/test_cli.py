@@ -216,6 +216,24 @@ class TestDensity:
         assert meta["route"] == "numeric"
         assert meta["note"] == FALLBACK_NOTE
 
+    def test_nan_closed_form_falls_back(self, capsys):
+        # the closed form read NaN at every x here, under route=closed
+        code, out, _ = run_cli(
+            ["density", "--a", "0.3", "--b", "0.7", "--c", "1000", "--grid", "9",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["route"] == "numeric"
+        assert doc["meta"]["note"] == FALLBACK_NOTE
+        assert np.isfinite(doc["meta"]["trapezoid_mass"])
+        rows = doc["data"]["rows"]
+        assert all(np.isfinite(row[1]) for row in rows)
+        # the arcsine density 2/pi at x = 0.5, the middle of the grid
+        assert rows[4][0] == 0.5
+        assert rows[4][1] == pytest.approx(2.0 / np.pi, rel=2e-3)
+
     def test_integer_a_notes_fallback(self, capsys):
         code, out, _ = run_cli(
             ["density", "--a", "1", "--b", "0.5", "--c", "1", "--grid", "9",
@@ -521,17 +539,18 @@ class TestErrorsAndFormats:
         assert DEFAULT_SEED == 20177
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def test_cli_import_leaves_scipy_integrate_and_linalg_unloaded():
     # only the density criterion integrates; its quad import is deferred
     import betajacobi
 
     src = str(Path(betajacobi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    # nor does the package use scipy.special: ln_gamma is math.lgamma
+    # nor does the package use scipy.special (ln_gamma is math.lgamma), and
+    # spectral loads the LAPACK wrapper module without scipy.linalg
     probe = (
-        "import sys, betajacobi.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
+        "import sys, betajacobi.cli; print([m for m in "
+        "('scipy.integrate', 'scipy.special', 'scipy.linalg') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

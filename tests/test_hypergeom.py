@@ -1,6 +1,7 @@
 """Log-gamma, pochhammer, gamma ratios, and the Gauss 2F1 evaluator."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestHyp2F1Basics:
         expect = 1.0 + (-2.0 * 1.5 / 0.7) * 3.0
         expect += ((-2.0 * -1.0) * (1.5 * 2.5)) / ((0.7 * 1.7) * 2.0) * 9.0
         assert val == pytest.approx(expect, rel=1e-14)
+
+    def test_terminating_past_term_cap_raises_at_once(self):
+        # a degree-10^10 polynomial used to be summed term by term
+        cap = hypergeom._MAX_TERMS
+        t0 = time.perf_counter()
+        for alpha in (-(cap + 1.0), -1e10):
+            with pytest.raises(ConvergenceError, match="term cap"):
+                hyp2f1(alpha, 0.7, 1.2, 0.5)
+        assert time.perf_counter() - t0 < 0.1
+        # the cap itself is still summed
+        val, _ = hyp2f1(-float(cap), 0.7, 1.2, 1e-6)
+        assert val == pytest.approx(1.0 - cap * 0.7 / 1.2 * 1e-6, rel=1e-2)
 
     def test_cut_raises(self):
         for x in (1.0, 1.5, 10.0):

@@ -1,6 +1,11 @@
 """Jacobi operator truncations: moments, eigenvalues, Gauss rules, CF map."""
 
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from betajacobi import (
     stieltjes_cf,
     tridiag_entries,
 )
-from betajacobi.spectral import DEFAULT_RTOL, _stevd
+from betajacobi.spectral import DEFAULT_RTOL, _dstevd, _limit_tail, _stevd, _zgtsv
 
 from oracles import backward_cf, frac_beta_moment, sturm_eigenvalues, uniform_stieltjes
 
@@ -189,6 +194,91 @@ class TestEigenTridiagonal:
             solve()
 
 
+def _bits(outputs):
+    return [np.asarray(v).tobytes() for v in outputs]
+
+
+def _zgtsv_system(n, singular=False):
+    rng = np.random.default_rng(n)
+    cplx = lambda size: rng.normal(size=size) + 1j * rng.normal(size=size)  # noqa: E731
+    m = max(n - 1, 1)  # the wrapper wants the off-diagonals at least one long
+    d = np.zeros(n, dtype=complex) if singular else cplx(n) + 4.0
+    return cplx(m), d, cplx(m), cplx((n, 2))
+
+
+class TestLapackBinding:
+    """spectral binds scipy's compiled dstevd and zgtsv wrappers without
+    importing scipy.linalg; they are the objects scipy.linalg.lapack
+    re-exports, so every output keeps its bits."""
+
+    def test_same_objects_as_the_public_routines(self):
+        import scipy.linalg.lapack as lapack
+
+        assert _dstevd is lapack.dstevd and _zgtsv is lapack.zgtsv
+
+    @pytest.mark.parametrize("compute_v", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 60, 401])
+    def test_dstevd_bits(self, n, compute_v):
+        import scipy.linalg.lapack as lapack
+
+        rng = np.random.default_rng(n)
+        d, e = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, max(n - 1, 1))
+        got = _dstevd(d, e, compute_v=compute_v)
+        want = lapack.dstevd(d, e, compute_v=compute_v)
+        assert got[2] == want[2] == 0
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "n, singular", [(1, False), (2, False), (60, False), (401, False), (5, True)]
+    )
+    def test_zgtsv_bits(self, n, singular):
+        import scipy.linalg.lapack as lapack
+
+        args = _zgtsv_system(n, singular)
+        got = _zgtsv(*args)
+        want = lapack.zgtsv(*args)
+        assert (got[-1] > 0) is singular and got[-1] == want[-1]
+        assert _bits(got) == _bits(want)
+
+    def test_fallback_binds_the_public_routines(self):
+        # a loader that refuses the extension file sends spectral to the
+        # public scipy.linalg.lapack import, with the same bits
+        import betajacobi
+
+        src = str(Path(betajacobi.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            # importlib.abc reads the class by name, so it comes first
+            "import importlib.abc, importlib.machinery, sys\n"
+            "refused = []\n"
+            "class Refusing(importlib.machinery.ExtensionFileLoader):\n"
+            "    def create_module(self, spec):\n"
+            "        refused.append(spec.name)\n"
+            "        raise ImportError('refused')\n"
+            "importlib.machinery.ExtensionFileLoader = Refusing\n"
+            "import numpy as np\n"
+            "import betajacobi.spectral as sp\n"
+            "assert refused == ['scipy.linalg._flapack'], refused\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "assert sp._dstevd is lapack.dstevd and sp._zgtsv is lapack.zgtsv\n"
+            "from betajacobi import JacobiParams, ModelKind\n"
+            "g = sp.gauss_quadrature(ModelKind.ASSOC_III, JacobiParams(0.3, 0.7, 1.2), 60)\n"
+            "s = sp.stieltjes_cf(ModelKind.ASSOC_III, JacobiParams(0.3, 0.7, 1.2),\n"
+            "                    np.array([2 + 1j, 0.5 + 1e-3j]))\n"
+            "print((g.nodes.tobytes() + g.weights.tobytes() + s.tobytes()).hex())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        g = gauss_quadrature(ModelKind.ASSOC_III, P_REF, 60)
+        with pytest.warns(ConvergenceWarning):
+            s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, np.array([2 + 1j, 0.5 + 1e-3j]))
+        assert out.stdout.strip() == (g.nodes.tobytes() + g.weights.tobytes() + s.tobytes()).hex()
+
+
 class TestGaussQuadrature:
     def test_single_point_rule(self, params):
         rule = gauss_quadrature(ModelKind.ASSOC_III, params, 1)
@@ -294,6 +384,26 @@ class TestStieltjesCF:
         assert near == pytest.approx(deep, rel=1e-7)
         assert deep.imag > 0.0
         assert abs(atoms - deep) > 0.5 * abs(deep)
+
+    @pytest.mark.parametrize("z", [1e155, 1e200, -1e200, 1e308, 1e-3 + 1e200j])
+    def test_far_field_past_the_square_overflow(self, z):
+        # w * w in the tail root overflowed from |z| = 1.3e154 on: NaN
+        # with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
+        assert abs(s - (-1.0 / z)) <= 1e-12 * abs(1.0 / z)
+
+    def test_limit_tail_bits_below_the_far_field(self):
+        # the squared-w root, as before the far-field branch
+        zc = np.array([2 + 1j, 0.5 + 0.5j, -1 + 0.25j, 1e150 + 1j])
+        w = zc - 0.5
+        disc = np.sqrt(w * w - 0.25 + 0j)
+        s, alt = 8.0 * (-w + disc), 8.0 * (-w - disc)
+        pick_alt = np.where(
+            zc.imag != 0.0, s.imag * np.sign(zc.imag) <= 0.0, np.abs(alt) < np.abs(s)
+        )
+        assert _limit_tail(zc).tobytes() == np.where(pick_alt, alt, s).tobytes()
 
     def test_min_depth_enforced(self):
         with pytest.raises(ParameterError):
