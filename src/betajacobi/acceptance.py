@@ -48,7 +48,7 @@ from .ensemble import (
     mc_moments,
     to_tridiagonal,
 )
-from .errors import ParameterError, UnsupportedRegionError
+from .errors import ParameterError, UnsupportedRegionError, _shown
 from .hypergeom import pochhammer
 from .spectral import gauss_quadrature, moment11, stieltjes_cf
 
@@ -93,7 +93,7 @@ def slugs() -> list[str]:
 
 def run_criterion(slug: str, *, threads: int = 1) -> CriterionResult:
     if slug not in _REGISTRY:
-        raise ParameterError(f"unknown criterion {slug!r}; known: {slugs()}")
+        raise ParameterError(f"unknown criterion {_shown(slug)}; known: {slugs()}")
     title, limit, body = _REGISTRY[slug]
     t0 = time.perf_counter()
     ok, measured, tolerance, detail = body(threads)

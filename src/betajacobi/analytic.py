@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     PoleError,
     UnsupportedRegionError,
+    _shown,
     as_count,
     as_real,
     as_real_array,
@@ -163,7 +164,6 @@ def _open_unit(x) -> np.ndarray:
     """x as a 1-d float array, each point inside (0, 1): the one domain
     of both density routes."""
     xs = np.atleast_1d(as_real_array("x", x))
-    # written so that NaN fails it too
     if not np.all((xs > 0.0) & (xs < 1.0)):
         raise ParameterError("density is defined on the open interval (0, 1)")
     return xs
@@ -227,16 +227,15 @@ class DensityProfile:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        g = as_real_array("grid", self.grid)
+        v = as_real_array("values", self.values)
         if g.shape != v.shape or g.ndim != 1 or len(g) < 2:
             raise ParameterError("grid and values must be matching 1d arrays")
         if np.any(np.diff(g) <= 0.0) or g[0] <= 0.0 or g[-1] >= 1.0:
             raise ParameterError("grid must increase strictly inside (0, 1)")
         if np.any(v < 0.0):
             raise ParameterError("density values must be nonnegative")
+        vars(self).update(grid=g, values=v)
 
     @property
     def mass(self) -> float:
@@ -255,19 +254,17 @@ def density_profile(
     """Evaluate the density on a grid; returns (profile, route used)."""
     eps = as_real("eps", eps)
     grid = as_real_array("density grid", grid)
-    if not np.all(np.isfinite(grid)):
-        raise ParameterError("density grid must be finite")
     if method not in ("auto", "closed", "numeric"):
-        raise ParameterError(f"unknown density method {method!r}")
+        raise ParameterError(f"unknown density method {_shown(method)}")
     if method in ("auto", "closed"):
         try:
             vals = density_closed(p, grid)
-            return DensityProfile(p, grid, np.asarray(vals)), "closed"
+            return DensityProfile(p, grid, vals), "closed"
         except (ParameterError, UnsupportedRegionError):
             if method == "closed":
                 raise
     vals = density_numeric(ModelKind.ASSOC_III, p, grid, eps=eps)
-    return DensityProfile(p, grid, np.asarray(vals)), "numeric"
+    return DensityProfile(p, grid, vals), "numeric"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -31,30 +30,6 @@ from .spectral import _cf_depth, _support_distance, moment11
 DEFAULT_SEED = 20177
 
 _KINDS = [k.value for k in ModelKind]
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = _env_int("BETAJACOBI_SEED")
-    return DEFAULT_SEED if env is None else env
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return as_count("--threads", args.threads, 1)
-    env = _env_int("BETAJACOBI_THREADS")
-    return 1 if env is None else as_count("BETAJACOBI_THREADS", env, 1)
 
 
 def _fmt(v) -> str:
@@ -108,17 +83,16 @@ def cmd_sample(args) -> int:
     as_count("--n", args.n, 1)
     as_count("--trials", args.trials, 1)
     as_count("--bins", args.bins)
-    seed = _resolve_seed(args)
     beta = args.beta if args.beta is not None else 2.0 * args.c / args.n
     cfg = EnsembleConfig(args.n, beta, args.a, args.b)
     meta = _base_meta("sample")
     meta.update(
         n=args.n, beta=beta, c=cfg.c, a=args.a, b=args.b,
-        trials=args.trials, seed=seed, bins=args.bins,
+        trials=args.trials, seed=args.seed, bins=args.bins,
     )
     # blocks of spectra in trial order; the histogram counts of the
     # blocks add up to those of all eigenvalues at once
-    blocks = _spectrum_blocks(cfg, seed, args.trials)
+    blocks = _spectrum_blocks(cfg, args.seed, args.trials)
     if args.bins > 0:
         counts = np.zeros(args.bins, dtype=np.int64)
         for block in blocks:
@@ -212,15 +186,14 @@ def cmd_dynamics(args) -> int:
     ]
     if args.sde:
         as_count("--sde-n", args.sde_n, 1)
-        seed = _resolve_seed(args)
         beta = 2.0 * args.c / args.sde_n
         meta.update(
             sde_n=args.sde_n, sde_beta=beta, sde_dt=args.sde_dt,
-            paths=args.paths, seed=seed,
+            paths=args.paths, seed=args.seed,
         )
         path, se = simulate_moments(
             args.sde_n, args.a, args.b, beta, args.x0,
-            args.t_end, args.sde_dt, args.paths, args.kmax, seed,
+            args.t_end, args.sde_dt, args.paths, args.kmax, args.seed,
         )
         rows += [
             ["sde", float(t), *map(float, m), *map(float, s)]
@@ -231,7 +204,7 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _resolve_threads(args)
+    threads = as_count("--threads", args.threads, 1)
     only = args.only if args.only else None
     results = run_all(only, threads=threads)
     for r in results:
@@ -272,8 +245,8 @@ def _add_params(sp, with_c: bool = True) -> None:
 
 
 def _add_seed(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"RNG seed (default {DEFAULT_SEED}; env BETAJACOBI_SEED)")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"RNG seed (default {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"subset of checks; known: {', '.join(slugs())}")
     sp.add_argument("--output", default=None, metavar="PATH",
                     help="also write a JSON report")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for sampling checks (env BETAJACOBI_THREADS)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads for sampling checks (default 1)")
     sp.set_defaults(func=cmd_verify)
 
     return ap

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_count, as_real
+from .errors import ParameterError, _shown, as_count, as_real, as_real_array
 
 __all__ = [
     "JacobiParams",
@@ -113,15 +113,14 @@ _MAX_T = np.finfo(float).max / 2.0
 
 
 def _as_index(n, c: float) -> tuple[np.ndarray, bool]:
-    """(t, scalar) with t = n + c, for an index n >= 0 at which 2 (n + c)
-    does not overflow."""
-    arr = np.asarray(n, dtype=float)
+    """(t, scalar) with t = n + c, for a real index n >= 0, or an array of
+    them, at which 2 (n + c) does not overflow."""
+    arr = as_real_array("n", n)
     top = _MAX_T - max(c, 0.0) if c >= -_MAX_T else -1.0
-    # NaN fails both comparisons, +inf the second
     if not np.all((arr >= 0) & (arr <= top)):
         raise ParameterError(
             f"coefficient index must be >= 0 and keep 2(n + c) finite, "
-            f"got n={n!r} at c={c!r}"
+            f"got n={_shown(n)} at c={c!r}"
         )
     return arr + c, arr.ndim == 0
 

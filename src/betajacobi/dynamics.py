@@ -40,16 +40,13 @@ class MomentPath:
     moments: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        m = np.asarray(self.moments, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "moments", m)
-        if m.ndim != 2 or len(t) != m.shape[0]:
-            raise ParameterError("moments must be (len(times), k_max + 1)")
-        if not np.all(np.isfinite(m)):
-            raise ParameterError("moments must be finite")
+        t = as_real_array("times", self.times)
+        m = as_real_array("moments", self.moments)
+        if t.ndim != 1 or m.ndim != 2 or len(t) != m.shape[0]:
+            raise ParameterError("need 1d times and moments of shape (len(times), k_max + 1)")
         if not np.all(np.abs(m[:, 0] - 1.0) <= 1e-9):
             raise ParameterError("column 0 must be the constant 1")
+        vars(self).update(times=t, moments=m)
 
     @property
     def k_max(self) -> int:
@@ -178,7 +175,6 @@ def simulate_moments(
     start = as_real_array("x0", x0) if np.ndim(x0) else np.full(n, as_real("x0", x0))
     if start.shape != (n,):
         raise ParameterError("x0 must be a scalar or a length-N array")
-    # written so that NaN fails it too
     if not np.all((start >= 0.0) & (start <= 1.0)):
         raise ParameterError("positions must lie in [0, 1]")
     x = np.tile(np.sort(start), (paths, 1))
@@ -260,8 +256,6 @@ def _moment_list(m, name: str) -> list:
     arr = as_real_array(name, m)
     if arr.ndim != 1 or len(arr) < 1:
         raise ParameterError(f"{name} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
     if abs(arr[0] - 1.0) > 1e-9:
         raise ParameterError(f"{name}[0] must be 1")
     return arr.tolist()

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .coeffs import _MAX_SIZE, JacobiParams
-from .errors import ConvergenceError, ParameterError, as_count, as_real
+from .errors import ConvergenceError, ParameterError, as_count, as_real, as_real_array
 from .spectral import DiscreteMeasure, MomentVector, SymmetricTridiagonal, _stevd
 
 __all__ = [
@@ -69,21 +69,21 @@ class EnsembleConfig:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", as_count("N", self.N, 1))
-        if self.N > _MAX_SIZE:
-            raise ParameterError(f"N must be <= 2**22 = {_MAX_SIZE}, got {self.N}")
+        n = as_count("N", self.N, 1)
+        if n > _MAX_SIZE:
+            raise ParameterError(f"N must be <= 2**22 = {_MAX_SIZE}, got {n}")
         beta = as_real("beta", self.beta)
         if beta < 0.0:
             raise ParameterError(f"beta must be >= 0, got {beta!r}")
         w = JacobiParams(self.a, self.b)  # the weight rule, and a, b as floats
         # (N - 1) beta + |a| + |b| + 2 bounds every shape sum; twice it
         # finite, no shape and no gamma total X + Y overflows
-        if 2.0 * ((self.N - 1) * beta + abs(w.a) + abs(w.b) + 2.0) == np.inf:
+        if 2.0 * ((n - 1) * beta + abs(w.a) + abs(w.b) + 2.0) == np.inf:
             raise ParameterError(
                 f"beta = {beta!r}, a = {w.a!r}, b = {w.b!r} overflow the Beta "
-                f"shapes at N = {self.N}"
+                f"shapes at N = {n}"
             )
-        vars(self).update(beta=beta, a=w.a, b=w.b)
+        vars(self).update(N=n, beta=beta, a=w.a, b=w.b)
 
     @property
     def kappa(self) -> float:
@@ -103,19 +103,14 @@ class BidiagonalFactor:
     t: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        t = (
-            np.atleast_1d(np.asarray(self.t, dtype=float))
-            if np.size(self.t)
-            else np.empty(0)
-        )
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        if len(t) != len(s) - 1:
-            raise ParameterError("need len(t) == len(s) - 1")
+        s = np.atleast_1d(as_real_array("s", self.s))
+        t = np.atleast_1d(as_real_array("t", self.t))
+        if s.ndim != 1 or t.ndim != 1 or len(t) != len(s) - 1:
+            raise ParameterError("need 1d s and t with len(t) == len(s) - 1")
         for name, arr in (("s", s), ("t", t)):
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise ParameterError(f"{name} entries must lie in [0, 1]")
+        vars(self).update(s=s, t=t)
 
 
 def _fold_seed(seed: int) -> int:

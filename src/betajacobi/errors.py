@@ -1,6 +1,7 @@
 """Shared exception and warning types, and the count and real guards."""
 
 import math
+import reprlib
 from numbers import Real
 
 import numpy as np
@@ -38,6 +39,17 @@ class ConvergenceWarning(UserWarning):
     """A result was returned but an internal convergence check was loose."""
 
 
+# reprs in error messages: a long list, array or string is elided, so a
+# message stays short at every input size; a number shows in full
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxother = 80
+
+
+def _shown(value) -> str:
+    """The repr of value that every error message shows."""
+    return _REPR.repr(value)
+
+
 def as_count(name: str, value, minimum: int = 0) -> int:
     """value as an int >= minimum, for sizes, orders, degrees, depths and
     trial counts.
@@ -52,7 +64,7 @@ def as_count(name: str, value, minimum: int = 0) -> int:
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value or out < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return out
 
 
@@ -66,16 +78,19 @@ def as_real(name: str, value) -> float:
     except OverflowError:  # an int past the largest double
         out = math.inf
     if not math.isfinite(out):
-        raise ParameterError(f"{name} must be a finite real, got {value!r}")
+        raise ParameterError(f"{name} must be a finite real, got {_shown(value)}")
     return out
 
 
 def as_real_array(name: str, value) -> np.ndarray:
-    """value as a float array of its own shape: a real number or an array
-    of them (integer or floating dtype); a str, bytes, bool, complex or
-    object dtype raises ParameterError.  Callers check shape, finiteness
-    and range."""
+    """value as a finite float array of its own shape: a real number or an
+    array of them (integer or floating dtype); a str, bytes, bool, complex
+    or object dtype, NaN or +-inf raise ParameterError.  The one way a
+    real array enters the package; callers check shape and range."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
-        raise ParameterError(f"{name} must be a real or an array of reals, got {value!r}")
-    return arr.astype(float, copy=False)
+        raise ParameterError(f"{name} must be a real or an array of reals, got {_shown(value)}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite, got {_shown(value)}")
+    return arr

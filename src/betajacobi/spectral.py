@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, tridiag_entries
-from .errors import ConvergenceError, ConvergenceWarning, ParameterError, as_count, as_real
+from .errors import ConvergenceError, ConvergenceWarning, ParameterError
+from .errors import _shown, as_count, as_real, as_real_array
 
 __all__ = [
     "DEFAULT_RTOL",
@@ -87,27 +88,24 @@ class SymmetricTridiagonal:
     offdiag: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        e = np.atleast_1d(np.asarray(self.offdiag, dtype=float)) if np.size(
-            self.offdiag
-        ) else np.empty(0)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
+        d = np.atleast_1d(as_real_array("diag", self.diag))
+        e = np.atleast_1d(as_real_array("offdiag", self.offdiag))
         if d.ndim != 1 or e.ndim != 1 or len(e) != max(len(d) - 1, 0):
             raise ParameterError("need diag of length n and offdiag of length n-1")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ParameterError("tridiagonal entries must be finite")
+        vars(self).update(diag=d, offdiag=e)
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if len(self.offdiag):
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
+        """The product T v, for a finite 1-d real vector v of length size."""
+        v = as_real_array("v", v)
+        if v.shape != (self.size,):
+            raise ParameterError(
+                f"v must be a 1-d vector of length {self.size}, got shape {v.shape}"
+            )
+        return _matvec(self.diag, self.offdiag, v)
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -126,10 +124,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "nodes", x)
-        object.__setattr__(self, "weights", w)
+        x = np.atleast_1d(as_real_array("nodes", self.nodes))
+        w = np.atleast_1d(as_real_array("weights", self.weights))
         if x.shape != w.shape or x.ndim != 1 or len(x) == 0:
             raise ParameterError("nodes and weights must be matching 1d arrays")
         if np.any(w < -1e-15):
@@ -140,6 +136,7 @@ class DiscreteMeasure:
         # after the boundary clamp
         if np.any(np.diff(x) < 0.0):
             raise ParameterError("nodes must be sorted ascending")
+        vars(self).update(nodes=x, weights=w)
 
     def moment(self, k: int) -> float:
         return float(np.sum(self.weights * self.nodes ** as_count("moment order", k)))
@@ -152,12 +149,12 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or len(v) == 0 or not np.all(np.isfinite(v)):
-            raise ParameterError("moment vector must be a finite 1d array")
+        v = np.atleast_1d(as_real_array("values", self.values))
+        if v.ndim != 1 or len(v) == 0:
+            raise ParameterError("moment vector must be a nonempty 1d array")
         if abs(v[0] - 1.0) > 1e-9:
             raise ParameterError(f"m_0 must be 1, got {v[0]!r}")
+        vars(self).update(values=v)
 
     @property
     def order(self) -> int:
@@ -185,8 +182,18 @@ def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
     v = np.zeros(size)
     v[0] = 1.0
     for _ in range(k):
-        v = t.matvec(v)
+        v = _matvec(t.diag, t.offdiag, v)
     return float(v[0])
+
+
+def _matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for the tridiagonal T with diagonal d and off-diagonal e,
+    unchecked: the step of SymmetricTridiagonal.matvec and moment11."""
+    out = d * v
+    if len(e):
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
+    return out
 
 
 def _stevd(d: np.ndarray, e: np.ndarray, *, compute_v: bool = False):
@@ -231,10 +238,10 @@ def _support_distance(z) -> np.ndarray:
     """
     zc = np.asarray(z)
     if zc.dtype.kind not in "iufc":
-        raise ParameterError(f"z must be a number or an array of numbers, got {z!r}")
+        raise ParameterError(f"z must be a number or an array of numbers, got {_shown(z)}")
     zc = zc.astype(complex, copy=False).ravel()
     if not np.all(np.isfinite(zc)):
-        raise ParameterError(f"z must be finite and not on the support [0, 1], got {z!r}")
+        raise ParameterError(f"z must be finite and not on the support [0, 1], got {_shown(z)}")
     gap = np.maximum(np.maximum(-zc.real, zc.real - 1.0), 0.0)
     on_support = zc.real[(zc.imag == 0.0) & (gap == 0.0)]
     if len(on_support):

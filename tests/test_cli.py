@@ -92,17 +92,6 @@ class TestSample:
             paths.append(target)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_env_seed_matches_explicit_flag(self, tmp_path, monkeypatch):
-        args = ["sample", "--n", "8", "--a", "0.5", "--b", "0.5", "--c", "1",
-                "--trials", "3"]
-        implicit = tmp_path / "env.csv"
-        monkeypatch.setenv("BETAJACOBI_SEED", "4242")
-        assert main(args + ["--output", str(implicit)]) == 0
-        monkeypatch.delenv("BETAJACOBI_SEED")
-        explicit = tmp_path / "flag.csv"
-        assert main(args + ["--seed", "4242", "--output", str(explicit)]) == 0
-        assert implicit.read_bytes() == explicit.read_bytes()
-
 
 def _data_lines(text):
     return [line for line in text.splitlines() if not line.startswith("# ")]
@@ -494,24 +483,10 @@ class TestErrorsAndFormats:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_bad_env_seed_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("BETAJACOBI_SEED", "-1")
-        code, out, err = run_cli(
-            ["sample", "--n", "4", "--c", "1", "--a", "0.5", "--b", "0.5",
-             "--trials", "2"],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error:") and "seed" in err and out == ""
-
-    def test_bad_thread_count_exits_two(self, capsys, monkeypatch):
+    def test_bad_thread_count_exits_two(self, capsys):
         code, _, err = run_cli(
             ["verify", "--only", "gauss-exactness", "--threads", "0"], capsys
         )
-        assert code == 2
-        assert err.startswith("error:")
-        monkeypatch.setenv("BETAJACOBI_THREADS", "0")
-        code, _, err = run_cli(["verify", "--only", "gauss-exactness"], capsys)
         assert code == 2
         assert err.startswith("error:")
 

@@ -43,6 +43,10 @@ class TestMomentPath:
             MomentPath(np.array([0.0]), np.array([[1.0, 0.5], [1.0, 0.4]]))
         with pytest.raises(ParameterError):
             MomentPath(np.array([0.0]), np.array([[0.7, 0.5]]))
+        # a 2-d times used to pass, a 0-d one to leak TypeError
+        for times in ([[0.0]], 0.0):
+            with pytest.raises(ParameterError, match="need 1d times"):
+                MomentPath(times, [[1.0, 0.5]])
 
     @pytest.mark.parametrize("row", [[1.0, np.nan], [1.0, np.inf], [np.nan, 0.5]])
     def test_nonfinite_moments_raise(self, row):
@@ -227,7 +231,7 @@ class TestSimulateMoments:
         [
             ([-0.1, 0.5, 0.7], r"positions must lie in \[0, 1\]"),
             ([0.2, 0.5, 1.5], r"positions must lie in \[0, 1\]"),
-            ([0.1, np.nan, 0.5], r"positions must lie in \[0, 1\]"),
+            ([0.1, np.nan, 0.5], "^x0 must be finite"),
             (1.5, r"positions must lie in \[0, 1\]"),
             ([0.2, 0.5], "x0 must be a scalar or a length-N array"),
             ([], "x0 must be a scalar or a length-N array"),

@@ -2,10 +2,11 @@
 API goes through errors.as_real, which accepts ints, floats and numpy
 integer and floating scalars alike and refuses a bool, a string, a
 complex, None, an array, NaN and +-inf with ParameterError.  Every array
-of reals goes through errors.as_real_array, which takes integer and
-floating dtypes alike and refuses str, bytes, bool, complex and object
-dtypes."""
+of reals, the array fields of the value types too, goes through
+errors.as_real_array, which takes integer and floating dtypes alike and
+refuses str, bytes, bool, complex and object dtypes, NaN and +-inf."""
 
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import betajacobi as bj
 from betajacobi import JacobiParams, ModelKind, ParameterError
-from test_counts import _bits, _public_parameters
+from test_counts import COUNTS, _bits, _public_parameters
 
 P = JacobiParams(0.3, 0.7, 1.2)
 K = ModelKind.ASSOC_III
@@ -140,9 +141,47 @@ class TestRealPolicy:
             assert _bits(call(np.int64(v))) == want
 
 
+T3 = bj.SymmetricTridiagonal([0.25, 0.5, 0.75], [0.5, 0.5])
+
+
 # "callable.parameter" -> (call with the array, a valid value whose
 # entries are exactly representable in float32)
 ARRAYS = {
+    "lambda_n.n": (lambda v: bj.lambda_n(P, v), [0.0, 1.0, 2.0]),
+    "mu_n.n": (lambda v: bj.mu_n(P, v), [0.0, 1.0, 2.0]),
+    "SymmetricTridiagonal.diag": (
+        lambda v: bj.SymmetricTridiagonal(v, [0.5, 0.5]), [0.25, 0.5, 0.75]
+    ),
+    "SymmetricTridiagonal.offdiag": (
+        lambda v: bj.SymmetricTridiagonal([0.5] * 4, v), [0.25, 0.5, 0.75]
+    ),
+    "SymmetricTridiagonal.matvec.v": (lambda v: T3.matvec(v), [0.25, 0.5, 0.75]),
+    "DiscreteMeasure.nodes": (
+        lambda v: bj.DiscreteMeasure(v, [0.25, 0.25, 0.5]), [0.25, 0.5, 0.75]
+    ),
+    "DiscreteMeasure.weights": (
+        lambda v: bj.DiscreteMeasure([0.25, 0.5, 0.75], v), [0.25, 0.25, 0.5]
+    ),
+    "MomentVector.values": (bj.MomentVector, M),
+    "DensityProfile.grid": (
+        lambda v: bj.DensityProfile(P, v, [1.0, 2.0, 1.0]), [0.25, 0.5, 0.75]
+    ),
+    "DensityProfile.values": (
+        lambda v: bj.DensityProfile(P, [0.25, 0.5, 0.75], v), [1.0, 2.0, 1.0]
+    ),
+    "BidiagonalFactor.s": (
+        lambda v: bj.BidiagonalFactor(v, [0.5, 0.25]), [0.25, 0.5, 0.75]
+    ),
+    "BidiagonalFactor.t": (
+        lambda v: bj.BidiagonalFactor([0.5] * 4, v), [0.25, 0.5, 0.75]
+    ),
+    "MomentPath.times": (
+        lambda v: bj.MomentPath(v, [[1.0, 0.5]] * 3), [0.0, 0.5, 1.0]
+    ),
+    "MomentPath.moments": (
+        lambda v: bj.MomentPath([0.0, 0.5, 1.0], v),
+        [[1.0, 0.5], [1.0, 0.25], [1.0, 0.75]],
+    ),
     "density_closed.x": (lambda v: bj.density_closed(P, v), [0.25, 0.5]),
     "density_numeric.x": (lambda v: bj.density_numeric(K, P, v), [0.25, 0.5]),
     "density_profile.grid": (lambda v: bj.density_profile(P, v), [0.25, 0.5, 0.75]),
@@ -162,7 +201,25 @@ BAD_ARRAYS = [
     np.array([1.0, 0.5, 0.25], dtype=object),
     np.array([1.0, 0.5, 0.25], dtype=complex),
     [0.25, "0.5", 0.75],
+    [0.25, np.nan, 0.75],
+    [np.inf, 0.5, -np.inf],
 ]
+
+# array-named parameters that are not real arrays, with the reason
+ARRAY_EXEMPT = {
+    "stieltjes_cf.z": "complex points: spectral._support_distance checks each",
+    "stieltjes_closed.z": "complex points: spectral._support_distance checks each",
+    "stieltjes_auto.z": "complex points: spectral._support_distance checks each",
+    "gamma_ratio.nums": "a sequence of scalars, each through ln_gamma's as_real",
+    "gamma_ratio.dens": "a sequence of scalars, each through ln_gamma's as_real",
+}
+
+# a parameter with one of these names, or annotated as an ndarray, is an
+# array unless a scalar table (REALS, EXEMPT, COUNTS) holds it
+ARRAY_NAMES = {
+    "n", "m", "m0", "moments", "x", "x0", "z", "grid", "values", "nodes",
+    "weights", "diag", "offdiag", "v", "s", "t", "times", "nums", "dens",
+}
 
 
 @pytest.mark.parametrize("label", sorted(ARRAYS))
@@ -173,12 +230,14 @@ class TestRealArrayPolicy:
         call, _ = ARRAYS[label]
         name = label.rsplit(".", 1)[1]
         for bad in BAD_ARRAYS + ["0.5", b"0.5", True]:
-            with pytest.raises(ParameterError, match=f"{name} must be a (finite )?real"):
+            with pytest.raises(
+                ParameterError, match=f"{name} must be (a (finite )?real|finite)"
+            ):
                 call(bad)
 
     def test_real_dtypes_agree(self, label):
         call, v = ARRAYS[label]
-        assert [float(np.float32(x)) for x in v] == v
+        assert np.array(v, dtype=np.float32).tolist() == v
         want = _bits(call(v))
         assert _bits(call(np.array(v))) == want
         assert _bits(call(np.array(v, dtype=np.float32))) == want
@@ -193,8 +252,59 @@ def test_every_real_parameter_is_covered():
     assert not missing, f"real parameters outside the real table: {missing}"
 
 
+def test_every_array_parameter_is_covered():
+    public = _public_parameters()
+    stale = sorted((set(ARRAYS) | set(ARRAY_EXEMPT)) - set(public))
+    assert not stale, f"entries name no public parameter: {stale}"
+    named = {
+        label
+        for label, p in public.items()
+        if label.rsplit(".", 1)[1] in ARRAY_NAMES or "ndarray" in str(p.annotation)
+    }
+    scalar = set(REALS) | set(EXEMPT) | set(COUNTS)
+    missing = sorted(named - set(ARRAYS) - set(ARRAY_EXEMPT) - scalar)
+    assert not missing, f"array parameters outside the array table: {missing}"
+
+
 def test_guard_is_private():
     assert "as_real" not in bj.__all__
+    assert "as_real_array" not in bj.__all__
+
+
+LONG = 10**5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: JacobiParams([0.5] * LONG, 0.5),
+        lambda: bj.moment11(K, P, [1] * LONG),
+        lambda: bj.stieltjes_cf(K, P, ["2"] * LONG),
+        lambda: bj.density_closed(P, ["0.5"] * LONG),
+    ],
+    ids=["as_real", "as_count", "support_distance", "as_real_array"],
+)
+def test_messages_stay_short(call):
+    # each message held the whole repr of the list: 0.3 to 0.7 MB
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda v: JacobiParams(v, 0.5), -1.2345678901234567e-300 - 2.5e-300j),
+        (lambda v: JacobiParams(v, 0.5), np.complex128(-1.2345678901234567e-300 - 1j)),
+        (lambda v: JacobiParams(v, 0.5), "0.5" * 20),
+        (lambda v: bj.moment11(K, P, v), np.float64(2.5000000000000004)),
+        (lambda v: bj.density_closed(P, v), np.float32(np.inf)),
+    ],
+)
+def test_scalar_messages_show_the_value(call, value):
+    # in full, however long the number's repr
+    with pytest.raises(ParameterError, match=f"got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_stored_reals_are_floats():

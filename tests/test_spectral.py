@@ -55,6 +55,18 @@ class TestTridiagonalContainer:
         with pytest.raises(ParameterError):
             SymmetricTridiagonal(np.array([np.nan, 0.5]), np.array([0.1]))
 
+    @pytest.mark.parametrize(
+        "v",
+        [np.ones((2, 2)), [1.0], [1.0, 2.0, 3.0], 1.0],
+        ids=["2x2", "short", "long", "0d"],
+    )
+    def test_matvec_refuses_misshaped_vectors(self, v):
+        # a 2x2 v used to give a broadcast 2x2 "product", a short one a
+        # bare ValueError
+        t = SymmetricTridiagonal([1.0, 2.0], [0.5])
+        with pytest.raises(ParameterError, match="^v must be a 1-d vector of length 2"):
+            t.matvec(v)
+
 
 class TestDiscreteMeasure:
     def test_moment(self):
