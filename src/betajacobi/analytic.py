@@ -206,7 +206,8 @@ def density_numeric(
     constant-coefficient tail keeps the imaginary part from collapsing
     between the truncation's atoms at distance eps.  The smoothing bias
     is linear in eps (the next term of Im S(x + i eps) is eps * Re S'(x)).
-    Like density_closed, it takes x inside (0, 1) only.
+    Like density_closed, it takes x inside (0, 1) only.  A value that
+    comes out non-finite raises ConvergenceError.
     """
     eps = as_real("eps", eps)
     if eps <= 0.0:
@@ -215,6 +216,10 @@ def density_numeric(
     depth = _cf_depth(eps)
     s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None)
     out = np.imag(s) / math.pi
+    if not np.isfinite(out).all():
+        raise ConvergenceError(
+            f"inverted transform is not finite at {p} (eps = {eps!r}, depth {depth})"
+        )
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

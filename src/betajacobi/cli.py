@@ -23,7 +23,7 @@ from .acceptance import format_line, run_all, slugs
 from .analytic import density_profile, stieltjes_auto
 from .coeffs import JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
-from .ensemble import EnsembleConfig, _spectrum_blocks
+from .ensemble import EnsembleConfig, _histogram, _spectrum_blocks
 from .errors import ParameterError, as_count
 from .spectral import _cf_depth, _support_distance, moment11
 
@@ -90,14 +90,8 @@ def cmd_sample(args) -> int:
         n=args.n, beta=beta, c=cfg.c, a=args.a, b=args.b,
         trials=args.trials, seed=args.seed, bins=args.bins,
     )
-    # blocks of spectra in trial order; the histogram counts of the
-    # blocks add up to those of all eigenvalues at once
-    blocks = _spectrum_blocks(cfg, args.seed, args.trials)
     if args.bins > 0:
-        counts = np.zeros(args.bins, dtype=np.int64)
-        for block in blocks:
-            block_counts, edges = np.histogram(block, bins=args.bins, range=(0.0, 1.0))
-            counts += block_counts
+        counts, edges = _histogram(cfg, args.seed, args.trials, args.bins)
         total = counts.sum()
         rows = [
             [float(edges[i]), float(edges[i + 1]), int(counts[i]), counts[i] / total]
@@ -105,6 +99,7 @@ def cmd_sample(args) -> int:
         ]
         _emit(meta, ["bin_left", "bin_right", "count", "mass"], rows, args)
     else:
+        blocks = _spectrum_blocks(cfg, args.seed, args.trials)
         spectra = (nodes for block in blocks for nodes in block)
         rows = (
             [trial, i, float(v)]

@@ -3,10 +3,16 @@
 The N-point ensemble with density proportional to
 prod |l_j - l_i|^beta * prod l^a (1-l)^b on (0,1)^N is realized as
 J = B B^T for a lower bidiagonal B built from independent Beta variates;
-J is symmetric tridiagonal, so sampling plus a tridiagonal eigensolver
-gives the spectrum in O(N^2).  Every sampler draws its Beta variates
-through one kernel, a block of gamma ratios per keyed stream.  Monte Carlo moments need no spectrum:
-(1/N) tr J^k is read from the tridiagonal entries by band powers of J.
+J is symmetric tridiagonal, so a tridiagonal eigensolver gives a sampled
+spectrum in O(N^2), and a Sturm count gives how many eigenvalues lie
+below a point in O(N).  Every sampler draws its Beta variates as gamma
+ratios from keyed streams, one trial per stream or a block of trials
+per stream.  Neither `sample` histograms nor Monte Carlo moments need
+the spectrum: up to _COUNT_BINS_PER_SITE bins per site, histogram counts
+are differences of Sturm counts at the bin edges, and (1/N) tr J^k is
+read from the tridiagonal entries by band powers of J.  Sampled spectra,
+the eigensolve route, stay behind empirical_measure, `sample --bins 0`
+and histograms with more bins.
 Exact small-N moments sum the closed walks of J, whose means factor
 into Beta moments of the independent variables.  Sending
 kappa = beta/2 to infinity with a = A kappa, b = B kappa freezes the
@@ -15,10 +21,11 @@ matrix onto deterministic entries.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -54,6 +61,9 @@ _CHUNK_ENTRIES = 1 << 20
 _CHUNK_KEY_BASE = 1 << 62
 # matrix entries (trials times N) per block of sampled spectra
 _SPECTRUM_BLOCK = 1 << 16
+# bins per site up to which a `sample` histogram takes Sturm counts at
+# its bin edges instead of the eigenvalues (_histogram)
+_COUNT_BINS_PER_SITE = 4
 # matrix entries per block of a Monte Carlo chunk whose J and band powers
 # are formed at once: small enough for L2 and the heap, not fresh mmaps
 _TRACE_BLOCK = 1 << 13
@@ -149,36 +159,72 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return _stream(_fold_seed(seed), as_count("stream index", index))
 
 
-def _redraw_empty(x, y, tot, alpha, beta, rng: np.random.Generator) -> None:
-    """Redraw in place the pairs whose total x + y = tot underflowed to 0
-    at a positive alpha (0/0 ratios from tiny shapes), until none is left."""
+def _redraw_empty(x, tot, alpha, beta, rng: np.random.Generator) -> None:
+    """Redraw in place the pairs whose total tot = X + Y underflowed to 0
+    at a positive alpha (0/0 ratios from tiny shapes), until none is left:
+    all their X gammas, then all their Y gammas."""
     for _ in range(100):
         bad = (tot == 0.0) & (alpha > 0.0)
         if not np.any(bad):
             return
         x[bad] = rng.standard_gamma(np.broadcast_to(alpha, x.shape)[bad])
-        y[bad] = rng.standard_gamma(np.broadcast_to(beta, x.shape)[bad])
-        np.add(x, y, out=tot)
+        tot[bad] = x[bad] + rng.standard_gamma(np.broadcast_to(beta, x.shape)[bad])
     raise ConvergenceError("beta sampler kept underflowing; shapes too small")
 
 
-def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int) -> np.ndarray:
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: str, *shapes):
+    """Uninitialised float arrays of `shapes`, laid end to end on this
+    thread's buffer `slot`, which is kept across calls and grown when too
+    small: the Monte Carlo chunks of one thread reuse their work arrays'
+    pages instead of faulting in fresh ones.  Valid until the thread's
+    next call on the same slot.  One array for one shape, else a list.
+
+    The buffers come from malloc and go back to it when the thread ends,
+    so the next call's threads find their pages in its heaps.  Anonymous
+    maps of their own, returned to the system at thread end, kept peak
+    RSS 8 MB lower on the `ensemble` benchmark, but every call faulted
+    its pages in afresh and the Monte Carlo jobs ran 8-10% slower."""
+    sizes = [prod(shape) for shape in shapes]
+    buf = getattr(_SCRATCH, slot, None)
+    if buf is None or buf.size < sum(sizes):
+        buf = np.empty(sum(sizes))
+        setattr(_SCRATCH, slot, buf)
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[start : start + size].reshape(shape))
+        start += size
+    return views[0] if len(views) == 1 else views
+
+
+def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
     """`rows` rows of Beta(alpha, beta) variates as gamma ratios X / (X + Y),
     drawn from one stream: all X gammas of the rows, then all Y gammas,
     then the pairs whose total underflowed are redrawn (_redraw_empty).
 
     The one Beta draw behind every sampler; that order fixes every seeded
     byte.  Shape 0 is taken as the degenerate point mass at 0 (the
-    kappa -> 0 edge of the q variables).
+    kappa -> 0 edge of the q variables).  With `out` the variates go
+    there and the totals into this thread's scratch buffer "tot".
     """
     shape = (rows, len(alpha))
-    x, y, tot = np.empty(shape), np.empty(shape), np.empty(shape)
+    x = np.empty(shape) if out is None else out
+    tot = np.empty(shape) if out is None else _scratch("tot", shape)
     rng.standard_gamma(alpha, out=x)
-    rng.standard_gamma(beta, out=y)
-    np.add(x, y, out=tot)
+    rng.standard_gamma(beta, out=tot)
+    tot += x  # the totals X + Y, drawn Y first
     if not tot.all():
-        _redraw_empty(x, y, tot, alpha, beta, rng)
-    # x is 0 wherever its total is
+        _redraw_empty(x, tot, alpha, beta, rng)
+    return _ratios(x, tot)
+
+
+def _ratios(x: np.ndarray, tot: np.ndarray) -> np.ndarray:
+    """X / (X + Y) in place in x, from the totals tot = X + Y; x is 0
+    wherever its total is."""
+    if tot.all():
+        return np.divide(x, tot, out=x)
     return np.divide(x, tot, out=x, where=tot > 0.0)
 
 
@@ -192,43 +238,83 @@ def _shape_arrays(cfg: EnsembleConfig):
     return alpha_p, beta_p, alpha_q, beta_q
 
 
-def _bidiagonal_squares(p: np.ndarray, q: np.ndarray):
+def _bidiagonal_squares(p: np.ndarray, q: np.ndarray, out=None):
     """Squares of the bidiagonal entries from (..., N) p and (..., N-1) q:
-    s_n^2 = p_n (1 - q_{n-1}) with q_0 = 0, t_n^2 = q_n (1 - p_n)."""
-    s2 = p.copy()
-    s2[..., 1:] *= 1.0 - q
-    t2 = q * (1.0 - p[..., :-1])
+    s_n^2 = p_n (1 - q_{n-1}) with q_0 = 0, t_n^2 = q_n (1 - p_n).
+    Returns (s2, t2), into the arrays of `out` if given."""
+    s2, t2 = (np.empty_like(p), np.empty_like(q)) if out is None else out
+    np.copyto(s2, p)
+    s2[..., 1:] *= np.subtract(1.0, q, out=t2)
+    np.subtract(1.0, p[..., :-1], out=t2)
+    t2 *= q
     return s2, t2
 
 
-def _draw_pq(shapes, streams, rows: int):
+def _draw_pq(shapes, streams, rows: int, out=None):
     """(p, q) of `rows` trials per stream, as (m, N) and (m, N-1) arrays
     stacked in stream order.  Each stream draws all the p variables of its
     rows, then all their q variables, before the next stream starts, so
-    `streams` may re-key one generator between its items."""
+    `streams` may re-key one generator between its items.  `out`, for a
+    single stream, is the (p, q) pair to draw into; _beta_rows then takes
+    its work arrays from this thread's scratch."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
+    out_p, out_q = (None, None) if out is None else out
     p, q = [], []
     for rng in streams:
-        p.append(_beta_rows(alpha_p, beta_p, rng, rows))
-        q.append(_beta_rows(alpha_q, beta_q, rng, rows))
+        p.append(_beta_rows(alpha_p, beta_p, rng, rows, out_p))
+        q.append(_beta_rows(alpha_q, beta_q, rng, rows, out_q))
     if len(p) == 1:
         return p[0], q[0]
     return np.concatenate(p), np.concatenate(q)
 
 
-def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray):
+def _draw_each(shapes, streams):
+    """(p, q) of one trial per stream, bit for bit _draw_pq(shapes,
+    streams, 1): X_p, Y_p, then X_q, Y_q, each underflow redrawn before
+    the next variable.
+
+    With no pair to redraw, those are one standard_gamma call on the four
+    shape arrays end to end, so each trial takes that one call into its
+    row of a block buffer, and the ratios run once for the block.  A trial
+    with an empty total (0/0 at a positive shape) is set back to the state
+    its stream started from and drawn again the two-step way, whose redraw
+    of the p pairs comes before the q draws.
+    """
+    alpha_p, beta_p, alpha_q, beta_q = shapes
+    n = len(alpha_p)
+    every = np.concatenate(shapes)
+    starts, gammas = [], []
+    for rng in streams:
+        starts.append((rng, rng.bit_generator.state))
+        gammas.append(rng.standard_gamma(every))
+    x_p, y_p, x_q, y_q = np.hsplit(np.array(gammas), [n, 2 * n, 3 * n - 1])
+    tot_p, tot_q = x_p + y_p, x_q + y_q
+    empty = ((tot_p == 0.0) & (alpha_p > 0.0)).any(axis=1)
+    empty |= ((tot_q == 0.0) & (alpha_q > 0.0)).any(axis=1)
+    p, q = _ratios(x_p, tot_p), _ratios(x_q, tot_q)
+    for i in np.flatnonzero(empty):
+        rng, state = starts[i]
+        rng.bit_generator.state = state
+        p[i : i + 1], q[i : i + 1] = _draw_pq(shapes, [rng], 1)
+    return p, q
+
+
+def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray, out=None):
     """J = B B^T from the squared entries of B, on (..., N) s^2 and
     (..., N-1) t^2: diagonal s_n^2 + t_{n-1}^2 with t_0 = 0, off-diagonal
-    s_n t_n = sqrt(s_n^2 t_n^2).  Returns (diag, off)."""
-    diag = s2.copy()
+    s_n t_n = sqrt(s_n^2 t_n^2).  Returns (diag, off), into the arrays of
+    `out` if given."""
+    diag, off = (np.empty_like(s2), np.empty_like(t2)) if out is None else out
+    np.sqrt(np.multiply(s2[..., :-1], t2, out=off), out=off)
+    np.copyto(diag, s2)
     diag[..., 1:] += t2
-    return diag, np.sqrt(s2[..., :-1] * t2)
+    return diag, off
 
 
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
-    s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), [rng], 1))
+    s2, t2 = _bidiagonal_squares(*_draw_each(_shape_arrays(cfg), [rng]))
     return BidiagonalFactor(np.sqrt(s2[0]), np.sqrt(t2[0]))
 
 
@@ -238,49 +324,145 @@ def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(*_tridiagonal_from_squares(factor.s**2, factor.t**2))
 
 
-def _spectra(shapes, streams) -> np.ndarray:
-    """Sorted spectra of one sampled J per stream, as an (m, N) array.
-
-    The one kernel behind empirical_measure and the `sample` command:
-    each trial draws its squares from its own stream, J is assembled
-    once for the block and checked finite once, each row goes through one
-    LAPACK call, and the escape check and the clamp run on the whole
-    block.
-    Eigenvalues more than _FAIL_TOL outside [0, 1] raise
-    ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
-    """
-    squares = _bidiagonal_squares(*_draw_pq(shapes, streams, 1))
+def _sampled_j(shapes, streams):
+    """(diag, off) of one sampled J per stream, as (m, N) and (m, N-1)
+    arrays: each trial draws its squares from its own stream, and J is
+    assembled and checked finite once for the block.  The draw both
+    kernels of `sample` share."""
+    squares = _bidiagonal_squares(*_draw_each(shapes, streams))
     diag, off = _tridiagonal_from_squares(*squares)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ParameterError("tridiagonal entries must be finite")
+    return diag, off
+
+
+def _escape_error(vals: np.ndarray) -> ConvergenceError:
+    return ConvergenceError(
+        f"sampled spectrum escapes [0,1] beyond {_FAIL_TOL}: "
+        f"[{vals[0]!r}, {vals[-1]!r}]"
+    )
+
+
+def _spectra(shapes, streams) -> np.ndarray:
+    """Sorted spectra of one sampled J per stream, as an (m, N) array.
+
+    The eigensolve kernel behind empirical_measure and the `sample`
+    command: J from _sampled_j, one LAPACK call per row, and the escape
+    check and the clamp on the whole block.
+    Eigenvalues more than _FAIL_TOL outside [0, 1] raise
+    ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
+    """
+    diag, off = _sampled_j(shapes, streams)
     vals = np.empty_like(diag)
     for i in range(len(vals)):
         vals[i] = _stevd(diag[i], off[i])[0]
     vals.sort(axis=1)
-    lo, hi = vals[:, 0], vals[:, -1]
-    escaped = (lo < -_FAIL_TOL) | (hi > 1.0 + _FAIL_TOL)
+    escaped = (vals[:, 0] < -_FAIL_TOL) | (vals[:, -1] > 1.0 + _FAIL_TOL)
     if escaped.any():
-        i = int(np.argmax(escaped))
-        raise ConvergenceError(
-            f"sampled spectrum escapes [0,1] beyond {_FAIL_TOL}: "
-            f"[{lo[i]!r}, {hi[i]!r}]"
-        )
+        raise _escape_error(vals[np.argmax(escaped)])
     vals[(vals < 0.0) & (vals >= -_CLAMP_TOL)] = 0.0
     vals[(vals > 1.0) & (vals <= 1.0 + _CLAMP_TOL)] = 1.0
     return vals
+
+
+def _bin_counts(shapes, streams, edges: np.ndarray) -> np.ndarray:
+    """np.histogram counts, over the bins of `edges` (np.histogram's equal
+    bins of [0, 1]), of the clamped spectra _spectra gives on the same
+    streams, without them.
+
+    A histogram needs only how many eigenvalues lie below each bin edge,
+    and a Sturm count reads that from the entries of J (Barth, Martin and
+    Wilkinson 1967): the number of pivots q_j <= 0 in the LDL^T
+    factorisation of J - wI, q_1 = d_1 - w, q_j = d_j - e_{j-1}^2 / q_{j-1}
+    - w, is the number of eigenvalues at or below w.  The pivots run
+    along the sites, vectorised over the trials times the points w.  A
+    pivot smaller than pivmin in size is set to -pivmin, as LAPACK's
+    dlaebz does; this keeps beta = 0, whose off-diagonal is exactly 0,
+    finite.  "Below e" is "at or below the float just under e", so an
+    eigenvalue on an edge counts in the bin to its right, np.histogram's
+    rule.  The points are -_FAIL_TOL and -_CLAMP_TOL (both just under),
+    the interior bin edges (just under), 1 + _CLAMP_TOL and
+    1 + _FAIL_TOL: the first and last test the escape, the bins between
+    them hold what the clamp puts in [0, 1], and what lies in the gaps
+    between the two tolerances is left out, as np.histogram drops it.
+    A trial that escapes raises the ConvergenceError of _spectra, with
+    the [lo, hi] of its own eigensolve.
+    """
+    diag, off = _sampled_j(shapes, streams)
+    m, n = diag.shape
+    below = np.nextafter(np.r_[-_FAIL_TOL, -_CLAMP_TOL, edges[1:-1]], -np.inf)
+    w = np.r_[below, 1.0 + _CLAMP_TOL, 1.0 + _FAIL_TOL]
+    # dlaebz's pivmin, safe minimum times max(1, max e^2); here e^2 <= 1
+    pivmin = np.finfo(float).tiny
+    d = np.ascontiguousarray(diag.T)[:, :, None]
+    e2 = np.ascontiguousarray((off * off).T)[:, :, None]
+    q = np.empty((m, len(w)))
+    tmp = np.empty_like(q)
+    small = np.empty(q.shape, bool)
+    count = np.zeros(q.shape, np.int32)
+    for j in range(n):
+        if j:
+            np.divide(e2[j - 1], q, out=tmp)
+            np.subtract(d[j], tmp, out=q)
+            q -= w
+        else:
+            np.subtract(d[0], w, out=q)
+        np.less(np.abs(q, out=tmp), pivmin, out=small)
+        np.copyto(q, -pivmin, where=small)
+        count += np.less_equal(q, 0.0, out=small)
+    escaped = (count[:, 0] > 0) | (count[:, -1] < n)
+    if escaped.any():
+        i = np.argmax(escaped)
+        raise _escape_error(np.sort(_stevd(diag[i], off[i])[0]))
+    return np.diff(count[:, 1:-1].sum(axis=0, dtype=np.int64))
+
+
+def _trial_blocks(cfg: EnsembleConfig, seed: int, trials: int):
+    """The streams of trials 0..trials-1 under `seed` (checked at the
+    call), in order, one re-keyed generator (_trial_streams) per block of
+    about _SPECTRUM_BLOCK matrix entries."""
+    folded = _fold_seed(seed)
+    step = max(1, _SPECTRUM_BLOCK // cfg.N)
+    return (
+        _trial_streams(folded, range(lo, min(lo + step, trials)))
+        for lo in range(0, trials, step)
+    )
 
 
 def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
     """Spectra of trials 0..trials-1 under `seed` (checked at the call),
     in order as (m, N) blocks of about _SPECTRUM_BLOCK entries; row for
     trial i is bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
-    folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
-    step = max(1, _SPECTRUM_BLOCK // cfg.N)
-    return (
-        _spectra(shapes, _trial_streams(folded, range(lo, min(lo + step, trials))))
-        for lo in range(0, trials, step)
-    )
+    return (_spectra(shapes, streams) for streams in _trial_blocks(cfg, seed, trials))
+
+
+def _histogram(cfg: EnsembleConfig, seed: int, trials: int, bins: int):
+    """(counts, edges) of np.histogram over `bins` equal bins of [0, 1] of
+    every eigenvalue of trials 0..trials-1 under `seed`, as
+    _spectrum_blocks gives them, the counts summed block by block.
+
+    Up to _COUNT_BINS_PER_SITE bins per site the counts come from Sturm
+    counts at the bin edges (_bin_counts), with no eigensolve; past it,
+    from the eigenvalues (_spectra).  Sturm counts cost O(N bins) per
+    trial, the eigensolve O(N^2).  Per trial on a 2-vCPU host, draws
+    included, counts against eigenvalues: 39 against 124 us at N = 60
+    and 40 bins, 111 against 129 at 240 bins (4N), 204 against 137 at
+    480; 158 against 987 us at N = 200 and 40 bins, 931 against 1058 at
+    800 bins, 2146 against 1020 at 1600.  So the two cross between 4N and
+    8N bins (at N = 10, between 8N and 16N), and 4N bins per site is the
+    rule.  It also keeps the count arrays of a block near
+    _COUNT_BINS_PER_SITE * _SPECTRUM_BLOCK entries.
+    """
+    shapes = _shape_arrays(cfg)
+    edges = np.linspace(0.0, 1.0, bins + 1)  # np.histogram's, for range (0, 1)
+    counts = np.zeros(bins, dtype=np.int64)
+    for streams in _trial_blocks(cfg, seed, trials):
+        if bins <= _COUNT_BINS_PER_SITE * cfg.N:
+            counts += _bin_counts(shapes, streams, edges)
+        else:
+            counts += np.histogram(_spectra(shapes, streams), bins, (0.0, 1.0))[0]
+    return counts, edges
 
 
 def empirical_measure(
@@ -297,27 +479,33 @@ def empirical_measure(
     return DiscreteMeasure(vals, np.full(cfg.N, 1.0 / cfg.N))
 
 
-def _band_step(band: list, d: np.ndarray, e: np.ndarray) -> list:
+def _band_step(band: list, d: np.ndarray, e: np.ndarray, into: np.ndarray,
+               tmp: np.ndarray) -> list:
     """Upper diagonals of A J from those of a symmetric banded A.
 
     band[o] holds (A)_{r, r+o} as an (N - o, m) array; d (N, m) and
     e (N - 1, m) are the diagonal and off-diagonal of J.  Row r of
     diagonal o of A J is A_{r, r+o-1} e_{r+o-1} + A_{r, r+o} d_{r+o}
     + A_{r, r+o+1} e_{r+o}; on the main diagonal the first term reads
-    the lower neighbour A_{r, r-1} = A_{r-1, r} by symmetry.
+    the lower neighbour A_{r, r-1} = A_{r-1, r} by symmetry.  Diagonal o
+    of the result is into[o, :N - o]; tmp, (N, m), holds the products.
     """
     n = d.shape[0]
     width = len(band) - 1
     out = []
     for o in range(min(width + 1, n - 1) + 1):
-        res = band[o] * d[o:] if o <= width else np.zeros((n - o, d.shape[1]))
+        res = into[o, : n - o]
+        if o <= width:
+            np.multiply(band[o], d[o:], out=res)
+        else:
+            res.fill(0.0)
         if o + 1 <= width:
-            res[:-1] += band[o + 1] * e[o:]
+            res[:-1] += np.multiply(band[o + 1], e[o:], out=tmp[: n - o - 1])
         if o == 0:
             if width >= 1:
-                res[1:] += band[1] * e
+                res[1:] += np.multiply(band[1], e, out=tmp[: n - 1])
         else:
-            res += band[o - 1][: n - o] * e[o - 1 :]
+            res += np.multiply(band[o - 1][: n - o], e[o - 1 :], out=tmp[: n - o])
         out.append(res)
     return out
 
@@ -339,25 +527,28 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     and each trace is read as a Frobenius inner product,
     tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max): no
     dense matrix is formed, and _mc_chunk keeps m N near _TRACE_BLOCK.
-    A row's bits do not depend on the rows stacked with it while m >= 2;
-    einsum sums a lone row in another order.  This is the closed-walk sum
-    that exact_moment averages over the Beta variables, on sampled
-    entries.
+    The work arrays are this thread's scratch, the band powers three
+    buffers taken in turn.  A row's bits do not depend on the rows
+    stacked with it while m >= 2; einsum sums a lone row in another
+    order.  This is the closed-walk sum that exact_moment averages over
+    the Beta variables, on sampled entries.
     """
     m, n = diags.shape
-    # diagonals run along axis 0 so row slices stay contiguous
-    d = np.ascontiguousarray(diags.T)
-    e = np.ascontiguousarray(offs.T)
-    out = np.empty((m, k_max + 1))
     half = (k_max + 1) // 2
-    prev, cur = None, [np.ones((n, m))]
+    # diagonals run along axis 0 so row slices stay contiguous
+    d, e, tmp, bands = _scratch("tot", (n, m), (n - 1, m), (n, m), (3, half + 1, n, m))
+    np.copyto(d, diags.T)
+    np.copyto(e, offs.T)
+    out = np.empty((m, k_max + 1))
+    bands[0, 0].fill(1.0)
+    prev, cur = None, [bands[0, 0]]
     for j in range(half + 1):
         if j >= 1:
             out[:, 2 * j - 1] = _frobenius(prev, cur) / n
         if 2 * j <= k_max:
             out[:, 2 * j] = _frobenius(cur, cur) / n
         if j < half:
-            prev, cur = cur, _band_step(cur, d, e)
+            prev, cur = cur, _band_step(cur, d, e, bands[(j + 1) % 3], tmp)
     return out
 
 
@@ -372,23 +563,30 @@ def _mc_chunk(shapes, rng, lo, hi, k_max):
     chunk does (a lone last trial joins the block before it), so every
     row keeps the bits of the whole chunk traced at once.
     """
-    p, q = _draw_pq(shapes, [rng], hi - lo)
-    rows, n = p.shape
+    rows, n = hi - lo, len(shapes[0])
+    # all in this thread's scratch: the draws in p and q; per block, the
+    # squares in the "tot" slot of _beta_rows's totals, J in the "j"
+    # slot, and the band powers of _trace_moments in the "tot" slot again
+    p, q = _draw_pq(
+        shapes, [rng], rows, out=(_scratch("p", (rows, n)), _scratch("q", (rows, n - 1)))
+    )
     starts = list(range(0, rows, max(2, _TRACE_BLOCK // n)))
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
-    moments = np.empty((rows, k_max + 1))
+    moments = _scratch("moments", (rows, k_max + 1))
     for a, b in zip(starts, starts[1:] + [rows]):
-        squares = _bidiagonal_squares(p[a:b], q[a:b])
-        moments[a:b] = _trace_moments(*_tridiagonal_from_squares(*squares), k_max)
+        block = ((b - a, n), (b - a, n - 1))
+        squares = _bidiagonal_squares(p[a:b], q[a:b], out=_scratch("tot", *block))
+        diag, off = _tridiagonal_from_squares(*squares, out=_scratch("j", *block))
+        moments[a:b] = _trace_moments(diag, off, k_max)
     if not np.isfinite(moments).all():
         raise ConvergenceError(
             f"non-finite trace moment in trials {lo}..{hi - 1}; "
             "refusing to report moments"
         )
     mean = moments.mean(axis=0)
-    dev = moments - mean
-    return hi - lo, mean, np.einsum("ij,ij->j", dev, dev)
+    dev = np.subtract(moments, mean, out=moments)
+    return rows, mean, np.einsum("ij,ij->j", dev, dev)
 
 
 def _merge_moments(left, right):

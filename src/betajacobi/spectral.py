@@ -320,10 +320,11 @@ def stieltjes_cf(
 
     Accepts scalar or array z (finite numbers off the support): a z of
     str, bytes, bool or object dtype, or a real z in [0, 1], raises
-    ParameterError, and a z the solver finds singular raises
-    ConvergenceError.  When the depth-halved value differs by more
-    than ``warn_tol`` (relative, a real >= 0), a ConvergenceWarning is
-    emitted; pass ``warn_tol=None`` to skip that second evaluation.
+    ParameterError, and a z the solver finds singular, or a value that
+    comes out non-finite, raises ConvergenceError.  When the depth-halved
+    value differs by more than ``warn_tol`` (relative, a real >= 0), a
+    ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
+    second evaluation.
     """
     depth = as_count("depth", depth, 2)
     if warn_tol is not None and as_real("warn_tol", warn_tol) < 0.0:
@@ -372,6 +373,12 @@ def stieltjes_cf(
         return out
 
     s_full = _eval(depth)
+    finite = np.isfinite(s_full)
+    if not finite.all():
+        raise ConvergenceError(
+            f"the {depth}-level continued fraction is not finite at "
+            f"z = {complex(zc[np.argmin(finite)])}"
+        )
     if warn_tol is not None:
         s_half = _eval(depth // 2)
         rel = np.max(

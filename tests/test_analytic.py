@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from betajacobi import (
+    ConvergenceError,
     ConvergenceWarning,
     DensityProfile,
     JacobiParams,
@@ -321,6 +322,17 @@ class TestDensityNumeric:
             density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-300)
         with pytest.raises(ParameterError, match="1e-15 from the support.*depth 379473319"):
             density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-15)
+
+    def test_nonfinite_value_raises(self, monkeypatch):
+        # a transform that comes back infinite must not become a density
+        import betajacobi.analytic as an
+
+        def overflowed(kind, p, z, **kwargs):
+            return np.where(np.real(z) > 0.4, complex(0.0, np.inf), 0.5j)
+
+        monkeypatch.setattr(an, "stieltjes_cf", overflowed)
+        with pytest.raises(ConvergenceError, match="inverted transform is not finite"):
+            density_numeric(ModelKind.ASSOC_III, P_REF, [0.2, 0.5])
 
 
 class TestDensityProfile:

@@ -147,6 +147,21 @@ class TestSampleBlocks:
         ]
         assert lines == want
 
+    @pytest.mark.parametrize("bins, solves", [("40", 0), ("0", 25), ("241", 25)])
+    def test_eigensolves(self, capsys, monkeypatch, bins, solves):
+        # up to 4N bins the histogram takes Sturm counts at its edges and
+        # solves no eigenproblem; raw rows and finer bins solve one per trial
+        calls = []
+        stevd = ens._stevd
+        monkeypatch.setattr(ens, "_stevd", lambda d, e: calls.append(1) or stevd(d, e))
+        code, out, _ = run_cli(
+            ["sample", "--n", "60", "--c", "1", "--a", "0.5", "--b", "0.5",
+             "--trials", "25", "--bins", bins, "--seed", "5"],
+            capsys,
+        )
+        assert code == 0 and out
+        assert len(calls) == solves
+
     @pytest.mark.parametrize("bins", ["40", "0"])
     def test_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path, bins):
         # every spectrum used to be kept until the histogram was taken,

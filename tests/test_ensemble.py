@@ -179,6 +179,21 @@ class TestSampling:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("ab", [(0.3, 0.7), (-0.9999, -0.9999)])
+    def test_one_call_draw_leaves_the_stream_where_the_textbook_does(self, ab):
+        # one gamma call per trial, and the replay of a trial whose totals
+        # underflowed, advance a caller's generator exactly as the
+        # two-step draw does
+        cfg = EnsembleConfig(3, 2.0, *ab)
+        shapes = _shape_arrays(cfg)
+        for i in range(20):
+            rng, ref = substream(17, i), substream(17, i)
+            p, q = ens._draw_each(shapes, [rng])
+            s2, t2 = textbook_squares(shapes, ref, 1)
+            got = _bidiagonal_squares(p, q)
+            assert got[0].tobytes() == s2.tobytes() and got[1].tobytes() == t2.tobytes()
+            assert rng.random() == ref.random()
+
     @pytest.mark.parametrize("shapes", [(5.0, 2.0), (1e-4, 1e-4), (0.3, 1e-3)])
     def test_beta_rows_is_the_textbook_draw(self, shapes, monkeypatch):
         # a many-row draw of one variable is the one-variable case of the
@@ -335,6 +350,99 @@ class TestSpectrumKernel:
         monkeypatch.setattr(ens, "_tridiagonal_from_squares", nan_j)
         with pytest.raises(ParameterError, match="finite"):
             empirical_measure(CFG, substream(1, 0))
+
+
+def _stevd_unreachable(d, e):
+    raise AssertionError("an eigensolve ran on the count route")
+
+
+class TestBinCounts:
+    """`sample` histograms from Sturm counts at the bin edges against
+    np.histogram of the one-matrix-at-a-time spectra, count for count."""
+
+    @given(
+        n=st.integers(1, 80),
+        beta=st.sampled_from([0.0, 0.01, 1.0, 4.0]) | st.floats(0.0, 4.0),
+        a=st.sampled_from([-0.9999, 0.5, 3.0]) | st.floats(-0.9999, 3.0),
+        b=st.sampled_from([-0.9999, 0.5, -0.5]) | st.floats(-0.9999, 3.0),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_are_the_histogram_of_the_spectra(self, n, beta, a, b, trials, seed,
+                                                     data):
+        bins = data.draw(st.sampled_from([1, 4 * n, 40]) | st.integers(1, 4 * n + 40))
+        cfg = EnsembleConfig(n, beta, a, b)
+        want = np.histogram(
+            np.concatenate([per_trial_spectrum(cfg, seed, i) for i in range(trials)]),
+            bins, (0.0, 1.0),
+        )[0]
+        with pytest.MonkeyPatch.context() as mp:
+            # every bin count takes the count route, at N <= 3 too
+            mp.setattr(ens, "_COUNT_BINS_PER_SITE", 10**9)
+            mp.setattr(ens, "_SPECTRUM_BLOCK", 2 * n)
+            mp.setattr(ens, "_stevd", _stevd_unreachable)
+            got, edges = ens._histogram(cfg, seed, trials, bins)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert edges.tobytes() == np.histogram_bin_edges([], bins, (0.0, 1.0)).tobytes()
+
+    def test_crossover(self, monkeypatch):
+        # up to 4N bins the counts, past it the eigenvalues
+        cfg = EnsembleConfig(5, 0.4, 0.5, 0.5)
+        monkeypatch.setattr(ens, "_stevd", _stevd_unreachable)
+        counts = ens._histogram(cfg, 3, 6, 20)[0]
+        monkeypatch.undo()
+        want = np.histogram(_per_trial(cfg, 3, 6), 20, (0.0, 1.0))[0]
+        assert counts.tolist() == want.tolist()
+        solves = []
+        monkeypatch.setattr(ens, "_stevd", lambda d, e: solves.append(1) or _stevd(d, e))
+        counts = ens._histogram(cfg, 3, 6, 21)[0]
+        assert len(solves) == 6
+        assert counts.tolist() == np.histogram(_per_trial(cfg, 3, 6), 21, (0.0, 1.0))[0].tolist()
+
+    # roundoff below 0 and above 1 is clamped into the end bins; between
+    # the clamp and the escape tolerance it is dropped, as np.histogram
+    # drops what lies outside [0, 1]; 0.25 sits on an interior edge, and
+    # the float under it gives a zero pivot, with an exactly 0 coupling
+    # to the 0.1 after it
+    PLANTED = [-5e-11, -5e-13, 0.0, 0.25, np.nextafter(0.25, 0.0), 0.1, 0.5, 1.0,
+               1.0 + 5e-13, 1.0 + 5e-11]
+
+    def _plant(self, monkeypatch, diag):
+        def planted(s2, t2):
+            return np.broadcast_to(diag, s2.shape).copy(), np.zeros_like(t2)
+
+        monkeypatch.setattr(ens, "_tridiagonal_from_squares", planted)
+        cfg = EnsembleConfig(len(diag), 2.0, 0.5, 0.5)
+        return _shape_arrays(cfg), [substream(1, 0), substream(1, 1)]
+
+    @pytest.mark.parametrize("bins", [1, 4, 8, 36])
+    def test_planted_entries_follow_the_clamp_and_the_edges(self, monkeypatch, bins):
+        shapes, streams = self._plant(monkeypatch, np.array(self.PLANTED))
+        got = ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, bins + 1))
+        vals = ens._spectra(shapes, streams)
+        want = np.histogram(vals, bins, (0.0, 1.0))[0]
+        assert got.tolist() == want.tolist()
+        assert got.sum() == 2 * (len(self.PLANTED) - 2)
+        assert got[0] >= 2 * 2 and got[-1] >= 2 * 2
+        if bins == 4:  # 0.25 opens bin 1; the float just under it stays in bin 0
+            assert got.tolist() == [2 * 4, 2 * 1, 2 * 1, 2 * 2]
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9])
+    def test_planted_escape_raises_as_the_eigen_route(self, monkeypatch, bad):
+        shapes, streams = self._plant(monkeypatch, np.array([0.0, 0.5, bad]))
+        with pytest.raises(ConvergenceError, match="escapes") as counted:
+            ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ConvergenceError) as solved:
+            ens._spectra(shapes, streams)
+        assert str(counted.value) == str(solved.value)
+
+    def test_nonfinite_entries_raise(self, monkeypatch):
+        shapes, streams = self._plant(monkeypatch, np.array([0.5, np.nan]))
+        with pytest.raises(ParameterError, match="finite"):
+            ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, 11))
 
 
 def _random_tridiagonals(rng, m, n):
@@ -527,6 +635,31 @@ class TestMcMoments:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_chunks_of_a_thread_reuse_their_work_arrays(self):
+        # a chunk used to fault in fresh pages for its draws: now the
+        # chunks of one thread draw into the same buffers, with the bits
+        # a fresh thread gives
+        from concurrent.futures import ThreadPoolExecutor
+
+        shapes = _shape_arrays(EnsembleConfig(3, 1.4, 0.2, 0.4))
+        slots = ("p", "q", "tot", "j", "moments")
+
+        def two_chunks():
+            ens._mc_chunk(shapes, ens._stream(5, 0), 0, 3000, 3)
+            bufs = [getattr(ens._SCRATCH, slot) for slot in slots]
+            second = ens._mc_chunk(shapes, ens._stream(5, 1), 3000, 6000, 3)
+            return second, all(getattr(ens._SCRATCH, s) is b for s, b in zip(slots, bufs))
+
+        with ThreadPoolExecutor(1) as pool:
+            second, reused = pool.submit(two_chunks).result()
+        with ThreadPoolExecutor(1) as pool:
+            fresh = pool.submit(ens._mc_chunk, shapes, ens._stream(5, 1), 3000, 6000, 3)
+            fresh = fresh.result()
+        assert reused
+        assert second[0] == fresh[0] == 3000
+        assert second[1].tobytes() == fresh[1].tobytes()
+        assert second[2].tobytes() == fresh[2].tobytes()
 
     def test_nonfinite_trace_in_a_later_block_names_the_chunk(self, monkeypatch):
         calls = []

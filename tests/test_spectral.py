@@ -482,6 +482,24 @@ class TestStieltjesCF:
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 0.5 + 0.5j, depth=7)
         assert levels == [7]
 
+    def test_nonfinite_value_raises(self, monkeypatch):
+        # a solve that overflows without a zero pivot gives NaN, which
+        # must not come back as a transform value
+        import betajacobi.spectral as spectral
+
+        solve = spectral._zgtsv
+
+        def overflowing(dl, d, du, b, **kw):
+            at_2_2j = d[-1].imag == -2.0  # the top row, d_1 - z
+            out = solve(dl, d, du, b, **kw)
+            if at_2_2j:
+                out[3][:] = np.nan
+            return out
+
+        monkeypatch.setattr(spectral, "_zgtsv", overflowing)
+        with pytest.raises(ConvergenceError, match=r"7-level.*not finite at z = \(2\+2j\)"):
+            stieltjes_cf(ModelKind.ASSOC_III, P_REF, [2.0 + 1.0j, 2.0 + 2.0j], depth=7)
+
 
 class TestJacobiMatrix:
     def test_entries_match_streams(self, params):
