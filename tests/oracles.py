@@ -242,6 +242,37 @@ def dense_interaction(x, eps_div: float = 1e-12, *, magnitude: bool = False):
     return (np.abs(inv) if magnitude else inv).sum(axis=-1)
 
 
+def pair_buffer_interaction(x, eps_div: float = 1e-12):
+    """sum_{j != i} 1 / (x_i - x_j) by the half-pair kernel on one
+    (N(N-1)/2, ...) buffer of all pair gaps: every gap, then the tie
+    mask, the reciprocal, the clip at +-1/eps_div and the zeroing of ties
+    as whole-buffer passes, then each offset block added to the upper
+    particle of its pairs and subtracted from the lower one, offsets in
+    increasing order.  The offset-block kernel must match it bit for bit."""
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    n = xt.shape[0]
+    # rows lo:hi of block o hold the gaps x_{i+o} - x_i, i = 0..N-o-1
+    blocks, lo = [], 0
+    for o in range(1, n):
+        blocks.append((o, lo, lo + n - o))
+        lo += n - o
+    inv = np.empty((lo,) + xt.shape[1:])
+    for o, lo, hi in blocks:
+        np.subtract(xt[o:], xt[:-o], out=inv[lo:hi])
+    ties = inv == 0.0
+    # ties give +-inf and subnormal gaps overflow; the clip and the tie
+    # mask below settle both
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, inv, out=inv)
+    np.clip(inv, -1.0 / eps_div, 1.0 / eps_div, out=inv)
+    np.copyto(inv, 0.0, where=ties)
+    total = np.zeros(xt.shape)
+    for o, lo, hi in blocks:
+        total[o:] += inv[lo:hi]
+        total[:-o] -= inv[lo:hi]
+    return np.moveaxis(total, 0, -1)
+
+
 def convolve_hierarchy(m, a: float, b: float, c: float, *, magnitude: bool = False):
     """Right side of the moment hierarchy by one np.convolve of m with
     itself, on (K+1,) arrays: row k is -k (2c+a+b+k+1) m_k + k (a+k) m_{k-1}

@@ -430,6 +430,25 @@ class TestDynamics:
         _, _, rows = read_csv_text(out)
         assert float(rows[0][3]) == float(x0)  # m_1 at t = 0
 
+    @pytest.mark.parametrize(
+        "flags, t_end, dt",
+        [
+            (["--t-end", "1e-5"], 1e-5, 1e-3),
+            (["--t-end", "0.0025"], 0.0025, 1e-3),
+            (["--t-end", "0.01", "--sde", "--sde-dt", "3e-3"], 0.01, 3e-3),
+        ],
+        ids=["no_step", "short_of_t_end", "sde_step"],
+    )
+    def test_t_end_off_the_step_grid_exits_two(self, capsys, flags, t_end, dt):
+        # 1e-5 used to print t_end=1e-05 over rows at t = 0 only, and
+        # 0.0025 stopped at t = 0.002
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--kmax", "3", *flags],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: t_end = {t_end!r} is not a whole number of steps dt = {dt!r}")
+
 
 class TestVerify:
     def test_single_criterion_passes(self, capsys):

@@ -27,7 +27,7 @@ from betajacobi.dynamics import (
     _interaction,
     _power_means,
 )
-from oracles import convolve_hierarchy, dense_interaction
+from oracles import convolve_hierarchy, dense_interaction, pair_buffer_interaction
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -93,12 +93,68 @@ def _assert_matches_dense(x):
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
+def _assert_matches_pair_buffer(x):
+    # the offset-block kernel takes each element through the operations
+    # of the whole-buffer kernel in the same order: the same bytes
+    got, want = _interaction(x), pair_buffer_interaction(x, EPS_DIV)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _layout(x, kind):
+    """Planted (..., N) configurations from uniform draws x."""
+    if kind == "unsorted":
+        return x
+    x = np.sort(x, axis=-1)
+    if kind == "ties":
+        x = np.sort(np.round(x * 4.0) / 4.0, axis=-1)
+    elif kind == "walls":
+        # about a third of each row clamped at 0 or at 1
+        x = np.clip(1.6 * x - 0.3, 0.0, 1.0)
+    elif kind.startswith("gap_"):
+        gap = float(kind[4:]) * EPS_DIV
+        half = x.shape[-1] // 2
+        x[..., 1 : 2 * half : 2] = x[..., 0 : 2 * half : 2] + gap
+    return x
+
+
 class TestInteraction:
     @pytest.mark.parametrize("batch", [(), (2,), (3, 4)])
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
     def test_matches_dense_oracle(self, n, batch):
         x = np.sort(substream(21, n).uniform(size=batch + (n,)), axis=-1)
         _assert_matches_dense(x)
+
+    @pytest.mark.parametrize(
+        "kind", ["sorted", "unsorted", "ties", "walls", "gap_0.25", "gap_0.5"]
+    )
+    @pytest.mark.parametrize("batch", [(), (2,), (3, 4)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
+    def test_bytes_match_pair_buffer_kernel(self, n, batch, kind):
+        x = _layout(substream(25, n).uniform(size=batch + (n,)), kind)
+        _assert_matches_pair_buffer(x)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 40])
+    def test_fix_ups_stop_at_the_first_offset_past_eps_div(self, n):
+        # gaps of 0.4 EPS_DIV: offsets 1 and 2 are clipped, offset 3 and on
+        # are not; the same stacked with another sorted row, reversed
+        # (unsorted), with a wall pair and with a NaN
+        stair = 0.3 + np.arange(n) * (0.4 * EPS_DIV)
+        for x in [
+            stair,
+            np.vstack([stair, np.linspace(0.0, 1.0, n) ** 8]),
+            np.vstack([stair, stair[::-1]]),
+            np.concatenate([[0.0, 0.0], stair[2:]]),
+            np.where(np.arange(n) == n // 2, np.nan, stair),
+        ]:
+            _assert_matches_pair_buffer(x)
+        # unsorted: every offset-2 gap is above EPS_DIV, yet the offset-3
+        # pair is tied, so only sorted rows may end the fix-ups early
+        _assert_matches_pair_buffer(np.array([0.2, 0.1, 0.3, 0.2]))
+        cap = 1.0 / EPS_DIV
+        want = {2: [-cap, cap], 3: [-2.0 * cap, 0.0, 2.0 * cap]}
+        if n in want:
+            np.testing.assert_array_equal(_interaction(stair), want[n])
 
     def test_unsorted_input(self):
         x = substream(22, 0).uniform(size=(3, 40))
@@ -154,6 +210,9 @@ class TestInteraction:
         x = np.array(xs)
         _assert_matches_dense(x)
         _assert_matches_dense(np.vstack([x, x[::-1]]))
+        _assert_matches_pair_buffer(x)
+        _assert_matches_pair_buffer(np.sort(x))
+        _assert_matches_pair_buffer(np.vstack([x, x[::-1], np.sort(x)]))
 
 
 class TestPowerMeans:
@@ -295,6 +354,65 @@ class TestSimulateMoments:
     def test_negative_kmax_raises(self):
         with pytest.raises(ParameterError):
             simulate_moments(2, 0.0, 0.0, 2.0, 0.5, 0.01, 1e-3, 10, -1, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, a, b, beta, t_end, paths, k_max, seed",
+        [
+            (40, 0.0, 0.0, 1.0 / 20.0, 0.005, 400, 1, 11),  # bench `sde`, 50 steps
+            (40, 0.3, 0.7, 2.0 * 1.2 / 40, 0.005, 100, 4, 12),  # `dynamics --sde`
+            (40, 0.0, 0.0, 1.0 / 20.0, 0.02, 400, 1, 60097),  # the criterion's seed
+        ],
+        ids=["sde", "cli", "criterion"],
+    )
+    def test_bytes_match_pair_buffer_replay(self, n, a, b, beta, t_end, paths, k_max, seed):
+        # the step on kept work arrays against the step's expressions on
+        # fresh arrays with the whole-buffer kernel, from a point mass
+        # (every pair tied at the first step)
+        dt = 1e-4
+        path, se = simulate_moments(n, a, b, beta, 0.5, t_end, dt, paths, k_max, seed)
+        steps = int(round(t_end / dt))
+        stride = max(1, steps // 200)
+        rng = substream(seed, 0)
+        x = np.full((paths, n), 0.5)
+
+        def record(xb):
+            per_path = _power_means(xb, k_max)
+            return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+
+        rows = [record(x)]
+        for step in range(1, steps + 1):
+            xx = x * (1.0 - x)
+            mu = (a + 1.0) - (a + b + 2.0) * x + beta * xx * pair_buffer_interaction(x)
+            sigma = np.sqrt(2.0 * np.maximum(xx, 0.0))
+            x = x + mu * dt + sigma * (np.sqrt(dt) * rng.standard_normal(x.shape))
+            np.clip(x, 0.0, 1.0, out=x)
+            x.sort(axis=-1)
+            if step % stride == 0 or step == steps:
+                rows.append(record(x))
+        assert path.moments.tobytes() == np.vstack([m for m, _ in rows]).tobytes()
+        assert se.tobytes() == np.vstack([s for _, s in rows]).tobytes()
+
+    def test_step_memory_is_linear_in_n(self):
+        # the whole-buffer kernel's pair gaps alone took 2.4 MiB here
+        import tracemalloc
+
+        simulate_moments(40, 0.0, 0.0, 1.0 / 20.0, 0.5, 0.005, 1e-4, 400, 1, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_moments(40, 0.0, 0.0, 1.0 / 20.0, 0.5, 0.005, 1e-4, 400, 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "t_end, dt", [(1e-5, 1e-4), (0.0025, 1e-3)], ids=["no_step", "short_of_t_end"]
+    )
+    def test_t_end_off_the_step_grid_raises(self, t_end, dt):
+        # both used to return records short of t_end: times == [0.] for
+        # 1e-5, and a last record at t = 0.002 for 0.0025
+        with pytest.raises(ParameterError, match=rf"t_end = {t_end!r} .* dt = {dt!r}"):
+            simulate_moments(2, 0.0, 0.0, 2.0, 0.5, t_end, dt, 10, 2, seed=1)
 
     def test_generator_one_step_drift(self):
         # path-mean finite difference of m_k over one EM step against the
@@ -467,6 +585,15 @@ class TestIntegrateMoments:
             integrate_moments(np.array([1.0, 0.5]), P_REF, 1e300, 1e-300)
         with pytest.raises(ParameterError, match="overflows"):
             simulate_moments(2, 0.0, 0.0, 2.0, 0.5, 1e300, 1e-300, 10, 2, seed=1)
+
+    @pytest.mark.parametrize(
+        "t_end, dt", [(1e-5, 1e-3), (0.0025, 1e-3)], ids=["no_step", "short_of_t_end"]
+    )
+    def test_t_end_off_the_step_grid_raises(self, t_end, dt):
+        # both used to return records short of t_end: times == [0.] for
+        # 1e-5, and a last record at t = 0.002 for 0.0025
+        with pytest.raises(ParameterError, match=rf"t_end = {t_end!r} .* dt = {dt!r}"):
+            integrate_moments(np.array([1.0, 0.5]), P_REF, t_end, dt)
 
     def test_bitwise_against_rk4_on_ode_rhs(self):
         m = 0.5 ** np.arange(7.0)
