@@ -10,6 +10,7 @@ the hierarchy, plus the recursion generating the stationary moments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -318,43 +319,117 @@ def _hierarchy_coefficients(p: JacobiParams, k_max: int):
     )
 
 
-def _hierarchy_rhs(m: list, coef) -> list:
-    """ode_rhs at the float list m with the factors of
-    _hierarchy_coefficients; returns a float list.
+# The highest order K that ode_rhs and integrate_moments take.  The
+# kernel's source grows like K^2, and so do its build and its memory: on
+# a 2-vCPU host, 7-10 ms, 21 kB of source and a 2 MiB compile peak at
+# K = 20; 30-44 ms, 110 kB and 10.7 MiB at K = 64; 0.2-0.3 s, 0.8 MB and
+# 58 MiB at K = 200.  RK4 on the hierarchy is stable only for dt below
+# about 2.8 / (K (K + 2c + a + b + 1)), which at K = 64 is 7e-4 or less.
+# The package's own calls use K <= 6.
+_MAX_ORDER = 64
 
-    The self-convolution conv[j] = sum_{i=0}^{j} m_i m_{j-i} is formed
-    once per j, each pair i < j - i once and doubled.  Row k then reads
-    sum_{i+j=k-1} m_i m_j = conv[k-1] and, with the i = 0 and i = k terms
-    stripped, sum_{j=1}^{k-1} m_j m_{k-j} = conv[k] - 2 m_k.
 
-    The loop is O(K^2) in Python.  The np.convolve kernel it replaced
-    cost 40-50 us per RK4 step at every K <= 20, mostly per-call
-    overhead.  Per RK4 step on a 2-vCPU host, loop against numpy: 6.5
-    against 41 us at K = 1, 14 against 43 at K = 4, 39 against 41 at
-    K = 12 and 72 against 37 at K = 20, so the two cross between K = 12
-    and 16.  The package's own calls use K <= 6 and `dynamics --kmax`
-    defaults to 4, so there is one kernel and no switch on K.
+def _rhs_lines(xs: list, out: str) -> list:
+    """Source lines that set {out}k, k = 1..K, to the hierarchy's right
+    side at the moments named xs[0..K], with the k-th factors of
+    _hierarchy_coefficients in the locals Dk, Fk and Qk.
+
+    The self-convolution c_j = sum_{i=0}^{j} x_i x_{j-i} is formed once
+    per j: a sum that starts at 0.0 and adds each pair i < j - i once, is
+    doubled, and takes the middle square when j is even.  Row k then reads
+    sum_{i+j=k-1} x_i x_j = c_{k-1} and, with the i = 0 and i = k terms
+    stripped, sum_{j=1}^{k-1} x_j x_{k-j} = c_k - 2 x_k.
     """
-    decay, feed, quad = coef
-    k_max = len(m) - 1
-    conv = []
-    for j in range(k_max + 1):
-        s = 0.0
-        for i in range((j + 1) // 2):
-            s += m[i] * m[j - i]
-        s += s
+    lines = []
+    for j in range(len(xs)):
+        pairs = [f"{xs[i]} * {xs[j - i]}" for i in range((j + 1) // 2)]
+        lines.append(f"c{j} = " + " + ".join(["0.0"] + pairs))
+        twice = f"c{j} + c{j}"
         if not j & 1:
-            mid = m[j >> 1]
-            s += mid * mid
-        conv.append(s)
-    out = [0.0]
-    for k in range(1, k_max + 1):
-        q = quad[k - 1]
-        out.append(
-            decay[k - 1] * m[k] + feed[k - 1] * m[k - 1] + q * conv[k - 1]
-            - q * (conv[k] - 2.0 * m[k])
+            twice += f" + {xs[j >> 1]} * {xs[j >> 1]}"
+        lines.append(f"c{j} = {twice}")
+    for k in range(1, len(xs)):
+        lines.append(
+            f"{out}{k} = D{k} * {xs[k]} + F{k} * {xs[k - 1]} + Q{k} * c{k - 1}"
+            f" - Q{k} * (c{k} - 2.0 * {xs[k]})"
         )
-    return out
+    return lines
+
+
+def _hierarchy_source(k_max: int) -> str:
+    """Source of the hierarchy kernel of order k_max: two functions of the
+    moments m0..mK, as straight-line Python that depends on k_max alone.
+
+    Both first unpack the factor lists D, F and Q into locals.
+    rhs(m0, ..., mK) returns ode_rhs as a float list.  step(m0, ..., mK)
+    returns the RK4 step m + sixth (k1 + 2 k2 + 2 k3 + k4) as a tuple,
+    with the stage inputs m + half k1, m + half k2 and m + dt k3, or None
+    when some |m_k| of the result is not <= 10 (NaN included).  Row 0 of
+    the right side is 0.0, so m0 + h * 0.0 is m0 for the positive m0 that
+    _moment_list admits, and the stages hold m0 as it is.
+    """
+    ks = range(1, k_max + 1)
+    ms = [f"m{k}" for k in range(k_max + 1)]
+    xs = ["m0"] + [f"x{k}" for k in ks]
+    unpack = [", ".join(f"{f}{k}" for k in ks) + f", = {f}" for f in "DFQ" if k_max]
+    step = unpack + _rhs_lines(ms, "d1_")
+    for s, h in enumerate(("half", "half", "dt"), 1):
+        step += [f"x{k} = m{k} + {h} * d{s}_{k}" for k in ks]
+        step += _rhs_lines(xs, f"d{s + 1}_")
+    step += [
+        f"n{k} = m{k} + sixth * (d1_{k} + 2.0 * d2_{k} + 2.0 * d3_{k} + d4_{k})"
+        for k in ks
+    ]
+    bounded = " and ".join(f"-10.0 <= n{k} <= 10.0" for k in ks) or "True"
+    step += [
+        f"if {bounded}:",
+        "    return (" + ", ".join(["m0"] + [f"n{k}" for k in ks]) + ",)",
+        "return None",
+    ]
+    rhs = unpack + _rhs_lines(ms, "r")
+    rhs.append("return [" + ", ".join(["0.0"] + [f"r{k}" for k in ks]) + "]")
+    head = ", ".join(ms)
+    return "\n".join(
+        f"def {name}({head}):\n" + "".join(f"    {line}\n" for line in body)
+        for name, body in (("rhs", rhs), ("step", step))
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _hierarchy_code(k_max: int):
+    """_hierarchy_source(k_max), compiled once per order."""
+    return compile(_hierarchy_source(k_max), f"<moment hierarchy K={k_max}>", "exec")
+
+
+def _hierarchy_kernel(p: JacobiParams, k_max: int, dt: float = 0.0):
+    """(rhs, step) of _hierarchy_source(k_max) at p and step dt.
+
+    The three lists of _hierarchy_coefficients and dt, dt / 2 and dt / 6
+    are the functions' globals, bound at each call, as the standard library's
+    dataclasses builds __init__: no parameter value is formatted into the
+    source, which is compiled once per order (_hierarchy_code).
+
+    Every float operation is the one of the float loop this replaced
+    (tests/oracles.py::textbook_integrate_moments), in the same order, so
+    every bit is kept.  Per RK4 step on a 2-vCPU host (medians of eleven
+    interleaved runs in one process), against that loop: 2.1 against
+    17.3 us at K = 1, 6.7 against 33 at K = 4, 9.8 against 43 at K = 6,
+    20 against 68 at K = 12, 35 against 104 at K = 20 and 196 against
+    451 at K = 64.  An RK4 step on np.convolve with the factors as arrays
+    took 85-111 us at every K <= 64 on the same host, so it overtakes
+    this kernel between K = 32 and 40; the package's calls use K <= 6,
+    so there is one kernel and no switch on K.  Building the kernel
+    (_hierarchy_code) takes about 1 ms at K = 4, once per process.
+    """
+    if k_max > _MAX_ORDER:
+        raise ParameterError(
+            f"the moment hierarchy takes at most {_MAX_ORDER} moments past m_0, "
+            f"got k_max = {k_max}"
+        )
+    decay, feed, quad = _hierarchy_coefficients(p, k_max)
+    names = dict(D=decay, F=feed, Q=quad, dt=dt, half=0.5 * dt, sixth=dt / 6.0)
+    exec(_hierarchy_code(k_max), names)
+    return names["rhs"], names["step"]
 
 
 def _moment_list(m, name: str) -> list:
@@ -379,7 +454,8 @@ def ode_rhs(m: np.ndarray, p: JacobiParams) -> np.ndarray:
     m[0] = 1, as for integrate_moments.
     """
     m = _moment_list(m, "m")
-    return np.array(_hierarchy_rhs(m, _hierarchy_coefficients(p, len(m) - 1)))
+    rhs, _ = _hierarchy_kernel(p, len(m) - 1)
+    return np.array(rhs(*m))
 
 
 def integrate_moments(
@@ -392,28 +468,18 @@ def integrate_moments(
     recorded like simulate_moments; t_end must be a whole number of
     steps dt.
 
-    The stages run on float lists through _hierarchy_rhs, the kernel of
-    ode_rhs, and combine elementwise as m + (dt / 6)(k1 + 2 k2 + 2 k3 + k4);
-    every step checks |m_k| <= 10.
+    One call of the generated step of _hierarchy_kernel per RK4 step,
+    m + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) on the right side of ode_rhs;
+    every step checks |m_k| <= 10.  K = len(m0) - 1 is at most _MAX_ORDER.
     """
     m = _moment_list(m0, "m0")
     dt, steps, stride = _schedule(t_end, dt)
-    coef = _hierarchy_coefficients(p, len(m) - 1)
-    rhs = _hierarchy_rhs
-    half, sixth = 0.5 * dt, dt / 6.0
+    _, advance = _hierarchy_kernel(p, len(m) - 1, dt)
     times = [0.0]
     rows = [m]
     for step in range(1, steps + 1):
-        k1 = rhs(m, coef)
-        k2 = rhs([x + half * d for x, d in zip(m, k1)], coef)
-        k3 = rhs([x + half * d for x, d in zip(m, k2)], coef)
-        k4 = rhs([x + dt * d for x, d in zip(m, k3)], coef)
-        m = [
-            x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            for x, d1, d2, d3, d4 in zip(m, k1, k2, k3, k4)
-        ]
-        # a NaN fails the comparison too
-        if not all(-10.0 <= x <= 10.0 for x in m):
+        m = advance(*m)
+        if m is None:
             raise ConvergenceError(
                 f"moment hierarchy blew up at t = {step * dt:.6g}"
             )
@@ -473,4 +539,5 @@ def moment_drift_finite_n(
     n = as_count("N", n, 1)
     p = JacobiParams(a, b, c)
     corr = (p.c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
-    return float(ode_rhs(m, p)[k] - corr)
+    # row k reads m_0..m_k alone
+    return float(ode_rhs(m[: k + 1], p)[k] - corr)

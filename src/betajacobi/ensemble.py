@@ -132,22 +132,33 @@ def _stream(folded: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(folded << 64) | index))
 
 
-def _trial_streams(folded: int, indices: range):
+class _TrialStreams:
     """_stream(folded, i) for each i in indices, as one generator re-keyed
     in place before each yield: key [i, folded] with a zero counter and
     an empty buffer, the state Philox(key=...) starts from, at a fraction
-    of the cost of building one.  Each yield is spent before the next."""
-    bitgen = np.random.Philox(key=folded << 64)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    for i in indices:
-        state["state"] = {
-            "counter": np.zeros(4, np.uint64),
-            "key": np.array([i, folded], np.uint64),
-        }
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        bitgen.state = state
-        yield rng
+    of the cost of building one.  Each yield is spent before the next.
+    restart(j) is a new generator at the start of the j-th trial's
+    stream, so a draw can replay one trial without saving the state of
+    every trial."""
+
+    def __init__(self, folded: int, indices: range):
+        self.folded, self.indices = folded, indices
+
+    def __iter__(self):
+        bitgen = np.random.Philox(key=self.folded << 64)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
+        for i in self.indices:
+            state["state"] = {
+                "counter": np.zeros(4, np.uint64),
+                "key": np.array([i, self.folded], np.uint64),
+            }
+            state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+            bitgen.state = state
+            yield rng
+
+    def restart(self, j: int) -> np.random.Generator:
+        return _stream(self.folded, self.indices[j])
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -276,16 +287,22 @@ def _draw_each(shapes, streams):
     With no pair to redraw, those are one standard_gamma call on the four
     shape arrays end to end, so each trial takes that one call into its
     row of a block buffer, and the ratios run once for the block.  A trial
-    with an empty total (0/0 at a positive shape) is set back to the state
-    its stream started from and drawn again the two-step way, whose redraw
-    of the p pairs comes before the q draws.
+    with an empty total (0/0 at a positive shape) is drawn again the
+    two-step way, whose redraw of the p pairs comes before the q draws,
+    from the start of its stream: _TrialStreams.restart for the blocks of
+    `sample`, else the state saved before each trial, so that a caller's
+    generator ends where the two-step draw leaves it.  Reading that state
+    costs about 2.8 us a trial, a sixth of the trial's gamma call at
+    N = 60.
     """
     alpha_p, beta_p, alpha_q, beta_q = shapes
     n = len(alpha_p)
     every = np.concatenate(shapes)
+    keyed = isinstance(streams, _TrialStreams)
     starts, gammas = [], []
     for rng in streams:
-        starts.append((rng, rng.bit_generator.state))
+        if not keyed:
+            starts.append((rng, rng.bit_generator.state))
         gammas.append(rng.standard_gamma(every))
     x_p, y_p, x_q, y_q = np.hsplit(np.array(gammas), [n, 2 * n, 3 * n - 1])
     tot_p, tot_q = x_p + y_p, x_q + y_q
@@ -293,8 +310,11 @@ def _draw_each(shapes, streams):
     empty |= ((tot_q == 0.0) & (alpha_q > 0.0)).any(axis=1)
     p, q = _ratios(x_p, tot_p), _ratios(x_q, tot_q)
     for i in np.flatnonzero(empty):
-        rng, state = starts[i]
-        rng.bit_generator.state = state
+        if keyed:
+            rng = streams.restart(i)
+        else:
+            rng, state = starts[i]
+            rng.bit_generator.state = state
         p[i : i + 1], q[i : i + 1] = _draw_pq(shapes, [rng], 1)
     return p, q
 
@@ -419,12 +439,12 @@ def _bin_counts(shapes, streams, edges: np.ndarray) -> np.ndarray:
 
 def _trial_blocks(cfg: EnsembleConfig, seed: int, trials: int):
     """The streams of trials 0..trials-1 under `seed` (checked at the
-    call), in order, one re-keyed generator (_trial_streams) per block of
+    call), in order, one re-keyed generator (_TrialStreams) per block of
     about _SPECTRUM_BLOCK matrix entries."""
     folded = _fold_seed(seed)
     step = max(1, _SPECTRUM_BLOCK // cfg.N)
     return (
-        _trial_streams(folded, range(lo, min(lo + step, trials)))
+        _TrialStreams(folded, range(lo, min(lo + step, trials)))
         for lo in range(0, trials, step)
     )
 

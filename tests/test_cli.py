@@ -407,6 +407,16 @@ class TestDynamics:
         assert code == 2
         assert err.startswith("error:") and out == ""
 
+    def test_kmax_above_the_order_cap_exits_two(self, capsys):
+        # the hierarchy kernel's source grows like K^2
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--kmax", "65",
+             "--t-end", "0.001", "--dt", "1e-4"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: the moment hierarchy takes at most 64 moments")
+
     @pytest.mark.parametrize("x0", ["1.5", "-0.5", "2", "nan"])
     def test_start_outside_unit_interval_exits_two(self, capsys, x0):
         # 1.5 and -0.5 used to print a flow from moments no measure on

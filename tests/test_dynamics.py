@@ -20,14 +20,22 @@ from betajacobi import (
     stationary_uk,
     substream,
 )
+import betajacobi.dynamics as dyn
 from betajacobi.dynamics import (
     EPS_DIV,
     _drift_arrays,
     _em_step,
+    _hierarchy_coefficients,
     _interaction,
     _power_means,
 )
-from oracles import convolve_hierarchy, dense_interaction, pair_buffer_interaction
+from oracles import (
+    convolve_hierarchy,
+    dense_interaction,
+    pair_buffer_interaction,
+    textbook_hierarchy_rhs,
+    textbook_integrate_moments,
+)
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -558,10 +566,14 @@ class TestIntegrateMoments:
         assert np.all(np.diff(final) <= 1e-12)
 
     def test_blow_up_raises(self):
-        with pytest.raises(ConvergenceError):
-            integrate_moments(
-                np.array([1.0, 0.5, 0.3]), JacobiParams(0.0, 0.0, -5.0), 5.0, 1e-3
-            )
+        m0, p = np.array([1.0, 0.5, 0.3]), JacobiParams(0.0, 0.0, -5.0)
+        with pytest.raises(ConvergenceError) as got:
+            integrate_moments(m0, p, 5.0, 1e-3)
+        # at the step and with the text of the float-list loop
+        with pytest.raises(ConvergenceError) as want:
+            textbook_integrate_moments(m0, p, 5.0, 1e-3)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("moment hierarchy blew up at t = ")
 
     def test_guards(self):
         with pytest.raises(ParameterError):
@@ -610,6 +622,98 @@ class TestIntegrateMoments:
         # about 200 records: every second step of 500
         np.testing.assert_array_equal(path.moments, np.vstack(rows[::2]))
         np.testing.assert_array_equal(path.times, np.arange(0, steps + 1, 2) * dt)
+
+
+def _signed_moments(rng, k_max):
+    # m_1..m_K of either sign, a third of them +0.0 or -0.0, after an m_0
+    # of 1 or a float next to it (_moment_list admits m_0 to 1e-9)
+    m = rng.uniform(-1.0, 1.0, size=k_max)
+    pick = rng.integers(0, 6, size=k_max)
+    m[pick == 0], m[pick == 1] = 0.0, -0.0
+    m0 = rng.choice([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+    return np.r_[m0, m]
+
+
+def _random_params(rng):
+    # c = 0 takes every quadratic factor to 0.0, whose products keep the
+    # sign of zero
+    a, b, c = rng.uniform([-0.9, -0.9, 0.0], [2.0, 2.0, 3.0])
+    return JacobiParams(a, b, rng.choice([0.0, c]))
+
+
+class TestHierarchyKernel:
+    """The generated straight-line kernel against the float-list loop it
+    replaced (tests/oracles.py), byte for byte."""
+
+    @pytest.mark.parametrize("k_max", range(21))
+    def test_rhs_bytes_match_the_float_loop(self, k_max):
+        rng = np.random.default_rng([23, k_max])
+        rows = [_signed_moments(rng, k_max) for _ in range(40)]
+        # the zeros that make a sum's start at 0.0 show in the result:
+        # -0.0 * 1 is -0.0, and 0.0 + -0.0 is 0.0
+        rows.append(np.r_[1.0, [-0.0, 0.0] * (k_max // 2), [-0.0] * (k_max % 2)])
+        for m in rows:
+            p = _random_params(rng)
+            want = textbook_hierarchy_rhs(m.tolist(), _hierarchy_coefficients(p, k_max))
+            got = ode_rhs(m, p)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    # 401 steps: stride 2 and a last step off the stride; 25 steps at
+    # stride 1; 600 steps at stride 3, which blow up from K = 16 on
+    @pytest.mark.parametrize("t_end, dt", [(0.401, 1e-3), (0.05, 2e-3), (4.8, 8e-3)])
+    @pytest.mark.parametrize("k_max", range(21))
+    def test_integrate_bytes_match_the_float_loop(self, k_max, t_end, dt):
+        rng = np.random.default_rng([29, k_max, int(t_end * 1000)])
+        for _ in range(2):
+            m0, p = _signed_moments(rng, k_max), _random_params(rng)
+            try:
+                want = textbook_integrate_moments(m0, p, t_end, dt)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as got:
+                    integrate_moments(m0, p, t_end, dt)
+                assert str(got.value) == str(exc)
+                continue
+            path = integrate_moments(m0, p, t_end, dt)
+            assert path.times.tobytes() == want[0].tobytes()
+            assert path.moments.tobytes() == want[1].tobytes()
+            assert path.final().values.tobytes() == want[1][-1].tobytes()
+
+    def test_order_cap(self):
+        top = dyn._MAX_ORDER
+        m = 0.5 ** np.arange(top + 1.0)
+        assert ode_rhs(m, P_REF).shape == (top + 1,)
+        assert integrate_moments(m, P_REF, 2e-4, 1e-4).moments.shape == (3, top + 1)
+        over = 0.5 ** np.arange(top + 2.0)
+        with pytest.raises(ParameterError, match=f"at most {top}"):
+            ode_rhs(over, P_REF)
+        with pytest.raises(ParameterError, match=f"at most {top}"):
+            integrate_moments(over, P_REF, 2e-4, 1e-4)
+        # the finite-N drift reads rows up to k only
+        assert np.isfinite(moment_drift_finite_n(over, 2, 0.3, 0.7, 1.2, 10))
+
+    def test_code_is_built_once_per_order(self):
+        cache = dyn._hierarchy_code
+        assert cache.cache_info().maxsize == 8
+        cache.cache_clear()
+        m = 0.5 ** np.arange(5.0)
+        integrate_moments(m, P_REF, 0.01, 1e-3)
+        assert cache.cache_info().misses == 1
+        integrate_moments(m, JacobiParams(1.5, -0.5, 0.0), 0.4, 2e-3)
+        ode_rhs(m, JacobiParams(0.5, 0.5, 2.5))
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+        code = cache(4)
+        a, _ = dyn._hierarchy_kernel(P_REF, 4, 1e-3)
+        b, _ = dyn._hierarchy_kernel(JacobiParams(0.5, 0.5, 2.5), 4, 2e-3)
+        assert a.__code__ is b.__code__ and a.__code__ in code.co_consts
+        # no parameter value is written into the source
+        text = dyn._hierarchy_source(4)
+        for value in (*sum(_hierarchy_coefficients(P_REF, 4), []), 1e-3, 0.3, 1.2):
+            assert repr(value) not in text
+        # the cache stays bounded
+        for k in range(20):
+            cache(k)
+        assert cache.cache_info().currsize == 8
 
 
 class TestFiniteNCorrection:

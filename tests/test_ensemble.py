@@ -124,7 +124,7 @@ class TestStreams:
         # buffer and a moved counter
         folded = ens._fold_seed(seed)
         indices = range(2**40, 2**40 + 4)
-        for i, rng in zip(indices, ens._trial_streams(folded, indices)):
+        for i, rng in zip(indices, ens._TrialStreams(folded, indices)):
             fresh = ens._stream(folded, i)
             for draw in (
                 lambda g: g.random(3, dtype=np.float32),
@@ -319,6 +319,22 @@ class TestSpectrumKernel:
         assert np.vstack(blocks)[-3:].tobytes() == np.array(
             [per_trial_spectrum(cfg, 3, i) for i in (1097, 1098, 1099)]
         ).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocks_replay_a_trial_from_its_key(self, n, monkeypatch):
+        # a trial of a block whose totals underflowed restarts from its
+        # own key, with no state saved for the others, and keeps its bytes
+        restarts = []
+        stream = ens._stream
+        monkeypatch.setattr(
+            ens, "_stream", lambda folded, i: restarts.append(i) or stream(folded, i)
+        )
+        monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 4 * n)
+        cfg = EnsembleConfig(n, 2.0, -0.9999, -0.9999)
+        got = np.vstack(list(ens._spectrum_blocks(cfg, 13, 9)))
+        assert restarts and set(restarts) < set(range(9))
+        monkeypatch.undo()
+        assert got.tobytes() == _per_trial(cfg, 13, 9).tobytes()
 
     def test_grid_takes_the_redraw(self, monkeypatch):
         # the underflow redraw runs inside the blocks, on the trial's own
