@@ -58,11 +58,20 @@ class MomentPath:
 
 
 class _StepWork:
-    """Work arrays for Euler-Maruyama steps of one (..., N) batch shape.
+    """Work arrays for Euler-Maruyama steps of one (..., N) batch shape,
+    and the one pair kernel (interaction), drift and step on them.
 
     simulate_moments keeps one for all its steps, so a step allocates
-    nothing; _interaction, _drift_arrays and _em_step make one per call.
-    At N = 40 and 400 paths the arrays take about 0.9 MiB.
+    nothing.  At N = 40 and 400 paths the arrays take about 0.9 MiB, and
+    the offset-block gap array 125 KB, which stays in cache.  At N = 40
+    on a 2-vCPU host (medians of interleaved runs) the pair kernel took
+    0.82 ms at 400 paths and 0.28 ms at 100, against 1.24 and 0.39 ms
+    for one buffer of all N(N-1)/2 pair gaps (2.4 MiB at 400 paths) with
+    the fix-ups on every gap (tests/oracles.py::pair_buffer_interaction);
+    300 steps from a point mass took 1.63 ms a step at 400 paths and
+    0.48 ms at 100, against 2.58 and 0.63 ms for the step on fresh
+    arrays with the whole-buffer kernel.  At 400 paths the pair kernel
+    is about half of the step and the normals about a fifth.
     """
 
     def __init__(self, shape: tuple):
@@ -173,44 +182,6 @@ class _StepWork:
         return x
 
 
-def _interaction(x: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1 / (x_i - x_j) for each particle i of (..., N)
-    positions, by the kernel of _StepWork.interaction.
-
-    That kernel takes the pair gaps one offset block at a time, in one
-    (N-1, ...) array that stays in cache (125 KB at N = 40 and 400
-    paths), and runs the tie mask and the clip at +-1/EPS_DIV only on
-    the offsets where a gap can be below EPS_DIV; its docstring gives
-    the monotone-rounding argument that skipping them elsewhere changes
-    no bit.  One call at N = 40 on a 2-vCPU host, on kept work arrays
-    (medians of interleaved runs in one process): 0.82 ms at 400 paths
-    and 0.28 ms at 100, against 1.24 and 0.39 ms for one buffer of all
-    N(N-1)/2 pair gaps (2.4 MiB at 400 paths) with the fix-ups on every
-    gap (tests/oracles.py::pair_buffer_interaction).
-    """
-    x = np.asarray(x)
-    return _StepWork(x.shape).interaction(x)
-
-
-def _drift_arrays(x: np.ndarray, a: float, b: float, beta: float):
-    """Drift and diffusion coefficient for a batch of (..., N)
-    configurations, by _StepWork.drift.
-
-    The repulsion sum_{j != i} 1 / (x_i - x_j) comes from _interaction's
-    offset-block kernel on particle-first arrays: each unordered pair
-    once, reciprocals clipped at +-1/EPS_DIV, exact ties contributing
-    zero.  In simulate_moments the drift, the diffusion coefficient and
-    the noise of each step run in work arrays kept across the steps.
-    300 steps at N = 40 from a point mass on a 2-vCPU host (medians of
-    eight alternating runs): 1.63 ms a step at 400 paths and 0.48 ms at
-    100, against 2.58 and 0.63 ms for the step on fresh arrays with the
-    whole-buffer kernel.  At 400 paths the pair kernel is about half of
-    the step and the normals about a fifth.
-    """
-    x = np.asarray(x, dtype=float)
-    return _StepWork(x.shape).drift(x, a, b, beta)
-
-
 def _schedule(t_end: float, dt: float):
     """(dt, steps, stride): dt as a float, fixed steps of dt up to t_end,
     and the steps between records, for about 200 records and at least 1.
@@ -231,13 +202,6 @@ def _schedule(t_end: float, dt: float):
             f"the nearest is {steps} steps, to t = {steps * dt!r}"
         )
     return dt, steps, max(1, steps // 200)
-
-
-def _em_step(x: np.ndarray, a: float, b: float, beta: float, dt: float, rng):
-    """Euler-Maruyama step of (..., N) positions into a new array: clamps
-    to [0, 1] and re-sorts each configuration."""
-    x = np.array(x, dtype=float)
-    return _StepWork(x.shape).step(x, a, b, beta, dt, rng)
 
 
 def _power_means(x: np.ndarray, k_max: int) -> np.ndarray:

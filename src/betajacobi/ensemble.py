@@ -13,8 +13,11 @@ are differences of Sturm counts at the bin edges, and (1/N) tr J^k is
 read from the tridiagonal entries by band powers of J.  Sampled spectra,
 the eigensolve route, stay behind empirical_measure, `sample --bins 0`
 and histograms with more bins.
-Exact small-N moments sum the closed walks of J, whose means factor
-into Beta moments of the independent variables.  Sending
+Exact mean moments at every N sum the closed walks of J from its first
+site: the spectral weights of J at e1 are Dirichlet(kappa, ..., kappa)
+and independent of the eigenvalues (Killip and Nenciu, IMRN 2004:50),
+so E[(1/N) tr J^k] = E[(J^k)_11], and each walk's mean factors into
+Beta moments of the independent variables it crosses.  Sending
 kappa = beta/2 to infinity with a = A kappa, b = B kappa freezes the
 matrix onto deterministic entries.
 """
@@ -44,12 +47,10 @@ __all__ = [
     "exact_moment",
     "limit_pq",
     "limit_bidiagonal_squares",
-    "MAX_EXACT_N",
     "MAX_EXACT_K",
 ]
 
-# the N and k exact_moment is tested to; its O(N k^3) cost is not the limit
-MAX_EXACT_N = 8
+# the k exact_moment is tested to; its cost does not grow with N
 MAX_EXACT_K = 8
 
 _CLAMP_TOL = 1e-12
@@ -239,11 +240,13 @@ def _ratios(x: np.ndarray, tot: np.ndarray) -> np.ndarray:
     return np.divide(x, tot, out=x, where=tot > 0.0)
 
 
-def _shape_arrays(cfg: EnsembleConfig):
-    n = np.arange(1, cfg.N + 1, dtype=float)
+def _shape_arrays(cfg: EnsembleConfig, sites: int | None = None):
+    """Beta shapes (alpha_p, beta_p, alpha_q, beta_q) of p_n, n = 1..N,
+    and q_n, n = 1..N-1; of the first `sites` sites only, if given."""
+    n = np.arange(1, min(cfg.N, sites or cfg.N) + 1, dtype=float)
     alpha_p = (cfg.N - n) * cfg.kappa + cfg.a + 1.0
     beta_p = (cfg.N - n) * cfg.kappa + cfg.b + 1.0
-    m = np.arange(1, cfg.N, dtype=float)
+    m = n[: cfg.N - 1]
     alpha_q = (cfg.N - m) * cfg.kappa
     beta_q = (cfg.N - m - 1.0) * cfg.kappa + cfg.a + cfg.b + 2.0
     return alpha_p, beta_p, alpha_q, beta_q
@@ -261,61 +264,40 @@ def _bidiagonal_squares(p: np.ndarray, q: np.ndarray, out=None):
     return s2, t2
 
 
-def _draw_pq(shapes, streams, rows: int, out=None):
-    """(p, q) of `rows` trials per stream, as (m, N) and (m, N-1) arrays
-    stacked in stream order.  Each stream draws all the p variables of its
-    rows, then all their q variables, before the next stream starts, so
-    `streams` may re-key one generator between its items.  `out`, for a
-    single stream, is the (p, q) pair to draw into; _beta_rows then takes
-    its work arrays from this thread's scratch."""
+def _draw_pq(shapes, rng: np.random.Generator, rows: int, out=None):
+    """(p, q) of `rows` trials from one stream, as (rows, N) and
+    (rows, N-1) arrays: all the p variables of the rows, then all their q
+    variables.  `out` is the (p, q) pair to draw into; _beta_rows then
+    takes its work arrays from this thread's scratch."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
     out_p, out_q = (None, None) if out is None else out
-    p, q = [], []
-    for rng in streams:
-        p.append(_beta_rows(alpha_p, beta_p, rng, rows, out_p))
-        q.append(_beta_rows(alpha_q, beta_q, rng, rows, out_q))
-    if len(p) == 1:
-        return p[0], q[0]
-    return np.concatenate(p), np.concatenate(q)
+    p = _beta_rows(alpha_p, beta_p, rng, rows, out_p)
+    return p, _beta_rows(alpha_q, beta_q, rng, rows, out_q)
 
 
-def _draw_each(shapes, streams):
-    """(p, q) of one trial per stream, bit for bit _draw_pq(shapes,
-    streams, 1): X_p, Y_p, then X_q, Y_q, each underflow redrawn before
-    the next variable.
+def _draw_each(shapes, streams: _TrialStreams):
+    """(p, q) of one trial per stream, bit for bit _draw_pq(shapes, rng, 1)
+    on each: X_p, Y_p, then X_q, Y_q, each underflow redrawn before the
+    next variable.
 
     With no pair to redraw, those are one standard_gamma call on the four
     shape arrays end to end, so each trial takes that one call into its
     row of a block buffer, and the ratios run once for the block.  A trial
     with an empty total (0/0 at a positive shape) is drawn again the
     two-step way, whose redraw of the p pairs comes before the q draws,
-    from the start of its stream: _TrialStreams.restart for the blocks of
-    `sample`, else the state saved before each trial, so that a caller's
-    generator ends where the two-step draw leaves it.  Reading that state
-    costs about 2.8 us a trial, a sixth of the trial's gamma call at
-    N = 60.
+    from the start of its stream (_TrialStreams.restart).
     """
     alpha_p, beta_p, alpha_q, beta_q = shapes
     n = len(alpha_p)
     every = np.concatenate(shapes)
-    keyed = isinstance(streams, _TrialStreams)
-    starts, gammas = [], []
-    for rng in streams:
-        if not keyed:
-            starts.append((rng, rng.bit_generator.state))
-        gammas.append(rng.standard_gamma(every))
-    x_p, y_p, x_q, y_q = np.hsplit(np.array(gammas), [n, 2 * n, 3 * n - 1])
+    gammas = np.array([rng.standard_gamma(every) for rng in streams])
+    x_p, y_p, x_q, y_q = np.hsplit(gammas, [n, 2 * n, 3 * n - 1])
     tot_p, tot_q = x_p + y_p, x_q + y_q
     empty = ((tot_p == 0.0) & (alpha_p > 0.0)).any(axis=1)
     empty |= ((tot_q == 0.0) & (alpha_q > 0.0)).any(axis=1)
     p, q = _ratios(x_p, tot_p), _ratios(x_q, tot_q)
     for i in np.flatnonzero(empty):
-        if keyed:
-            rng = streams.restart(i)
-        else:
-            rng, state = starts[i]
-            rng.bit_generator.state = state
-        p[i : i + 1], q[i : i + 1] = _draw_pq(shapes, [rng], 1)
+        p[i : i + 1], q[i : i + 1] = _draw_pq(shapes, streams.restart(i), 1)
     return p, q
 
 
@@ -334,7 +316,7 @@ def _tridiagonal_from_squares(s2: np.ndarray, t2: np.ndarray, out=None):
 def sample_model(cfg: EnsembleConfig, rng: np.random.Generator) -> BidiagonalFactor:
     """Draw the bidiagonal factor: s_n^2 = p_n (1 - q_{n-1}),
     t_n^2 = q_n (1 - p_n), with p_n, q_n the graded Beta variables."""
-    s2, t2 = _bidiagonal_squares(*_draw_each(_shape_arrays(cfg), [rng]))
+    s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), rng, 1))
     return BidiagonalFactor(np.sqrt(s2[0]), np.sqrt(t2[0]))
 
 
@@ -344,13 +326,11 @@ def to_tridiagonal(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(*_tridiagonal_from_squares(factor.s**2, factor.t**2))
 
 
-def _sampled_j(shapes, streams):
-    """(diag, off) of one sampled J per stream, as (m, N) and (m, N-1)
-    arrays: each trial draws its squares from its own stream, and J is
-    assembled and checked finite once for the block.  The draw both
-    kernels of `sample` share."""
-    squares = _bidiagonal_squares(*_draw_each(shapes, streams))
-    diag, off = _tridiagonal_from_squares(*squares)
+def _sampled_j(p: np.ndarray, q: np.ndarray):
+    """(diag, off) of J for each row of drawn (p, q), as (m, N) and
+    (m, N-1) arrays, assembled and checked finite once for the block:
+    the J that both kernels of `sample` read."""
+    diag, off = _tridiagonal_from_squares(*_bidiagonal_squares(p, q))
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ParameterError("tridiagonal entries must be finite")
     return diag, off
@@ -363,16 +343,16 @@ def _escape_error(vals: np.ndarray) -> ConvergenceError:
     )
 
 
-def _spectra(shapes, streams) -> np.ndarray:
-    """Sorted spectra of one sampled J per stream, as an (m, N) array.
+def _spectra(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Sorted spectra of the (m, N) rows of J (_sampled_j), as an (m, N)
+    array.
 
     The eigensolve kernel behind empirical_measure and the `sample`
-    command: J from _sampled_j, one LAPACK call per row, and the escape
-    check and the clamp on the whole block.
+    command: one LAPACK call per row, and the escape check and the clamp
+    on the whole block.
     Eigenvalues more than _FAIL_TOL outside [0, 1] raise
     ConvergenceError; roundoff-level ones within _CLAMP_TOL are clamped.
     """
-    diag, off = _sampled_j(shapes, streams)
     vals = np.empty_like(diag)
     for i in range(len(vals)):
         vals[i] = _stevd(diag[i], off[i])[0]
@@ -385,10 +365,10 @@ def _spectra(shapes, streams) -> np.ndarray:
     return vals
 
 
-def _bin_counts(shapes, streams, edges: np.ndarray) -> np.ndarray:
+def _bin_counts(diag: np.ndarray, off: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """np.histogram counts, over the bins of `edges` (np.histogram's equal
     bins of [0, 1]), of the clamped spectra _spectra gives on the same
-    streams, without them.
+    rows of J, without them.
 
     A histogram needs only how many eigenvalues lie below each bin edge,
     and a Sturm count reads that from the entries of J (Barth, Martin and
@@ -408,7 +388,6 @@ def _bin_counts(shapes, streams, edges: np.ndarray) -> np.ndarray:
     A trial that escapes raises the ConvergenceError of _spectra, with
     the [lo, hi] of its own eigensolve.
     """
-    diag, off = _sampled_j(shapes, streams)
     m, n = diag.shape
     below = np.nextafter(np.r_[-_FAIL_TOL, -_CLAMP_TOL, edges[1:-1]], -np.inf)
     w = np.r_[below, 1.0 + _CLAMP_TOL, 1.0 + _FAIL_TOL]
@@ -454,7 +433,10 @@ def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
     in order as (m, N) blocks of about _SPECTRUM_BLOCK entries; row for
     trial i is bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
     shapes = _shape_arrays(cfg)
-    return (_spectra(shapes, streams) for streams in _trial_blocks(cfg, seed, trials))
+    return (
+        _spectra(*_sampled_j(*_draw_each(shapes, streams)))
+        for streams in _trial_blocks(cfg, seed, trials)
+    )
 
 
 def _histogram(cfg: EnsembleConfig, seed: int, trials: int, bins: int):
@@ -478,10 +460,11 @@ def _histogram(cfg: EnsembleConfig, seed: int, trials: int, bins: int):
     edges = np.linspace(0.0, 1.0, bins + 1)  # np.histogram's, for range (0, 1)
     counts = np.zeros(bins, dtype=np.int64)
     for streams in _trial_blocks(cfg, seed, trials):
+        j = _sampled_j(*_draw_each(shapes, streams))
         if bins <= _COUNT_BINS_PER_SITE * cfg.N:
-            counts += _bin_counts(shapes, streams, edges)
+            counts += _bin_counts(*j, edges)
         else:
-            counts += np.histogram(_spectra(shapes, streams), bins, (0.0, 1.0))[0]
+            counts += np.histogram(_spectra(*j), bins, (0.0, 1.0))[0]
     return counts, edges
 
 
@@ -495,7 +478,7 @@ def empirical_measure(
     roundoff-level excursions past [0, 1] are clamped, larger ones raise.
     This is the one-trial block of the `sample` kernel, _spectra.
     """
-    vals = _spectra(_shape_arrays(cfg), [rng])[0]
+    vals = _spectra(*_sampled_j(*_draw_pq(_shape_arrays(cfg), rng, 1)))[0]
     return DiscreteMeasure(vals, np.full(cfg.N, 1.0 / cfg.N))
 
 
@@ -550,8 +533,8 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     The work arrays are this thread's scratch, the band powers three
     buffers taken in turn.  A row's bits do not depend on the rows
     stacked with it while m >= 2; einsum sums a lone row in another
-    order.  This is the closed-walk sum that exact_moment averages over
-    the Beta variables, on sampled entries.
+    order.  exact_moment gives the mean of these traces by the closed
+    walks from the first site.
     """
     m, n = diags.shape
     half = (k_max + 1) // 2
@@ -588,7 +571,7 @@ def _mc_chunk(shapes, rng, lo, hi, k_max):
     # squares in the "tot" slot of _beta_rows's totals, J in the "j"
     # slot, and the band powers of _trace_moments in the "tot" slot again
     p, q = _draw_pq(
-        shapes, [rng], rows, out=(_scratch("p", (rows, n)), _scratch("q", (rows, n - 1)))
+        shapes, rng, rows, out=(_scratch("p", (rows, n)), _scratch("q", (rows, n - 1)))
     )
     starts = list(range(0, rows, max(2, _TRACE_BLOCK // n)))
     if len(starts) > 1 and rows - starts[-1] == 1:
@@ -679,36 +662,24 @@ def mc_moments(
 
 
 # ---------------------------------------------------------------------------
-# exact moments for small N: closed walks over the chain of Beta variables
+# exact mean moments: closed walks from the first site over the Beta chain
 
 
-def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
-    """Exact ensemble-mean moment E[(1/N) tr J^k] at finite N.
+def _rooted_walks(alpha: np.ndarray, beta: np.ndarray, k: int) -> float:
+    """Mean of (C^(2k))_00 for the zero-diagonal path matrix C on vertices
+    0, 1, ... with off-diagonal sqrt(y_j (1 - y_{j-1})), j >= 1, where
+    y_0 = 0 and y_1, y_2, ... are independent Beta(alpha_j, beta_j).
 
-    The sampler's Beta variables form one chain y_1..y_{2N-1} = p_1, q_1,
-    p_2, ..., p_N, with y_0 = 0 and the shapes of _shape_arrays (whose
-    EnsembleConfig(n, 2 kappa, a, b) validates the parameters).  The
-    squares w_j = y_j (1 - y_{j-1}) are s_n^2 (odd j) and t_n^2 (even j),
-    and J is the even-vertex block of C^2 for the zero-diagonal path
-    matrix C with off-diagonal sqrt(w_j) on vertices 0..2N-1, so
-    tr J^k = tr C^(2k) / 2.  A closed walk crossing edge j 2 m_j times
-    has mean prod_v E[y_v^m_v (1 - y_v)^m_{v+1}] = prod_v (alpha_v)_{m_v}
-    (beta_v)_{m_{v+1}} / (alpha_v + beta_v)_{m_v + m_{v+1}}, and from a
-    start s there are C(m_s + m_{s+1}, m_s) such walks at s times
-    C(m_parent + m_child - 1, m_child) at every other vertex.  One pass
-    over the vertices sums every term, all positive, in O(N k^3).
+    A closed walk from vertex 0 crossing edge j 2 m_j times has mean
+    prod_{v>=1} E[y_v^m_v (1 - y_v)^m_{v+1}] = prod_{v>=1} (alpha_v)_{m_v}
+    (beta_v)_{m_{v+1}} / (alpha_v + beta_v)_{m_v + m_{v+1}}, and there are
+    prod_{v>=1} C(m_v + m_{v+1} - 1, m_{v+1}) such walks.  The state [m_v,
+    crossings used] starts as the identity, since y_0 = 0 pins the walk
+    to vertex 0, and takes one step per variable; a walk of 2k steps
+    crosses no edge past the k-th, so only the first k variables enter.
+    Every term is positive.
     """
-    n = as_count("N", n, 1)
-    if n > MAX_EXACT_N:
-        raise ParameterError(f"exact_moment needs N <= {MAX_EXACT_N}, got {n}")
-    k = as_count("k", k)
-    if k > MAX_EXACT_K:
-        raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
-    shapes = _shape_arrays(EnsembleConfig(n, 2.0 * as_real("kappa", kappa), a, b))
-    if k == 0:
-        return 1.0
-    alpha, beta = np.zeros(2 * n), np.ones(2 * n)  # y_0 = 0 is Beta(0, 1)
-    alpha[1::2], beta[1::2], alpha[2::2], beta[2::2] = shapes
+    alpha, beta = alpha[:k], beta[:k]
     m = np.arange(k + 1)
 
     def ratio(x, y):  # (x)_j / (y)_j for j = 0..k on a new last axis
@@ -718,22 +689,39 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     # mean[v, m_v, m_{v+1}] of y_v^m_v (1 - y_v)^m_{v+1}; ratios stay finite
     ab = alpha + beta
     mean = ratio(alpha, ab)[:, :, None] * ratio(beta[:, None], ab[:, None] + m)
-    # walks per vertex [m_v, m_{v+1}]: at the start, right of it (.T: left of it)
-    at_start = np.array([[comb(i + j, i) for j in m] for i in m], float)
+    # walks per vertex [m_v, m_{v+1}] past the start
     past = np.array([[comb(i + j - 1, j) if i + j else 1 for j in m] for i in m], float)
     # spend[u, m', u'] = [u' == u + m']: crossings used before and after
     spend = (m[:, None, None] + m[:, None] == m).astype(float)
-    step = "mu,mp,upw->pw"
-    # [m_v, crossings used] with the start ahead of v, and behind it
-    ahead, behind = np.zeros((2, k + 1, k + 1))
-    ahead[0, 0] = 1.0
+    state = np.eye(k + 1)
     for f in mean:
-        ahead, behind = (
-            np.einsum(step, ahead, f * past.T, spend),
-            np.einsum(step, ahead, f * at_start, spend)
-            + np.einsum(step, behind, f * past, spend),
-        )
-    return float(behind[0, k]) / (2 * n)
+        state = np.einsum("mu,mp,upw->pw", state, f * past, spend)
+    return float(state[0, k])
+
+
+def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
+    """Exact ensemble-mean moment E[(1/N) tr J^k] at finite N.
+
+    The spectral weights of J at e1 are Dirichlet(kappa, ..., kappa) and
+    independent of its eigenvalues (Killip and Nenciu, IMRN 2004:50), so
+    the mean of (1/N) tr J^k is that of (J^k)_11.  The sampler's Beta
+    variables form one chain y_1..y_{2N-1} = p_1, q_1, p_2, ..., p_N, with
+    y_0 = 0 and the shapes of _shape_arrays (whose EnsembleConfig(n,
+    2 kappa, a, b) validates the parameters).  The squares
+    w_j = y_j (1 - y_{j-1}) are s_n^2 (odd j) and t_n^2 (even j), and J
+    is the even-vertex block of C^2 for the zero-diagonal path matrix C
+    with off-diagonal sqrt(w_j), so (J^k)_11 = (C^(2k))_00, the closed
+    walks from vertex 0 that _rooted_walks sums.  They reach only the
+    first k variables, so neither time nor memory grows with N.
+    """
+    cfg = EnsembleConfig(n, 2.0 * as_real("kappa", kappa), a, b)
+    k = as_count("k", k)
+    if k > MAX_EXACT_K:
+        raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
+    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(cfg, k // 2 + 1)
+    alpha, beta = np.empty((2, len(alpha_p) + len(alpha_q)))
+    alpha[0::2], beta[0::2], alpha[1::2], beta[1::2] = alpha_p, beta_p, alpha_q, beta_q
+    return _rooted_walks(alpha, beta, k)
 
 
 # ---------------------------------------------------------------------------

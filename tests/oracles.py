@@ -424,6 +424,53 @@ def quadrature_moment(n: int, kappa: float, a: float, b: float, k: int):
     return total / n
 
 
+def all_start_moment(shapes, k: int) -> float:
+    """E[(1/N) tr J^k] as the mean of tr C^(2k) / (2N), summed over the
+    closed walks from every vertex, for the Beta shapes (alpha_p, beta_p,
+    alpha_q, beta_q) of all N sites.
+
+    The chain y_0..y_{2N-1} = 0, p_1, q_1, ..., p_N (y_0 = 0 is Beta(0, 1))
+    gives C the off-diagonal sqrt(y_j (1 - y_{j-1})), and J is the
+    even-vertex block of C^2.  A closed walk crossing edge j 2 m_j times
+    has mean prod_v (alpha_v)_{m_v} (beta_v)_{m_{v+1}}
+    / (alpha_v + beta_v)_{m_v + m_{v+1}}, and from a start s there are
+    C(m_s + m_{s+1}, m_s) such walks at s times
+    C(m_parent + m_child - 1, m_child) at every other vertex.  One pass
+    over the vertices carries two states, the start ahead and behind, and
+    sums every term, all positive, in O(N k^3).  Uses the trace alone, not
+    the Dirichlet weights at e1 that the package's rooted walks rest on."""
+    n = len(shapes[0])
+    if k == 0:
+        return 1.0
+    alpha, beta = np.zeros(2 * n), np.ones(2 * n)  # y_0 = 0 is Beta(0, 1)
+    alpha[1::2], beta[1::2], alpha[2::2], beta[2::2] = shapes
+    m = np.arange(k + 1)
+
+    def ratio(x, y):  # (x)_j / (y)_j for j = 0..k on a new last axis
+        steps = (x[..., None] + m[:-1]) / (y[..., None] + m[:-1])
+        return np.cumprod(np.concatenate([np.ones_like(steps[..., :1]), steps], -1), -1)
+
+    # mean[v, m_v, m_{v+1}] of y_v^m_v (1 - y_v)^m_{v+1}; ratios stay finite
+    ab = alpha + beta
+    mean = ratio(alpha, ab)[:, :, None] * ratio(beta[:, None], ab[:, None] + m)
+    # walks per vertex [m_v, m_{v+1}]: at the start, right of it (.T: left of it)
+    at_start = np.array([[math.comb(i + j, i) for j in m] for i in m], float)
+    past = np.array([[math.comb(i + j - 1, j) if i + j else 1 for j in m] for i in m], float)
+    # spend[u, m', u'] = [u' == u + m']: crossings used before and after
+    spend = (m[:, None, None] + m[:, None] == m).astype(float)
+    step = "mu,mp,upw->pw"
+    # [m_v, crossings used] with the start ahead of v, and behind it
+    ahead, behind = np.zeros((2, k + 1, k + 1))
+    ahead[0, 0] = 1.0
+    for f in mean:
+        ahead, behind = (
+            np.einsum(step, ahead, f * past.T, spend),
+            np.einsum(step, ahead, f * at_start, spend)
+            + np.einsum(step, behind, f * past, spend),
+        )
+    return float(behind[0, k]) / (2 * n)
+
+
 # ---------------------------------------------------------------------------
 # per-trial sampled spectrum, one matrix at a time
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import betajacobi.cli as cli
 import betajacobi.ensemble as ens
 from betajacobi import EnsembleConfig, acceptance
 from betajacobi.cli import DEFAULT_SEED, main
@@ -526,6 +527,26 @@ class TestErrorsAndFormats:
         code, _, err = run_cli(argv + ["--a", "0.5", "--b", "0.5"], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--n", "4", "--c", "1", "--bins"], "--bins"),
+            (["density", "--c", "1", "--grid"], "--grid"),
+            (["stieltjes", "--c", "1", "--points"], "--points"),
+        ],
+    )
+    def test_array_size_above_the_cap_exits_two(self, capsys, monkeypatch, argv, flag):
+        # these used to go on to numpy with any count, to a MemoryError
+        # traceback or the out-of-memory killer; nothing past the check runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a command ran past its size check")
+
+        for name in ("_histogram", "density_profile", "stieltjes_auto"):
+            monkeypatch.setattr(cli, name, unreachable)
+        code, out, err = run_cli(argv + [str(2**22 + 1), "--a", "0.5", "--b", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be <= 2**22 = {2**22}, got {2**22 + 1}\n"
 
     def test_bad_thread_count_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -23,11 +23,9 @@ from betajacobi import (
 import betajacobi.dynamics as dyn
 from betajacobi.dynamics import (
     EPS_DIV,
-    _drift_arrays,
-    _em_step,
     _hierarchy_coefficients,
-    _interaction,
     _power_means,
+    _StepWork,
 )
 from oracles import (
     convolve_hierarchy,
@@ -64,29 +62,29 @@ class TestMomentPath:
 
 class TestDrift:
     def test_single_particle(self):
-        mu, sigma = _drift_arrays(np.array([0.5]), 0.0, 0.0, 2.0)
+        mu, sigma = _StepWork((1,)).drift(np.array([0.5]), 0.0, 0.0, 2.0)
         assert mu[0] == 0.0
         assert sigma[0] == pytest.approx(np.sqrt(0.5))
-        mu0, sigma0 = _drift_arrays(np.array([0.0]), 0.0, 0.0, 2.0)
+        mu0, sigma0 = _StepWork((1,)).drift(np.array([0.0]), 0.0, 0.0, 2.0)
         assert mu0[0] == 1.0 and sigma0[0] == 0.0
 
     def test_two_particle_repulsion(self):
-        mu, _ = _drift_arrays(np.array([0.25, 0.75]), 0.0, 0.0, 2.0)
+        mu, _ = _StepWork((2,)).drift(np.array([0.25, 0.75]), 0.0, 0.0, 2.0)
         np.testing.assert_allclose(mu, [-0.25, 0.25], rtol=1e-14)
 
     def test_tied_pair_contributes_nothing(self):
         # coincident particles see each other with zero force; both still
         # feel the third particle
-        mu, _ = _drift_arrays(np.array([0.3, 0.3, 0.8]), 0.0, 0.0, 2.0)
+        mu, _ = _StepWork((3,)).drift(np.array([0.3, 0.3, 0.8]), 0.0, 0.0, 2.0)
         assert mu[0] == mu[1]
         assert np.all(np.isfinite(mu))
-        solo, _ = _drift_arrays(np.array([0.3, 0.8]), 0.0, 0.0, 2.0)
+        solo, _ = _StepWork((2,)).drift(np.array([0.3, 0.8]), 0.0, 0.0, 2.0)
         lone_interaction = 2.0 * 0.3 * 0.7 / (0.3 - 0.8)
         assert mu[0] == pytest.approx(solo[0], rel=1e-14)
         assert mu[0] == pytest.approx(1.0 - 2.0 * 0.3 + lone_interaction, rel=1e-13)
 
     def test_point_mass_start_is_finite(self):
-        mu, _ = _drift_arrays(np.full(5, 0.5), 0.0, 0.0, 2.0)
+        mu, _ = _StepWork((5,)).drift(np.full(5, 0.5), 0.0, 0.0, 2.0)
         np.testing.assert_array_equal(mu, np.zeros(5))
 
 
@@ -96,7 +94,7 @@ def _assert_matches_dense(x):
     # (the middle of a 200-point grid)
     ref = dense_interaction(x)
     scale = np.maximum(1.0, dense_interaction(x, magnitude=True))
-    got = _interaction(x)
+    got = _StepWork(x.shape).interaction(x)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
@@ -104,7 +102,8 @@ def _assert_matches_dense(x):
 def _assert_matches_pair_buffer(x):
     # the offset-block kernel takes each element through the operations
     # of the whole-buffer kernel in the same order: the same bytes
-    got, want = _interaction(x), pair_buffer_interaction(x, EPS_DIV)
+    got = _StepWork(x.shape).interaction(x)
+    want = pair_buffer_interaction(x, EPS_DIV)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -162,7 +161,8 @@ class TestInteraction:
         cap = 1.0 / EPS_DIV
         want = {2: [-cap, cap], 3: [-2.0 * cap, 0.0, 2.0 * cap]}
         if n in want:
-            np.testing.assert_array_equal(_interaction(stair), want[n])
+            got = _StepWork(stair.shape).interaction(stair)
+            np.testing.assert_array_equal(got, want[n])
 
     def test_unsorted_input(self):
         x = substream(22, 0).uniform(size=(3, 40))
@@ -171,7 +171,7 @@ class TestInteraction:
 
     def test_exact_ties_contribute_zero(self):
         x = np.array([0.8, 0.3, 0.3, 0.8, 0.1, 0.8])
-        got = _interaction(x)
+        got = _StepWork(x.shape).interaction(x)
         _assert_matches_dense(x)
         # each tied group sees only the particles outside it
         want = 3 / (0.3 - 0.8) + 1 / (0.3 - 0.1)
@@ -180,12 +180,12 @@ class TestInteraction:
 
     def test_point_mass_start(self):
         for batch in [(), (2,), (3, 4)]:
-            got = _interaction(np.full(batch + (5,), 0.5))
+            got = _StepWork(batch + (5,)).interaction(np.full(batch + (5,), 0.5))
             np.testing.assert_array_equal(got, np.zeros(batch + (5,)))
 
     def test_pair_clamped_to_each_wall(self):
         x = np.array([[0.0, 0.0, 0.4, 1.0, 1.0], [0.0, 0.2, 0.4, 0.6, 1.0]])
-        got = _interaction(x)
+        got = _StepWork(x.shape).interaction(x)
         _assert_matches_dense(x)
         assert got[0, 0] == got[0, 1]
         assert got[0, 3] == got[0, 4]
@@ -193,14 +193,14 @@ class TestInteraction:
 
     def test_gaps_below_eps_div_are_clipped(self):
         x = np.array([0.3, 0.3 + 0.25 * EPS_DIV, 0.7, 0.7 + 0.5 * EPS_DIV])
-        got = _interaction(x)
+        got = _StepWork(x.shape).interaction(x)
         _assert_matches_dense(x)
         cap = 1.0 / EPS_DIV
         # the clipped pair dominates; the far pair adds a few units
         assert got[0] == pytest.approx(-cap, abs=10.0)
         assert got[1] == pytest.approx(cap, abs=10.0)
         # a lone pair gets exactly the cap, with opposite signs
-        pair = _interaction(np.array([0.3, 0.3 + 0.25 * EPS_DIV]))
+        pair = _StepWork((2,)).interaction(np.array([0.3, 0.3 + 0.25 * EPS_DIV]))
         np.testing.assert_array_equal(pair, [-cap, cap])
 
     @given(
@@ -238,7 +238,7 @@ class TestPowerMeans:
 
 class TestEmStep:
     def test_sorts(self):
-        out = _em_step(np.array([0.3, 0.6]), 0.5, 0.5, 2.0, 1e-3, substream(4, 0))
+        out = _StepWork((2,)).step(np.array([0.3, 0.6]), 0.5, 0.5, 2.0, 1e-3, substream(4, 0))
         assert out.shape == (2,)
         assert np.all(np.diff(out) >= 0.0)
 
@@ -247,8 +247,8 @@ class TestEmStep:
         # a batch of configurations steps as its rows do one by one
         starts = [np.sort(substream(8, i).uniform(size=n)) for i in range(2)]
         rng = substream(6, 0)
-        single = [_em_step(x, 0.3, 0.7, 1.5, 1e-3, rng) for x in starts]
-        batch = _em_step(np.vstack(starts), 0.3, 0.7, 1.5, 1e-3, substream(6, 0))
+        single = [_StepWork((n,)).step(x.copy(), 0.3, 0.7, 1.5, 1e-3, rng) for x in starts]
+        batch = _StepWork((2, n)).step(np.vstack(starts), 0.3, 0.7, 1.5, 1e-3, substream(6, 0))
         for row, x in zip(batch, single):
             np.testing.assert_array_equal(row, x)
 
@@ -261,8 +261,9 @@ class TestEmStep:
     def test_stays_in_box(self, seed, n, beta):
         rng = substream(seed, 0)
         x = np.sort(rng.uniform(size=n))
+        work = _StepWork(x.shape)
         for _ in range(5):
-            x = _em_step(x, 0.5, 0.5, beta, 1e-3, rng)
+            work.step(x, 0.5, 0.5, beta, 1e-3, rng)
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all(np.diff(x) >= 0.0)
 
@@ -737,7 +738,7 @@ class TestFiniteNCorrection:
             c = rng.uniform(0.0, 3.0)
             x = np.sort(rng.uniform(0.0, 1.0, n))
             m = [float(np.mean(x**j)) for j in range(k + 1)]
-            mu, _ = _drift_arrays(x, a, b, 2.0 * c / n)
+            mu, _ = _StepWork(x.shape).drift(x, a, b, 2.0 * c / n)
             terms = np.concatenate([k * x ** (k - 1) * mu, k * (k - 1) * x ** (k - 1) * (1.0 - x)])
             want = terms.sum() / n
             scale = max(abs(want), np.abs(terms).sum() / n)

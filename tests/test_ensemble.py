@@ -1,4 +1,4 @@
-"""Finite-N sampler, exact small-N moments, and the frozen-limit matrices."""
+"""Finite-N sampler, exact mean moments, and the frozen-limit matrices."""
 
 from fractions import Fraction
 from math import comb
@@ -29,7 +29,6 @@ from betajacobi import (
 import betajacobi.ensemble as ens
 from betajacobi.ensemble import (
     MAX_EXACT_K,
-    MAX_EXACT_N,
     _beta_rows,
     _bidiagonal_squares,
     _draw_pq,
@@ -39,7 +38,13 @@ from betajacobi.ensemble import (
 )
 from betajacobi.spectral import _stevd
 
-from oracles import dense_bbt, per_trial_spectrum, quadrature_moment, textbook_squares
+from oracles import (
+    all_start_moment,
+    dense_bbt,
+    per_trial_spectrum,
+    quadrature_moment,
+    textbook_squares,
+)
 
 CFG = EnsembleConfig(6, 2.0, 0.5, 0.5)
 
@@ -174,24 +179,29 @@ class TestSampling:
         s2, t2 = textbook_squares(shapes, substream(13, 4), 1)
         np.testing.assert_array_equal(f.s, np.sqrt(s2[0]))
         np.testing.assert_array_equal(f.t, np.sqrt(t2[0]))
-        got = _bidiagonal_squares(*_draw_pq(shapes, [substream(13, 5)], 3))
+        got = _bidiagonal_squares(*_draw_pq(shapes, substream(13, 5), 3))
         want = textbook_squares(shapes, substream(13, 5), 3)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("ab", [(0.3, 0.7), (-0.9999, -0.9999)])
     def test_one_call_draw_leaves_the_stream_where_the_textbook_does(self, ab):
-        # one gamma call per trial, and the replay of a trial whose totals
-        # underflowed, advance a caller's generator exactly as the
-        # two-step draw does
+        # the two public one-trial draws, underflowed totals included,
+        # take the textbook squares and leave a caller's generator where
+        # the textbook draw does
         cfg = EnsembleConfig(3, 2.0, *ab)
         shapes = _shape_arrays(cfg)
         for i in range(20):
             rng, ref = substream(17, i), substream(17, i)
-            p, q = ens._draw_each(shapes, [rng])
+            f = sample_model(cfg, rng)
             s2, t2 = textbook_squares(shapes, ref, 1)
-            got = _bidiagonal_squares(p, q)
-            assert got[0].tobytes() == s2.tobytes() and got[1].tobytes() == t2.tobytes()
+            assert f.s.tobytes() == np.sqrt(s2[0]).tobytes()
+            assert f.t.tobytes() == np.sqrt(t2[0]).tobytes()
+            assert rng.random() == ref.random()
+            rng, ref = substream(17, i), substream(17, i)
+            got = empirical_measure(cfg, rng).nodes
+            textbook_squares(shapes, ref, 1)
+            assert got.tobytes() == per_trial_spectrum(cfg, 17, i).tobytes()
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("shapes", [(5.0, 2.0), (1e-4, 1e-4), (0.3, 1e-3)])
@@ -237,7 +247,7 @@ class TestTridiagonalAssembly:
         # the batched Monte Carlo assembly row by row equals to_tridiagonal
         # of the factor with the same squares, up to sqrt(s^2) squared
         cfg = EnsembleConfig(n, 1.5, 0.3, 0.7)
-        s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), [substream(21, 0)], 4))
+        s2, t2 = _bidiagonal_squares(*_draw_pq(_shape_arrays(cfg), substream(21, 0), 4))
         diags, offs = _tridiagonal_from_squares(s2, t2)
         assert diags.shape == (4, n) and offs.shape == (4, n - 1)
         for r in range(4):
@@ -348,16 +358,16 @@ class TestSpectrumKernel:
         assert len(calls) >= 3
 
     def test_clamp_and_escape(self, monkeypatch):
-        shapes = _shape_arrays(CFG)
+        j = np.full((2, 6), 0.5), np.full((2, 5), 0.1)
         near = np.r_[-5e-13, np.full(4, 0.5), 1.0 + 5e-13]
         monkeypatch.setattr(ens, "_stevd", lambda d, e: (near.copy(), None))
-        got = ens._spectra(shapes, [substream(1, 0), substream(1, 1)])
+        got = ens._spectra(*j)
         np.testing.assert_array_equal(got[:, 0], 0.0)
         np.testing.assert_array_equal(got[:, -1], 1.0)
         far = np.r_[np.full(5, 0.5), 1.0 + 1e-9]
         monkeypatch.setattr(ens, "_stevd", lambda d, e: (far.copy(), None))
         with pytest.raises(ConvergenceError, match="escapes"):
-            ens._spectra(shapes, [substream(1, 0)])
+            ens._spectra(*j)
 
     def test_nonfinite_entries_raise(self, monkeypatch):
         def nan_j(s2, t2):
@@ -426,19 +436,16 @@ class TestBinCounts:
     PLANTED = [-5e-11, -5e-13, 0.0, 0.25, np.nextafter(0.25, 0.0), 0.1, 0.5, 1.0,
                1.0 + 5e-13, 1.0 + 5e-11]
 
-    def _plant(self, monkeypatch, diag):
-        def planted(s2, t2):
-            return np.broadcast_to(diag, s2.shape).copy(), np.zeros_like(t2)
-
-        monkeypatch.setattr(ens, "_tridiagonal_from_squares", planted)
-        cfg = EnsembleConfig(len(diag), 2.0, 0.5, 0.5)
-        return _shape_arrays(cfg), [substream(1, 0), substream(1, 1)]
+    @staticmethod
+    def _plant(diag):
+        # two trials of a diagonal J
+        return np.vstack([diag, diag]), np.zeros((2, len(diag) - 1))
 
     @pytest.mark.parametrize("bins", [1, 4, 8, 36])
-    def test_planted_entries_follow_the_clamp_and_the_edges(self, monkeypatch, bins):
-        shapes, streams = self._plant(monkeypatch, np.array(self.PLANTED))
-        got = ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, bins + 1))
-        vals = ens._spectra(shapes, streams)
+    def test_planted_entries_follow_the_clamp_and_the_edges(self, bins):
+        j = self._plant(np.array(self.PLANTED))
+        got = ens._bin_counts(*j, np.linspace(0.0, 1.0, bins + 1))
+        vals = ens._spectra(*j)
         want = np.histogram(vals, bins, (0.0, 1.0))[0]
         assert got.tolist() == want.tolist()
         assert got.sum() == 2 * (len(self.PLANTED) - 2)
@@ -447,18 +454,23 @@ class TestBinCounts:
             assert got.tolist() == [2 * 4, 2 * 1, 2 * 1, 2 * 2]
 
     @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9])
-    def test_planted_escape_raises_as_the_eigen_route(self, monkeypatch, bad):
-        shapes, streams = self._plant(monkeypatch, np.array([0.0, 0.5, bad]))
+    def test_planted_escape_raises_as_the_eigen_route(self, bad):
+        j = self._plant(np.array([0.0, 0.5, bad]))
         with pytest.raises(ConvergenceError, match="escapes") as counted:
-            ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, 11))
+            ens._bin_counts(*j, np.linspace(0.0, 1.0, 11))
         with pytest.raises(ConvergenceError) as solved:
-            ens._spectra(shapes, streams)
+            ens._spectra(*j)
         assert str(counted.value) == str(solved.value)
 
     def test_nonfinite_entries_raise(self, monkeypatch):
-        shapes, streams = self._plant(monkeypatch, np.array([0.5, np.nan]))
+        # the count route's J is checked as the eigensolve route's is
+        def nan_j(s2, t2):
+            return np.full_like(s2, np.nan), t2
+
+        monkeypatch.setattr(ens, "_tridiagonal_from_squares", nan_j)
+        monkeypatch.setattr(ens, "_stevd", _stevd_unreachable)
         with pytest.raises(ParameterError, match="finite"):
-            ens._bin_counts(shapes, streams, np.linspace(0.0, 1.0, 11))
+            ens._histogram(EnsembleConfig(2, 2.0, 0.5, 0.5), 1, 2, 4)
 
 
 def _random_tridiagonals(rng, m, n):
@@ -748,8 +760,6 @@ class TestExactMoments:
 
     def test_guards(self):
         with pytest.raises(ParameterError):
-            exact_moment(9, 1.0, 0.5, 0.5, 2)
-        with pytest.raises(ParameterError):
             exact_moment(2, 1.0, 0.5, 0.5, 9)
         with pytest.raises(ParameterError):
             exact_moment(2, -0.5, 0.5, 0.5, 2)
@@ -775,7 +785,7 @@ class TestExactMoments:
         # Beta(a + 1, b + 1) entries, and m_k = (a + 1)_k / (a + b + 2)_k
         for k in range(MAX_EXACT_K + 1):
             want = np.prod([(a + 1 + r) / (a + b + 2 + r) for r in range(k)])
-            for n in range(1, MAX_EXACT_N + 1):
+            for n in (1, 2, 3, 4, 5, 6, 7, 8, 1000, 2**22):
                 assert exact_moment(n, 0.0, a, b, k) == pytest.approx(want, rel=2e-15)
 
     @pytest.mark.parametrize("n", [3, 8])
@@ -793,7 +803,7 @@ class TestExactMoments:
     def test_large_kappa_reaches_the_frozen_matrix(self, A, B):
         # a = A kappa, b = B kappa at kappa = 1e100 is the frozen limit to
         # rounding; Pochhammer symbols of these shapes overflow a double
-        for n in (3, MAX_EXACT_N):
+        for n in (3, 8, 50):
             s2, t2 = limit_bidiagonal_squares(n, float(n), A, B)
             frozen = to_tridiagonal(BidiagonalFactor(np.sqrt(s2), np.sqrt(t2)))
             d, e = frozen.diag, frozen.offdiag
@@ -815,6 +825,80 @@ class TestExactMoments:
     def test_pinned_values(self, args, want):
         # values of the symbolic closed-walk expansion this pass replaced
         assert exact_moment(*args) == pytest.approx(want, rel=1e-13)
+
+
+# (a, b, c) points of the limit measure, c = 0 and a large c among them
+LIMIT_POINTS = [
+    (0.3, 0.7, 1.2), (0.5, 0.5, 1.0), (-0.5, 1.7, 2.5), (1.7, -0.5, 0.1),
+    (0.3, 0.7, 0.0), (0.3, 0.7, 30.0),
+]
+
+
+class TestRootedWalks:
+    """exact_moment's walks from the first site against the all-start
+    trace of tests/oracles.py, the limit measure, and sampled matrices."""
+
+    @pytest.mark.parametrize(
+        "kappa, a, b",
+        [(0.15, 0.5, 0.5), (1.0, -0.5, 0.3), (0.4, 0.5, 1.5), (0.0, 0.3, 0.7),
+         (2.0, -0.9, 0.1), (1e100, 1e100, 2e100)],
+    )
+    def test_matches_the_all_start_trace(self, kappa, a, b):
+        for n in range(1, 9):
+            shapes = _shape_arrays(EnsembleConfig(n, 2.0 * kappa, a, b))
+            for k in range(MAX_EXACT_K + 1):
+                want = all_start_moment(shapes, k)
+                assert exact_moment(n, kappa, a, b, k) == pytest.approx(want, rel=2e-15)
+
+    @pytest.mark.parametrize("a, b, c", LIMIT_POINTS)
+    def test_constant_chain_is_the_limit_measure(self, a, b, c):
+        # at N = infinity with N kappa = c every shape is constant:
+        # p ~ Beta(c + a + 1, c + b + 1), q ~ Beta(c, c + a + b + 2)
+        alpha = np.resize([c + a + 1.0, c], 12)
+        beta = np.resize([c + b + 1.0, c + a + b + 2.0], 12)
+        p = JacobiParams(a, b, c)
+        for k in range(13):
+            want = moment11(ModelKind.ASSOC_III, p, k)
+            assert ens._rooted_walks(alpha, beta, k) == pytest.approx(want, rel=5e-15)
+
+    def test_first_order_in_one_over_n(self):
+        # N (E m_1 - u_1) -> c (a - b) / (a + b + 2 + 2c)^2
+        a, b, c, n = 0.3, 0.7, 1.2, 10**6
+        u1 = moment11(ModelKind.ASSOC_III, JacobiParams(a, b, c), 1)
+        got = n * (exact_moment(n, c / n, a, b, 1) - u1)
+        assert got == pytest.approx(c * (a - b) / (a + b + 2.0 + 2.0 * c) ** 2, rel=1e-5)
+
+    def test_memory_does_not_grow_with_n(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            got = exact_moment(2**22, 1.0, 0.5, 0.5, MAX_EXACT_K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < 1.0
+        assert peak < 1 << 20
+
+    def test_first_weights_are_dirichlet(self):
+        # the weights of J at e1, squared first eigenvector components,
+        # are Dirichlet(kappa, ..., kappa): E sum w_i^2 = (kappa + 1) /
+        # (N kappa + 1); 30000 draws of each case, 4 standard errors
+        for i, (n, kappa) in enumerate([(5, 0.3), (4, 1.0)]):
+            cfg = EnsembleConfig(n, 2.0 * kappa, 0.3, 0.7)
+            diags, offs = ens._sampled_j(*_draw_pq(_shape_arrays(cfg), substream(41, i), 30_000))
+            w2 = np.array([
+                np.sum(_stevd(d, e, compute_v=True)[1][0] ** 4) for d, e in zip(diags, offs)
+            ])
+            want = (kappa + 1.0) / (n * kappa + 1.0)
+            assert abs(w2.mean() - want) < 4.0 * w2.std(ddof=1) / np.sqrt(len(w2))
+
+    @pytest.mark.parametrize("n, trials", [(200, 8000), (1000, 3000)])
+    def test_sampled_traces_at_large_n(self, n, trials):
+        a, b, c = 0.3, 0.7, 1.2
+        means, stderr = mc_moments(EnsembleConfig(n, 2.0 * c / n, a, b), 4, trials, seed=43)
+        for k in range(1, 5):
+            assert abs(means[k] - exact_moment(n, c / n, a, b, k)) < 4.0 * stderr[k]
 
 
 class TestKappaLimit:
