@@ -437,10 +437,8 @@ def zeta_n(p: JacobiParams, n: int) -> float:
     zeta_n = sqrt(mu_1..mu_n / (lambda_hat0 lambda_1..lambda_{n-1}))
              * (c+a+1)_n / (c+1)_n, computed in log space.
     """
-    n = as_count("index", n)
     # the coefficient arrays below are O(n): the truncation size cap
-    if n > _MAX_SIZE:
-        raise ParameterError(f"index must be <= 2**22 = {_MAX_SIZE}, got {n}")
+    n = as_count("index", n, 0, _MAX_SIZE)
     if n == 0:
         return 1.0
     validate_model(ModelKind.ASSOC_III, p)

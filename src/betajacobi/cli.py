@@ -75,15 +75,6 @@ def _base_meta(command: str, p: JacobiParams | None = None) -> dict:
     return meta
 
 
-def _size(flag: str, value, minimum: int = 0) -> int:
-    """The count of a flag that sizes an array, from `minimum` up to the
-    package's size cap."""
-    n = as_count(flag, value, minimum)
-    if n > _MAX_SIZE:
-        raise ParameterError(f"{flag} must be <= 2**22 = {_MAX_SIZE}, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -91,7 +82,7 @@ def _size(flag: str, value, minimum: int = 0) -> int:
 def cmd_sample(args) -> int:
     as_count("--n", args.n, 1)
     as_count("--trials", args.trials, 1)
-    _size("--bins", args.bins)
+    as_count("--bins", args.bins, 0, _MAX_SIZE)
     beta = args.beta if args.beta is not None else 2.0 * args.c / args.n
     cfg = EnsembleConfig(args.n, beta, args.a, args.b)
     meta = _base_meta("sample")
@@ -122,7 +113,7 @@ def cmd_sample(args) -> int:
 def cmd_density(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     # a DensityProfile needs two points
-    xs = np.arange(1, _size("--grid", args.grid, 2) + 1) / (args.grid + 1.0)
+    xs = np.arange(1, as_count("--grid", args.grid, 2, _MAX_SIZE) + 1) / (args.grid + 1.0)
     profile, route = density_profile(p, xs, method=args.method, eps=args.eps)
     meta = _base_meta("density", p)
     meta.update(grid=args.grid, method=args.method, eps=args.eps, route=route)
@@ -137,7 +128,7 @@ def cmd_density(args) -> int:
 def cmd_stieltjes(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     kind = ModelKind(args.kind)
-    _size("--points", args.points, 1)
+    as_count("--points", args.points, 1, _MAX_SIZE)
     rows, cf_z = [], []
     for re in np.linspace(args.re0, args.re1, args.points):
         z = complex(re, args.im)

@@ -192,9 +192,7 @@ def tridiag_entries(
     A size above 2**22 raises ParameterError before anything is allocated.
     """
     validate_model(kind, p)
-    size = as_count("size", size, 1)
-    if size > _MAX_SIZE:
-        raise ParameterError(f"size must be <= 2**22 = {_MAX_SIZE}, got {size}")
+    size = as_count("size", size, 1, _MAX_SIZE)
 
     first_lam = lambda_hat0(p) if kind is ModelKind.ASSOC_III else lambda_n(p, 0)
 

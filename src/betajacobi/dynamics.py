@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
+from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
 from .errors import ConvergenceError, ParameterError, as_count, as_real, as_real_array
 from .spectral import MomentVector
@@ -385,11 +385,7 @@ def _hierarchy_kernel(p: JacobiParams, k_max: int, dt: float = 0.0):
     so there is one kernel and no switch on K.  Building the kernel
     (_hierarchy_code) takes about 1 ms at K = 4, once per process.
     """
-    if k_max > _MAX_ORDER:
-        raise ParameterError(
-            f"the moment hierarchy takes at most {_MAX_ORDER} moments past m_0, "
-            f"got k_max = {k_max}"
-        )
+    as_count("moment hierarchy order k_max", k_max, 0, _MAX_ORDER)
     decay, feed, quad = _hierarchy_coefficients(p, k_max)
     names = dict(D=decay, F=feed, Q=quad, dt=dt, half=0.5 * dt, sixth=dt / 6.0)
     exec(_hierarchy_code(k_max), names)
@@ -464,7 +460,7 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
     moments of the ASSOC_III spectral measure, so p must satisfy that
     model's constraints, as in moment11.
     """
-    k_max = as_count("k_max", k_max)
+    k_max = as_count("k_max", k_max, 0, _MAX_SIZE)
     validate_model(ModelKind.ASSOC_III, p)
     a, b, c = p.a, p.b, p.c
     u = np.empty(k_max + 1)
@@ -497,9 +493,7 @@ def moment_drift_finite_n(
     limit.  moments must pass the checks of ode_rhs.
     """
     m = _moment_list(moments, "moments")
-    k = as_count("k", k, 1)
-    if k > len(m) - 1:
-        raise ParameterError(f"need k <= {len(m) - 1}, got {k}")
+    k = as_count("k", k, 1, len(m) - 1)
     n = as_count("N", n, 1)
     p = JacobiParams(a, b, c)
     corr = (p.c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])

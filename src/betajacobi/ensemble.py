@@ -80,9 +80,7 @@ class EnsembleConfig:
     b: float
 
     def __post_init__(self) -> None:
-        n = as_count("N", self.N, 1)
-        if n > _MAX_SIZE:
-            raise ParameterError(f"N must be <= 2**22 = {_MAX_SIZE}, got {n}")
+        n = as_count("N", self.N, 1, _MAX_SIZE)
         beta = as_real("beta", self.beta)
         if beta < 0.0:
             raise ParameterError(f"beta must be >= 0, got {beta!r}")
@@ -166,9 +164,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for trial `index` under `seed`.
 
     Streams are keyed, not jumped, so any trial can be regenerated in
-    isolation and results do not depend on scheduling.
+    isolation and results do not depend on scheduling.  The index stays
+    below 2**62, where the keys of mc_moments' chunk streams start.
     """
-    return _stream(_fold_seed(seed), as_count("stream index", index))
+    return _stream(_fold_seed(seed), as_count("stream index", index, 0, _CHUNK_KEY_BASE - 1))
 
 
 def _redraw_empty(x, tot, alpha, beta, rng: np.random.Generator) -> None:
@@ -715,9 +714,7 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     first k variables, so neither time nor memory grows with N.
     """
     cfg = EnsembleConfig(n, 2.0 * as_real("kappa", kappa), a, b)
-    k = as_count("k", k)
-    if k > MAX_EXACT_K:
-        raise ParameterError(f"exact_moment needs k <= {MAX_EXACT_K}, got {k}")
+    k = as_count("k", k, 0, MAX_EXACT_K)
     alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(cfg, k // 2 + 1)
     alpha, beta = np.empty((2, len(alpha_p) + len(alpha_q)))
     alpha[0::2], beta[0::2], alpha[1::2], beta[1::2] = alpha_p, beta_p, alpha_q, beta_q
@@ -736,7 +733,7 @@ def limit_pq(size: int, n_param: float, a_slope: float, b_slope: float):
     `size` but may be any real (the formulas continue analytically, which
     is how the substitution identity against the third model is checked).
     """
-    size = as_count("size", size, 1)
+    size = as_count("size", size, 1, _MAX_SIZE)
     n_param = as_real("n_param", n_param)
     a_slope, b_slope = as_real("a_slope", a_slope), as_real("b_slope", b_slope)
     n = np.arange(1, size + 1, dtype=float)

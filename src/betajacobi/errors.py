@@ -50,12 +50,18 @@ def _shown(value) -> str:
     return _REPR.repr(value)
 
 
-def as_count(name: str, value, minimum: int = 0) -> int:
-    """value as an int >= minimum, for sizes, orders, degrees, depths and
-    trial counts.
+def _bound(m: int) -> str:
+    """A bound as a message shows it: a power of two from 2**10 on with
+    its exponent, as 2**22 = 4194304."""
+    return f"2**{m.bit_length() - 1} = {m}" if m >= 1024 and not m & (m - 1) else str(m)
+
+
+def as_count(name: str, value, minimum: int = 0, maximum: int | None = None) -> int:
+    """value as an int in [minimum, maximum], for sizes, orders, degrees,
+    depths, indices and trial counts: the one check of a count's range.
 
     Python ints, numpy integers and integral floats are accepted; a
-    non-integral, non-finite or too-small value raises ParameterError
+    non-integral, non-finite or out-of-range value raises ParameterError
     instead of being truncated or leaking TypeError, ValueError or
     OverflowError.
     """
@@ -65,6 +71,8 @@ def as_count(name: str, value, minimum: int = 0) -> int:
         out = None
     if out is None or out != value or out < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    if maximum is not None and out > maximum:
+        raise ParameterError(f"{name} must be <= {_bound(maximum)}, got {out}")
     return out
 
 

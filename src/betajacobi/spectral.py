@@ -176,7 +176,7 @@ def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
     A walk of length k from index 1 cannot pass floor(k/2)+2, so the
     truncation at that size is exact.
     """
-    k = as_count("moment order", k)
+    k = as_count("moment order", k, 0, _MAX_SIZE)
     size = k // 2 + 2
     t = jacobi_matrix(kind, p, size)
     v = np.zeros(size)
@@ -219,9 +219,11 @@ def gauss_quadrature(kind: ModelKind, p: JacobiParams, m: int) -> DiscreteMeasur
 
     Nodes are the eigenvalues of the M-by-M truncation; the weight at a
     node is the squared first component of its normalized eigenvector.
-    Exact for polynomials of degree <= 2M-1.
+    Exact for polynomials of degree <= 2M-1.  The eigenvectors take M^2
+    doubles, so M is capped at 2**12 = 4096 (128 MiB; the package uses
+    M <= 60).
     """
-    m = as_count("quadrature points m", m, 1)
+    m = as_count("quadrature points m", m, 1, 1 << 12)
     t = jacobi_matrix(kind, p, m)
     nodes, vecs = _stevd(t.diag, t.offdiag, compute_v=True)
     if np.any(np.diff(nodes) <= 0.0):
@@ -326,7 +328,7 @@ def stieltjes_cf(
     ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
     second evaluation.
     """
-    depth = as_count("depth", depth, 2)
+    depth = as_count("depth", depth, 2, _MAX_SIZE - 1)  # depth + 1 rows
     if warn_tol is not None and as_real("warn_tol", warn_tol) < 0.0:
         raise ParameterError(f"warn_tol must be >= 0, got {warn_tol!r}")
     _support_distance(z)

@@ -416,7 +416,7 @@ class TestDynamics:
             capsys,
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: the moment hierarchy takes at most 64 moments")
+        assert err == "error: moment hierarchy order k_max must be <= 64, got 65\n"
 
     @pytest.mark.parametrize("x0", ["1.5", "-0.5", "2", "nan"])
     def test_start_outside_unit_interval_exits_two(self, capsys, x0):

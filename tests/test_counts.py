@@ -1,13 +1,17 @@
 """One input policy for counts: every size, order, degree, depth, trial
 and thread count of the public API accepts ints, numpy integers and
-integral floats alike, and rejects a non-integral, non-finite or
-too-small value with ParameterError.  And no dead options: every public
+integral floats alike, and rejects a non-integral, non-finite,
+too-small or too-large value with ParameterError; every bound is an
+argument of errors.as_count.  And no dead options: every public
 parameter with a default is set by some caller in the package."""
 
+import ast
 import dataclasses
 import enum
 import importlib
 import inspect
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +79,27 @@ COUNTS = {
         1,
         10,
     ),
+}
+
+# capped counts: "callable.parameter" -> (the largest admissible count,
+# the name its ParameterError gives it)
+CAPS = {
+    "tridiag_entries.size": (2**22, "size"),
+    "jacobi_matrix.size": (2**22, "size"),
+    "moment11.k": (2**22, "moment order"),
+    "gauss_quadrature.m": (2**12, "quadrature points m"),
+    # one row past the depth
+    "stieltjes_cf.depth": (2**22 - 1, "depth"),
+    "zeta_n.n": (2**22, "index"),
+    "EnsembleConfig.N": (2**22, "N"),
+    # below mc_moments' chunk keys, 2**62 + chunk
+    "substream.index": (2**62 - 1, "stream index"),
+    "exact_moment.n": (2**22, "N"),
+    "exact_moment.k": (8, "k"),
+    "limit_pq.size": (2**22, "size"),
+    "limit_bidiagonal_squares.size": (2**22, "size"),
+    "simulate_moments.n": (2**22, "N"),
+    "stationary_uk.k_max": (2**22, "k_max"),
 }
 
 # count-named parameters that are not counts, with the reason
@@ -161,6 +186,60 @@ class TestCountPolicy:
         want = _bits(call(v))
         assert _bits(call(np.int64(v))) == want
         assert _bits(call(float(v))) == want
+
+
+@pytest.mark.parametrize("label", sorted(CAPS))
+def test_count_above_its_cap_names_the_parameter(label):
+    call, _, _ = COUNTS[label]
+    top, name = CAPS[label]
+    bound = rf"(2\*\*\d+( - 1)? = )?{top}"
+    message = rf"^{re.escape(name)} must be <= {bound}, got {top + 1}$"
+    with pytest.raises(ParameterError, match=message):
+        call(top + 1)
+
+
+# the bounds of counts, and the functions that may compare a count with
+# them: the guard, and _cf_depth, whose refusal names the point its depth
+# comes from
+_CAP_NAMES = {"_MAX_SIZE", "_MAX_ORDER", "MAX_EXACT_K", "_CHUNK_KEY_BASE"}
+_CAP_CHECKERS = {"as_count", "_cf_depth"}
+
+
+def _cap_comparisons():
+    """(module, enclosing functions, line) of every comparison in the
+    package's source that names one of _CAP_NAMES."""
+    found = []
+
+    class Walk(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.where = module, []
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Compare(self, node):
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if names & _CAP_NAMES:
+                found.append((self.module, tuple(self.where), node.lineno))
+            self.generic_visit(node)
+
+    for path in sorted(pathlib.Path(bj.__file__).parent.glob("*.py")):
+        Walk(path.name).visit(ast.parse(path.read_text(), str(path)))
+    return found
+
+
+def test_counts_meet_their_caps_only_in_the_guard():
+    found = _cap_comparisons()
+    # the walk sees the one exempt comparison, so it is not blind
+    assert [f[:2] for f in found if "_cf_depth" in f[1]] == [("spectral.py", ("_cf_depth",))]
+    stray = [f for f in found if not _CAP_CHECKERS & set(f[1])]
+    assert not stray, f"a count compared with its cap outside errors.as_count: {stray}"
 
 
 def test_every_count_parameter_is_covered():

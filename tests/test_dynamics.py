@@ -685,9 +685,10 @@ class TestHierarchyKernel:
         assert ode_rhs(m, P_REF).shape == (top + 1,)
         assert integrate_moments(m, P_REF, 2e-4, 1e-4).moments.shape == (3, top + 1)
         over = 0.5 ** np.arange(top + 2.0)
-        with pytest.raises(ParameterError, match=f"at most {top}"):
+        message = f"^moment hierarchy order k_max must be <= {top}, got {top + 1}$"
+        with pytest.raises(ParameterError, match=message):
             ode_rhs(over, P_REF)
-        with pytest.raises(ParameterError, match=f"at most {top}"):
+        with pytest.raises(ParameterError, match=message):
             integrate_moments(over, P_REF, 2e-4, 1e-4)
         # the finite-N drift reads rows up to k only
         assert np.isfinite(moment_drift_finite_n(over, 2, 0.3, 0.7, 1.2, 10))

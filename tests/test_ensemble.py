@@ -121,6 +121,17 @@ class TestStreams:
         with pytest.raises(ParameterError):
             substream(123, -1)
 
+    def test_index_stays_below_the_chunk_keys(self):
+        # substream(11, 2**64) used to draw the stream of substream(11, 0),
+        # and 2**62 + j the stream of mc_moments' chunk j
+        for index in (2**64, 2**62):
+            with pytest.raises(ParameterError, match=f"got {index}$"):
+                substream(11, index)
+        top = substream(11, 2**62 - 1).random(4)
+        assert top.tobytes() != substream(11, 0).random(4).tobytes()
+        fresh = ens._stream(ens._fold_seed(11), 2**62 - 1)
+        assert top.tobytes() == fresh.random(4).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 123, 2**63 + 5])
     def test_rekeyed_generator_is_each_trial_stream(self, seed):
         # one reused generator re-keyed per trial draws the bits of a fresh
@@ -757,6 +768,24 @@ class TestExactMoments:
     def test_three_and_four_sites_against_quadrature(self, n, kappa, a, b, k):
         want = quadrature_moment(n, kappa, a, b, k)
         assert exact_moment(n, kappa, a, b, k) == pytest.approx(want, rel=1e-12)
+
+    def test_swapped_p_shapes_miss_the_quadrature(self, monkeypatch):
+        # a planted defect: a and b swapped in the shapes of p.  The q
+        # shapes read a and b only through a + b, so a swap there cannot
+        # show.  mc_moments draws from the same _shape_arrays, so it cannot
+        # see this defect either; the quadrature builds its own shapes.
+        n, kappa, a, b = 5, 0.4, 0.3, 0.7
+        want = quadrature_moment(n, kappa, a, b, 1)
+        assert exact_moment(n, kappa, a, b, 1) == pytest.approx(want, rel=1e-12)
+        shapes = ens._shape_arrays
+
+        def swapped(cfg, sites=None):
+            alpha_p, beta_p, alpha_q, beta_q = shapes(cfg, sites)
+            return beta_p, alpha_p, alpha_q, beta_q
+
+        monkeypatch.setattr(ens, "_shape_arrays", swapped)
+        # m_1 moves from 0.4677 to 0.5323, 1e11 times the tolerance above
+        assert abs(exact_moment(n, kappa, a, b, 1) - want) > 0.05
 
     def test_guards(self):
         with pytest.raises(ParameterError):
