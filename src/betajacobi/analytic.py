@@ -21,9 +21,8 @@ from .coeffs import (
     ModelKind,
     _lambda_terms,
     _mu_terms,
+    _streams,
     lambda_hat0,
-    lambda_n,
-    mu_n,
     validate_model,
 )
 from .errors import (
@@ -443,9 +442,10 @@ def zeta_n(p: JacobiParams, n: int) -> float:
         return 1.0
     validate_model(ModelKind.ASSOC_III, p)
     a, c = p.a, p.c
-    idx = np.arange(1, n + 1, dtype=float)
-    mus = mu_n(p, idx)
-    lams = lambda_n(p, idx[:-1]) if n > 1 else np.empty(0)
+    # lambda_j and mu_j at j = 1..n in one checked pass; the product
+    # takes lambda_1..lambda_{n-1}
+    lams, mus = _streams(p, n + 1)
+    lams = lams[:-1]
     if np.any(mus <= 0.0) or np.any(lams <= 0.0):
         raise ParameterError("zeta_n needs positive coefficient streams")
     half = 0.5 * (

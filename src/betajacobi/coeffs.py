@@ -176,14 +176,37 @@ def mu_n(p: JacobiParams, n) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
+def _streams(p: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_j, mu_j) for j = 1..size-1, bit for bit lambda_n and mu_n
+    there, in one pass over t = j + c with no check per element.
+
+    For parameters that pass validate_model, t >= 1 + c > 0, so mu_n's
+    exact zero at t = 0 never applies, and one check of the top index
+    (2(n + c) finite) and one test of each denominator array stand in
+    for theirs, raising the ParameterError theirs raise.  The
+    denominators are positive in exact arithmetic but not always after
+    rounding: at a = b = -1 + 2**-53, c = 0 that of mu_1 comes out 0.
+    """
+    _as_index(size - 1, p.c)
+    t = np.arange(1, size, dtype=float) + p.c
+    ln1, ld1, ln2, ld2 = _lambda_terms(t, p.a, p.b)
+    mn1, md1, mn2, md2 = _mu_terms(t, p.a, p.b)
+    if not (ld1.all() and ld2.all()):
+        raise ParameterError("lambda_n denominator vanishes for some index")
+    if not (md1.all() and md2.all()):
+        raise ParameterError("mu_n denominator vanishes for some index")
+    return (ln1 / ld1) * (ln2 / ld2), (mn1 / md1) * (mn2 / md2)
+
+
 def tridiag_entries(
     kind: ModelKind, p: JacobiParams, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the size-by-size Jacobi truncation.
 
     Rows n >= 2 are shared by all kinds: diag lambda_{n-1} + mu_{n-1},
-    off-diagonal sqrt(lambda_{n-1} mu_n).  The first row depends on the
-    kind as described in the module docstring.
+    off-diagonal sqrt(lambda_{n-1} mu_n), the streams taken in one
+    checked pass (_streams), bit for bit lambda_n and mu_n.  The first
+    row depends on the kind as described in the module docstring.
 
     Returns
     -------
@@ -205,9 +228,7 @@ def tridiag_entries(
     if size == 1:
         return diag, np.empty(0)
 
-    idx = np.arange(1, size, dtype=float)
-    lam = lambda_n(p, idx)
-    mu = mu_n(p, idx)
+    lam, mu = _streams(p, size)
     diag[1:] = lam + mu
 
     rad = np.concatenate(([first_lam], lam[:-1])) * mu

@@ -15,10 +15,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, lambda_hat0, validate_model
+from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
 from .errors import ConvergenceError, ParameterError, as_count, as_real, as_real_array
-from .spectral import MomentVector
+from .spectral import _MAX_MOMENT_ORDER, MomentVector
 
 __all__ = [
     "MomentPath",
@@ -458,9 +458,11 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
     u_0 = 1.  The j-sum never touches u_k, so the recursion is closed.
     u_1 reproduces the spectral head coefficient.  The u_k are the
     moments of the ASSOC_III spectral measure, so p must satisfy that
-    model's constraints, as in moment11.
+    model's constraints, as in moment11.  The two sums make the time
+    quadratic in k_max, about 0.53 s at the largest, k_max = 2**14, as
+    for moment11 (2-vCPU host).
     """
-    k_max = as_count("k_max", k_max, 0, _MAX_SIZE)
+    k_max = as_count("k_max", k_max, 0, _MAX_MOMENT_ORDER)
     validate_model(ModelKind.ASSOC_III, p)
     a, b, c = p.a, p.b, p.c
     u = np.empty(k_max + 1)

@@ -35,10 +35,13 @@ __all__ = [
 
 
 def _lapack_routines():
-    """(dstevd, zgtsv): scipy's compiled LAPACK wrappers, bound without
+    """(dstevd, zgttrf): scipy's compiled LAPACK wrappers, bound without
     importing scipy.linalg.
 
-    scipy.linalg.lapack re-exports both from the extension module
+    dstevd is the tridiagonal eigensolver; zgttrf is the LU factorization
+    of a complex tridiagonal matrix with partial pivoting, whose last
+    pivot gives stieltjes_cf its resolvent entry.  scipy.linalg.lapack
+    re-exports both from the extension module
     scipy.linalg._flapack, but importing it runs all of scipy.linalg's
     __init__, about half the package's import time.  The extension file
     is loaded alone instead, under its real name and registered in
@@ -67,13 +70,18 @@ def _lapack_routines():
             module = None
     if module is None:
         from scipy.linalg import lapack as module
-    return module.dstevd, module.zgtsv
+    return module.dstevd, module.zgttrf
 
 
-_dstevd, _zgtsv = _lapack_routines()
+_dstevd, _zgttrf = _lapack_routines()
 
 # default relative tolerance for deterministic identity checks
 DEFAULT_RTOL = 1e-10
+
+# largest moment order of moment11 and dynamics.stationary_uk: both take
+# time quadratic in it, about 0.66 and 0.53 s at 2**14 on a 2-vCPU host,
+# 2.3 and 2.0 s at 2**15
+_MAX_MOMENT_ORDER = 1 << 14
 
 # continued-fraction depth of stieltjes_cf when the caller gives none,
 # and the least depth _cf_depth picks
@@ -174,15 +182,17 @@ def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
     """k-th moment of the spectral measure at e_1, via <e1, J^k e1>.
 
     A walk of length k from index 1 cannot pass floor(k/2)+2, so the
-    truncation at that size is exact.
+    truncation at that size is exact.  The k products of J with a vector
+    of that size take time quadratic in k, about 0.66 s at the largest
+    order, k = 2**14 (2-vCPU host).
     """
-    k = as_count("moment order", k, 0, _MAX_SIZE)
+    k = as_count("moment order", k, 0, _MAX_MOMENT_ORDER)
     size = k // 2 + 2
-    t = jacobi_matrix(kind, p, size)
+    d, e = tridiag_entries(kind, p, size)
     v = np.zeros(size)
     v[0] = 1.0
     for _ in range(k):
-        v = _matvec(t.diag, t.offdiag, v)
+        v = _matvec(d, e, v)
     return float(v[0])
 
 
@@ -299,6 +309,62 @@ def _limit_tail(zc: np.ndarray) -> np.ndarray:
     return root
 
 
+def _cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
+    """The levels-deep fraction at each point of zc: the entry
+    (T - z)^{-1}_{11} of the levels-by-levels truncation, diagonal d and
+    squared off-diagonal e2, with the tail seed folded into its deepest
+    row.  A zero pivot raises ConvergenceError naming the point, the
+    levels and the depth of the call.
+
+    The rows are taken deepest first, so the wanted entry is the last
+    one of the solution of (T - z) x = e_n, and the last step of
+    Gaussian elimination gives it alone: x_n = b_n / u_nn, where u_nn is
+    U's last pivot and b_n is 1, or -l_{n-1} when the last step swapped
+    rows.  LAPACK's zgtsv, which back-substitutes all of x, forms its x_n
+    by the same elimination (partial pivoting on |re| + |im|) and the
+    same quotient, so the value is that x_n bit for bit
+    (tests/oracles.py::zgtsv_cf_eval).  The quotient is taken in Python,
+    whose complex division is Smith's, like the Fortran one; numpy's
+    multiplies by a reciprocal and can be an ulp off.
+    """
+    # The off-diagonal pair (e2, 1) has the products e_j^2 of the
+    # symmetric pair (e, e), hence the same (1, 1) resolvent entry,
+    # without a square root.  The wrapper takes three rows at least, so a
+    # shallower fraction gets rows of the identity, coupled to nothing,
+    # ahead of its deepest level: their elimination steps subtract exact
+    # zeros and keep the pivots of the others, and their own diagonal
+    # stays 1 through every call.
+    pad = max(3 - levels, 0)
+    n = levels + pad
+    diag = d[levels - 1 :: -1]
+    sub = np.zeros(n - 1, dtype=complex)
+    sub[pad:] = e2[: levels - 1][::-1]
+    up = np.ones(n - 1, dtype=complex)
+    up[:pad] = 0.0
+    # buffers the factorization overwrites, refilled for every point
+    dl, du = np.empty_like(sub), np.empty_like(up)
+    dg = np.ones(n, dtype=complex)
+    rows = dg[pad:]  # the diagonal of the fraction's own rows
+    out = np.empty(len(zc), dtype=complex)
+    for i, zi in enumerate(zc):
+        np.subtract(diag, zi, out=rows)
+        rows[0] -= e2[levels - 1] * seed[i]
+        dl[:] = sub
+        du[:] = up
+        low, piv, _, _, ipiv, info = _zgttrf(
+            dl, dg, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        )
+        if info > 0:
+            raise ConvergenceError(
+                f"z = {complex(zi)} is a pole of the {levels}-level "
+                f"continued fraction (depth {depth})"
+            )
+        # b_n as zgtsv forms it: 1 - l_{n-1} * 0, or 0 - l_{n-1} * 1
+        b = 0j - complex(low[-1]) * (1 + 0j) if ipiv[-2] == n else 1 + 0j
+        out[i] = b / complex(piv[-1])
+    return out
+
+
 def stieltjes_cf(
     kind: ModelKind,
     p: JacobiParams,
@@ -316,9 +382,10 @@ def stieltjes_cf(
     eigenvalue spacing still sees a continuous spectrum.  The fraction is
     evaluated as the resolvent entry (T - z)^{-1}_{11} of the
     depth-by-depth truncation T, tail folded into its last diagonal
-    entry, by one LAPACK tridiagonal solve per point; the rows are taken
-    deepest first, so the elimination runs up the levels like the
-    backward recursion and equals it up to rounding.
+    entry, by one LAPACK LU factorization (zgttrf) per point; the rows
+    are taken deepest first, so the elimination runs up the levels like
+    the backward recursion and equals it up to rounding, and the entry is
+    read off the last pivot (_cf_eval).
 
     Accepts scalar or array z (finite numbers off the support): a z of
     str, bytes, bool or object dtype, or a real z in [0, 1], raises
@@ -341,40 +408,7 @@ def stieltjes_cf(
     e2 = e**2
     seed = _limit_tail(zc)
 
-    def _eval(levels: int) -> np.ndarray:
-        # Rows deepest first.  The off-diagonal pair (e2, 1) has the
-        # products e_j^2 of the symmetric pair (e, e), hence the same
-        # (1, 1) resolvent entry, without a square root.  The wrapper
-        # wants both off-diagonals at least one long, also at levels = 1
-        # where LAPACK never reads them.
-        diag = d[levels - 1 :: -1]
-        sub = np.zeros(max(levels - 1, 1), dtype=complex)
-        sub[: levels - 1] = e2[: levels - 1][::-1]
-        # buffers the solver overwrites, refilled for every point
-        dl, du = np.empty_like(sub), np.empty_like(sub)
-        dg = np.empty(levels, dtype=complex)
-        rhs = np.empty((levels, 1), dtype=complex)
-        out = np.empty(len(zc), dtype=complex)
-        for i, zi in enumerate(zc):
-            np.subtract(diag, zi, out=dg)
-            dg[0] -= e2[levels - 1] * seed[i]
-            dl[:] = sub
-            du[:] = 1.0
-            rhs[:] = 0.0
-            rhs[-1] = 1.0
-            x, info = _zgtsv(
-                dl, dg, du, rhs,
-                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-            )[3:]
-            if info > 0:
-                raise ConvergenceError(
-                    f"z = {complex(zi)} is a pole of the {levels}-level "
-                    f"continued fraction (depth {depth})"
-                )
-            out[i] = x[-1, 0]
-        return out
-
-    s_full = _eval(depth)
+    s_full = _cf_eval(d, e2, seed, zc, depth, depth)
     finite = np.isfinite(s_full)
     if not finite.all():
         raise ConvergenceError(
@@ -382,7 +416,7 @@ def stieltjes_cf(
             f"z = {complex(zc[np.argmin(finite)])}"
         )
     if warn_tol is not None:
-        s_half = _eval(depth // 2)
+        s_half = _cf_eval(d, e2, seed, zc, depth // 2, depth)
         rel = np.max(
             np.abs(s_full - s_half) / np.maximum(np.abs(s_full), 1e-300), initial=0.0
         )

@@ -48,6 +48,65 @@ def frac_beta_moment(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the float streams composed through the public, fully checked lambda_n and
+# mu_n, as tridiag_entries and zeta_n first took them
+
+
+def textbook_tridiag_entries(kind, p, size: int):
+    """coeffs.tridiag_entries with rows n >= 2 from lambda_n and mu_n over
+    the index array, the reference its one-pass streams must match bit
+    for bit, errors included."""
+    from betajacobi.coeffs import ModelKind, lambda_hat0, lambda_n, mu_n, validate_model
+    from betajacobi.errors import ParameterError
+
+    validate_model(kind, p)
+    first_lam = lambda_hat0(p) if kind is ModelKind.ASSOC_III else lambda_n(p, 0)
+    diag = np.empty(size)
+    if kind in (ModelKind.CLASSICAL, ModelKind.ASSOC_I):
+        diag[0] = first_lam + mu_n(p, 0)
+    else:
+        diag[0] = first_lam
+    if size == 1:
+        return diag, np.empty(0)
+    idx = np.arange(1, size, dtype=float)
+    lam = lambda_n(p, idx)
+    mu = mu_n(p, idx)
+    diag[1:] = lam + mu
+    rad = np.concatenate(([first_lam], lam[:-1])) * mu
+    if np.any(rad < 0.0):
+        raise ParameterError("negative radicand in off-diagonal entries")
+    return diag, np.sqrt(rad)
+
+
+def textbook_zeta_n(p, n: int) -> float:
+    """analytic.zeta_n with its products over lambda_n and mu_n of index
+    arrays, the reference for the one-pass streams."""
+    from betajacobi.coeffs import ModelKind, lambda_hat0, lambda_n, mu_n, validate_model
+    from betajacobi.errors import ParameterError
+    from betajacobi.hypergeom import ln_gamma
+
+    if n == 0:
+        return 1.0
+    validate_model(ModelKind.ASSOC_III, p)
+    a, c = p.a, p.c
+    idx = np.arange(1, n + 1, dtype=float)
+    mus = mu_n(p, idx)
+    lams = lambda_n(p, idx[:-1]) if n > 1 else np.empty(0)
+    if np.any(mus <= 0.0) or np.any(lams <= 0.0):
+        raise ParameterError("zeta_n needs positive coefficient streams")
+    half = 0.5 * (
+        np.sum(np.log(mus)) - math.log(lambda_hat0(p)) - np.sum(np.log(lams))
+    )
+    lp = (
+        ln_gamma(c + a + 1.0 + n)[0]
+        - ln_gamma(c + a + 1.0)[0]
+        - ln_gamma(c + 1.0 + n)[0]
+        + ln_gamma(c + 1.0)[0]
+    )
+    return math.exp(half + lp)
+
+
+# ---------------------------------------------------------------------------
 # Sturm-sequence bisection eigensolver (no LAPACK anywhere)
 
 
@@ -208,6 +267,48 @@ def backward_cf(diag, offdiag, z: complex, tail: str = "zero") -> complex:
     for j in range(len(diag) - 2, -1, -1):
         s = -1.0 / (z - float(diag[j]) + float(offdiag[j]) ** 2 * s)
     return s
+
+
+def zgtsv_cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
+    """The levels-deep fraction at each point of zc by a full LAPACK
+    tridiagonal solve (zgtsv) of (T - z) x = e_n per point, reading x_n:
+    spectral._cf_eval as it was before it read x_n off zgttrf's last
+    pivot, kept verbatim (the solver from scipy.linalg.lapack)."""
+    from scipy.linalg.lapack import zgtsv
+
+    from betajacobi.errors import ConvergenceError
+
+    # Rows deepest first.  The off-diagonal pair (e2, 1) has the
+    # products e_j^2 of the symmetric pair (e, e), hence the same (1, 1)
+    # resolvent entry, without a square root.  The wrapper wants both
+    # off-diagonals at least one long, also at levels = 1 where LAPACK
+    # never reads them.
+    diag = d[levels - 1 :: -1]
+    sub = np.zeros(max(levels - 1, 1), dtype=complex)
+    sub[: levels - 1] = e2[: levels - 1][::-1]
+    # buffers the solver overwrites, refilled for every point
+    dl, du = np.empty_like(sub), np.empty_like(sub)
+    dg = np.empty(levels, dtype=complex)
+    rhs = np.empty((levels, 1), dtype=complex)
+    out = np.empty(len(zc), dtype=complex)
+    for i, zi in enumerate(zc):
+        np.subtract(diag, zi, out=dg)
+        dg[0] -= e2[levels - 1] * seed[i]
+        dl[:] = sub
+        du[:] = 1.0
+        rhs[:] = 0.0
+        rhs[-1] = 1.0
+        x, info = zgtsv(
+            dl, dg, du, rhs,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )[3:]
+        if info > 0:
+            raise ConvergenceError(
+                f"z = {complex(zi)} is a pole of the {levels}-level "
+                f"continued fraction (depth {depth})"
+            )
+        out[i] = x[-1, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

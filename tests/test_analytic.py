@@ -648,7 +648,6 @@ class TestZeta:
         def no_streams(*args):
             raise AssertionError("coefficient stream evaluated")
 
-        monkeypatch.setattr(analytic, "mu_n", no_streams)
-        monkeypatch.setattr(analytic, "lambda_n", no_streams)
+        monkeypatch.setattr(analytic, "_streams", no_streams)
         with pytest.raises(ParameterError, match="index must be <= 2\\*\\*22"):
             zeta_n(P_REF, 2**22 + 1)

@@ -21,8 +21,15 @@ from betajacobi import (
     mu_n,
     tridiag_entries,
     validate_model,
+    zeta_n,
 )
-from oracles import frac_lambda_hat0, frac_lambda_n, frac_mu_n
+from oracles import (
+    frac_lambda_hat0,
+    frac_lambda_n,
+    frac_mu_n,
+    textbook_tridiag_entries,
+    textbook_zeta_n,
+)
 
 REL = 1e-13
 
@@ -214,3 +221,63 @@ class TestTridiagEntries:
             return
         assert np.all(d > 0.0) and np.all(d < 2.0)
         assert np.all(e > 0.0) and np.all(e < 1.0)
+
+
+class TestStreamsInOneCheckedPass:
+    """tridiag_entries and zeta_n take rows n >= 2 from one unchecked pass
+    of the stream terms: the bits of lambda_n and mu_n over the index
+    array (tests/oracles.py), and their ParameterError where those raise."""
+
+    def test_random_models_match_the_public_streams(self):
+        rng = np.random.default_rng(2601)
+        kinds = list(ModelKind)
+        checked = 0
+        for _ in range(160):
+            kind = kinds[rng.integers(len(kinds))]
+            a, b = rng.uniform(-0.99, 4.0, 2)
+            c = 0.0 if kind is ModelKind.CLASSICAL else float(rng.uniform(-0.99, 6.0))
+            p = JacobiParams(float(a), float(b), c)
+            try:
+                validate_model(kind, p)
+            except ParameterError:
+                continue
+            size = int(rng.integers(1, 3001))
+            d, e = tridiag_entries(kind, p, size)
+            want_d, want_e = textbook_tridiag_entries(kind, p, size)
+            assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
+            if kind is ModelKind.ASSOC_III:
+                assert zeta_n(p, size) == textbook_zeta_n(p, size)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "kind", [ModelKind.ASSOC_I, ModelKind.ASSOC_II, ModelKind.ASSOC_III]
+    )
+    def test_overflowing_index_still_raises(self, kind):
+        # at this c, 2(n + c) overflows from n = 1 on; row 0 is still finite
+        p = JacobiParams(0.3, 0.7, np.finfo(float).max / 2.0)
+        overflow = r"keep 2\(n \+ c\) finite"
+        calls = [
+            lambda: tridiag_entries(kind, p, 4),
+            lambda: textbook_tridiag_entries(kind, p, 4),
+        ]
+        if kind is ModelKind.ASSOC_III:
+            calls += [lambda: zeta_n(p, 3), lambda: textbook_zeta_n(p, 3)]
+        for call in calls:
+            with pytest.raises(ParameterError, match=overflow):
+                call()
+
+    def test_vanishing_denominator_still_raises(self):
+        # valid ASSOC_III parameters whose mu_1 denominator 2 + a + b
+        # rounds to 0
+        a = -1.0 + 2.0**-53
+        p = JacobiParams(a, a, 0.0)
+        validate_model(ModelKind.ASSOC_III, p)
+        with pytest.raises(ParameterError, match="mu_n denominator vanishes"):
+            mu_n(p, np.arange(1.0, 4.0))
+        for call in (
+            lambda: tridiag_entries(ModelKind.ASSOC_III, p, 5),
+            lambda: zeta_n(p, 4),
+        ):
+            with pytest.raises(ParameterError, match="mu_n denominator vanishes"):
+                call()

@@ -28,9 +28,22 @@ from betajacobi import (
     stieltjes_cf,
     tridiag_entries,
 )
-from betajacobi.spectral import DEFAULT_RTOL, _dstevd, _limit_tail, _stevd, _zgtsv
+from betajacobi.spectral import (
+    DEFAULT_RTOL,
+    _cf_eval,
+    _dstevd,
+    _limit_tail,
+    _stevd,
+    _zgttrf,
+)
 
-from oracles import backward_cf, frac_beta_moment, sturm_eigenvalues, uniform_stieltjes
+from oracles import (
+    backward_cf,
+    frac_beta_moment,
+    sturm_eigenvalues,
+    uniform_stieltjes,
+    zgtsv_cf_eval,
+)
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -210,23 +223,32 @@ def _bits(outputs):
     return [np.asarray(v).tobytes() for v in outputs]
 
 
-def _zgtsv_system(n, singular=False):
+def _zgttrf_system(n, singular=False):
     rng = np.random.default_rng(n)
     cplx = lambda size: rng.normal(size=size) + 1j * rng.normal(size=size)  # noqa: E731
-    m = max(n - 1, 1)  # the wrapper wants the off-diagonals at least one long
+    # a zero diagonal of odd size is singular: its determinant vanishes
     d = np.zeros(n, dtype=complex) if singular else cplx(n) + 4.0
-    return cplx(m), d, cplx(m), cplx((n, 2))
+    return cplx(max(n - 1, 0)), d, cplx(max(n - 1, 0))
+
+
+def _outcome(routine, args):
+    """The bits of a wrapper's outputs, or the message of the ValueError
+    it raises."""
+    try:
+        return _bits(routine(*args))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestLapackBinding:
-    """spectral binds scipy's compiled dstevd and zgtsv wrappers without
+    """spectral binds scipy's compiled dstevd and zgttrf wrappers without
     importing scipy.linalg; they are the objects scipy.linalg.lapack
     re-exports, so every output keeps its bits."""
 
     def test_same_objects_as_the_public_routines(self):
         import scipy.linalg.lapack as lapack
 
-        assert _dstevd is lapack.dstevd and _zgtsv is lapack.zgtsv
+        assert _dstevd is lapack.dstevd and _zgttrf is lapack.zgttrf
 
     @pytest.mark.parametrize("compute_v", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 60, 401])
@@ -243,14 +265,15 @@ class TestLapackBinding:
     @pytest.mark.parametrize(
         "n, singular", [(1, False), (2, False), (60, False), (401, False), (5, True)]
     )
-    def test_zgtsv_bits(self, n, singular):
+    def test_zgttrf_bits(self, n, singular):
+        # the wrapper refuses fewer than three rows (so _cf_eval pads a
+        # shallower fraction); whatever it does, both bindings do alike
         import scipy.linalg.lapack as lapack
 
-        args = _zgtsv_system(n, singular)
-        got = _zgtsv(*args)
-        want = lapack.zgtsv(*args)
-        assert (got[-1] > 0) is singular and got[-1] == want[-1]
-        assert _bits(got) == _bits(want)
+        args = _zgttrf_system(n, singular)
+        assert _outcome(_zgttrf, args) == _outcome(lapack.zgttrf, args)
+        if n >= 3:
+            assert (_zgttrf(*args)[-1] > 0) is singular
 
     def test_fallback_binds_the_public_routines(self):
         # a loader that refuses the extension file sends spectral to the
@@ -273,7 +296,7 @@ class TestLapackBinding:
             "assert refused == ['scipy.linalg._flapack'], refused\n"
             "assert 'scipy.linalg' in sys.modules\n"
             "import scipy.linalg.lapack as lapack\n"
-            "assert sp._dstevd is lapack.dstevd and sp._zgtsv is lapack.zgtsv\n"
+            "assert sp._dstevd is lapack.dstevd and sp._zgttrf is lapack.zgttrf\n"
             "from betajacobi import JacobiParams, ModelKind\n"
             "g = sp.gauss_quadrature(ModelKind.ASSOC_III, JacobiParams(0.3, 0.7, 1.2), 60)\n"
             "s = sp.stieltjes_cf(ModelKind.ASSOC_III, JacobiParams(0.3, 0.7, 1.2),\n"
@@ -472,33 +495,110 @@ class TestStieltjesCF:
 
         levels = []
 
-        def singular(dl, d, du, b, **kw):
+        def singular(dl, d, du, **kw):
             levels.append(len(d))
-            return dl, d, du, b, 2
+            return dl, d, du, du[:-1], np.arange(1, len(d) + 1, dtype=np.int32), 2
 
-        monkeypatch.setattr(spectral, "_zgtsv", singular)
+        monkeypatch.setattr(spectral, "_zgttrf", singular)
         pole = r"z = \(0\.5\+0\.5j\) is a pole of the "
         with pytest.raises(ConvergenceError, match=pole + r"7-level.*\(depth 7\)"):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 0.5 + 0.5j, depth=7)
         assert levels == [7]
 
     def test_nonfinite_value_raises(self, monkeypatch):
-        # a solve that overflows without a zero pivot gives NaN, which
-        # must not come back as a transform value
+        # a factorization that overflows without a zero pivot gives NaN,
+        # which must not come back as a transform value
         import betajacobi.spectral as spectral
 
-        solve = spectral._zgtsv
+        factor = spectral._zgttrf
 
-        def overflowing(dl, d, du, b, **kw):
+        def overflowing(dl, d, du, **kw):
             at_2_2j = d[-1].imag == -2.0  # the top row, d_1 - z
-            out = solve(dl, d, du, b, **kw)
+            out = factor(dl, d, du, **kw)
             if at_2_2j:
-                out[3][:] = np.nan
+                out[1][:] = np.nan  # the pivots
             return out
 
-        monkeypatch.setattr(spectral, "_zgtsv", overflowing)
+        monkeypatch.setattr(spectral, "_zgttrf", overflowing)
         with pytest.raises(ConvergenceError, match=r"7-level.*not finite at z = \(2\+2j\)"):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, [2.0 + 1.0j, 2.0 + 2.0j], depth=7)
+
+
+# one model per kind; at the ASSOC_III one (a = b = -0.9, c = -0.05) the
+# last elimination step swaps rows at 0.5 + 1e-6j
+KERNEL_MODELS = [
+    (ModelKind.CLASSICAL, JacobiParams(0.3, 0.7, 0.0)),
+    (ModelKind.ASSOC_I, JacobiParams(0.3, 0.7, 1.2)),
+    (ModelKind.ASSOC_II, JacobiParams(-0.4, 2.5, 0.6)),
+    (ModelKind.ASSOC_III, JacobiParams(-0.9, -0.9, -0.05)),
+]
+KERNEL_Z = np.array(
+    [
+        # far from the support
+        2.0 + 1.0j, -1.0 + 0.25j, 0.5 + 0.5j, 1.4 - 0.3j, 1e6j,
+        # within 1e-6 of it, in both half-planes
+        0.5 + 1e-6j, 0.3 + 1e-7j, 0.8 - 1e-6j, 0.05 - 1e-7j, -1e-7 + 1e-7j, 1.0 - 5e-7j,
+        # real, off it
+        -0.5, 1.5, -1e-6, 1.0 + 1e-6,
+        # |z - 1/2| > 1e153, where the tail is -1/w
+        1e154, -1e200, 1e308, 1e-3 + 1e200j, 5e153 - 5e153j,
+    ]
+)
+
+
+class TestResolventKernel:
+    """_cf_eval reads each point's entry off zgttrf's last pivot: the bits
+    of a full zgtsv solve of the same system (tests/oracles.py::zgtsv_cf_eval)."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 7, 400, 12000])
+    @pytest.mark.parametrize("kind, p", KERNEL_MODELS, ids=[k.value for k, _ in KERNEL_MODELS])
+    def test_bits_of_the_full_solve(self, kind, p, depth):
+        # the full depth and the half depth of the convergence check:
+        # 1 and 3 levels too, below the wrapper's three rows and at them
+        d, e = tridiag_entries(kind, p, depth + 1)
+        e2 = e**2
+        seed = _limit_tail(KERNEL_Z)
+        for levels in (depth, depth // 2):
+            got = _cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
+            want = zgtsv_cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
+            assert got.tobytes() == want.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            s = stieltjes_cf(kind, p, KERNEL_Z, depth)
+        assert s.tobytes() == zgtsv_cf_eval(d, e2, seed, KERNEL_Z, depth, depth).tobytes()
+
+    def test_grid_reaches_a_last_step_interchange(self, monkeypatch):
+        import betajacobi.spectral as spectral
+
+        swapped = []
+
+        def spy(dl, d, du, **kw):
+            out = _zgttrf(dl, d, du, **kw)
+            swapped.append(out[4][-2] == len(d))
+            return out
+
+        monkeypatch.setattr(spectral, "_zgttrf", spy)
+        kind, p = KERNEL_MODELS[3]
+        stieltjes_cf(kind, p, KERNEL_Z, 400, warn_tol=None)
+        assert swapped[5] and not swapped[0]
+
+    def test_forced_last_step_interchange(self):
+        # rows deepest first: (7, 2, 0.5) - z with z = 2 + 1e-3j, couplings
+        # e2 = (1, 0.5) from the top; the second pivot, about -0.1, is
+        # smaller than the top coupling 1, so the last step swaps rows
+        d = np.array([0.5, 2.0, 7.0])
+        e2 = np.array([1.0, 0.5, 0.25])
+        z = np.array([2.0 + 1e-3j])
+        seed = np.zeros(1, dtype=complex)
+        system = (e2[1::-1].astype(complex), (d[::-1] - z[0]).astype(complex), np.ones(2, complex))
+        _, piv, _, _, ipiv, info = _zgttrf(*system)
+        assert info == 0 and list(ipiv) == [1, 3, 3]
+        got = _cf_eval(d, e2, seed, z, 3, 3)
+        assert got.tobytes() == zgtsv_cf_eval(d, e2, seed, z, 3, 3).tobytes()
+        dense = np.diag(d - z[0]) + np.diag(np.sqrt(e2[:2]), 1) + np.diag(np.sqrt(e2[:2]), -1)
+        assert got[0] == pytest.approx(np.linalg.inv(dense)[0, 0], rel=1e-13)
+        # with b_n = 1 the entry would be 1 / u_nn
+        assert got[0] != 1.0 / complex(piv[-1])
 
 
 class TestJacobiMatrix:
