@@ -36,11 +36,12 @@ from .analytic import (
     zeta_asymptotic,
     zeta_n,
 )
-from .coeffs import JacobiParams, ModelKind, lambda_hat0, mu_n, tridiag_entries
+from .coeffs import JacobiParams, ModelKind, mu_n, tridiag_entries
 from .dynamics import integrate_moments, ode_rhs, simulate_moments, stationary_uk
 from .ensemble import (
     BidiagonalFactor,
     EnsembleConfig,
+    _exact_moments,
     _rooted_walks,
     _shape_arrays,
     exact_moment,
@@ -51,7 +52,7 @@ from .ensemble import (
 )
 from .errors import ParameterError, UnsupportedRegionError, _shown
 from .hypergeom import pochhammer
-from .spectral import gauss_quadrature, moment11, stieltjes_cf
+from .spectral import _operator_moments, gauss_quadrature, moment11, stieltjes_cf
 
 __all__ = ["CriterionResult", "slugs", "run_criterion", "run_all", "format_line"]
 
@@ -143,11 +144,10 @@ def _c0_beta_moments(threads):
     worst = 0.0
     for a in grid:
         for b in grid:
-            p = JacobiParams(a, b, 0.0)
+            got = _operator_moments(ModelKind.ASSOC_III, JacobiParams(a, b, 0.0), 20)
             for k in range(21):
                 ref = pochhammer(a + 1.0, k) / pochhammer(a + b + 2.0, k)
-                got = moment11(ModelKind.ASSOC_III, p, k)
-                worst = max(worst, abs(got - ref) / abs(ref))
+                worst = max(worst, abs(got[k] - ref) / abs(ref))
     return worst <= 1e-10, worst, 1e-10, {"k_max": 20, "ab_grid": list(grid)}
 
 
@@ -166,12 +166,11 @@ def _stationary_moments(threads):
             for c in (0.0, 1.0, 2.5):
                 p = JacobiParams(a, b, c)
                 u = stationary_uk(p, 12)
+                op = _operator_moments(ModelKind.ASSOC_III, p, 12)
                 alpha = np.resize([c + a + 1.0, c], 12)
                 beta = np.resize([c + b + 1.0, c + a + b + 2.0], 12)
-                for k in range(13):
-                    op = moment11(ModelKind.ASSOC_III, p, k)
-                    worst = max(worst, abs(u[k] - op))
-                    chain = max(chain, abs(_rooted_walks(alpha, beta, k) - op))
+                worst = max(worst, float(np.abs(u.values - op).max()))
+                chain = max(chain, float(np.abs(_rooted_walks(alpha, beta, 12) - op).max()))
     detail = {"k_max": 12, "c_grid": [0.0, 1.0, 2.5], "chain_gap": chain}
     return worst <= 1e-10 and chain <= 1e-10, worst, 1e-10, detail
 
@@ -183,7 +182,7 @@ def _stationary_moments(threads):
 )
 def _mfunction(threads):
     p = JacobiParams(0.3, 0.7, 1.2)
-    head = lambda_hat0(p)
+    head = moment11(ModelKind.ASSOC_III, p, 1)  # m_1 = d_1 = lambda_hat0, bit for bit
     m1 = mu_n(p, 1)
     points = (0.5 + 0.5j, 2.0 + 1.0j, -1.0 + 0.25j)
     routes = {}
@@ -227,7 +226,7 @@ def _mfunction(threads):
 )
 def _moment_expansion(threads):
     p = JacobiParams(0.3, 0.7, 1.2)
-    m = [moment11(ModelKind.ASSOC_III, p, k) for k in range(9)]
+    m = _operator_moments(ModelKind.ASSOC_III, p, 8).tolist()
     worst = 0.0
     for phase in (0.25, 0.75, 1.25, 1.75):
         z = 10.0 * cmath.exp(1j * math.pi * phase)
@@ -263,11 +262,10 @@ def _density(threads):
 
         mass, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(p.a, p.b), limit=200)
         worst_mass = max(worst_mass, abs(mass - 1.0))
-        for k in range(9):
+        for k, ref in enumerate(_operator_moments(ModelKind.ASSOC_III, p, 8).tolist()):
             mom, _ = quad(
                 smooth, 0.0, 1.0, args=(k,), weight="alg", wvar=(p.a, p.b), limit=200
             )
-            ref = moment11(ModelKind.ASSOC_III, p, k)
             worst_mom = max(worst_mom, abs(mom - ref))
 
         xs = np.arange(1, 10) / 10.0
@@ -291,15 +289,11 @@ def _density(threads):
     60.0,
 )
 def _weak_convergence(threads):
-    p = JacobiParams(0.5, 0.5, 1.0)
-    ref = [moment11(ModelKind.ASSOC_III, p, k) for k in range(5)]
-    runs = {}
-    for n in (60, 15):
-        cfg = EnsembleConfig(n, 2.0 / n, 0.5, 0.5)  # beta N / 2 = 1
-        means, se = mc_moments(cfg, 4, 4000, _SEED_WEAK, threads=threads)
-        runs[n] = (means, se)
-    m60, se60 = runs[60]
-    m15, se15 = runs[15]
+    ref = _operator_moments(ModelKind.ASSOC_III, JacobiParams(0.5, 0.5, 1.0), 4).tolist()
+    (m60, se60), (m15, se15) = [  # beta N / 2 = 1 at both sizes
+        mc_moments(EnsembleConfig(n, 2.0 / n, 0.5, 0.5), 4, 4000, _SEED_WEAK, threads=threads)
+        for n in (60, 15)
+    ]
     worst_sigma = max(abs(m60[k] - ref[k]) / se60[k] for k in range(1, 5))
     gap_ok = True
     gaps = {}
@@ -360,10 +354,9 @@ def _regime_chain(threads):
     60.0,
 )
 def _moment_trend(threads):
-    p = JacobiParams(0.5, 0.5, 1.0)
-    ref = [moment11(ModelKind.ASSOC_III, p, k) for k in range(5)]
+    ref = _operator_moments(ModelKind.ASSOC_III, JacobiParams(0.5, 0.5, 1.0), 4)
     devs = {
-        n: [abs(exact_moment(n, 1.0 / n, 0.5, 0.5, k) - ref[k]) for k in range(1, 5)]
+        n: np.abs(_exact_moments(EnsembleConfig(n, 2.0 / n, 0.5, 0.5), 4) - ref)[1:].tolist()
         for n in (2, 4, 6, 8)
     }
     # ties at rounding level (the k=1 deviation is exactly 0 for a=b) pass
@@ -469,8 +462,9 @@ def _gauss_exactness(threads):
     )
     worst = 0.0
     for kind, p in cases:
+        ops = _operator_moments(kind, p, 19)
         for m in (1, 3, 5, 10):
             rule = gauss_quadrature(kind, p, m)
             for k in range(2 * m):
-                worst = max(worst, abs(rule.moment(k) - moment11(kind, p, k)))
+                worst = max(worst, abs(rule.moment(k) - ops[k]))
     return worst <= 1e-12, worst, 1e-12, {"rule_sizes": [1, 3, 5, 10]}

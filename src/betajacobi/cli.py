@@ -24,8 +24,8 @@ from .analytic import density_profile, stieltjes_auto
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, _histogram, _spectrum_blocks
-from .errors import ParameterError, as_count
-from .spectral import _cf_depth, _support_distance, moment11
+from .errors import ConvergenceError, ParameterError, UnsupportedRegionError, as_count
+from .spectral import _cf_depth, _operator_moments, _support_distance
 
 DEFAULT_SEED = 20177
 
@@ -148,13 +148,11 @@ def cmd_stieltjes(args) -> int:
 
 def cmd_moments(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
-    u = stationary_uk(p, args.kmax)
+    u = stationary_uk(p, args.kmax).values.tolist()  # checks --kmax
+    op = _operator_moments(ModelKind.ASSOC_III, p, args.kmax).tolist()
     meta = _base_meta("moments", p)
     meta.update(kmax=args.kmax, kind=ModelKind.ASSOC_III.value)
-    rows = []
-    for k in range(args.kmax + 1):
-        op = moment11(ModelKind.ASSOC_III, p, k)
-        rows.append([k, op, u[k], abs(op - u[k])])
+    rows = [[k, op[k], u[k], abs(op[k] - u[k])] for k in range(args.kmax + 1)]
     _emit(meta, ["k", "operator_moment", "stationary_uk", "abs_diff"], rows, args)
     return 0
 
@@ -326,9 +324,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ConvergenceError, ParameterError, UnsupportedRegionError, OSError) as exc:
+        # a failed computation exits 1; a refused input or --output path, 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -527,13 +527,13 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     symmetric with bandwidth j, so only its upper diagonals are kept,
     stepped up to j = ceil(k_max / 2) by the three-term product with J,
     and each trace is read as a Frobenius inner product,
-    tr J^(i+j) = <J^i, J^j>_F.  Work and memory are O(m N k_max): no
-    dense matrix is formed, and _mc_chunk keeps m N near _TRACE_BLOCK.
-    The work arrays are this thread's scratch, the band powers three
-    buffers taken in turn.  A row's bits do not depend on the rows
-    stacked with it while m >= 2; einsum sums a lone row in another
-    order.  exact_moment gives the mean of these traces by the closed
-    walks from the first site.
+    tr J^(i+j) = <J^i, J^j>_F.  J^j has min(j, N - 1) + 1 diagonals, so
+    the work is O(m N k_max min(k_max, N)); the band powers, three buffers
+    of this thread's scratch taken in turn, hold O(m N k_max) doubles, and
+    _mc_chunk keeps m N near _TRACE_BLOCK.  A row's bits do not depend on
+    the rows stacked with it while m >= 2; einsum sums a lone row in
+    another order.  exact_moment gives the mean of these traces by the
+    closed walks from the first site.
     """
     m, n = diags.shape
     half = (k_max + 1) // 2
@@ -560,8 +560,8 @@ def _mc_chunk(shapes, rng, lo, hi, k_max):
     from the chunk mean.
 
     The squares, J and its band powers are formed one block of about
-    _TRACE_BLOCK matrix entries at a time, so their memory grows with
-    neither the chunk nor k_max.  A block holds one trial only if the
+    _TRACE_BLOCK matrix entries at a time, so their memory grows with k_max
+    but not with the chunk.  A block holds one trial only if the
     chunk does (a lone last trial joins the block before it), so every
     row keeps the bits of the whole chunk traced at once.
     """
@@ -618,14 +618,13 @@ def mc_moments(
     Each trial draws the tridiagonal entries of J and reads its moments
     (1/N) tr J^k straight from them by band powers (_trace_moments); no
     eigensolve is done, so every trial counts.  Sampled spectra, the
-    independent route, come from empirical_measure.  Trials are drawn
-    in chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries,
-    each from its own keyed stream; J and its band powers are formed one
-    block of about _TRACE_BLOCK entries of a chunk at a time.  Each chunk
-    reduces to (count, mean, M2), and the chunks merge in chunk order, so
-    reruns are identical and the thread count never changes the result.
-    At most 2 * threads chunks are queued or running at once, so memory
-    grows with neither the trial count, N nor k_max.
+    independent route, come from empirical_measure.  Trials are drawn in
+    chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries, each
+    from its own keyed stream, and reduce to (count, mean, M2), merged in
+    chunk order: reruns are identical whatever the thread count.  At most
+    2 * threads chunks are in flight, each with (rows, k_max + 1) moments
+    and band buffers linear in k_max: memory grows with k_max, and with
+    the trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.
     """
@@ -664,9 +663,9 @@ def mc_moments(
 # exact mean moments: closed walks from the first site over the Beta chain
 
 
-def _rooted_walks(alpha: np.ndarray, beta: np.ndarray, k: int) -> float:
-    """Mean of (C^(2k))_00 for the zero-diagonal path matrix C on vertices
-    0, 1, ... with off-diagonal sqrt(y_j (1 - y_{j-1})), j >= 1, where
+def _rooted_walks(alpha: np.ndarray, beta: np.ndarray, k: int) -> np.ndarray:
+    """Means of (C^(2j))_00, j = 0..k, for the zero-diagonal path matrix C on
+    vertices 0, 1, ... with off-diagonal sqrt(y_j (1 - y_{j-1})), where
     y_0 = 0 and y_1, y_2, ... are independent Beta(alpha_j, beta_j).
 
     A closed walk from vertex 0 crossing edge j 2 m_j times has mean
@@ -674,9 +673,9 @@ def _rooted_walks(alpha: np.ndarray, beta: np.ndarray, k: int) -> float:
     (beta_v)_{m_{v+1}} / (alpha_v + beta_v)_{m_v + m_{v+1}}, and there are
     prod_{v>=1} C(m_v + m_{v+1} - 1, m_{v+1}) such walks.  The state [m_v,
     crossings used] starts as the identity, since y_0 = 0 pins the walk
-    to vertex 0, and takes one step per variable; a walk of 2k steps
-    crosses no edge past the k-th, so only the first k variables enter.
-    Every term is positive.
+    to vertex 0, and takes one step per variable; a walk of 2j steps
+    crosses no edge past the j-th, so only the first j variables enter
+    entry j (later ones add it exact zeros).  Every term is positive.
     """
     alpha, beta = alpha[:k], beta[:k]
     m = np.arange(k + 1)
@@ -695,7 +694,7 @@ def _rooted_walks(alpha: np.ndarray, beta: np.ndarray, k: int) -> float:
     state = np.eye(k + 1)
     for f in mean:
         state = np.einsum("mu,mp,upw->pw", state, f * past, spend)
-    return float(state[0, k])
+    return state[0]
 
 
 def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
@@ -715,10 +714,15 @@ def exact_moment(n: int, kappa: float, a: float, b: float, k: int) -> float:
     """
     cfg = EnsembleConfig(n, 2.0 * as_real("kappa", kappa), a, b)
     k = as_count("k", k, 0, MAX_EXACT_K)
-    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(cfg, k // 2 + 1)
+    return float(_exact_moments(cfg, k)[k])
+
+
+def _exact_moments(cfg: EnsembleConfig, k_max: int) -> np.ndarray:
+    """E[(1/N) tr J^k], k = 0..k_max, for a validated cfg: exact_moment's row."""
+    alpha_p, beta_p, alpha_q, beta_q = _shape_arrays(cfg, k_max // 2 + 1)
     alpha, beta = np.empty((2, len(alpha_p) + len(alpha_q)))
     alpha[0::2], beta[0::2], alpha[1::2], beta[1::2] = alpha_p, beta_p, alpha_q, beta_q
-    return _rooted_walks(alpha, beta, k)
+    return _rooted_walks(alpha, beta, k_max)
 
 
 # ---------------------------------------------------------------------------

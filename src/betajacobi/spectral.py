@@ -179,26 +179,29 @@ def jacobi_matrix(kind: ModelKind, p: JacobiParams, size: int) -> SymmetricTridi
 
 
 def moment11(kind: ModelKind, p: JacobiParams, k: int) -> float:
-    """k-th moment of the spectral measure at e_1, via <e1, J^k e1>.
-
-    A walk of length k from index 1 cannot pass floor(k/2)+2, so the
-    truncation at that size is exact.  The k products of J with a vector
-    of that size take time quadratic in k, about 0.66 s at the largest
-    order, k = 2**14 (2-vCPU host).
-    """
+    """k-th moment of the spectral measure at e_1, <e1, J^k e1>: entry k of
+    _operator_moments, the one walk, quadratic in k, whose whole row
+    `moments --kmax` and every caller wanting m_0..m_k read."""
     k = as_count("moment order", k, 0, _MAX_MOMENT_ORDER)
-    size = k // 2 + 2
-    d, e = tridiag_entries(kind, p, size)
-    v = np.zeros(size)
+    return float(_operator_moments(kind, p, k)[k])
+
+
+def _operator_moments(kind: ModelKind, p: JacobiParams, k_max: int) -> np.ndarray:
+    """m_0..m_k_max at e_1, k_max checked: v[0] after each step of v <- J v from
+    e_1 on the truncation at k_max // 2 + 2, exact as no closed walk leaves it;
+    out of a walk's reach entries stay exact zeros, so m_k has its own walk's bits."""
+    d, e = tridiag_entries(kind, p, k_max // 2 + 2)
+    v, out = np.zeros(len(d)), np.ones(k_max + 1)
     v[0] = 1.0
-    for _ in range(k):
+    for k in range(1, k_max + 1):
         v = _matvec(d, e, v)
-    return float(v[0])
+        out[k] = v[0]
+    return out
 
 
 def _matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     """T v for the tridiagonal T with diagonal d and off-diagonal e,
-    unchecked: the step of SymmetricTridiagonal.matvec and moment11."""
+    unchecked: the step of SymmetricTridiagonal.matvec and _operator_moments."""
     out = d * v
     if len(e):
         out[:-1] += e * v[1:]

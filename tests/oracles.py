@@ -311,6 +311,22 @@ def zgtsv_cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
     return out
 
 
+def per_order_moment11(kind, p, k: int) -> float:
+    """<e1, J^k e1> by its own walk at size k // 2 + 2: spectral.moment11
+    as it was before it read entry k of the whole-row walk, kept
+    verbatim."""
+    from betajacobi.coeffs import tridiag_entries
+    from betajacobi.spectral import _matvec
+
+    size = k // 2 + 2
+    d, e = tridiag_entries(kind, p, size)
+    v = np.zeros(size)
+    v[0] = 1.0
+    for _ in range(k):
+        v = _matvec(d, e, v)
+    return float(v[0])
+
+
 # ---------------------------------------------------------------------------
 # dense matrix oracle
 
@@ -570,6 +586,27 @@ def all_start_moment(shapes, k: int) -> float:
             + np.einsum(step, behind, f * past, spend),
         )
     return float(behind[0, k]) / (2 * n)
+
+
+def per_order_rooted_walks(alpha, beta, k: int) -> float:
+    """Mean of (C^(2k))_00 by a pass of its own over the first k
+    variables: ensemble._rooted_walks as it was before it returned the
+    whole row, kept verbatim."""
+    alpha, beta = alpha[:k], beta[:k]
+    m = np.arange(k + 1)
+
+    def ratio(x, y):  # (x)_j / (y)_j for j = 0..k on a new last axis
+        steps = (x[..., None] + m[:-1]) / (y[..., None] + m[:-1])
+        return np.cumprod(np.concatenate([np.ones_like(steps[..., :1]), steps], -1), -1)
+
+    ab = alpha + beta
+    mean = ratio(alpha, ab)[:, :, None] * ratio(beta[:, None], ab[:, None] + m)
+    past = np.array([[math.comb(i + j - 1, j) if i + j else 1 for j in m] for i in m], float)
+    spend = (m[:, None, None] + m[:, None] == m).astype(float)
+    state = np.eye(k + 1)
+    for f in mean:
+        state = np.einsum("mu,mp,upw->pw", state, f * past, spend)
+    return float(state[0, k])
 
 
 # ---------------------------------------------------------------------------

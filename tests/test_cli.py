@@ -13,10 +13,11 @@ import pytest
 
 import betajacobi.cli as cli
 import betajacobi.ensemble as ens
-from betajacobi import EnsembleConfig, acceptance
+import betajacobi.spectral as spectral
+from betajacobi import EnsembleConfig, JacobiParams, ModelKind, acceptance
 from betajacobi.cli import DEFAULT_SEED, main
 
-from oracles import beta_density, per_trial_spectrum, uniform_stieltjes
+from oracles import beta_density, per_order_moment11, per_trial_spectrum, uniform_stieltjes
 
 # the density note names no reason the code did not check
 FALLBACK_NOTE = "closed form unavailable here; inverted transform used"
@@ -274,6 +275,17 @@ class TestDensity:
         assert code == 2 and out == ""
         assert err == f"error: --grid must be an integer >= 2, got {grid}\n"
 
+    def test_forced_closed_off_its_region_exits_two(self, capsys):
+        # gamma - alpha - beta = b + 1 is an integer: the connection formula
+        # refuses (UnsupportedRegionError), which used to leak a traceback
+        code, out, err = run_cli(
+            ["density", "--a", "0.3", "--b", "1", "--c", "1.2", "--method", "closed"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: gamma-alpha-beta within 1e-8 of an integer")
+        assert err.count("\n") == 1
+
     def test_forced_closed_on_integer_a_fails_cleanly(self, capsys):
         code, _, err = run_cli(
             ["density", "--a", "1", "--b", "0.5", "--c", "1",
@@ -356,6 +368,39 @@ class TestMoments:
         assert len(rows) == 9
         assert all(float(r[3]) <= 1e-10 for r in rows)
 
+    def test_one_walk_gives_every_row(self, capsys, monkeypatch):
+        # the table is read off one walk, so the entries are built once, at
+        # the size of the deepest order, and every row keeps the bits of
+        # that order's own walk
+        sizes, real = [], spectral.tridiag_entries
+
+        def counted(kind, p, size):
+            sizes.append(size)
+            return real(kind, p, size)
+
+        monkeypatch.setattr(spectral, "tridiag_entries", counted)
+        code, out, _ = run_cli(
+            ["moments", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--kmax", "40"],
+            capsys,
+        )
+        assert code == 0 and sizes == [22]
+        p = JacobiParams(0.3, 0.7, 1.2)
+        _, _, rows = read_csv_text(out)
+        assert [r[1] for r in rows] == [
+            _fmt_float(per_order_moment11(ModelKind.ASSOC_III, p, k)) for k in range(41)
+        ]
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        # the open used to leak a FileNotFoundError traceback
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            ["moments", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--output", str(target)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestDynamics:
     def test_ode_table(self, capsys):
@@ -407,6 +452,16 @@ class TestDynamics:
         )
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    def test_hierarchy_blow_up_exits_one(self, capsys):
+        # a ConvergenceError used to leak a traceback
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.3", "--b", "0.7", "--c", "1e300", "--kmax", "3",
+             "--t-end", "0.01"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: moment hierarchy blew up at t = 0.001\n"
 
     def test_kmax_above_the_order_cap_exits_two(self, capsys):
         # the hierarchy kernel's source grows like K^2

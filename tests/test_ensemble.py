@@ -1,5 +1,6 @@
 """Finite-N sampler, exact mean moments, and the frozen-limit matrices."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -41,6 +42,7 @@ from betajacobi.spectral import _stevd
 from oracles import (
     all_start_moment,
     dense_bbt,
+    per_order_rooted_walks,
     per_trial_spectrum,
     quadrature_moment,
     textbook_squares,
@@ -873,11 +875,19 @@ class TestRootedWalks:
          (2.0, -0.9, 0.1), (1e100, 1e100, 2e100)],
     )
     def test_matches_the_all_start_trace(self, kappa, a, b):
+        # and one pass to MAX_EXACT_K gives every order the bits of a pass
+        # of its own
         for n in range(1, 9):
-            shapes = _shape_arrays(EnsembleConfig(n, 2.0 * kappa, a, b))
+            cfg = EnsembleConfig(n, 2.0 * kappa, a, b)
+            shapes = _shape_arrays(cfg)
+            alpha, beta = np.empty((2, 2 * n - 1))
+            alpha[0::2], beta[0::2], alpha[1::2], beta[1::2] = shapes
+            row = ens._exact_moments(cfg, MAX_EXACT_K)
             for k in range(MAX_EXACT_K + 1):
                 want = all_start_moment(shapes, k)
                 assert exact_moment(n, kappa, a, b, k) == pytest.approx(want, rel=2e-15)
+                assert row[k].tobytes() == np.float64(per_order_rooted_walks(alpha, beta, k)).tobytes()
+                assert exact_moment(n, kappa, a, b, k) == row[k]
 
     @pytest.mark.parametrize("a, b, c", LIMIT_POINTS)
     def test_constant_chain_is_the_limit_measure(self, a, b, c):
@@ -886,9 +896,18 @@ class TestRootedWalks:
         alpha = np.resize([c + a + 1.0, c], 12)
         beta = np.resize([c + b + 1.0, c + a + b + 2.0], 12)
         p = JacobiParams(a, b, c)
+        row = ens._rooted_walks(alpha, beta, 12)
         for k in range(13):
             want = moment11(ModelKind.ASSOC_III, p, k)
-            assert ens._rooted_walks(alpha, beta, k) == pytest.approx(want, rel=5e-15)
+            assert row[k] == pytest.approx(want, rel=5e-15)
+
+    def test_row_on_the_stationary_chain_is_the_per_order_pass(self):
+        # the N = infinity chains of the stationary-moments criterion
+        for a, b, c in itertools.product((-0.5, 0.3, 1.7), (-0.5, 0.3, 1.7), (0.0, 1.0, 2.5)):
+            alpha = np.resize([c + a + 1.0, c], 12)
+            beta = np.resize([c + b + 1.0, c + a + b + 2.0], 12)
+            want = [per_order_rooted_walks(alpha, beta, k) for k in range(13)]
+            assert ens._rooted_walks(alpha, beta, 12).tobytes() == np.array(want).tobytes()
 
     def test_first_order_in_one_over_n(self):
         # N (E m_1 - u_1) -> c (a - b) / (a + b + 2 + 2c)^2

@@ -91,3 +91,48 @@ def test_package_all_is_the_union_of_the_layers():
     assert _public_names() == layers
     for name in layers:
         assert hasattr(betajacobi, name), name
+
+
+# the one-order forms of the moment rows: a caller that wants a sequence
+# m_0..m_K takes the row (spectral._operator_moments,
+# ensemble._exact_moments), one pass, not one pass per order
+PER_ORDER = {"moment11", "exact_moment"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _per_order_calls_in_loops(tree) -> list:
+    """(name, line) of every call of a PER_ORDER name inside a loop or a
+    comprehension of tree."""
+    found = []
+
+    def walk(node, looped):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if looped and name in PER_ORDER:
+                found.append((name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, looped or isinstance(node, _LOOPS))
+
+    walk(tree, False)
+    return found
+
+
+def test_per_order_moment_calls_stay_out_of_loops():
+    # the walk is not blind: the per-order loops the row replaced
+    planted = (
+        "for k in range(13):\n    op = moment11(kind, p, k)\n"
+        "ref = [spectral.moment11(kind, p, k) for k in range(5)]\n"
+        "devs = {n: [exact_moment(n, 1.0 / n, a, b, k) for k in ks] for n in ns}\n"
+        "one = moment11(kind, p, 3)\n"
+    )
+    assert _per_order_calls_in_loops(ast.parse(planted)) == [
+        ("moment11", 2), ("moment11", 3), ("exact_moment", 4),
+    ]
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := _per_order_calls_in_loops(ast.parse(path.read_text())))
+    }
+    assert not found, f"per-order moment calls in a loop; take the row: {found}"

@@ -31,6 +31,7 @@ from betajacobi import (
 from betajacobi.spectral import (
     DEFAULT_RTOL,
     _cf_eval,
+    _operator_moments,
     _dstevd,
     _limit_tail,
     _stevd,
@@ -40,6 +41,7 @@ from betajacobi.spectral import (
 from oracles import (
     backward_cf,
     frac_beta_moment,
+    per_order_moment11,
     sturm_eigenvalues,
     uniform_stieltjes,
     zgtsv_cf_eval,
@@ -169,6 +171,29 @@ class TestMoment11:
         for k in range(mv.order):
             assert mv[k + 1] <= mv[k] + 1e-15
             assert mv[k + 1] >= 0.0
+
+
+# one admissible point of every kind, near an edge of its constraints
+KIND_POINTS = [
+    (ModelKind.CLASSICAL, JacobiParams(-0.9, 2.5, 0.0)),
+    (ModelKind.ASSOC_I, JacobiParams(-0.5, 1.7, 0.6)),
+    (ModelKind.ASSOC_II, JacobiParams(1.7, -0.5, 0.6)),
+    (ModelKind.ASSOC_III, JacobiParams(-0.5, 1.7, -0.4)),
+]
+
+
+class TestOperatorMoments:
+    """The whole-row walk behind moment11 against the walk of one order
+    at its own truncation (tests/oracles.py::per_order_moment11)."""
+
+    @pytest.mark.parametrize("kind, p", [pytest.param(*kp, id=kp[0].value) for kp in KIND_POINTS])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3, 80, 300])
+    def test_row_is_the_per_order_walk_bit_for_bit(self, kind, p, k_max):
+        row = _operator_moments(kind, p, k_max)
+        want = np.array([per_order_moment11(kind, p, k) for k in range(k_max + 1)])
+        # byte equality: signed zeros too
+        assert row.shape == want.shape and row.tobytes() == want.tobytes()
+        assert np.float64(moment11(kind, p, k_max)).tobytes() == want[-1].tobytes()
 
 
 class TestEigenTridiagonal:
