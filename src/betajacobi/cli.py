@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -320,9 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_output(path: str) -> None:
+    """Open `path` for writing before anything is computed, so a path that
+    cannot be written costs no computation; an existing file is opened
+    without truncating it, and a file the check made is removed again."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.output:  # every subcommand takes --output
+            _check_output(args.output)
         return args.func(args)
     except (ConvergenceError, ParameterError, UnsupportedRegionError, OSError) as exc:
         # a failed computation exits 1; a refused input or --output path, 2

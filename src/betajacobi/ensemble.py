@@ -24,7 +24,7 @@ matrix onto deterministic entries.
 
 from __future__ import annotations
 
-import threading
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -183,31 +183,15 @@ def _redraw_empty(x, tot, alpha, beta, rng: np.random.Generator) -> None:
     raise ConvergenceError("beta sampler kept underflowing; shapes too small")
 
 
-_SCRATCH = threading.local()
-
-
-def _scratch(slot: str, *shapes):
-    """Uninitialised float arrays of `shapes`, laid end to end on this
-    thread's buffer `slot`, which is kept across calls and grown when too
-    small: the Monte Carlo chunks of one thread reuse their work arrays'
-    pages instead of faulting in fresh ones.  Valid until the thread's
-    next call on the same slot.  One array for one shape, else a list.
-
-    The buffers come from malloc and go back to it when the thread ends,
-    so the next call's threads find their pages in its heaps.  Anonymous
-    maps of their own, returned to the system at thread end, kept peak
-    RSS 8 MB lower on the `ensemble` benchmark, but every call faulted
-    its pages in afresh and the Monte Carlo jobs ran 8-10% slower."""
-    sizes = [prod(shape) for shape in shapes]
-    buf = getattr(_SCRATCH, slot, None)
-    if buf is None or buf.size < sum(sizes):
-        buf = np.empty(sum(sizes))
-        setattr(_SCRATCH, slot, buf)
+def _views(buf: np.ndarray, *shapes) -> list:
+    """Arrays of `shapes` laid end to end from the start of the flat
+    buffer buf."""
     views, start = [], 0
-    for shape, size in zip(shapes, sizes):
+    for shape in shapes:
+        size = prod(shape)
         views.append(buf[start : start + size].reshape(shape))
         start += size
-    return views[0] if len(views) == 1 else views
+    return views
 
 
 def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int, out=None) -> np.ndarray:
@@ -217,12 +201,15 @@ def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int, out=None) -> np
 
     The one Beta draw behind every sampler; that order fixes every seeded
     byte.  Shape 0 is taken as the degenerate point mass at 0 (the
-    kappa -> 0 edge of the q variables).  With `out` the variates go
-    there and the totals into this thread's scratch buffer "tot".
+    kappa -> 0 edge of the q variables).  `out`, if given, is the pair of
+    flat buffers (variates, totals) the (rows, len(alpha)) arrays are
+    laid on (_ChunkWork).
     """
     shape = (rows, len(alpha))
-    x = np.empty(shape) if out is None else out
-    tot = np.empty(shape) if out is None else _scratch("tot", shape)
+    if out is None:
+        x, tot = np.empty(shape), np.empty(shape)
+    else:
+        x, tot = (_views(buf, shape)[0] for buf in out)
     rng.standard_gamma(alpha, out=x)
     rng.standard_gamma(beta, out=tot)
     tot += x  # the totals X + Y, drawn Y first
@@ -263,13 +250,13 @@ def _bidiagonal_squares(p: np.ndarray, q: np.ndarray, out=None):
     return s2, t2
 
 
-def _draw_pq(shapes, rng: np.random.Generator, rows: int, out=None):
+def _draw_pq(shapes, rng: np.random.Generator, rows: int, work=None):
     """(p, q) of `rows` trials from one stream, as (rows, N) and
     (rows, N-1) arrays: all the p variables of the rows, then all their q
-    variables.  `out` is the (p, q) pair to draw into; _beta_rows then
-    takes its work arrays from this thread's scratch."""
+    variables.  With a _ChunkWork `work` they are drawn into its p and q,
+    their gamma totals into its tot."""
     alpha_p, beta_p, alpha_q, beta_q = shapes
-    out_p, out_q = (None, None) if out is None else out
+    out_p, out_q = (None, None) if work is None else ((work.p, work.tot), (work.q, work.tot))
     p = _beta_rows(alpha_p, beta_p, rng, rows, out_p)
     return p, _beta_rows(alpha_q, beta_q, rng, rows, out_q)
 
@@ -289,9 +276,12 @@ def _draw_each(shapes, streams: _TrialStreams):
     alpha_p, beta_p, alpha_q, beta_q = shapes
     n = len(alpha_p)
     every = np.concatenate(shapes)
-    gammas = np.array([rng.standard_gamma(every) for rng in streams])
-    x_p, y_p, x_q, y_q = np.hsplit(gammas, [n, 2 * n, 3 * n - 1])
-    tot_p, tot_q = x_p + y_p, x_q + y_q
+    gammas = np.empty((len(streams.indices), len(every)))
+    for row, rng in zip(gammas, streams):
+        rng.standard_gamma(every, out=row)
+    x_p, tot_p, x_q, tot_q = np.hsplit(gammas, [n, 2 * n, 3 * n - 1])
+    tot_p += x_p  # the totals X + Y, in place of the Y gammas
+    tot_q += x_q
     empty = ((tot_p == 0.0) & (alpha_p > 0.0)).any(axis=1)
     empty |= ((tot_q == 0.0) & (alpha_q > 0.0)).any(axis=1)
     p, q = _ratios(x_p, tot_p), _ratios(x_q, tot_q)
@@ -520,7 +510,7 @@ def _frobenius(x: list, y: list) -> np.ndarray:
     return acc
 
 
-def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarray:
+def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int, work=None) -> np.ndarray:
     """(1/N) tr J^k for k = 0..k_max over a stack of tridiagonal matrices.
 
     diags is (m, N), offs is (m, N - 1); returns (m, k_max + 1).  J^j is
@@ -529,16 +519,19 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     and each trace is read as a Frobenius inner product,
     tr J^(i+j) = <J^i, J^j>_F.  J^j has min(j, N - 1) + 1 diagonals, so
     the work is O(m N k_max min(k_max, N)); the band powers, three buffers
-    of this thread's scratch taken in turn, hold O(m N k_max) doubles, and
-    _mc_chunk keeps m N near _TRACE_BLOCK.  A row's bits do not depend on
-    the rows stacked with it while m >= 2; einsum sums a lone row in
-    another order.  exact_moment gives the mean of these traces by the
-    closed walks from the first site.
+    taken in turn, hold O(m N k_max) doubles, laid with J's copies on the
+    trace buffer of the _ChunkWork `work` if given, and _mc_chunk keeps
+    m N near _TRACE_BLOCK.  A row's bits do not depend on the rows
+    stacked with it while m >= 2; einsum sums a lone row in another
+    order.  exact_moment gives the mean of these traces by the closed
+    walks from the first site.
     """
     m, n = diags.shape
     half = (k_max + 1) // 2
     # diagonals run along axis 0 so row slices stay contiguous
-    d, e, tmp, bands = _scratch("tot", (n, m), (n - 1, m), (n, m), (3, half + 1, n, m))
+    shapes = ((n, m), (n - 1, m), (n, m), (3, half + 1, n, m))
+    buf = np.empty(_ChunkWork.trace_size(m, n, k_max)) if work is None else work.trace
+    d, e, tmp, bands = _views(buf, *shapes)
     np.copyto(d, diags.T)
     np.copyto(e, offs.T)
     out = np.empty((m, k_max + 1))
@@ -554,10 +547,48 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarra
     return out
 
 
-def _mc_chunk(shapes, rng, lo, hi, k_max):
+class _ChunkWork:
+    """Work arrays of Monte Carlo chunks of up to `rows` trials at N = n
+    and orders up to k_max, flat buffers each sized once: the draws p
+    (rows, N) and q (rows, N - 1), their gamma totals, a block's squares
+    and J, the buffers of _trace_moments and the moments (rows, k_max + 1).
+
+    The totals are dead once p and q are drawn, and a block's squares
+    once its J is formed, so the totals, the squares and the trace
+    buffers take turns on one buffer, and the peak grows with k_max only
+    once the trace buffers outgrow the totals (apart, a call at N = 200,
+    2000 trials peaked at 10.1 MB traced at k = 1 and 11.7 at k = 16).
+
+    mc_moments allocates min(threads, chunks) of them in the calling
+    thread and hands one to each chunk for its run.  Arrays a worker
+    thread allocates come from its own malloc arena, which keeps their
+    pages when they are freed, so each call's new threads would add to
+    the process's peak RSS.
+    """
+
+    def __init__(self, rows: int, n: int, k_max: int):
+        # trials per block of squares, J and band powers (_mc_chunk); a
+        # lone last trial joins the block before it, so a block holds
+        # one more at most
+        self.block = max(2, _TRACE_BLOCK // n)
+        block = min(rows, self.block + 1)
+        self.p, self.q = np.empty(rows * n), np.empty(rows * (n - 1))
+        self.j = np.empty(block * (2 * n - 1))
+        self.tot = np.empty(max(rows * n, len(self.j), self.trace_size(block, n, k_max)))
+        self.squares = self.trace = self.tot
+        self.moments = np.empty(rows * (k_max + 1))
+
+    @staticmethod
+    def trace_size(m: int, n: int, k_max: int) -> int:
+        """Doubles of _trace_moments' buffers for m rows: J's diagonals,
+        the products and three sets of band diagonals."""
+        return m * ((3 * ((k_max + 1) // 2) + 6) * n - 1)
+
+
+def _mc_chunk(shapes, rng, lo, hi, k_max, work: _ChunkWork):
     """(count, mean, M2) of the trace moments of trials lo..hi-1, drawn in
     bulk from the chunk's stream rng, M2 the sum of squared deviations
-    from the chunk mean.
+    from the chunk mean, every array on the work set `work`.
 
     The squares, J and its band powers are formed one block of about
     _TRACE_BLOCK matrix entries at a time, so their memory grows with k_max
@@ -566,21 +597,16 @@ def _mc_chunk(shapes, rng, lo, hi, k_max):
     row keeps the bits of the whole chunk traced at once.
     """
     rows, n = hi - lo, len(shapes[0])
-    # all in this thread's scratch: the draws in p and q; per block, the
-    # squares in the "tot" slot of _beta_rows's totals, J in the "j"
-    # slot, and the band powers of _trace_moments in the "tot" slot again
-    p, q = _draw_pq(
-        shapes, rng, rows, out=(_scratch("p", (rows, n)), _scratch("q", (rows, n - 1)))
-    )
-    starts = list(range(0, rows, max(2, _TRACE_BLOCK // n)))
+    p, q = _draw_pq(shapes, rng, rows, work)
+    starts = list(range(0, rows, work.block))
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
-    moments = _scratch("moments", (rows, k_max + 1))
+    (moments,) = _views(work.moments, (rows, k_max + 1))
     for a, b in zip(starts, starts[1:] + [rows]):
         block = ((b - a, n), (b - a, n - 1))
-        squares = _bidiagonal_squares(p[a:b], q[a:b], out=_scratch("tot", *block))
-        diag, off = _tridiagonal_from_squares(*squares, out=_scratch("j", *block))
-        moments[a:b] = _trace_moments(diag, off, k_max)
+        squares = _bidiagonal_squares(p[a:b], q[a:b], out=_views(work.squares, *block))
+        diag, off = _tridiagonal_from_squares(*squares, out=_views(work.j, *block))
+        moments[a:b] = _trace_moments(diag, off, k_max, work)
     if not np.isfinite(moments).all():
         raise ConvergenceError(
             f"non-finite trace moment in trials {lo}..{hi - 1}; "
@@ -622,9 +648,15 @@ def mc_moments(
     chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries, each
     from its own keyed stream, and reduce to (count, mean, M2), merged in
     chunk order: reruns are identical whatever the thread count.  At most
-    2 * threads chunks are in flight, each with (rows, k_max + 1) moments
-    and band buffers linear in k_max: memory grows with k_max, and with
-    the trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
+    2 * threads chunks are in flight, and at most `threads` run, each on
+    one of the min(threads, chunks) work sets (_ChunkWork) this call
+    allocates in its own thread, with (rows, k_max + 1) moments and band
+    buffers linear in k_max: memory grows with k_max, and with the
+    trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
+    The sets are freed when the call returns, and the worker threads
+    allocate none: the `ensemble` benchmark's peak RSS read 68.1-68.3 MB
+    over twelve runs on a 2-vCPU host, and 80.1-88.7 MB when each worker
+    kept its own.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.
     """
@@ -634,19 +666,28 @@ def mc_moments(
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
     step = min(_CHUNK, max(1, _CHUNK_ENTRIES // cfg.N))
+    chunks = range(0, trials, step)
+    # at most `threads` chunks run at once, so a chunk never waits for a set
+    works = queue.SimpleQueue()
+    for _ in range(min(threads, len(chunks))):
+        works.put(_ChunkWork(min(step, trials), cfg.N, k_max))
 
     def run(lo: int):
         # one stream per chunk; keys are offset so they never collide
         # with the per-trial substream keys used by empirical_measure
         rng = _stream(folded, _CHUNK_KEY_BASE + lo // step)
-        return _mc_chunk(shapes, rng, lo, min(lo + step, trials), k_max)
+        work = works.get()
+        try:
+            return _mc_chunk(shapes, rng, lo, min(lo + step, trials), k_max, work)
+        finally:
+            works.put(work)
 
     total = (0, 0.0, 0.0)
     with ThreadPoolExecutor(threads) as pool:
         # two chunks per thread in flight keep the workers busy while
         # this thread merges
         ahead = deque()
-        for lo in range(0, trials, step):
+        for lo in chunks:
             ahead.append(pool.submit(run, lo))
             if len(ahead) == 2 * threads:
                 total = _merge_moments(total, ahead.popleft().result())

@@ -534,6 +534,34 @@ class TestVerify:
         assert doc["criteria"][0]["slug"] == "regime-chain"
         assert doc["criteria"][0]["passed"] is True
 
+    def test_unwritable_output_exits_two_before_the_criteria(self, capsys, monkeypatch,
+                                                               tmp_path):
+        # the report path used to be opened only after every criterion ran
+        ran = []
+        monkeypatch.setattr(cli, "run_all", lambda *args, **kw: ran.append(args) or [])
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            ["verify", "--only", "gauss-exactness", "density", "--output", str(target)],
+            capsys,
+        )
+        assert code == 2 and out == "" and ran == []
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
+
+    def test_output_check_keeps_an_existing_file_and_removes_its_own(self, capsys,
+                                                                    tmp_path):
+        # a refused input after the check leaves an existing file whole
+        # and no file where there was none
+        kept, made = tmp_path / "kept.csv", tmp_path / "made.csv"
+        kept.write_text("earlier\n")
+        for target in (kept, made):
+            code, out, _ = run_cli(
+                ["moments", "--a", "-2", "--b", "0.7", "--output", str(target)], capsys
+            )
+            assert code == 2 and out == ""
+        assert kept.read_text() == "earlier\n"
+        assert not made.exists()
+
     def test_failing_criterion_sets_exit_code(self, capsys, monkeypatch):
         title, limit, _ = acceptance._REGISTRY["gauss-exactness"]
         monkeypatch.setitem(

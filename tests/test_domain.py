@@ -1,19 +1,27 @@
-"""Out-of-domain inputs of the moment routes: the operator moments of
-every model kind, the exact finite-N means and the stationary recursion
-refuse a weight a <= -1 or b <= -1, a c outside the kind's constraints,
-kappa < 0 and N < 1 with ParameterError, and never return a number."""
+"""Out-of-domain inputs of the moment routes and the ensemble samplers:
+the operator moments of every model kind, the exact finite-N means and
+the stationary recursion refuse a weight a <= -1 or b <= -1, a c outside
+the kind's constraints, kappa < 0 and N < 1 with ParameterError, and
+never return a number; mc_moments, empirical_measure and sample_model
+refuse the same N, kappa and weights, and mc_moments also trials < 2,
+k_max < 0 and threads < 1."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betajacobi import (
+    EnsembleConfig,
     JacobiParams,
     ModelKind,
     ParameterError,
+    empirical_measure,
     exact_moment,
+    mc_moments,
     moment11,
+    sample_model,
     stationary_uk,
+    substream,
 )
 
 # any magnitude the parameters admit, and weights a, b > -1
@@ -70,6 +78,55 @@ def out_of_domain_calls(draw):
 @settings(max_examples=400, deadline=None)
 @given(out_of_domain_calls())
 def test_out_of_domain_moment_inputs_raise(case):
+    label, call = case
+    with pytest.raises(ParameterError):
+        got = call()
+        pytest.fail(f"{label} returned {got!r}")
+
+
+@st.composite
+def out_of_domain_ensemble_calls(draw):
+    """(what is wrong, a call of an ensemble sampler with that input)."""
+    counts = ["trials", "k_max", "threads"]
+    fault = draw(st.sampled_from(["weight", "kappa", "N"] + counts))
+    route = draw(st.sampled_from(
+        ["mc_moments"] if fault in counts else ["mc_moments", "empirical_measure", "sample_model"]
+    ))
+    a, b = draw(WEIGHTS), draw(WEIGHTS)
+    n, kappa = draw(st.integers(1, 50)), draw(st.floats(0.0, 1e3))
+    trials, k_max, threads = draw(st.integers(2, 50)), draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    if fault == "weight":
+        if draw(st.booleans()):
+            a = draw(BAD_WEIGHTS)
+        else:
+            b = draw(BAD_WEIGHTS)
+    elif fault == "kappa":
+        kappa = draw(st.floats(-1e300, -5e-324))
+    elif fault == "N":
+        n = draw(st.integers(-10**6, 0))
+    elif fault == "trials":
+        trials = draw(st.integers(-10**6, 1))
+    elif fault == "k_max":
+        k_max = draw(st.integers(-10**6, -1))
+    else:
+        threads = draw(st.integers(-10**6, 0))
+
+    def cfg():
+        return EnsembleConfig(n, 2.0 * kappa, a, b)
+
+    calls = {
+        "mc_moments": lambda: mc_moments(cfg(), k_max, trials, 1, threads=threads),
+        "empirical_measure": lambda: empirical_measure(cfg(), substream(1, 0)),
+        "sample_model": lambda: sample_model(cfg(), substream(1, 0)),
+    }
+    label = (f"{fault} via {route}: n={n} kappa={kappa} a={a} b={b} trials={trials} "
+             f"k_max={k_max} threads={threads}")
+    return label, calls[route]
+
+
+@settings(max_examples=400, deadline=None)
+@given(out_of_domain_ensemble_calls())
+def test_out_of_domain_ensemble_inputs_raise(case):
     label, call = case
     with pytest.raises(ParameterError):
         got = call()

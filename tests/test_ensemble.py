@@ -590,8 +590,8 @@ class TestMcMoments:
         chunk = ens._mc_chunk
         monkeypatch.setattr(
             ens, "_mc_chunk",
-            lambda shapes, rng, lo, hi, k_max: sizes.append((lo, hi))
-            or chunk(shapes, rng, lo, hi, k_max),
+            lambda shapes, rng, lo, hi, k_max, work: sizes.append((lo, hi))
+            or chunk(shapes, rng, lo, hi, k_max, work),
         )
         cfg, k_max, trials, seed = EnsembleConfig(10, 1.5, 0.3, 0.7), 3, 40, 5
         means, _ = mc_moments(cfg, k_max, trials, seed, threads=2)
@@ -647,7 +647,7 @@ class TestMcMoments:
                                         monkeypatch):
         # each chunk drawn by the textbook oracle and traced in one piece
         # gives the bytes of the blocked chunks, short last blocks included
-        def whole_chunk(shapes, rng, lo, hi, k_max):
+        def whole_chunk(shapes, rng, lo, hi, k_max, work):
             squares = textbook_squares(shapes, rng, hi - lo)
             moments = _trace_moments(*_tridiagonal_from_squares(*squares), k_max)
             mean = moments.mean(axis=0)
@@ -677,38 +677,65 @@ class TestMcMoments:
             tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
-    def test_chunks_of_a_thread_reuse_their_work_arrays(self):
-        # a chunk used to fault in fresh pages for its draws: now the
-        # chunks of one thread draw into the same buffers, with the bits
-        # a fresh thread gives
-        from concurrent.futures import ThreadPoolExecutor
+    def test_chunks_of_a_call_reuse_its_work_sets(self, monkeypatch):
+        import weakref
 
-        shapes = _shape_arrays(EnsembleConfig(3, 1.4, 0.2, 0.4))
-        slots = ("p", "q", "tot", "j", "moments")
+        # the chunks of a call used to draw into buffers their worker
+        # threads kept; now the call allocates its work sets, one chunk
+        # reuses the set the one before it put back, and a set gives the
+        # bits of a fresh one
+        seen = []
+        chunk = ens._mc_chunk
+        monkeypatch.setattr(
+            ens, "_mc_chunk",
+            lambda shapes, rng, lo, hi, k_max, work: seen.append(work)
+            or chunk(shapes, rng, lo, hi, k_max, work),
+        )
+        monkeypatch.setattr(ens, "_CHUNK", 3000)
+        cfg = EnsembleConfig(3, 1.4, 0.2, 0.4)
+        mc_moments(cfg, 3, 12000, 5)
+        assert len(seen) == 4 and all(work is seen[0] for work in seen)
+        seen.clear()
+        mc_moments(cfg, 3, 12000, 5, threads=2)
+        assert len(seen) == 4 and len({id(work) for work in seen}) == 2
+        # and the call lets them go when it returns
+        kept = weakref.ref(seen[0])
+        seen.clear()
+        assert kept() is None
 
-        def two_chunks():
-            ens._mc_chunk(shapes, ens._stream(5, 0), 0, 3000, 3)
-            bufs = [getattr(ens._SCRATCH, slot) for slot in slots]
-            second = ens._mc_chunk(shapes, ens._stream(5, 1), 3000, 6000, 3)
-            return second, all(getattr(ens._SCRATCH, s) is b for s, b in zip(slots, bufs))
-
-        with ThreadPoolExecutor(1) as pool:
-            second, reused = pool.submit(two_chunks).result()
-        with ThreadPoolExecutor(1) as pool:
-            fresh = pool.submit(ens._mc_chunk, shapes, ens._stream(5, 1), 3000, 6000, 3)
-            fresh = fresh.result()
-        assert reused
+        shapes = _shape_arrays(cfg)
+        work = ens._ChunkWork(3000, 3, 3)
+        chunk(shapes, ens._stream(5, 0), 0, 3000, 3, work)
+        second = chunk(shapes, ens._stream(5, 1), 3000, 6000, 3, work)
+        fresh = chunk(shapes, ens._stream(5, 1), 3000, 6000, 3, ens._ChunkWork(3000, 3, 3))
         assert second[0] == fresh[0] == 3000
         assert second[1].tobytes() == fresh[1].tobytes()
         assert second[2].tobytes() == fresh[2].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_chunks(self, threads, monkeypatch):
+        # a call allocates min(threads, chunks) work sets and no more: its
+        # traced peak is the same over `threads` chunks and over 16
+        import tracemalloc
+
+        monkeypatch.setattr(ens, "_CHUNK", 2000)
+        cfg = EnsembleConfig(60, 0.02, 0.5, 0.1)
+        mc_moments(cfg, 8, 4000, 7, threads=threads)  # numpy's one-off caches
+        peaks = []
+        for chunks in (threads, 16):
+            tracemalloc.start()
+            mc_moments(cfg, 8, 2000 * chunks, 7, threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_nonfinite_trace_in_a_later_block_names_the_chunk(self, monkeypatch):
         calls = []
         trace = ens._trace_moments
 
-        def poisoned(diags, offs, k_max):
+        def poisoned(diags, offs, k_max, work):
             calls.append(len(diags))
-            out = trace(diags, offs, k_max)
+            out = trace(diags, offs, k_max, work)
             if len(calls) == 2:
                 out[-1, -1] = np.inf
             return out
@@ -727,7 +754,7 @@ class TestMcMoments:
     def test_nonfinite_trace_raises(self, monkeypatch):
         import betajacobi.ensemble as ens
 
-        def poisoned(diags, offs, k_max):
+        def poisoned(diags, offs, k_max, work):
             out = np.ones((len(diags), k_max + 1))
             out[0, -1] = np.nan
             return out
