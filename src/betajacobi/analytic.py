@@ -35,7 +35,7 @@ from .errors import (
     as_real,
     as_real_array,
 )
-from .hypergeom import gamma_ratio, hyp2f1, ln_gamma
+from .hypergeom import _finite, gamma_ratio, hyp2f1, ln_gamma
 from .spectral import _cf_depth, _support_distance, stieltjes_cf
 
 __all__ = [
@@ -290,22 +290,34 @@ def _rn_steps(p: JacobiParams, x: float, j0: int, n: int, r_prev: float, r: floa
     the denominator checks of lambda_n and mu_n, so the values are the
     same bits and a vanishing denominator raises ParameterError; mu_j is
     exactly 0 at j + c = 0.  At j = 0 the trailing term multiplies
-    R_{-1} = 0, so the (j+c) denominator is never touched there.
+    R_{-1} = 0, so the (j+c) denominator is never touched there; a
+    vanishing lambda_j, or j + c = 0 past j = 0, raises ParameterError,
+    and an R_n that overflows double precision raises ConvergenceError.
+
+    The index runs as the float jf, stepped by 1.0 (j is kept only for
+    the error message): float(j) is exact below 2**53 and float + int
+    converts the int exactly before it adds, so every sum is the same
+    bits, while float + float takes CPython's fast path.
     """
     a, b, c = p.a, p.b, p.c
-    for j in range(j0, n):
-        t = j + c
-        ln1, ld1, ln2, ld2 = _lambda_terms(t, a, b)
-        mn1, md1, mn2, md2 = _mu_terms(t, a, b)
-        if ld1 == 0.0 or ld2 == 0.0 or md1 == 0.0 or (md2 == 0.0 and t != 0.0):
-            raise ParameterError(f"a coefficient denominator vanishes at index {j}")
-        lam = (ln1 / ld1) * (ln2 / ld2)
-        mu = (mn1 / md1) * (mn2 / md2) if t != 0.0 else 0.0
-        rhs = (x - lam - mu) * r
-        if r_prev != 0.0:
-            rhs -= (j + c + a) / (j + c) * mu * r_prev
-        r_prev, r = r, rhs * (j + c + a + 1.0) / ((j + c + 1.0) * lam)
-    return r
+    jf = float(j0)
+    try:
+        for j in range(j0, n):
+            t = jf + c
+            ln1, ld1, ln2, ld2 = _lambda_terms(t, a, b)
+            mn1, md1, mn2, md2 = _mu_terms(t, a, b)
+            if ld1 == 0.0 or ld2 == 0.0 or md1 == 0.0 or (md2 == 0.0 and t != 0.0):
+                raise ParameterError(f"a coefficient denominator vanishes at index {j}")
+            lam = (ln1 / ld1) * (ln2 / ld2)
+            mu = (mn1 / md1) * (mn2 / md2) if t != 0.0 else 0.0
+            rhs = (x - lam - mu) * r
+            if r_prev != 0.0:
+                rhs -= (jf + c + a) / (jf + c) * mu * r_prev
+            r_prev, r = r, rhs * (jf + c + a + 1.0) / ((jf + c + 1.0) * lam)
+            jf += 1.0
+    except ZeroDivisionError:
+        raise ParameterError(f"a recurrence denominator vanishes at index {j}") from None
+    return _finite(r, "R_n")
 
 
 def recurrence_rn(p: JacobiParams, n: int, x: float) -> float:
@@ -362,7 +374,7 @@ def wimp_rn(p: JacobiParams, n: int, x: float) -> float:
     f2b, _ = hyp2f1(n + c + 1.0, 1.0 - n - g - c, 1.0 - a, x)
 
     sign = 1.0 if n % 2 == 0 else -1.0
-    return sign * (c1 * f1a * f1b - c2 * f2a * f2b)
+    return _finite(sign * (c1 * f1a * f1b - c2 * f2a * f2b), "R_n")
 
 
 def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
@@ -374,7 +386,10 @@ def pn_recurrence(p: JacobiParams, n: int, x: float) -> float:
         return 1.0
     a, c = p.a, p.c
     lam0 = lambda_hat0(p)
-    p1 = (x - lam0) * (c + a + 1.0) / ((c + 1.0) * lam0)
+    den = (c + 1.0) * lam0
+    if den == 0.0:
+        raise ParameterError("P_1 denominator (c+1) lambda_hat0 vanishes")
+    p1 = (x - lam0) * (c + a + 1.0) / den
     return _rn_steps(p, x, 1, n, 1.0, p1)
 
 
@@ -398,7 +413,9 @@ def pn_combination(p: JacobiParams, n: int, x: float) -> float:
         c * (c + b) * (2.0 * c + g + 1.0) / den1
         - x * c * (2.0 * c + g + 1.0) / den2
     )
-    return recurrence_rn(p, n, x) + coef * recurrence_rn(p.shifted(1.0), n - 1, x)
+    return _finite(
+        recurrence_rn(p, n, x) + coef * recurrence_rn(p.shifted(1.0), n - 1, x), "P_n"
+    )
 
 
 def pn_explicit(p: JacobiParams, n: int, x: float) -> float:
@@ -427,7 +444,7 @@ def pn_explicit(p: JacobiParams, n: int, x: float) -> float:
     f2b, _ = hyp2f1(1.0 + c + n, -(c + n + a + b), 1.0 - a, x)
 
     sign = 1.0 if n % 2 == 0 else -1.0
-    return sign * (g1 * f1a * f1b - g2 * x * (1.0 - x) * f2a * f2b)
+    return _finite(sign * (g1 * f1a * f1b - g2 * x * (1.0 - x) * f2a * f2b), "P_n")
 
 
 def zeta_n(p: JacobiParams, n: int) -> float:

@@ -78,8 +78,12 @@ def as_count(name: str, value, minimum: int = 0, maximum: int | None = None) -> 
 
 def as_real(name: str, value) -> float:
     """value as a finite Python float: ints, floats and numpy integer and
-    floating scalars pass, a float (np.float64 too) at one isfinite test; a
-    bool, str, complex, None, any array, NaN or +-inf raise ParameterError."""
+    floating scalars pass; a bool, str, complex, None, any array, NaN or
+    +-inf raise ParameterError.  An exact float comes back as itself at one
+    test (value - value is 0.0 exactly when it is finite, NaN otherwise);
+    np.float64, a float subclass and the rest take the general path."""
+    if type(value) is float and value - value == 0.0:
+        return value
     real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
     try:
         out = float(value) if real else math.nan

@@ -16,6 +16,7 @@ continued-fraction route, which needs no special-function machinery.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import (
@@ -51,19 +52,21 @@ def ln_gamma(x: float) -> tuple[float, int]:
 
 
 def pochhammer(q: float, n: int) -> float:
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1."""
+    """Rising factorial (q)_n = q (q+1) ... (q+n-1), with (q)_0 = 1; a
+    product past the largest double raises ConvergenceError."""
     q = as_real("q", q)
     out = 1.0
     for j in range(as_count("pochhammer order", n)):
         out *= q + j
-    return out
+    return _finite(out, "rising factorial")
 
 
 def gamma_ratio(nums, dens) -> float:
     """prod Gamma(nums) / prod Gamma(dens), computed in log space.
 
     A pole in the denominator makes the ratio exactly 0; a pole in the
-    numerator raises PoleError.
+    numerator raises PoleError.  A log total past 700, or not finite
+    (log-gammas that overflowed on both sides), raises ConvergenceError.
     """
     total = 0.0
     sign = 1
@@ -78,7 +81,7 @@ def gamma_ratio(nums, dens) -> float:
             return 0.0
         total -= l
         sign *= s
-    if total > 700.0:
+    if not total <= 700.0:  # inf - inf is NaN: both overflowed
         raise ConvergenceError("gamma ratio overflows double precision")
     return sign * math.exp(total)
 
@@ -92,20 +95,29 @@ def _series(alpha: float, beta: float, gamma: float, x):
 
     Bit-identical to the textbook loop (tests/oracles.py textbook_series):
     the term update and the running sum are the same operations in the
-    same order, so value and err keep their bits.  Per term the loop does
-    four additions, four multiplications and one division for the update,
-    two additions for the sums, two abs calls (|term|, taken once for both
+    same order, so value and err keep their bits.  The index k is a float,
+    stepped by 1.0: float(k) is exact below 2**53, and float + int
+    converts the int exactly before it adds, so alpha + k and the others
+    are the same bits, while float + float takes CPython's fast path.
+
+    Per term the loop does four additions (k + 1.0, the next index, among
+    them), four multiplications and one division for the update, two
+    additions for the sums, two abs calls (|term|, taken once for both
     sum_abs and the stop test, and |total|) and one multiply-compare for
     the stop test, whose 1e-300 floor is an inline conditional; no module
-    global is read inside the loop.
+    global is read inside the loop.  A sum that is not finite raises
+    ConvergenceError: the stop test takes inf <= 1e-16 * inf as converged.
     """
     stop_rel = _STOP_REL
     term = 1.0 * (x * 0 + 1)  # one, in the dtype of x
     total = term
     sum_abs = 1.0
     small_run = 0
-    for k in range(_MAX_TERMS):
-        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
+    k = 0.0
+    for _ in range(_MAX_TERMS):
+        k1 = k + 1.0
+        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * k1) * x
+        k = k1
         total += term
         size = abs(term)
         sum_abs += size
@@ -119,25 +131,50 @@ def _series(alpha: float, beta: float, gamma: float, x):
             small_run = 0
     else:
         raise ConvergenceError("hypergeometric series hit the term cap")
+    _finite(total, "hypergeometric sum")
     scale = max(abs(total), 1e-300)
     err = (3.0 * abs(term) + 1e-16 * sum_abs) / scale
     return total, err
 
 
 def _series_terminating(alpha: float, beta: float, gamma: float, x, n_top: int):
-    """The polynomial of degree n_top, summed in full; past the term cap
-    of _series it raises ConvergenceError before summing."""
+    """The polynomial of degree n_top, summed in full with the float index
+    of _series; past the term cap of _series it raises ConvergenceError
+    before summing, and a sum that is not finite raises it after."""
     if n_top > _MAX_TERMS:
         raise ConvergenceError("hypergeometric series hit the term cap")
     term = 1.0 * (x * 0 + 1)
     total = term
     sum_abs = 1.0
-    for k in range(n_top):
-        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
+    k = 0.0
+    for _ in range(n_top):
+        k1 = k + 1.0
+        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * k1) * x
+        k = k1
         total += term
         sum_abs += abs(term)
+    _finite(total, "hypergeometric sum")
     err = 1e-16 * sum_abs / max(abs(total), 1e-300)
     return total, err
+
+
+def _finite(value, what: str):
+    """value, a real or complex result; one that overflowed (inf or NaN)
+    raises ConvergenceError naming what it is."""
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"{what} is not finite: it overflows double precision")
+    return value
+
+
+def _power(base, exponent):
+    """base ** exponent, raising ConvergenceError where the power overflows
+    and Python raises OverflowError."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ConvergenceError(
+            "hypergeometric prefactor is not finite: it overflows double precision"
+        ) from None
 
 
 def hyp2f1(alpha: float, beta: float, gamma: float, x):
@@ -157,6 +194,9 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
         argument on the cut [1, inf), or outside the direct/Pfaff/1-x
         regions, or gamma-alpha-beta within 1e-8 of an integer when only
         the 1-x connection would apply.
+    ConvergenceError
+        a series past its term cap, or a value that overflows double
+        precision (never a non-finite value).
     """
     alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
     gamma = as_real("gamma", gamma)
@@ -189,8 +229,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
     x_pfaff = x / (x - 1.0)
     if abs(x_pfaff) <= _SERIES_CAP:
         val, err = _series(alpha, gamma - beta, gamma, x_pfaff)
-        pref = (1.0 - x) ** (-alpha)
-        return pref * val, err + 1e-15
+        pref = _power(1.0 - x, -alpha)
+        return _finite(pref * val, "hypergeometric value"), err + 1e-15
 
     if abs(1.0 - x) <= _SERIES_CAP:
         gab = gamma - alpha - beta
@@ -205,8 +245,8 @@ def hyp2f1(alpha: float, beta: float, gamma: float, x):
         f1, e1 = _series(alpha, beta, alpha + beta - gamma + 1.0, w)
         f2, e2 = _series(gamma - alpha, gamma - beta, gab + 1.0, w)
         t1 = c1 * f1
-        t2 = c2 * (w**gab) * f2
-        val = t1 + t2
+        t2 = c2 * _power(w, gab) * f2
+        val = _finite(t1 + t2, "hypergeometric value")
         cond = (abs(t1) + abs(t2)) / max(abs(val), 1e-300)
         return val, cond * (e1 + e2 + 5e-16)
 

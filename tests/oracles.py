@@ -223,6 +223,53 @@ def textbook_series(alpha: float, beta: float, gamma: float, x):
     return total, err
 
 
+def textbook_series_terminating(alpha: float, beta: float, gamma: float, x, n_top: int):
+    """hypergeom._series_terminating with an int index, the reference its
+    float-indexed loop must match bit for bit in value and err."""
+    from betajacobi.errors import ConvergenceError
+
+    _MAX_TERMS = 100_000
+    if n_top > _MAX_TERMS:
+        raise ConvergenceError("hypergeometric series hit the term cap")
+    term = 1.0 * (x * 0 + 1)
+    total = term
+    sum_abs = 1.0
+    for k in range(n_top):
+        term = term * ((alpha + k) * (beta + k)) / ((gamma + k) * (k + 1.0)) * x
+        total += term
+        sum_abs += abs(term)
+    err = 1e-16 * sum_abs / max(abs(total), 1e-300)
+    return total, err
+
+
+# ---------------------------------------------------------------------------
+# the three-term recurrence with an int index
+
+
+def textbook_rn_steps(p, x: float, j0: int, n: int, r_prev: float, r: float) -> float:
+    """analytic._rn_steps with an int index, the reference its
+    float-indexed loop must match bit for bit: steps j = j0..n-1 of
+    (j+c+1)/(j+c+a+1) lambda_j R_{j+1}
+        = (x - lambda_j - mu_j) R_j - (j+c+a)/(j+c) mu_j R_{j-1}."""
+    from betajacobi.coeffs import _lambda_terms, _mu_terms
+    from betajacobi.errors import ParameterError
+
+    a, b, c = p.a, p.b, p.c
+    for j in range(j0, n):
+        t = j + c
+        ln1, ld1, ln2, ld2 = _lambda_terms(t, a, b)
+        mn1, md1, mn2, md2 = _mu_terms(t, a, b)
+        if ld1 == 0.0 or ld2 == 0.0 or md1 == 0.0 or (md2 == 0.0 and t != 0.0):
+            raise ParameterError(f"a coefficient denominator vanishes at index {j}")
+        lam = (ln1 / ld1) * (ln2 / ld2)
+        mu = (mn1 / md1) * (mn2 / md2) if t != 0.0 else 0.0
+        rhs = (x - lam - mu) * r
+        if r_prev != 0.0:
+            rhs -= (j + c + a) / (j + c) * mu * r_prev
+        r_prev, r = r, rhs * (j + c + a + 1.0) / ((j + c + 1.0) * lam)
+    return r
+
+
 # ---------------------------------------------------------------------------
 # measure transforms
 

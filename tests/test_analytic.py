@@ -38,7 +38,7 @@ from betajacobi import (
 
 from betajacobi.analytic import _degree_free_2f1
 
-from oracles import backward_cf, beta_density, uniform_stieltjes
+from oracles import backward_cf, beta_density, textbook_rn_steps, uniform_stieltjes
 
 P_REF = JacobiParams(0.3, 0.7, 1.2)
 
@@ -152,6 +152,20 @@ class TestStieltjesClosed:
         assert route == "cf"
         assert val == stieltjes_cf(ModelKind.ASSOC_III, p, z)
         assert val == pytest.approx(-0.4562 + 0.3288j, abs=1e-4)
+
+    def test_closed_overflow_falls_back_to_cf(self, monkeypatch):
+        # a 2F1 sum that overflows raises ConvergenceError ("not finite")
+        # where (inf, nan) used to come back; auto takes the fraction
+        import betajacobi.analytic as an
+
+        real_hyp2f1 = an.hyp2f1
+        monkeypatch.setattr(an, "hyp2f1", lambda *args: real_hyp2f1(1e308, 1.0, 1.0, 0.5))
+        z = 2.0 + 1.0j
+        with pytest.raises(UnsupportedRegionError, match="not finite"):
+            stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
+        val, route = stieltjes_auto(ModelKind.ASSOC_III, P_REF, z)
+        assert route == "cf"
+        assert val == stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
 
     def test_cf_fallback_near_support(self):
         # the fallback fraction keeps a continuous tail: at depth 2000 a
@@ -417,6 +431,22 @@ class TestRnPolynomials:
             with pytest.raises(ParameterError):
                 recurrence_rn(P_REF, 3, x)
 
+    def test_vanishing_denominator_raises(self):
+        # lambda_0 = 0 here (c + a + b + 1 = 0), and P_1's head has c + 1 = 0:
+        # both used to leak ZeroDivisionError
+        with pytest.raises(ParameterError, match="vanishes"):
+            recurrence_rn(JacobiParams(0.5, 1.0, -2.5), 2, 0.3)
+        with pytest.raises(ParameterError, match="vanishes"):
+            pn_recurrence(JacobiParams(0.5, 1.0, -1.0), 3, 0.3)
+
+    def test_overflowing_value_raises(self):
+        # R_40(1e10) is past the largest double; pn_combination's sum of
+        # two overflowed terms used to come back as NaN
+        with pytest.raises(ConvergenceError, match="not finite"):
+            recurrence_rn(P_REF, 40, 1e10)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            pn_combination(JacobiParams(0.0, 0.0, 4.5e102), 1, 0.0)
+
     @pytest.mark.parametrize(
         "abc",
         [(0.3, 0.7, 1.2), (0.3, 0.2, 1.5), (-0.4, 0.9, 0.6)],
@@ -602,6 +632,37 @@ class TestRecurrenceStreams:
             if n:
                 comb = r + coef * _steps_scalar(up, x, 0, n - 1, 0.0, 1.0)
                 assert pn_combination(params, n, x) == comb
+
+
+class TestRecurrenceLoop:
+    """The float-indexed recurrence loop against the int-indexed one
+    (tests/oracles.py textbook_rn_steps) put in its place, bit for bit, on
+    the three routes that run it: a seeded grid of weights a, b > -1 with
+    c = 0 (mu_0 = 0) for a third of the points, degrees 0..40."""
+
+    def _grid(self):
+        rng = np.random.default_rng(2930)
+        for i in range(45):
+            a, b = (float(v) for v in rng.uniform(-0.9, 3.0, 2))
+            c = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, 4.0))
+            for x in (0.5, float(rng.uniform(-0.5, 1.5)), 0.0):
+                yield JacobiParams(a, b, c), x
+
+    def _values(self):
+        return [
+            route(p, n, x).hex()
+            for p, x in self._grid()
+            for n in range(41)
+            for route in (recurrence_rn, pn_recurrence, pn_combination)
+        ]
+
+    def test_bits_match_the_textbook_loop(self, monkeypatch):
+        import betajacobi.analytic as an
+
+        tuned = self._values()
+        monkeypatch.setattr(an, "_rn_steps", textbook_rn_steps)
+        assert tuned == self._values()
+        assert len(tuned) == 45 * 3 * 41 * 3
 
 
 class TestZeta:

@@ -4,24 +4,42 @@ the stationary recursion refuse a weight a <= -1 or b <= -1, a c outside
 the kind's constraints, kappa < 0 and N < 1 with ParameterError, and
 never return a number; mc_moments, empirical_measure and sample_model
 refuse the same N, kappa and weights, and mc_moments also trials < 2,
-k_max < 0 and threads < 1."""
+k_max < 0 and threads < 1.  The special functions (hyp2f1, gamma_ratio,
+pochhammer, ln_gamma) and the five polynomial routes, at any finite
+input of any magnitude, return a finite number or raise one of the
+package's errors; ln_gamma's inf past about 2.5e305 is the one stated
+exception."""
+
+import cmath
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betajacobi import (
+    ConvergenceError,
     EnsembleConfig,
     JacobiParams,
     ModelKind,
     ParameterError,
+    UnsupportedRegionError,
     empirical_measure,
     exact_moment,
+    gamma_ratio,
+    hyp2f1,
+    ln_gamma,
     mc_moments,
     moment11,
+    pn_combination,
+    pn_explicit,
+    pn_recurrence,
+    pochhammer,
+    recurrence_rn,
     sample_model,
     stationary_uk,
     substream,
+    wimp_rn,
 )
 
 # any magnitude the parameters admit, and weights a, b > -1
@@ -131,3 +149,64 @@ def test_out_of_domain_ensemble_inputs_raise(case):
     with pytest.raises(ParameterError):
         got = call()
         pytest.fail(f"{label} returned {got!r}")
+
+
+# the errors a computation may raise (PoleError is a ParameterError)
+PACKAGE_ERRORS = (ParameterError, UnsupportedRegionError, ConvergenceError)
+# finite reals of every magnitude, small ones more often
+ANY_REAL = st.one_of(st.floats(-8.0, 8.0), st.floats(-1e308, 1e308))
+ANY_NUMBER = st.one_of(ANY_REAL, st.builds(complex, ANY_REAL, ANY_REAL))
+# weights mostly inside a, b > -1, so that most draws reach the routes
+ANY_WEIGHT = st.one_of(st.floats(-1.0, 8.0, exclude_min=True),
+                       st.floats(-1.0, 1e308, exclude_min=True), ANY_REAL)
+SPECIAL = {f.__name__: f for f in (hyp2f1, gamma_ratio, pochhammer, ln_gamma)}
+POLYNOMIALS = {
+    f.__name__: f for f in (recurrence_rn, wimp_rn, pn_recurrence, pn_combination, pn_explicit)
+}
+
+
+@st.composite
+def special_function_calls(draw):
+    """(name, arguments) of a call of one of the SPECIAL functions."""
+    route = draw(st.sampled_from(sorted(SPECIAL)))
+    if route == "hyp2f1":
+        args = (draw(ANY_REAL), draw(ANY_REAL), draw(ANY_REAL), draw(ANY_NUMBER))
+    elif route == "gamma_ratio":
+        reals = st.lists(ANY_REAL, max_size=3).map(tuple)
+        args = (draw(reals), draw(reals))
+    elif route == "pochhammer":
+        args = (draw(ANY_REAL), draw(st.integers(0, 400)))
+    else:
+        args = (draw(ANY_REAL),)
+    return route, args
+
+
+@settings(max_examples=400, deadline=None)
+@given(special_function_calls())
+def test_special_functions_never_return_a_nonfinite_number(case):
+    route, args = case
+    try:
+        got = SPECIAL[route](*args)
+    except PACKAGE_ERRORS:
+        return
+    if route == "ln_gamma":
+        # log|Gamma(x)| overflows past about 2.5e305, as documented
+        got = got[0] if args[0] < 2.5e305 else 0.0
+    elif route == "hyp2f1":
+        got = got[0]
+    assert cmath.isfinite(got), f"{route}{args} returned {got!r}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(POLYNOMIALS)),
+    st.tuples(ANY_WEIGHT, ANY_WEIGHT, ANY_REAL),
+    st.integers(0, 40),
+    ANY_REAL,
+)
+def test_polynomial_routes_never_return_a_nonfinite_number(route, abc, n, x):
+    try:
+        got = POLYNOMIALS[route](JacobiParams(*abc), n, x)
+    except PACKAGE_ERRORS:
+        return
+    assert math.isfinite(got), f"{route}({abc}, {n}, {x}) returned {got!r}"

@@ -17,7 +17,13 @@ from betajacobi.errors import (
 import betajacobi.hypergeom as hypergeom
 from betajacobi.hypergeom import gamma_ratio, hyp2f1, ln_gamma, pochhammer
 
-from oracles import mp_gamma_ratio, mp_hyp2f1, mp_ln_gamma, textbook_series
+from oracles import (
+    mp_gamma_ratio,
+    mp_hyp2f1,
+    mp_ln_gamma,
+    textbook_series,
+    textbook_series_terminating,
+)
 
 
 class TestLnGamma:
@@ -91,6 +97,12 @@ class TestPochhammer:
             with pytest.raises(ParameterError):
                 pochhammer(q, 3)
 
+    def test_overflow_raises(self):
+        # a product past the largest double used to come back as inf
+        for q, n in ((1e308, 3), (10.0, 200), (-1e200, 2)):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                pochhammer(q, n)
+
 
 class TestGammaRatio:
     def test_simple_ratio(self):
@@ -118,6 +130,12 @@ class TestGammaRatio:
     def test_overflow_raises(self):
         with pytest.raises(ConvergenceError):
             gamma_ratio((200.0,), ())
+
+    def test_overflow_on_both_sides_raises(self):
+        # both log-gammas overflow to inf, and inf - inf used to give NaN
+        for nums, dens in (((1e308,), (1e308,)), ((1e308, 0.5), (3e307,))):
+            with pytest.raises(ConvergenceError):
+                gamma_ratio(nums, dens)
 
 
 class TestHyp2F1Basics:
@@ -189,6 +207,20 @@ class TestHyp2F1Basics:
         # |x|, |x/(x-1)|, |1-x| all over the series cap
         with pytest.raises(UnsupportedRegionError):
             hyp2f1(0.3, 0.7, 1.15, -5.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1e308, 1.0, 1.0, 0.5),  # direct: (inf, nan), the stop test took inf
+            (-60.0, 1e300, 1.0, 3.0),  # terminating: (nan, nan)
+            (-700.5, 0.5, 1.5, -2.0),  # Pfaff: (1 - x)**(-alpha) raised OverflowError
+            (0.5, 1e12 + 0.25, 1.5, 0.8),  # 1 - x: w**gab raised OverflowError
+            (0.5, 1e12 + 0.25, 1.5, 0.8 + 0.05j),  # the same, complex
+        ],
+    )
+    def test_overflowing_value_raises(self, args):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            hyp2f1(*args)
 
 
 class TestHyp2F1Accuracy:
@@ -317,6 +349,30 @@ class TestSeriesLoop:
             r, t = rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi)
             cases += [(alpha, beta, gamma, r), (alpha, beta, gamma, -r)]
             cases.append((alpha, beta, gamma, complex(r * math.cos(t), r * math.sin(t))))
-        for args in cases:
+        for args in cases + self.SLOW:
             got, want = hypergeom._series(*args), textbook_series(*args)
             assert [_bits(v) for v in got] == [_bits(v) for v in want], args
+
+    # slowly converging sums, so the float index is compared deep into the
+    # loop: each takes more than 1000 terms (its value is finite, about
+    # 1e222 and 1e205)
+    SLOW = [(1000.25, 1000.5, 2000.5, 0.7), (1000.25, 1000.5, 2000.5, -0.7)]
+
+    def test_slow_cases_run_past_a_thousand_terms(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "_MAX_TERMS", 1000)
+        for args in self.SLOW:
+            with pytest.raises(ConvergenceError, match="term cap"):
+                hypergeom._series(*args)
+
+    def test_terminating_bits_match_the_textbook_loop(self):
+        # polynomials of degree 0..60 at real and complex x up to |x| = 3
+        rng = np.random.default_rng(2929)
+        for n_top in range(61):
+            for _ in range(12):
+                beta, gamma = (float(v) for v in rng.uniform(-6.0, 6.0, 2))
+                r, t = rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi)
+                for x in (r, -r, complex(r * math.cos(t), r * math.sin(t))):
+                    args = (-float(n_top), beta, gamma, x, n_top)
+                    got = hypergeom._series_terminating(*args)
+                    want = textbook_series_terminating(*args)
+                    assert [_bits(v) for v in got] == [_bits(v) for v in want], args

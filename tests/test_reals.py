@@ -6,6 +6,7 @@ of reals, the array fields of the value types too, goes through
 errors.as_real_array, which takes integer and floating dtypes alike and
 refuses str, bytes, bool, complex and object dtypes, NaN and +-inf."""
 
+import math
 import re
 import warnings
 
@@ -14,6 +15,7 @@ import pytest
 
 import betajacobi as bj
 from betajacobi import JacobiParams, ModelKind, ParameterError
+from betajacobi.errors import as_real
 from test_counts import COUNTS, _bits, _public_parameters
 
 P = JacobiParams(0.3, 0.7, 1.2)
@@ -318,6 +320,24 @@ def test_stored_reals_are_floats():
     assert [type(v) for v in (p.a, p.b, p.c)] == [float] * 3
     with pytest.raises(ParameterError, match="^a must be a finite real"):
         JacobiParams(True, 0.5)
+
+
+def test_as_real_fast_path():
+    # an exact float passes at one test and comes back as itself
+    v = 0.1 + 0.2
+    assert as_real("x", v) is v
+    zero = as_real("x", -0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+
+    class Sub(float):
+        pass
+
+    for value in (np.float64(0.3), Sub(0.3), np.float32(0.25), 3, np.int64(3), np.uint8(3)):
+        got = as_real("x", value)
+        assert type(got) is float and got == value
+    for bad in (True, np.nan, np.inf, -np.inf, 10**400, Sub("nan")):
+        with pytest.raises(ParameterError, match="^x must be a finite real"):
+            as_real("x", bad)
 
 
 def test_hyp2f1_argument():
