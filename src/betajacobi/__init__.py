@@ -16,7 +16,6 @@ from .coeffs import (
 from .dynamics import (
     MomentPath,
     integrate_moments,
-    moment_drift_finite_n,
     ode_rhs,
     simulate_moments,
     stationary_uk,
@@ -83,7 +82,7 @@ __all__ = [
     "to_tridiagonal", "empirical_measure", "mc_moments", "exact_moment",
     "limit_pq", "limit_bidiagonal_squares",
     "MomentPath", "simulate_moments", "ode_rhs", "integrate_moments",
-    "stationary_uk", "moment_drift_finite_n",
+    "stationary_uk",
     "ParameterError", "PoleError", "UnsupportedRegionError",
     "ConvergenceError", "ConvergenceWarning",
 ]

@@ -121,12 +121,17 @@ def u_of_x(p: JacobiParams, x: float) -> float:
 
 def v_of_x(p: JacobiParams, x: float) -> float:
     """Companion solution carrying the x^(1+a) (1-x)^(1+b) prefactor;
-    identically zero at c = 0."""
+    identically zero at c = 0.  Defined for x in [0, 1], where a, b > -1
+    make both powers real and at most 1; any other x raises ParameterError."""
     x = as_real("x", x)
+    if not 0.0 <= x <= 1.0:
+        raise ParameterError(f"v_of_x needs x in [0, 1], got {_shown(x)}")
     a, b, c = p.a, p.b, p.c
     if c == 0.0:
         return 0.0
-    sin_a = math.sin(math.pi * a)
+    angle = math.pi * a
+    # pi a overflows only past 5.7e307, where every float is an integer
+    sin_a = math.sin(angle) if math.isfinite(angle) else 0.0
     if sin_a == 0.0:
         raise ParameterError("v_of_x needs a away from the integers")
     coef = (
@@ -136,7 +141,7 @@ def v_of_x(p: JacobiParams, x: float) -> float:
         * gamma_ratio((c + a + b + 2.0,), (1.0 + c + b, 2.0 + a))
     )
     val, _ = hyp2f1(1.0 - c, 2.0 + c + a + b, 2.0 + a, x)
-    return coef * (1.0 - x) ** (1.0 + b) * x ** (1.0 + a) * val
+    return _finite(coef * (1.0 - x) ** (1.0 + b) * x ** (1.0 + a) * val, "V(x)")
 
 
 def _uv_denominator(p: JacobiParams, x: float) -> float:
@@ -453,11 +458,11 @@ def zeta_n(p: JacobiParams, n: int) -> float:
     zeta_n = sqrt(mu_1..mu_n / (lambda_hat0 lambda_1..lambda_{n-1}))
              * (c+a+1)_n / (c+1)_n, computed in log space.
     """
+    validate_model(ModelKind.ASSOC_III, p)
     # the coefficient arrays below are O(n): the truncation size cap
     n = as_count("index", n, 0, _MAX_SIZE)
     if n == 0:
         return 1.0
-    validate_model(ModelKind.ASSOC_III, p)
     a, c = p.a, p.c
     # lambda_j and mu_j at j = 1..n in one checked pass; the product
     # takes lambda_1..lambda_{n-1}
@@ -474,11 +479,18 @@ def zeta_n(p: JacobiParams, n: int) -> float:
         - ln_gamma(c + 1.0 + n)[0]
         + ln_gamma(c + 1.0)[0]
     )
-    return math.exp(half + lp)
+    try:
+        # NaN where log-gammas past 2.5e305 overflowed on both sides
+        return _finite(math.exp(half + lp), "zeta_n")
+    except OverflowError:
+        raise ConvergenceError("zeta_n is not finite: it overflows double precision") from None
 
 
 def zeta_asymptotic(p: JacobiParams, n: int) -> float:
-    """Large-n shape (2n)^(-1/2) * sqrt(G), the constant zeta_n levels to."""
+    """Large-n shape (2n)^(-1/2) * sqrt(G), the constant zeta_n levels to.
+    p must satisfy the ASSOC_III constraints, as in zeta_n; there every
+    Gamma argument of G is positive."""
+    validate_model(ModelKind.ASSOC_III, p)
     n = as_real("n", n)
     if n < 1.0:
         raise ParameterError(f"need n >= 1, got {n!r}")

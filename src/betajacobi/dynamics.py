@@ -26,7 +26,6 @@ __all__ = [
     "ode_rhs",
     "integrate_moments",
     "stationary_uk",
-    "moment_drift_finite_n",
 ]
 
 # pairwise gaps below this are treated as hard collisions
@@ -48,13 +47,6 @@ class MomentPath:
         if not np.all(np.abs(m[:, 0] - 1.0) <= 1e-9):
             raise ParameterError("column 0 must be the constant 1")
         vars(self).update(times=t, moments=m)
-
-    @property
-    def k_max(self) -> int:
-        return self.moments.shape[1] - 1
-
-    def final(self) -> MomentVector:
-        return MomentVector(self.moments[-1])
 
 
 class _StepWork:
@@ -483,21 +475,3 @@ def stationary_uk(p: JacobiParams, k_max: int) -> MomentVector:
             )
     return MomentVector(u)
 
-
-def moment_drift_finite_n(
-    moments: np.ndarray, k: int, a: float, b: float, c: float, n: int
-) -> float:
-    """Expected instantaneous drift of m_k for the N-particle system.
-
-    Equals the hierarchy right side plus the finite-N correction
-    -(c/N) (k^2 m_{k-1} - k (k+1) m_k), which vanishes as N grows; used
-    to test the particle scheme against the generator without taking any
-    limit.  moments must pass the checks of ode_rhs.
-    """
-    m = _moment_list(moments, "moments")
-    k = as_count("k", k, 1, len(m) - 1)
-    n = as_count("N", n, 1)
-    p = JacobiParams(a, b, c)
-    corr = (p.c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
-    # row k reads m_0..m_k alone
-    return float(ode_rhs(m[: k + 1], p)[k] - corr)

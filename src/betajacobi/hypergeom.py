@@ -104,9 +104,11 @@ def _series(alpha: float, beta: float, gamma: float, x):
     them), four multiplications and one division for the update, two
     additions for the sums, two abs calls (|term|, taken once for both
     sum_abs and the stop test, and |total|) and one multiply-compare for
-    the stop test, whose 1e-300 floor is an inline conditional; no module
-    global is read inside the loop.  A sum that is not finite raises
-    ConvergenceError: the stop test takes inf <= 1e-16 * inf as converged.
+    the stop test, whose 1e-300 floor is an inline conditional, plus one
+    NaN compare for a term that is not small; no module global is read
+    inside the loop.  A sum that is not finite raises ConvergenceError:
+    the stop test takes inf <= 1e-16 * inf as converged, and a NaN sum
+    (complex inf * 0, say) ends the loop at once, not at the term cap.
     """
     stop_rel = _STOP_REL
     term = 1.0 * (x * 0 + 1)  # one, in the dtype of x
@@ -129,6 +131,8 @@ def _series(alpha: float, beta: float, gamma: float, x):
                 break
         else:
             small_run = 0
+            if scale != scale:  # a NaN sum never turns finite again
+                break
     else:
         raise ConvergenceError("hypergeometric series hit the term cap")
     _finite(total, "hypergeometric sum")

@@ -102,27 +102,6 @@ class SymmetricTridiagonal:
             raise ParameterError("need diag of length n and offdiag of length n-1")
         vars(self).update(diag=d, offdiag=e)
 
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The product T v, for a finite 1-d real vector v of length size."""
-        v = as_real_array("v", v)
-        if v.shape != (self.size,):
-            raise ParameterError(
-                f"v must be a 1-d vector of length {self.size}, got shape {v.shape}"
-            )
-        return _matvec(self.diag, self.offdiag, v)
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        n = self.size
-        if n > 1:
-            m[np.arange(n - 1), np.arange(1, n)] = self.offdiag
-            m[np.arange(1, n), np.arange(n - 1)] = self.offdiag
-        return m
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -164,10 +143,6 @@ class MomentVector:
             raise ParameterError(f"m_0 must be 1, got {v[0]!r}")
         vars(self).update(values=v)
 
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, k: int) -> float:
         return float(self.values[k])
 
@@ -201,7 +176,7 @@ def _operator_moments(kind: ModelKind, p: JacobiParams, k_max: int) -> np.ndarra
 
 def _matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     """T v for the tridiagonal T with diagonal d and off-diagonal e,
-    unchecked: the step of SymmetricTridiagonal.matvec and _operator_moments."""
+    unchecked: the step of _operator_moments."""
     out = d * v
     if len(e):
         out[:-1] += e * v[1:]

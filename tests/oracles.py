@@ -85,9 +85,9 @@ def textbook_zeta_n(p, n: int) -> float:
     from betajacobi.errors import ParameterError
     from betajacobi.hypergeom import ln_gamma
 
+    validate_model(ModelKind.ASSOC_III, p)
     if n == 0:
         return 1.0
-    validate_model(ModelKind.ASSOC_III, p)
     a, c = p.a, p.c
     idx = np.arange(1, n + 1, dtype=float)
     mus = mu_n(p, idx)
@@ -462,6 +462,19 @@ def convolve_hierarchy(m, a: float, b: float, c: float, *, magnitude: bool = Fal
     high = conv[1 : k_max + 1] - 2.0 * m[1:]
     out[1:] = decay * m[1:] + feed * m[:-1] + quad * conv[:k_max] - quad * high
     return out
+
+
+def finite_n_drift(moments, k: int, a: float, b: float, c: float, n: int) -> float:
+    """Expected instantaneous drift of m_k for the N-particle system: row k
+    of the package's ode_rhs minus the finite-N correction
+    (c/N) (k^2 m_{k-1} - k (k+1) m_k), which vanishes as N grows.  The
+    particle scheme is tested against this generator without taking any
+    limit.  Row k reads m_0..m_k alone; the inputs are unchecked."""
+    from betajacobi import JacobiParams, ode_rhs
+
+    m = [float(x) for x in moments[: k + 1]]
+    corr = (c / n) * (k**2 * m[k - 1] - k * (k + 1) * m[k])
+    return float(ode_rhs(m, JacobiParams(a, b, c))[k] - corr)
 
 
 # ---------------------------------------------------------------------------

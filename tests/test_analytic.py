@@ -142,16 +142,24 @@ class TestStieltjesClosed:
         assert route2 == "cf"
         assert val2.imag != 0.0
 
-    def test_closed_term_cap_falls_back_to_cf(self):
-        # the closed form's 2F1 used to raise ConvergenceError out of auto
+    def test_closed_term_cap_falls_back_to_cf(self, monkeypatch):
+        # the closed form's 2F1 used to raise ConvergenceError out of auto.
+        # At c = 1e5 its sum turns NaN, which now ends the series at once
+        # ("not finite") where it used to run to the term cap
         p = JacobiParams(0.3, 0.7, 1e5)
         z = 2.0 + 1.0j
-        with pytest.raises(UnsupportedRegionError, match="term cap"):
+        with pytest.raises(UnsupportedRegionError, match="not finite"):
             stieltjes_closed(ModelKind.ASSOC_III, p, z)
         val, route = stieltjes_auto(ModelKind.ASSOC_III, p, z)
         assert route == "cf"
         assert val == stieltjes_cf(ModelKind.ASSOC_III, p, z)
         assert val == pytest.approx(-0.4562 + 0.3288j, abs=1e-4)
+        # a finite sum past the term cap is unsupported the same way
+        import betajacobi.hypergeom as hypergeom
+
+        monkeypatch.setattr(hypergeom, "_MAX_TERMS", 10)
+        with pytest.raises(UnsupportedRegionError, match="term cap"):
+            stieltjes_closed(ModelKind.ASSOC_III, P_REF, z)
 
     def test_closed_overflow_falls_back_to_cf(self, monkeypatch):
         # a 2F1 sum that overflows raises ConvergenceError ("not finite")
@@ -218,6 +226,31 @@ class TestBoundarySolutions:
 
         with pytest.raises(ParameterError):
             v_of_x(JacobiParams(0.0, 0.5, 1.0), 0.3)
+
+    @pytest.mark.parametrize(
+        "abc, x",
+        [
+            ((-0.413, 0.386, -0.438), -0.868),  # returned (0.34-1.22j)
+            ((1.08, 4.4e252, 2.0), -0.354),  # raised a bare OverflowError
+            ((0.3, 0.7, 1.0), 1.5),  # terminating 2F1, returned (-3.96+5.45j)
+        ],
+    )
+    def test_v_refuses_x_off_the_unit_interval(self, abc, x):
+        from betajacobi import v_of_x
+
+        with pytest.raises(ParameterError, match=r"^v_of_x needs x in \[0, 1\]"):
+            v_of_x(JacobiParams(*abc), x)
+
+    def test_v_overflow_raises(self):
+        from betajacobi import v_of_x
+
+        # c / sin(pi a) overflows: inf * 0 came back as NaN at x = 0, -inf
+        # just right of it, and pi a past 5.7e307 leaked ValueError
+        for abc, x in (((1e-300, 0.5, 1e10 + 0.5), 0.0), ((1e-300, 0.5, 1e10 + 0.5), 1e-300)):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                v_of_x(JacobiParams(*abc), x)
+        with pytest.raises(ParameterError, match="away from the integers"):
+            v_of_x(JacobiParams(5.8e307, 0.5, 1.0), 0.5)
 
     def test_nonfinite_x_raises(self):
         from betajacobi import u_of_x, v_of_x
@@ -700,6 +733,21 @@ class TestZeta:
         for n in (np.nan, np.inf):
             with pytest.raises(ParameterError):
                 zeta_asymptotic(P_REF, n)
+
+    def test_model_check_comes_first(self):
+        # zeta_asymptotic leaked "math domain error" and zeta_n(p, 0)
+        # returned 1.0 where n = 1 raised
+        with pytest.raises(ParameterError, match="assoc-iii requires"):
+            zeta_asymptotic(JacobiParams(-0.767, 0.0, -0.569), 5)
+        with pytest.raises(ParameterError, match="assoc-iii requires"):
+            zeta_n(JacobiParams(-0.767, 0.0, -5.0), 0)
+
+    def test_overflow_raises(self):
+        # exp of the log total leaked OverflowError, and log-gammas that
+        # overflowed on both sides came back as NaN
+        for abc, n in (((1.2e15, 1.2e15, 0.0), 1597), ((0.0, 0.0, 1.2e307), 289)):
+            with pytest.raises(ConvergenceError, match="zeta_n is not finite"):
+                zeta_n(JacobiParams(*abc), n)
 
     def test_index_past_the_size_cap_raises_before_allocating(self, monkeypatch):
         # the coefficient arrays are O(n): n = 10**9 used to ask for 8 GB

@@ -69,16 +69,6 @@ COUNTS = {
     "simulate_moments.k_max": (lambda v: _simulate(k_max=v), 0, 2),
     "simulate_moments.seed": (lambda v: _simulate(seed=v), 0, 1),
     "stationary_uk.k_max": (lambda v: bj.stationary_uk(P, v), 0, 4),
-    "moment_drift_finite_n.k": (
-        lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], v, 0.3, 0.7, 1.2, 10),
-        1,
-        2,
-    ),
-    "moment_drift_finite_n.n": (
-        lambda v: bj.moment_drift_finite_n([1.0, 0.5, 0.3], 1, 0.3, 0.7, 1.2, v),
-        1,
-        10,
-    ),
 }
 
 # capped counts: "callable.parameter" -> (the largest admissible count,

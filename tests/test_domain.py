@@ -8,7 +8,9 @@ k_max < 0 and threads < 1.  The special functions (hyp2f1, gamma_ratio,
 pochhammer, ln_gamma) and the five polynomial routes, at any finite
 input of any magnitude, return a finite number or raise one of the
 package's errors; ln_gamma's inf past about 2.5e305 is the one stated
-exception."""
+exception.  The boundary solutions u_of_x and v_of_x and the
+normalizers zeta_n and zeta_asymptotic return a finite real there, never
+a complex number, or raise one of the package's errors."""
 
 import cmath
 import math
@@ -39,7 +41,11 @@ from betajacobi import (
     sample_model,
     stationary_uk,
     substream,
+    u_of_x,
+    v_of_x,
     wimp_rn,
+    zeta_asymptotic,
+    zeta_n,
 )
 
 # any magnitude the parameters admit, and weights a, b > -1
@@ -163,6 +169,8 @@ SPECIAL = {f.__name__: f for f in (hyp2f1, gamma_ratio, pochhammer, ln_gamma)}
 POLYNOMIALS = {
     f.__name__: f for f in (recurrence_rn, wimp_rn, pn_recurrence, pn_combination, pn_explicit)
 }
+# the functions of (p, x), and of (p, n) for the normalizers
+BOUNDARY = {f.__name__: f for f in (u_of_x, v_of_x, zeta_n, zeta_asymptotic)}
 
 
 @st.composite
@@ -210,3 +218,21 @@ def test_polynomial_routes_never_return_a_nonfinite_number(route, abc, n, x):
     except PACKAGE_ERRORS:
         return
     assert math.isfinite(got), f"{route}({abc}, {n}, {x}) returned {got!r}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(BOUNDARY)),
+    st.tuples(ANY_WEIGHT, ANY_WEIGHT, ANY_REAL),
+    st.integers(0, 2000),
+    ANY_REAL,
+)
+def test_boundary_solutions_and_normalizers_return_a_finite_real(route, abc, n, x):
+    # v_of_x returned complex numbers and leaked OverflowError off [0, 1],
+    # zeta_asymptotic leaked ValueError outside the model's constraints
+    arg = n if route == "zeta_n" else x
+    try:
+        got = BOUNDARY[route](JacobiParams(*abc), arg)
+    except PACKAGE_ERRORS:
+        return
+    assert type(got) is float and math.isfinite(got), f"{route}({abc}, {arg}) returned {got!r}"

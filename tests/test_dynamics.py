@@ -14,7 +14,6 @@ from betajacobi import (
     integrate_moments,
     lambda_hat0,
     moment11,
-    moment_drift_finite_n,
     ode_rhs,
     simulate_moments,
     stationary_uk,
@@ -30,6 +29,7 @@ from betajacobi.dynamics import (
 from oracles import (
     convolve_hierarchy,
     dense_interaction,
+    finite_n_drift,
     pair_buffer_interaction,
     textbook_hierarchy_rhs,
     textbook_integrate_moments,
@@ -41,8 +41,8 @@ P_REF = JacobiParams(0.3, 0.7, 1.2)
 class TestMomentPath:
     def test_shape_and_final(self):
         path = MomentPath(np.array([0.0, 1.0]), np.array([[1.0, 0.5], [1.0, 0.4]]))
-        assert path.k_max == 1
-        assert path.final()[1] == 0.4
+        assert path.moments.shape == (2, 2)
+        assert path.moments[-1][1] == 0.4
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -435,7 +435,7 @@ class TestSimulateMoments:
         m0 = path.moments[0]
         for k in (1, 2, 3):
             est = (path.moments[-1, k] - m0[k]) / dt
-            pred = moment_drift_finite_n(m0, k, a, b, c, n)
+            pred = finite_n_drift(m0, k, a, b, c, n)
             band = 4.0 * se[-1, k] / dt + 0.02  # noise plus Euler bias
             assert abs(est - pred) <= band
 
@@ -541,12 +541,12 @@ class TestIntegrateMoments:
         start = 0.5 ** np.arange(7.0)
         path = integrate_moments(start, P_REF, 30.0, 1e-3)
         u = stationary_uk(P_REF, 6)
-        assert np.max(np.abs(path.final().values - u.values)) < 1e-10
+        assert np.max(np.abs(path.moments[-1] - u.values)) < 1e-10
 
     def test_step_halving_consistency(self):
         start = 0.5 ** np.arange(7.0)
-        a = integrate_moments(start, P_REF, 2.0, 1e-2).final().values
-        b = integrate_moments(start, P_REF, 2.0, 5e-3).final().values
+        a = integrate_moments(start, P_REF, 2.0, 1e-2).moments[-1]
+        b = integrate_moments(start, P_REF, 2.0, 5e-3).moments[-1]
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_c0_first_moment_closed_form(self):
@@ -562,7 +562,7 @@ class TestIntegrateMoments:
     def test_moment_shape_preserved(self):
         start = 0.5 ** np.arange(7.0)
         path = integrate_moments(start, P_REF, 5.0, 1e-3)
-        final = path.final().values
+        final = path.moments[-1]
         assert np.all((final >= 0.0) & (final <= 1.0))
         assert np.all(np.diff(final) <= 1e-12)
 
@@ -677,7 +677,7 @@ class TestHierarchyKernel:
             path = integrate_moments(m0, p, t_end, dt)
             assert path.times.tobytes() == want[0].tobytes()
             assert path.moments.tobytes() == want[1].tobytes()
-            assert path.final().values.tobytes() == want[1][-1].tobytes()
+            assert path.moments[-1].tobytes() == want[1][-1].tobytes()
 
     def test_order_cap(self):
         top = dyn._MAX_ORDER
@@ -690,8 +690,6 @@ class TestHierarchyKernel:
             ode_rhs(over, P_REF)
         with pytest.raises(ParameterError, match=message):
             integrate_moments(over, P_REF, 2e-4, 1e-4)
-        # the finite-N drift reads rows up to k only
-        assert np.isfinite(moment_drift_finite_n(over, 2, 0.3, 0.7, 1.2, 10))
 
     def test_code_is_built_once_per_order(self):
         cache = dyn._hierarchy_code
@@ -722,8 +720,8 @@ class TestFiniteNCorrection:
     def test_correction_fades_with_n(self):
         m = 0.5 ** np.arange(4.0)
         inf_n = ode_rhs(m, P_REF)[2]
-        d_small = moment_drift_finite_n(m, 2, 0.3, 0.7, 1.2, 10)
-        d_large = moment_drift_finite_n(m, 2, 0.3, 0.7, 1.2, 10_000)
+        d_small = finite_n_drift(m, 2, 0.3, 0.7, 1.2, 10)
+        d_large = finite_n_drift(m, 2, 0.3, 0.7, 1.2, 10_000)
         assert abs(d_large - inf_n) < abs(d_small - inf_n)
         assert d_large == pytest.approx(inf_n, abs=1e-3)
 
@@ -743,21 +741,5 @@ class TestFiniteNCorrection:
             terms = np.concatenate([k * x ** (k - 1) * mu, k * (k - 1) * x ** (k - 1) * (1.0 - x)])
             want = terms.sum() / n
             scale = max(abs(want), np.abs(terms).sum() / n)
-            got = moment_drift_finite_n(m, k, a, b, c, n)
+            got = finite_n_drift(m, k, a, b, c, n)
             assert abs(got - want) <= 1e-13 * scale, (n, k, a, b, c, got, want)
-
-    def test_k_range_guard(self):
-        with pytest.raises(ParameterError):
-            moment_drift_finite_n(np.array([1.0, 0.5]), 2, 0.3, 0.7, 1.2, 10)
-        # N = 0 used to raise ZeroDivisionError
-        for n in (0, np.nan):
-            with pytest.raises(ParameterError):
-                moment_drift_finite_n(np.array([1.0, 0.5]), 1, 0.3, 0.7, 1.2, n)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_moments_raise(self, bad):
-        # used to return NaN, where integrate_moments rejects the same vector
-        with pytest.raises(ParameterError, match="finite"):
-            moment_drift_finite_n(np.array([1.0, bad]), 1, 0.3, 0.7, 1.2, 10)
-        with pytest.raises(ParameterError, match="finite"):
-            moment_drift_finite_n(np.array([1.0, 0.5, bad]), 1, 0.3, 0.7, 1.2, 10)

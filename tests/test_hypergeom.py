@@ -222,6 +222,21 @@ class TestHyp2F1Basics:
         with pytest.raises(ConvergenceError, match="not finite"):
             hyp2f1(*args)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hyp2f1(1e308, 1.0, 1.0, -0.5),
+            # the denominator series of stieltjes_closed at c = 3000, z = 2:
+            # complex inf * 0 turns the sum NaN
+            lambda: hypergeom._series(3001.0, 3001.3, 6003.0, 0.5 + 0j),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_nan_sum_stops_at_once(self, call):
+        # a NaN sum reset the stop test on every term and ran to the term cap
+        with pytest.raises(ConvergenceError, match="not finite"):
+            call()
+
 
 class TestHyp2F1Accuracy:
     @pytest.mark.parametrize("x", [0.35, -0.6, 0.2 + 0.4j, -0.3 - 0.5j])

@@ -1,6 +1,7 @@
 """The package namespace as the introspecting tests and tools see it, and
-a public surface in which every name has a caller in the package or a
-written reason to be public without one."""
+a public surface in which every name, and every method and property of
+a public class, has a caller in the package or a written reason to be
+public without one."""
 
 import ast
 import importlib
@@ -22,10 +23,11 @@ REASONS = {
     "calls (bench/worker.py)",
     "sample_model": "the paper's matrix model B, and the only public draw "
     "of the bidiagonal factor",
-    "moment_drift_finite_n": "the finite-N generator reference of "
-    "test_generator_one_step_drift, until the particle scheme is checked "
-    "against the generator inside the package",
 }
+
+# public methods and properties with no caller in the package, as
+# "Class.member", each with why it stays public
+MEMBER_REASONS: dict = {}
 
 
 def _public_names() -> set:
@@ -47,6 +49,43 @@ def _called_names() -> set:
                     if node.id != own:
                         called.add(node.id)
     return called
+
+
+def _attribute_loads(tree, module: str) -> set:
+    """(name, module, top-level class or None) of every attribute load in
+    tree that is not on an imported module (np.size is no caller)."""
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    loads = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                on = node.value
+                if not (isinstance(on, ast.Name) and on.id in modules):
+                    loads.add((node.attr, module, owner))
+    return loads
+
+
+def _callerless_members(classes, loads) -> set:
+    """"Class.member" for every function and property, its name without a
+    leading underscore, in the own vars() of each of classes (dataclass
+    fields are neither) that no load in loads reads outside its class."""
+    return {
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, obj in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or isinstance(obj, property))
+        and not any(
+            attr == name and (module, owner) != (cls.__module__, cls.__name__)
+            for attr, module, owner in loads
+        )
+    }
 
 
 def test_public_callables_are_plain_functions():
@@ -136,3 +175,33 @@ def test_per_order_moment_calls_stay_out_of_loops():
         if (calls := _per_order_calls_in_loops(ast.parse(path.read_text())))
     }
     assert not found, f"per-order moment calls in a loop; take the row: {found}"
+
+
+def test_every_public_member_has_a_caller_or_a_reason():
+    # the walk is not blind: a method read only inside its own class, a
+    # property read only as a module attribute, a method with an outside
+    # caller and a dataclass field no one reads
+    planted = (
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "@dataclasses.dataclass\n"
+        "class Box:\n"
+        "    values: list\n"
+        "    def lonely(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return np.size(self.values)\n"
+        "    def used(self):\n        return self.lonely()\n"
+        "def caller(box):\n    return box.used()\n"
+    )
+    space = {"__name__": "planted"}
+    exec(compile(planted, "planted", "exec"), space)
+    loads = _attribute_loads(ast.parse(planted), "planted")
+    assert _callerless_members([space["Box"]], loads) == {"Box.lonely", "Box.size"}
+    classes = [obj for name in _public_names() if inspect.isclass(obj := getattr(betajacobi, name))]
+    loads = set()
+    for path in sorted(SRC.glob("*.py")):
+        loads |= _attribute_loads(ast.parse(path.read_text()), f"betajacobi.{path.stem}")
+    callerless = _callerless_members(classes, loads)
+    missing = sorted(callerless - set(MEMBER_REASONS))
+    assert not missing, f"public members with no caller in the package: {missing}"
+    stale = sorted(set(MEMBER_REASONS) - callerless)
+    assert not stale, f"MEMBER_REASONS entries for members that are called or gone: {stale}"

@@ -51,15 +51,6 @@ REALS = {
         lambda v: bj.integrate_moments(M, P, v, 0.015625), 1.0
     ),
     "integrate_moments.dt": (lambda v: bj.integrate_moments(M, P, 0.5, v), 0.015625),
-    "moment_drift_finite_n.a": (
-        lambda v: bj.moment_drift_finite_n(M, 1, v, 0.75, 1.5, 10), 0.5
-    ),
-    "moment_drift_finite_n.b": (
-        lambda v: bj.moment_drift_finite_n(M, 1, 0.5, v, 1.5, 10), 1.0
-    ),
-    "moment_drift_finite_n.c": (
-        lambda v: bj.moment_drift_finite_n(M, 1, 0.5, 0.75, v, 10), 1.5
-    ),
     "exact_moment.kappa": (lambda v: bj.exact_moment(3, v, 0.5, 0.25, 3), 1.0),
     "exact_moment.a": (lambda v: bj.exact_moment(3, 0.5, v, 0.25, 3), 0.5),
     "exact_moment.b": (lambda v: bj.exact_moment(3, 0.5, 0.5, v, 3), 2.0),
@@ -143,9 +134,6 @@ class TestRealPolicy:
             assert _bits(call(np.int64(v))) == want
 
 
-T3 = bj.SymmetricTridiagonal([0.25, 0.5, 0.75], [0.5, 0.5])
-
-
 # "callable.parameter" -> (call with the array, a valid value whose
 # entries are exactly representable in float32)
 ARRAYS = {
@@ -157,7 +145,6 @@ ARRAYS = {
     "SymmetricTridiagonal.offdiag": (
         lambda v: bj.SymmetricTridiagonal([0.5] * 4, v), [0.25, 0.5, 0.75]
     ),
-    "SymmetricTridiagonal.matvec.v": (lambda v: T3.matvec(v), [0.25, 0.5, 0.75]),
     "DiscreteMeasure.nodes": (
         lambda v: bj.DiscreteMeasure(v, [0.25, 0.25, 0.5]), [0.25, 0.5, 0.75]
     ),
@@ -190,9 +177,6 @@ ARRAYS = {
     "simulate_moments.x0": (lambda v: _simulate(x0=v), [0.25, 0.5, 0.75]),
     "integrate_moments.m0": (lambda v: bj.integrate_moments(v, P, 0.5, 0.015625), M),
     "ode_rhs.m": (lambda v: bj.ode_rhs(v, P), M),
-    "moment_drift_finite_n.moments": (
-        lambda v: bj.moment_drift_finite_n(v, 1, 0.5, 0.75, 1.5, 10), M
-    ),
 }
 
 BAD_ARRAYS = [
