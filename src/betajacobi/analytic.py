@@ -36,7 +36,7 @@ from .errors import (
     as_real_array,
 )
 from .hypergeom import _finite, gamma_ratio, hyp2f1, ln_gamma
-from .spectral import _cf_depth, _support_distance, stieltjes_cf
+from .spectral import _cf_depth, _cf_values, _support_distance, stieltjes_cf
 
 __all__ = [
     "DensityProfile",
@@ -99,13 +99,15 @@ def stieltjes_closed(kind: ModelKind, p: JacobiParams, z: complex) -> complex:
 
 def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[complex, str]:
     """Stieltjes transform by the closed form when its region allows,
-    otherwise by the continued fraction at the depth spectral._cf_depth
-    gives for z's distance to the support (400 from 0.0009 on).  Returns
-    (value, route)."""
+    otherwise by the continued fraction at spectral._cf_depth's depth for
+    z: max(400, 12 / sqrt(d)) at distance d from the support where Re z
+    lies within 1000 d of 0 or 1, or outside [0, 1], and
+    max(400, 3 / sqrt(d)) elsewhere, the tail seeded at the next level's
+    own coefficients.  Returns (value, route)."""
     try:
         return stieltjes_closed(kind, p, z), "closed"
     except UnsupportedRegionError:
-        depth = _cf_depth(_support_distance(z))
+        depth = int(_cf_depth(z)[0])
         return stieltjes_cf(kind, p, z, depth=depth), "cf"
 
 
@@ -205,24 +207,29 @@ def density_numeric(
 ) -> float | np.ndarray:
     """Density by Stieltjes inversion, Im S(x + i eps) / pi.
 
-    The continued-fraction depth is spectral._cf_depth's at distance eps,
-    that of x + i eps to the support for x in [0, 1].  The fraction's
-    constant-coefficient tail keeps the imaginary part from collapsing
-    between the truncation's atoms at distance eps.  The smoothing bias
-    is linear in eps (the next term of Im S(x + i eps) is eps * Re S'(x)).
-    Like density_closed, it takes x inside (0, 1) only.  A value that
-    comes out non-finite raises ConvergenceError.
+    Each point's continued fraction runs at spectral._cf_depth's depth
+    for x + i eps, whose distance to the support is eps:
+    max(400, 3 / sqrt(eps)) levels, or max(400, 12 / sqrt(eps)) within
+    1000 eps of 0 or 1; all of them are read off one truncation, and
+    each tail is seeded with the fixed point of its next level's own
+    coefficients (spectral._cf_values).  The seeded tail keeps the
+    imaginary part from collapsing between the truncation's atoms at
+    distance eps.  The smoothing bias is linear in eps (the next term of
+    Im S(x + i eps) is eps * Re S'(x)).  Like density_closed, it takes x
+    inside (0, 1) only.  A value that comes out non-finite raises
+    ConvergenceError.
     """
     eps = as_real("eps", eps)
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps!r}")
     xs = _open_unit(x)
-    depth = _cf_depth(eps)
-    s = stieltjes_cf(kind, p, xs + 1j * eps, depth=depth, warn_tol=None)
-    out = np.imag(s) / math.pi
+    z = xs + 1j * eps
+    depths = _cf_depth(z)
+    out = np.imag(_cf_values(kind, p, z, depths, None)) / math.pi
     if not np.isfinite(out).all():
         raise ConvergenceError(
-            f"inverted transform is not finite at {p} (eps = {eps!r}, depth {depth})"
+            f"inverted transform is not finite at {p} "
+            f"(eps = {eps!r}, depth {int(depths.max())})"
         )
     return float(out[0]) if np.ndim(x) == 0 else out
 

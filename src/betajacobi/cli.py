@@ -26,7 +26,7 @@ from .coeffs import _MAX_SIZE, JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, _histogram, _spectrum_blocks
 from .errors import ConvergenceError, ParameterError, UnsupportedRegionError, as_count
-from .spectral import _cf_depth, _operator_moments, _support_distance
+from .spectral import DEFAULT_DEPTH, _cf_depth, _operator_moments
 
 DEFAULT_SEED = 20177
 
@@ -141,7 +141,7 @@ def cmd_stieltjes(args) -> int:
     meta.update(
         kind=args.kind, re0=args.re0, re1=args.re1, points=args.points, im=args.im,
         # the deepest fraction a cf row used (the least depth when none did)
-        depth=_cf_depth(_support_distance(cf_z)),
+        depth=int(np.max(_cf_depth(cf_z), initial=DEFAULT_DEPTH)),
     )
     _emit(meta, ["re_z", "im_z", "re_s", "im_s", "route"], rows, args)
     return 0

@@ -18,6 +18,7 @@ tridiagonal beta ensembles converge to in the beta*N -> 2c regime.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,32 +98,54 @@ def validate_model(kind: ModelKind, p: JacobiParams) -> None:
 
 
 def lambda_hat0(p: JacobiParams) -> float:
-    """Head coefficient (c+a+1) / (2c+a+b+2) of the third model."""
+    """Head coefficient (c+a+1) / (2c+a+b+2) of the third model.  A
+    denominator that vanishes or overflows raises ParameterError."""
     den = 2.0 * p.c + p.a + p.b + 2.0
     if den == 0.0:
         raise ParameterError("lambda_hat0 denominator 2c+a+b+2 vanishes")
+    if not math.isfinite(den):
+        raise ParameterError(
+            f"lambda_hat0 denominator 2c+a+b+2 overflows at (a, b, c) = "
+            f"({p.a!r}, {p.b!r}, {p.c!r})"
+        )
     return (p.c + p.a + 1.0) / den
 
 
 # largest truncation tridiag_entries builds (two 32 MiB arrays), far above
-# the continued-fraction depths in use (12000 at density_numeric's default
-# eps)
+# the continued-fraction depths in use (density_numeric's default eps
+# takes 3000 levels, 12000 within 1e-3 of an edge)
 _MAX_SIZE = 1 << 22
 # the streams' largest term is 2 (n + c), finite while |n + c| <= _MAX_T
 _MAX_T = np.finfo(float).max / 2.0
 
 
-def _as_index(n, c: float) -> tuple[np.ndarray, bool]:
+def _as_index(n, p: JacobiParams) -> tuple[np.ndarray, bool]:
     """(t, scalar) with t = n + c, for a real index n >= 0, or an array of
-    them, at which 2 (n + c) does not overflow."""
+    them, at which no stream term overflows.
+
+    Past 2 (n + c) the largest terms are 2t + a + b + 2 and t + a + b + 1
+    (a, b > -1 bound every term from below); both grow with t, so they
+    are finite at every index if they are at the largest.  Weights near
+    1e308 overflow them at any index and raise ParameterError.
+    """
     arr = as_real_array("n", n)
+    c = p.c
     top = _MAX_T - max(c, 0.0) if c >= -_MAX_T else -1.0
     if not np.all((arr >= 0) & (arr <= top)):
         raise ParameterError(
             f"coefficient index must be >= 0 and keep 2(n + c) finite, "
             f"got n={_shown(n)} at c={c!r}"
         )
-    return arr + c, arr.ndim == 0
+    t = arr + c
+    if t.size:
+        _, den1, num2, _ = _lambda_terms(float(t.max()), p.a, p.b)
+        if not (math.isfinite(den1) and math.isfinite(num2)):
+            raise ParameterError(
+                f"the coefficient streams overflow at (a, b, c) = ({p.a!r}, "
+                f"{p.b!r}, {c!r}) up to index {_shown(n)}: 2(n + c) + a + b + 2 "
+                "must stay finite"
+            )
+    return t, arr.ndim == 0
 
 
 def _lambda_terms(t, a, b):
@@ -151,7 +174,7 @@ def lambda_n(p: JacobiParams, n) -> float | np.ndarray:
     lambda_n = (n+c+a+1)/(2n+2c+a+b+2) * (n+c+a+b+1)/(2n+2c+a+b+1).
     Accepts a scalar index or an integer array.
     """
-    t, scalar = _as_index(n, p.c)
+    t, scalar = _as_index(n, p)
     num1, den1, num2, den2 = _lambda_terms(t, p.a, p.b)
     if np.any(den1 == 0.0) or np.any(den2 == 0.0):
         raise ParameterError("lambda_n denominator vanishes for some index")
@@ -166,7 +189,7 @@ def mu_n(p: JacobiParams, n) -> float | np.ndarray:
     vanishes exactly at n = 0, c = 0 and the second is then never
     evaluated (its denominator can vanish there too, e.g. a = -b).
     """
-    t, scalar = _as_index(n, p.c)
+    t, scalar = _as_index(n, p)
     num1, den1, num2, den2 = _mu_terms(t, p.a, p.b)
     zero = t == 0.0
     if np.any(den1 == 0.0) or np.any((den2 == 0.0) & ~zero):
@@ -187,7 +210,7 @@ def _streams(p: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
     denominators are positive in exact arithmetic but not always after
     rounding: at a = b = -1 + 2**-53, c = 0 that of mu_1 comes out 0.
     """
-    _as_index(size - 1, p.c)
+    _as_index(size - 1, p)
     t = np.arange(1, size, dtype=float) + p.c
     ln1, ld1, ln2, ld2 = _lambda_terms(t, p.a, p.b)
     mn1, md1, mn2, md2 = _mu_terms(t, p.a, p.b)

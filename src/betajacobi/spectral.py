@@ -7,9 +7,9 @@ quadrature rules read off eigen-decompositions, and the resolvent
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 import warnings
@@ -239,23 +239,38 @@ def _support_distance(z) -> np.ndarray:
     return np.hypot(gap, zc.imag)
 
 
-def _cf_depth(dist) -> int:
-    """Fraction depth max(DEFAULT_DEPTH, 12 / sqrt(d)) for points at least
-    d = min(dist) from the support (DEFAULT_DEPTH for none): the tail's
-    error is damped like exp(-C depth sqrt(d)).  A depth whose depth + 1
-    rows would pass the 2**22 size cap raises ParameterError."""
-    d = float(np.min(dist, initial=math.inf))
-    depth = max(DEFAULT_DEPTH, int(12.0 / math.sqrt(d)))
-    if depth + 1 > _MAX_SIZE:
+def _cf_depth(z) -> np.ndarray:
+    """Fraction depth of each point of z, flattened, as an int array.
+
+    The tail's error is the seed's error damped like
+    exp(-C depth sqrt(d)), d the point's distance to the support
+    [0, 1].  The seed at the next level's own coefficients (_tail_seed)
+    errs far less than the limit root's O(1/depth^2), so a point runs
+    max(DEFAULT_DEPTH, 3 / sqrt(d)) levels deep, a quarter of the depth
+    the limit root needed, and is as accurate or more.  Where Re z lies
+    within 1000 d of 0 or 1, or outside [0, 1], the next level's band
+    [d - 2e, d + 2e] can overhang the support, and the point keeps
+    max(DEFAULT_DEPTH, 12 / sqrt(d)).  A point whose depth + 2 rows
+    would pass the 2**22 size cap raises ParameterError naming its
+    distance and depth.
+    """
+    zc = np.asarray(z, dtype=complex).ravel()
+    dist = _support_distance(zc)
+    zone = 1000.0 * dist
+    edge = (zc.real <= zone) | (zc.real >= 1.0 - zone)
+    want = np.where(edge, 12.0, 3.0) / np.sqrt(dist)
+    if len(want) and int(want.max()) + 2 > _MAX_SIZE:
+        i = int(np.argmax(want))
         raise ParameterError(
-            f"a point {d:.3g} from the support [0, 1] needs continued-fraction "
-            f"depth {depth}, past the 2**22 = {_MAX_SIZE} size cap"
+            f"a point {dist[i]:.3g} from the support [0, 1] needs continued-fraction "
+            f"depth {int(want[i])}, past the 2**22 = {_MAX_SIZE} size cap"
         )
-    return depth
+    return np.maximum(want.astype(np.int64), DEFAULT_DEPTH)
 
 
 def _limit_tail(zc: np.ndarray) -> np.ndarray:
-    """Herglotz fixed point of the deep-level map, every fraction's tail.
+    """Herglotz fixed point of the deep-level map: the tail seed of real
+    z and of the far field (_tail_seed).
 
     The coefficient streams tend to 1/4, so levels far down look like the
     constant-coefficient operator with d = 1/2, e^2 = 1/16, whose
@@ -343,6 +358,83 @@ def _cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
     return out
 
 
+def _tail_seed(d, e2, zc: np.ndarray, limit: np.ndarray, level: int) -> np.ndarray:
+    """Tail seed of fractions cut after `level` levels: the transform of
+    the operator from row `level` down, as the Herglotz root of
+    S = -1/(z - d_level + e2_level S), the fixed point of that row's own
+    coefficients (the classical tail modification of a limit-periodic
+    continued fraction).  The streams tend to their limits only like
+    1/n^2, so this root tracks the true tail where the limit root
+    (_limit_tail) leaves an O(1/level^2) mismatch.
+
+    Off the real axis the Herglotz root is the one of smaller modulus,
+    taken as 2 / q with q the root-sum of larger modulus, so it never
+    cancels; it is formed per point in Python complex arithmetic, a
+    microsecond a point where numpy's per-call overhead on one point
+    was ten.  Real z and the far field |z - 1/2| > 1e153 keep their
+    limit root, passed in as `limit`: the band [d - 2e, d + 2e] of one
+    level can overhang [0, 1] by a little, and a real z there would read
+    a spurious density.
+    """
+    dl, e2l = float(d[level]), float(e2[level])
+    seed = limit.copy()
+    for i, zi in enumerate(zc.tolist()):
+        if zi.imag != 0.0 and abs(zi - 0.5) <= 1e153:
+            w = zi - dl
+            disc = cmath.sqrt(w * w - 4.0 * e2l)
+            flip = w.real * disc.real + w.imag * disc.imag < 0.0
+            seed[i] = -2.0 / (w - disc if flip else w + disc)
+    return seed
+
+
+def _cf_values(kind: ModelKind, p: JacobiParams, zc: np.ndarray, depths, warn_tol):
+    """The fraction at each point of zc (1-d, checked) at its own depth
+    in `depths`, off one truncation deep enough for the deepest point
+    (depth + 2 rows: the seed reads the row below the last level), each
+    fraction seeded at its own next level (_tail_seed).
+
+    With a ``warn_tol``, each point's depth-halved fraction, seeded at
+    its own next level, is evaluated too, and a relative difference past
+    ``warn_tol`` emits one ConvergenceWarning, attributed to the caller
+    of stieltjes_cf.  A value that comes out non-finite raises
+    ConvergenceError.
+    """
+    # a set, not np.unique, whose first call imports numpy.ma (about 16 ms)
+    levels = sorted(set(depths.tolist()))
+    d, e = tridiag_entries(kind, p, max(levels, default=2) + 2)
+    e2 = e**2
+    out = np.empty(len(zc), dtype=complex)
+    worst, worst_depth = 0.0, 0
+    for depth in levels:
+        at = depths == depth if len(levels) > 1 else slice(None)
+        z_at = zc[at]
+        limit = _limit_tail(z_at)
+        s = _cf_eval(d, e2, _tail_seed(d, e2, z_at, limit, depth), z_at, depth, depth)
+        finite = np.isfinite(s)
+        if not finite.all():
+            raise ConvergenceError(
+                f"the {depth}-level continued fraction is not finite at "
+                f"z = {complex(z_at[np.argmin(finite)])}"
+            )
+        out[at] = s
+        if warn_tol is not None:
+            half = depth // 2
+            seed = _tail_seed(d, e2, z_at, limit, half)
+            s_half = _cf_eval(d, e2, seed, z_at, half, depth)
+            rel = np.max(np.abs(s - s_half) / np.maximum(np.abs(s), 1e-300))
+            if rel > worst:
+                worst, worst_depth = rel, depth
+    if warn_tol is not None and worst > warn_tol:
+        warnings.warn(
+            f"continued fraction not converged at depth {worst_depth} "
+            f"(depth-halving delta {worst:.3e}); increase depth or move z "
+            "away from the support",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    return out
+
+
 def stieltjes_cf(
     kind: ModelKind,
     p: JacobiParams,
@@ -354,56 +446,35 @@ def stieltjes_cf(
     """Stieltjes transform S(z) = integral d nu(x) / (x - z), truncated
     continued fraction of the given depth.
 
-    Satisfies -1/S_J(z) = z - d_1 + e_1^2 S_J'(z) level by level, with the
-    tail below `depth` set to the constant-coefficient fixed point
-    (_limit_tail), so that z closer to the support than the truncation's
-    eigenvalue spacing still sees a continuous spectrum.  The fraction is
-    evaluated as the resolvent entry (T - z)^{-1}_{11} of the
-    depth-by-depth truncation T, tail folded into its last diagonal
-    entry, by one LAPACK LU factorization (zgttrf) per point; the rows
-    are taken deepest first, so the elimination runs up the levels like
-    the backward recursion and equals it up to rounding, and the entry is
-    read off the last pivot (_cf_eval).
+    Satisfies -1/S_J(z) = z - d_1 + e_1^2 S_J'(z) level by level.  The
+    tail below `depth` is seeded, off the real axis, with the Herglotz
+    fixed point of the next level's own coefficients d_depth, e_depth^2
+    (_tail_seed), and on it, or past |z - 1/2| = 1e153, with that of the
+    constant-coefficient operator the streams tend to (_limit_tail); so
+    z closer to the support than the truncation's eigenvalue spacing
+    still sees a continuous spectrum.  The fraction is evaluated as the
+    resolvent entry (T - z)^{-1}_{11} of the depth-by-depth truncation
+    T, tail folded into its last diagonal entry, by one LAPACK LU
+    factorization (zgttrf) per point; the rows are taken deepest first,
+    so the elimination runs up the levels like the backward recursion
+    and equals it up to rounding, and the entry is read off the last
+    pivot (_cf_eval).  It reads depth + 2 rows of the operator, so depth
+    is at most 2**22 - 2.
 
     Accepts scalar or array z (finite numbers off the support): a z of
     str, bytes, bool or object dtype, or a real z in [0, 1], raises
     ParameterError, and a z the solver finds singular, or a value that
     comes out non-finite, raises ConvergenceError.  When the depth-halved
-    value differs by more than ``warn_tol`` (relative, a real >= 0), a
-    ConvergenceWarning is emitted; pass ``warn_tol=None`` to skip that
-    second evaluation.
+    value, seeded at its own next level, differs by more than
+    ``warn_tol`` (relative, a real >= 0), a ConvergenceWarning is
+    emitted; pass ``warn_tol=None`` to skip that second evaluation.
     """
-    depth = as_count("depth", depth, 2, _MAX_SIZE - 1)  # depth + 1 rows
+    depth = as_count("depth", depth, 2, _MAX_SIZE - 2)  # depth + 2 rows
     if warn_tol is not None and as_real("warn_tol", warn_tol) < 0.0:
         raise ParameterError(f"warn_tol must be >= 0, got {warn_tol!r}")
     _support_distance(z)
     zc = np.asarray(z, dtype=complex)
     shape = zc.shape
     zc = zc.ravel()
-
-    # one extra row so the deepest level can couple to the tail
-    d, e = tridiag_entries(kind, p, depth + 1)
-    e2 = e**2
-    seed = _limit_tail(zc)
-
-    s_full = _cf_eval(d, e2, seed, zc, depth, depth)
-    finite = np.isfinite(s_full)
-    if not finite.all():
-        raise ConvergenceError(
-            f"the {depth}-level continued fraction is not finite at "
-            f"z = {complex(zc[np.argmin(finite)])}"
-        )
-    if warn_tol is not None:
-        s_half = _cf_eval(d, e2, seed, zc, depth // 2, depth)
-        rel = np.max(
-            np.abs(s_full - s_half) / np.maximum(np.abs(s_full), 1e-300), initial=0.0
-        )
-        if rel > warn_tol:
-            warnings.warn(
-                f"continued fraction not converged at depth {depth} "
-                f"(depth-halving delta {rel:.3e}); increase depth or move z "
-                "away from the support",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-    return complex(s_full[0]) if not shape else s_full.reshape(shape)
+    s = _cf_values(kind, p, zc, np.full(len(zc), depth), warn_tol)
+    return complex(s[0]) if not shape else s.reshape(shape)

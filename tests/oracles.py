@@ -291,29 +291,56 @@ def backward_cf(diag, offdiag, z: complex, tail: str = "zero") -> complex:
         s_j = -1 / (z - diag[j] + offdiag[j]^2 s_{j+1}),
 
     one level at a time in Python complex arithmetic, from the tail s_L
-    (zero, or the Herglotz root of S = -1/(z - 1/2 + S/16), the fixed
-    point of constant coefficients d = 1/2, e^2 = 1/16) below the L =
-    len(diag) - 1 levels.  `offdiag` has length L.
+    below the L = len(diag) - 1 levels: zero; "limit", the Herglotz root
+    of S = -1/(z - 1/2 + S/16), the fixed point of constant coefficients
+    d = 1/2, e^2 = 1/16; or "local", off the real axis and within
+    |z - 1/2| <= 1e153 the Herglotz root of S = -1/(z - diag[L] +
+    offdiag[L]^2 S), the fixed point of the next level's own
+    coefficients, and "limit" elsewhere.  `offdiag` has length L, or
+    L + 1 for "local".
     """
     import cmath
 
     z = complex(z)
+    levels = len(diag) - 1
     if tail == "zero":
         s = 0j
     else:
-        # S^2 / 16 + (z - 1/2) S + 1 = 0; of its two roots take the one
-        # in the half plane of z (a transform maps C+ into C+), on the
-        # real axis the one that decays like -1/z
-        w = z - 0.5
-        root = cmath.sqrt(w * w - 0.25)
-        pair = (8.0 * (-w + root), 8.0 * (-w - root))
+        # S^2 e^2 + (z - d) S + 1 = 0; of its two roots take the one in
+        # the half plane of z (a transform maps C+ into C+), on the real
+        # axis the one that decays like -1/z
+        d, e2 = 0.5, 0.0625
+        if tail == "local" and z.imag != 0.0 and abs(z - 0.5) <= 1e153:
+            d, e2 = float(diag[levels]), float(offdiag[levels]) ** 2
+        w = z - d
+        root = cmath.sqrt(w * w - 4.0 * e2)
+        pair = ((-w + root) / (2.0 * e2), (-w - root) / (2.0 * e2))
         if z.imag != 0.0:
             s = next(r for r in pair if r.imag * z.imag > 0.0)
         else:
             s = min(pair, key=abs)
-    for j in range(len(diag) - 2, -1, -1):
+    for j in range(levels - 1, -1, -1):
         s = -1.0 / (z - float(diag[j]) + float(offdiag[j]) ** 2 * s)
     return s
+
+
+def limit_tail_cf(kind, p, z):
+    """The fraction at each point of z as stieltjes_auto and
+    density_numeric took it before each tail was seeded at its own next
+    level: the limit root (spectral._limit_tail) below
+    max(400, 12 / sqrt(d)) levels, d the point's distance to the support,
+    off one truncation per depth."""
+    from betajacobi.coeffs import tridiag_entries
+    from betajacobi.spectral import _cf_eval, _limit_tail, _support_distance
+
+    zc = np.asarray(z, dtype=complex).ravel()
+    depths = np.maximum(400, (12.0 / np.sqrt(_support_distance(zc))).astype(np.int64))
+    out = np.empty(len(zc), dtype=complex)
+    for depth in np.unique(depths).tolist():
+        at = depths == depth
+        d, e = tridiag_entries(kind, p, depth + 1)
+        out[at] = _cf_eval(d, e**2, _limit_tail(zc[at]), zc[at], depth, depth)
+    return out
 
 
 def zgtsv_cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:

@@ -353,7 +353,7 @@ class TestDensityNumeric:
         def unreachable(*args, **kwargs):
             raise AssertionError("a continued fraction was built")
 
-        monkeypatch.setattr(an, "stieltjes_cf", unreachable)
+        monkeypatch.setattr(an, "_cf_values", unreachable)
         for route in (
             lambda: density_numeric(ModelKind.ASSOC_III, P_REF, x),
             lambda: density_closed(P_REF, x),
@@ -363,21 +363,22 @@ class TestDensityNumeric:
                 route()
 
     def test_tiny_eps_hits_the_size_cap(self):
-        # depth 12 / sqrt(eps) = 1.2e151 reaches tridiag_entries' cap; it
+        # depth 3 / sqrt(eps) = 3e150 reaches tridiag_entries' cap; it
         # used to raise numpy's "Maximum allowed dimension exceeded"
         with pytest.raises(ParameterError, match="size"):
             density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-300)
-        with pytest.raises(ParameterError, match="1e-15 from the support.*depth 379473319"):
+        # x = 0.5 runs the bulk depth 3 / sqrt(eps)
+        with pytest.raises(ParameterError, match="1e-15 from the support.*depth 94868329"):
             density_numeric(ModelKind.ASSOC_III, P_REF, 0.5, eps=1e-15)
 
     def test_nonfinite_value_raises(self, monkeypatch):
         # a transform that comes back infinite must not become a density
         import betajacobi.analytic as an
 
-        def overflowed(kind, p, z, **kwargs):
+        def overflowed(kind, p, z, depths, warn_tol):
             return np.where(np.real(z) > 0.4, complex(0.0, np.inf), 0.5j)
 
-        monkeypatch.setattr(an, "stieltjes_cf", overflowed)
+        monkeypatch.setattr(an, "_cf_values", overflowed)
         with pytest.raises(ConvergenceError, match="inverted transform is not finite"):
             density_numeric(ModelKind.ASSOC_III, P_REF, [0.2, 0.5])
 

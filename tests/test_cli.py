@@ -253,8 +253,36 @@ class TestDensity:
         assert len(doc["data"]["rows"]) == 9
         assert all(row[1] >= 0.0 for row in doc["data"]["rows"])
 
+    def test_readme_numeric_grid_runs_the_bulk_depth_off_one_truncation(self, capsys, monkeypatch):
+        # no x of the grid lies within 1000 eps = 1e-3 of an edge, so every
+        # point runs 3 / sqrt(1e-6) = 3000 levels (12000 under the limit
+        # root), all read off one truncation of 3002 rows
+        sizes, levels = [], []
+        entries, evaluate = spectral.tridiag_entries, spectral._cf_eval
+
+        def counted_entries(kind, p, size):
+            sizes.append(size)
+            return entries(kind, p, size)
+
+        def counted_eval(d, e2, seed, zc, depth_levels, depth):
+            levels.extend([depth_levels] * len(zc))
+            return evaluate(d, e2, seed, zc, depth_levels, depth)
+
+        monkeypatch.setattr(spectral, "tridiag_entries", counted_entries)
+        monkeypatch.setattr(spectral, "_cf_eval", counted_eval)
+        code, out, _ = run_cli(
+            ["density", "--a", "0.5", "--b", "0.5", "--c", "1.2", "--grid", "201",
+             "--method", "numeric"],
+            capsys,
+        )
+        assert code == 0
+        _, _, rows = read_csv_text(out)
+        xs = np.array([float(r[0]) for r in rows])
+        assert len(xs) == 201 and xs.min() > 1e-3 and xs.max() < 1.0 - 1e-3
+        assert sizes == [3002] and levels == [3000] * 201
+
     def test_tiny_eps_exits_two(self, capsys):
-        # the fraction depth 12 / sqrt(eps) would pass the size cap
+        # the fraction depth 3 / sqrt(eps) would pass the size cap
         code, _, err = run_cli(["density", "--a", "1", "--b", "0.5", "--eps", "1e-300"], capsys)
         assert code == 2
         assert err.startswith("error:")
@@ -266,7 +294,7 @@ class TestDensity:
         )
         assert code == 2
         assert err.startswith("error: a point 1e-15 from the support")
-        assert "depth 379473319" in err
+        assert "depth 94868329" in err
 
     @pytest.mark.parametrize("grid", ["1", "-3"])
     def test_grid_below_two_exits_two(self, capsys, grid):
@@ -338,6 +366,21 @@ class TestStieltjes:
         meta, _, rows = read_csv_text(out)
         assert [r[4] for r in rows] == ["cf"] * 3
         assert meta["depth"] == "1200"
+
+    @pytest.mark.filterwarnings("ignore:continued fraction not converged")
+    def test_depth_of_bulk_cf_rows(self, capsys):
+        # away from the edges a row at distance 1e-5 runs 3 / sqrt(1e-5)
+        # = 948 levels deep, a quarter of the 3794 of the limit root (its
+        # depth-halving deltas, 1.4e-9 and 8.1e-10, still warn)
+        code, out, _ = run_cli(
+            ["stieltjes", "--a", "0.3", "--b", "0.7", "--c", "1.2", "--re0", "0.2",
+             "--re1", "0.5", "--points", "2", "--im", "1e-5"],
+            capsys,
+        )
+        assert code == 0
+        meta, _, rows = read_csv_text(out)
+        assert [r[4] for r in rows] == ["cf"] * 2
+        assert meta["depth"] == "948"
 
     def test_real_points_on_support_exit_two(self, capsys):
         # these rows used to be the zero-tail fraction's real values

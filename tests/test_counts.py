@@ -79,8 +79,8 @@ CAPS = {
     # both take time quadratic in the order: about 0.66 and 0.53 s at 2**14
     "moment11.k": (2**14, "moment order"),
     "gauss_quadrature.m": (2**12, "quadrature points m"),
-    # one row past the depth
-    "stieltjes_cf.depth": (2**22 - 1, "depth"),
+    # the seed reads two rows past the depth
+    "stieltjes_cf.depth": (2**22 - 2, "depth"),
     "zeta_n.n": (2**22, "index"),
     "EnsembleConfig.N": (2**22, "N"),
     # below mc_moments' chunk keys, 2**62 + chunk
@@ -112,8 +112,8 @@ COUNT_NAMES = {
 # public parameter with a default -> "module.function" of a caller outside
 # the tests that passes it by keyword
 OPTIONS = {
-    "stieltjes_cf.depth": "analytic.density_numeric",
-    "stieltjes_cf.warn_tol": "analytic.density_numeric",
+    "stieltjes_cf.depth": "analytic.stieltjes_auto",
+    "stieltjes_cf.warn_tol": "acceptance._mfunction",
     "density_numeric.eps": "analytic.density_profile",
     "density_profile.method": "cli.cmd_density",
     "density_profile.eps": "cli.cmd_density",

@@ -14,7 +14,9 @@ a complex number, or raise one of the package's errors."""
 
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,9 @@ from betajacobi import (
     recurrence_rn,
     sample_model,
     stationary_uk,
+    stieltjes_cf,
     substream,
+    tridiag_entries,
     u_of_x,
     v_of_x,
     wimp_rn,
@@ -51,6 +55,9 @@ from betajacobi import (
 # any magnitude the parameters admit, and weights a, b > -1
 REALS = st.floats(-1e6, 1e6)
 WEIGHTS = st.floats(-1.0, 1e6, exclude_min=True)
+# the moment routes take weights of any size: near 1e308 the stream terms
+# 2(n + c) + a + b + 2 overflow, and the routes refuse them
+HUGE_WEIGHTS = st.floats(1e6, 1e308)
 BAD_WEIGHTS = st.floats(-1e6, -1.0)
 
 
@@ -69,7 +76,7 @@ def _bad_c(kind: ModelKind, a: float, b: float):
 def out_of_domain_calls(draw):
     """(what is wrong, a call of a moment route with that input)."""
     fault = draw(st.sampled_from(["weight", "constraint", "kappa", "N"]))
-    a, b = draw(WEIGHTS), draw(WEIGHTS)
+    a, b = draw(st.one_of(WEIGHTS, HUGE_WEIGHTS)), draw(st.one_of(WEIGHTS, HUGE_WEIGHTS))
     kind = draw(st.sampled_from(list(ModelKind)))
     k = draw(st.integers(0, 8))
     n, kappa = draw(st.integers(1, 50)), draw(st.floats(0.0, 1e3))
@@ -106,6 +113,57 @@ def test_out_of_domain_moment_inputs_raise(case):
     with pytest.raises(ParameterError):
         got = call()
         pytest.fail(f"{label} returned {got!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(ModelKind)),
+    st.tuples(st.one_of(WEIGHTS, HUGE_WEIGHTS), st.one_of(WEIGHTS, HUGE_WEIGHTS), REALS),
+    st.integers(0, 8),
+)
+def test_moment_routes_at_any_weight_return_finite_or_refuse(kind, abc, k):
+    # at (1e308, 1e308, 0) the streams overflowed: NaN entries, a NaN
+    # moment11, and stieltjes_cf called z = 2 a pole; the fraction's seed
+    # reads the row below its last level, which must be finite too
+    p = JacobiParams(*abc)
+    calls = {
+        "tridiag_entries": lambda: tridiag_entries(kind, p, k + 2),
+        "moment11": lambda: moment11(kind, p, k),
+        "stieltjes_cf": lambda: stieltjes_cf(kind, p, [2.0, 0.5 + 0.25j], depth=k + 2,
+                                             warn_tol=None),
+        "stationary_uk": lambda: stationary_uk(p, k).values,
+    }
+    for route, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = call()
+            except PACKAGE_ERRORS:
+                continue
+        values = np.concatenate(got) if route == "tridiag_entries" else np.ravel(got)
+        assert np.isfinite(values).all(), (
+            f"{route} at {kind.value}, {abc}, k={k} returned {got!r}"
+        )
+
+
+def test_overflowing_weights_are_refused():
+    # the streams overflowed to NaN entries, a NaN moment11, and a
+    # stieltjes_cf that called z = 2 a pole; the head coefficient alone
+    # read 0.0 (it tends to 1/2), so the one-row truncation had a node
+    # at 0 and stationary_uk returned [1, 0, 0, 0] through its head check
+    p = JacobiParams(1e308, 1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (
+            lambda: tridiag_entries(ModelKind.ASSOC_I, p, 4),
+            lambda: tridiag_entries(ModelKind.ASSOC_III, p, 1),
+            lambda: moment11(ModelKind.ASSOC_III, p, 2),
+            lambda: stieltjes_cf(ModelKind.ASSOC_III, p, 2.0),
+            lambda: zeta_n(p, 3),
+            lambda: stationary_uk(p, 3),
+        ):
+            with pytest.raises(ParameterError, match="overflow"):
+                call()
 
 
 @st.composite

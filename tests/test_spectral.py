@@ -30,18 +30,23 @@ from betajacobi import (
 )
 from betajacobi.spectral import (
     DEFAULT_RTOL,
+    _cf_depth,
     _cf_eval,
+    _cf_values,
     _operator_moments,
     _dstevd,
     _limit_tail,
     _matvec,
     _stevd,
+    _support_distance,
+    _tail_seed,
     _zgttrf,
 )
 
 from oracles import (
     backward_cf,
     frac_beta_moment,
+    limit_tail_cf,
     per_order_moment11,
     sturm_eigenvalues,
     uniform_stieltjes,
@@ -455,8 +460,8 @@ class TestStieltjesCF:
             [0.5 + 0.5j, 2.0 + 1.0j, -1.0 + 0.25j, 1.4 - 0.3j, -0.5, 1.5,
              0.3 + 1e-6j, 0.8 + 1e-6j, 0.05 - 1e-6j, -1e-3, 1.0 + 1e-3]
         )
-        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, depth + 1)
-        want = np.array([backward_cf(d, e, z, "limit") for z in zs])
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, depth + 2)
+        want = np.array([backward_cf(d[:-1], e, z, "local") for z in zs])
         opts = dict(depth=depth, warn_tol=None)
         vec = stieltjes_cf(ModelKind.ASSOC_III, P_REF, zs, **opts)
         assert vec.shape == zs.shape
@@ -555,18 +560,21 @@ class TestResolventKernel:
     @pytest.mark.parametrize("depth", [2, 3, 7, 400, 12000])
     @pytest.mark.parametrize("kind, p", KERNEL_MODELS, ids=[k.value for k, _ in KERNEL_MODELS])
     def test_bits_of_the_full_solve(self, kind, p, depth):
-        # the full depth and the half depth of the convergence check:
-        # 1 and 3 levels too, below the wrapper's three rows and at them
-        d, e = tridiag_entries(kind, p, depth + 1)
+        # the full depth and the half depth of the convergence check,
+        # each seeded at its own next level: 1 and 3 levels too, below
+        # the wrapper's three rows and at them
+        d, e = tridiag_entries(kind, p, depth + 2)
         e2 = e**2
-        seed = _limit_tail(KERNEL_Z)
+        limit = _limit_tail(KERNEL_Z)
         for levels in (depth, depth // 2):
+            seed = _tail_seed(d, e2, KERNEL_Z, limit, levels)
             got = _cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
             want = zgtsv_cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
             assert got.tobytes() == want.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             s = stieltjes_cf(kind, p, KERNEL_Z, depth)
+        seed = _tail_seed(d, e2, KERNEL_Z, limit, depth)
         assert s.tobytes() == zgtsv_cf_eval(d, e2, seed, KERNEL_Z, depth, depth).tobytes()
 
     def test_grid_reaches_a_last_step_interchange(self, monkeypatch):
@@ -601,6 +609,90 @@ class TestResolventKernel:
         assert got[0] == pytest.approx(np.linalg.inv(dense)[0, 0], rel=1e-13)
         # with b_n = 1 the entry would be 1 / u_nn
         assert got[0] != 1.0 / complex(piv[-1])
+
+
+# the accuracy sweep: points x + i d from an edge of the support to the
+# middle, at distances d where the bulk depth 3 / sqrt(d) passes 400
+SWEEP_X = np.array([1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6])
+SWEEP_D = np.array([1e-4, 1e-5, 1e-6])
+# rounding level of the compared fractions: over 40 draws of this sweep,
+# the edge points, at their old depth with only the seed changed, came
+# out less accurate at 68 of 4000, none past 1.8e-13
+SWEEP_FLOOR = 1e-12
+
+
+def _sweep_params(kind, rng):
+    a, b = rng.uniform(-0.9, 2.0, 2)
+    if kind is ModelKind.CLASSICAL:
+        c = 0.0
+    elif kind is ModelKind.ASSOC_III:
+        c = rng.uniform(-0.5, 3.0)
+    else:
+        c = rng.uniform(max(0.0, -a, -b), 3.0)
+    return JacobiParams(a, b, c)
+
+
+class TestTailSeed:
+    """Each fraction's tail is seeded with the fixed point of its next
+    level's own coefficients, and runs a quarter of the depth away from
+    the edges of the support (spectral._tail_seed, spectral._cf_depth)."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_no_point_less_accurate_than_the_limit_root(self, kind):
+        # the old route (the limit root at max(400, 12 / sqrt(d))) against
+        # the new one, both against the new seed at 20 times the old depth
+        p = _sweep_params(kind, np.random.default_rng([31, list(ModelKind).index(kind)]))
+        z = (SWEEP_X[:, None] + 1j * SWEEP_D[None, :]).ravel()
+        old_depths = np.maximum(400, (12.0 / np.sqrt(_support_distance(z))).astype(np.int64))
+        ref = _cf_values(kind, p, z, 20 * old_depths, None)
+        old = np.abs(limit_tail_cf(kind, p, z) - ref) / np.abs(ref)
+        new = np.abs(_cf_values(kind, p, z, _cf_depth(z), None) - ref) / np.abs(ref)
+        worse = new > np.maximum(old, SWEEP_FLOOR)
+        assert not worse.any(), list(zip(z[worse], old[worse], new[worse]))
+        # the bulk runs a quarter of the old depth and is still more accurate
+        bulk = _cf_depth(z) < old_depths
+        assert bulk.sum() == 5 and np.all(new[bulk] < old[bulk])
+
+    @pytest.mark.parametrize("abc", [(1.0, 0.0, 1.2), (1.9, 0.0, 0.5)])
+    def test_real_axis_keeps_the_limit_root(self, abc):
+        # the band [d - 2e, d + 2e] of level 400 overhangs [0, 1] here, so
+        # a local seed would give a real z next to the support an
+        # imaginary part
+        p = JacobiParams(*abc)
+        d, e = tridiag_entries(ModelKind.ASSOC_III, p, 402)
+        assert d[400] + 2.0 * e[400] > 1.0
+        z = np.array([-1e-9, 1.0 + 1e-9])
+        got = stieltjes_cf(ModelKind.ASSOC_III, p, z, depth=400, warn_tol=None)
+        want = _cf_eval(d, e**2, _limit_tail(z.astype(complex)), z, 400, 400)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "z, error, warns",
+        [
+            # error 7.16e-14 under the limit root, with a depth-halving
+            # delta of 8.45e-10 that warned
+            (0.5 + 0.01j, 1e-15, False),
+            # error 1.55e-8 under the limit root, delta 4.4e-7; now the
+            # error is below warn_tol, but the delta, 2.7e-9, still warns
+            (0.2 + 0.002j, 1e-10, True),
+        ],
+    )
+    def test_depth_halving_points(self, z, error, warns):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
+        deep = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z, depth=60000, warn_tol=None)
+        assert abs(s - deep) <= error * abs(deep)
+        assert any(w.category is ConvergenceWarning for w in caught) == warns
+
+    def test_depth_rule(self):
+        # within 1000 d of an edge, or outside [0, 1], 12 / sqrt(d);
+        # elsewhere 3 / sqrt(d); never below 400
+        z = np.array([0.5 + 1e-6j, 1e-3 + 1e-6j, 1.1e-3 + 1e-6j, 1 - 1e-3 + 1e-6j,
+                      -1e-6, 1.0 + 1e-6j, 0.5 + 1e-3j, 2.0 + 1.0j, 1e-4j])
+        assert _cf_depth(z).tolist() == [3000, 12000, 3000, 12000, 12000, 12000, 400, 400, 1200]
+        assert _cf_depth([]).tolist() == []
 
 
 class TestJacobiMatrix:
