@@ -65,8 +65,10 @@ _SPECTRUM_BLOCK = 1 << 16
 # bins per site up to which a `sample` histogram takes Sturm counts at
 # its bin edges instead of the eigenvalues (_histogram)
 _COUNT_BINS_PER_SITE = 4
-# matrix entries per block of a Monte Carlo chunk whose J and band powers
-# are formed at once: small enough for L2 and the heap, not fresh mmaps
+# matrix entries per block of a Monte Carlo chunk whose squares, J and
+# band powers are formed at once, at the least: small enough for L2 and
+# the heap, not fresh mmaps; a chunk's blocks grow to fill the buffer its
+# gamma totals take (_ChunkWork)
 _TRACE_BLOCK = 1 << 13
 
 
@@ -213,8 +215,9 @@ def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int, out=None) -> np
     rng.standard_gamma(alpha, out=x)
     rng.standard_gamma(beta, out=tot)
     tot += x  # the totals X + Y, drawn Y first
-    if not tot.all():
-        _redraw_empty(x, tot, alpha, beta, rng)
+    if tot.all():
+        return np.divide(x, tot, out=x)
+    _redraw_empty(x, tot, alpha, beta, rng)
     return _ratios(x, tot)
 
 
@@ -510,31 +513,42 @@ def _frobenius(x: list, y: list) -> np.ndarray:
     return acc
 
 
-def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int, work=None) -> np.ndarray:
+def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarray:
     """(1/N) tr J^k for k = 0..k_max over a stack of tridiagonal matrices.
 
-    diags is (m, N), offs is (m, N - 1); returns (m, k_max + 1).  J^j is
-    symmetric with bandwidth j, so only its upper diagonals are kept,
-    stepped up to j = ceil(k_max / 2) by the three-term product with J,
-    and each trace is read as a Frobenius inner product,
-    tr J^(i+j) = <J^i, J^j>_F.  J^j has min(j, N - 1) + 1 diagonals, so
-    the work is O(m N k_max min(k_max, N)); the band powers, three buffers
-    taken in turn, hold O(m N k_max) doubles, laid with J's copies on the
-    trace buffer of the _ChunkWork `work` if given, and _mc_chunk keeps
-    m N near _TRACE_BLOCK.  A row's bits do not depend on the rows
-    stacked with it while m >= 2; einsum sums a lone row in another
-    order.  exact_moment gives the mean of these traces by the closed
-    walks from the first site.
+    diags is (m, N), offs is (m, N - 1); returns (m, k_max + 1).  The
+    trial-major entry of _band_traces: J is copied site-major onto a
+    buffer of _ChunkWork.trace_size doubles, behind which the band
+    powers are laid.  A row's bits do not depend on the rows stacked
+    with it while m >= 2; einsum sums a lone row in another order.
+    exact_moment gives the mean of these traces by the closed walks from
+    the first site.
     """
     m, n = diags.shape
-    half = (k_max + 1) // 2
-    # diagonals run along axis 0 so row slices stay contiguous
-    shapes = ((n, m), (n - 1, m), (n, m), (3, half + 1, n, m))
-    buf = np.empty(_ChunkWork.trace_size(m, n, k_max)) if work is None else work.trace
-    d, e, tmp, bands = _views(buf, *shapes)
+    buf = np.empty(_ChunkWork.trace_size(m, n, k_max))
+    d, e = _views(buf, (n, m), (n - 1, m))
     np.copyto(d, diags.T)
     np.copyto(e, offs.T)
-    out = np.empty((m, k_max + 1))
+    return _band_traces(d, e, k_max, buf[d.size + e.size :], np.empty((m, k_max + 1)))
+
+
+def _band_traces(d: np.ndarray, e: np.ndarray, k_max: int, scratch: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """(1/N) tr J^k for k = 0..k_max into the (m, k_max + 1) out, for m
+    tridiagonal matrices given site-major: d (N, m) is the diagonal and
+    e (N - 1, m) the off-diagonal, so every pass runs over the trials.
+
+    J^j is symmetric with bandwidth j, so only its upper diagonals are
+    kept, stepped up to j = ceil(k_max / 2) by the three-term product
+    with J, and each trace is read as a Frobenius inner product,
+    tr J^(i+j) = <J^i, J^j>_F.  J^j has min(j, N - 1) + 1 diagonals, so
+    the work is O(m N k_max min(k_max, N)); the products (N, m) and the
+    band powers, three sets of (ceil(k_max / 2) + 1, N, m) taken in turn,
+    are laid on the flat buffer scratch.  Returns out.
+    """
+    n, m = d.shape
+    half = (k_max + 1) // 2
+    tmp, bands = _views(scratch, (n, m), (3, half + 1, n, m))
     bands[0, 0].fill(1.0)
     prev, cur = None, [bands[0, 0]]
     for j in range(half + 1):
@@ -550,14 +564,19 @@ def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int, work=None) -
 class _ChunkWork:
     """Work arrays of Monte Carlo chunks of up to `rows` trials at N = n
     and orders up to k_max, flat buffers each sized once: the draws p
-    (rows, N) and q (rows, N - 1), their gamma totals, a block's squares
-    and J, the buffers of _trace_moments and the moments (rows, k_max + 1).
+    (rows, N) and q (rows, N - 1), their gamma totals, a block's
+    site-major J, squares and band powers, and the moments
+    (rows, k_max + 1).
 
-    The totals are dead once p and q are drawn, and a block's squares
-    once its J is formed, so the totals, the squares and the trace
-    buffers take turns on one buffer, and the peak grows with k_max only
-    once the trace buffers outgrow the totals (apart, a call at N = 200,
-    2000 trials peaked at 10.1 MB traced at k = 1 and 11.7 at k = 16).
+    The totals are dead once p and q are drawn, so a block's arrays
+    are laid on their buffer (_mc_chunk), and a block holds
+    max(2, _TRACE_BLOCK // N, rows N // trace_size(1, N, k_max)) trials:
+    as many as the totals leave room for, and at least about
+    _TRACE_BLOCK entries.  The buffer outgrows the totals by more than
+    the one trial a lone last trial adds only when the floor sets the
+    block, so the peak grows with k_max only then (apart, a call at
+    N = 200, 2000 trials peaked at 9.7 MB traced at k = 1 and 10.0 at
+    k = 16).
 
     mc_moments allocates min(threads, chunks) of them in the calling
     thread and hands one to each chunk for its run.  Arrays a worker
@@ -567,21 +586,18 @@ class _ChunkWork:
     """
 
     def __init__(self, rows: int, n: int, k_max: int):
-        # trials per block of squares, J and band powers (_mc_chunk); a
-        # lone last trial joins the block before it, so a block holds
-        # one more at most
-        self.block = max(2, _TRACE_BLOCK // n)
+        # trials per block of squares, J and band powers; a lone last
+        # trial joins the block before it, so a block holds one more at most
+        self.block = max(2, _TRACE_BLOCK // n, rows * n // self.trace_size(1, n, k_max))
         block = min(rows, self.block + 1)
         self.p, self.q = np.empty(rows * n), np.empty(rows * (n - 1))
-        self.j = np.empty(block * (2 * n - 1))
-        self.tot = np.empty(max(rows * n, len(self.j), self.trace_size(block, n, k_max)))
-        self.squares = self.trace = self.tot
+        self.tot = np.empty(max(rows * n, self.trace_size(block, n, k_max)))
         self.moments = np.empty(rows * (k_max + 1))
 
     @staticmethod
     def trace_size(m: int, n: int, k_max: int) -> int:
-        """Doubles of _trace_moments' buffers for m rows: J's diagonals,
-        the products and three sets of band diagonals."""
+        """Doubles a block of m trials takes: J's diagonals, then the
+        products and three sets of band diagonals of _band_traces."""
         return m * ((3 * ((k_max + 1) // 2) + 6) * n - 1)
 
 
@@ -590,11 +606,15 @@ def _mc_chunk(shapes, rng, lo, hi, k_max, work: _ChunkWork):
     bulk from the chunk's stream rng, M2 the sum of squared deviations
     from the chunk mean, every array on the work set `work`.
 
-    The squares, J and its band powers are formed one block of about
-    _TRACE_BLOCK matrix entries at a time, so their memory grows with k_max
-    but not with the chunk.  A block holds one trial only if the
-    chunk does (a lone last trial joins the block before it), so every
-    row keeps the bits of the whole chunk traced at once.
+    The trials are traced one block of work.block at a time, on the
+    buffer of the dead gamma totals.  A block's p and q are copied
+    site-major, as (N, m) and (N - 1, m), and the one assembly
+    (_bidiagonal_squares, _tridiagonal_from_squares) runs on their .T
+    views, whose [..., 1:] walks memory in trial order: the squares go
+    behind them, then J in their place, then the band powers over the
+    squares (_band_traces).  A block holds one trial only if the chunk
+    does (a lone last trial joins the block before it), so every row
+    keeps the bits of the whole chunk traced at once.
     """
     rows, n = hi - lo, len(shapes[0])
     p, q = _draw_pq(shapes, rng, rows, work)
@@ -603,10 +623,16 @@ def _mc_chunk(shapes, rng, lo, hi, k_max, work: _ChunkWork):
         starts.pop()
     (moments,) = _views(work.moments, (rows, k_max + 1))
     for a, b in zip(starts, starts[1:] + [rows]):
-        block = ((b - a, n), (b - a, n - 1))
-        squares = _bidiagonal_squares(p[a:b], q[a:b], out=_views(work.squares, *block))
-        diag, off = _tridiagonal_from_squares(*squares, out=_views(work.j, *block))
-        moments[a:b] = _trace_moments(diag, off, k_max, work)
+        site_major = ((n, b - a), (n - 1, b - a))
+        # d and e hold the block's p and q, then J's diagonals
+        d, e = _views(work.tot, *site_major)
+        scratch = work.tot[d.size + e.size :]
+        s2, t2 = _views(scratch, *site_major)
+        np.copyto(d, p[a:b].T)
+        np.copyto(e, q[a:b].T)
+        _bidiagonal_squares(d.T, e.T, out=(s2.T, t2.T))
+        _tridiagonal_from_squares(s2.T, t2.T, out=(d.T, e.T))
+        _band_traces(d, e, k_max, scratch, moments[a:b])
     if not np.isfinite(moments).all():
         raise ConvergenceError(
             f"non-finite trace moment in trials {lo}..{hi - 1}; "
@@ -642,8 +668,9 @@ def mc_moments(
     """Monte Carlo estimate of the mean empirical moments m_k, k <= k_max.
 
     Each trial draws the tridiagonal entries of J and reads its moments
-    (1/N) tr J^k straight from them by band powers (_trace_moments); no
-    eigensolve is done, so every trial counts.  Sampled spectra, the
+    (1/N) tr J^k straight from them by band powers (_band_traces), formed
+    a block of trials at a time with the trials on the fast axis
+    (_mc_chunk); no eigensolve is done, so every trial counts.  Sampled spectra, the
     independent route, come from empirical_measure.  Trials are drawn in
     chunks of at most _CHUNK trials and _CHUNK_ENTRIES matrix entries, each
     from its own keyed stream, and reduce to (count, mean, M2), merged in
@@ -654,8 +681,8 @@ def mc_moments(
     buffers linear in k_max: memory grows with k_max, and with the
     trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
     The sets are freed when the call returns, and the worker threads
-    allocate none: the `ensemble` benchmark's peak RSS read 68.1-68.3 MB
-    over twelve runs on a 2-vCPU host, and 80.1-88.7 MB when each worker
+    allocate none: the `ensemble` benchmark's peak RSS read 68.1-68.5 MB
+    over twenty runs on a 2-vCPU host, and 80.1-88.7 MB when each worker
     kept its own.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
     0.  A non-finite trace raises ConvergenceError.

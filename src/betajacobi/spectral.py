@@ -251,8 +251,8 @@ def _cf_depth(z) -> np.ndarray:
     within 1000 d of 0 or 1, or outside [0, 1], the next level's band
     [d - 2e, d + 2e] can overhang the support, and the point keeps
     max(DEFAULT_DEPTH, 12 / sqrt(d)).  A point whose depth + 2 rows
-    would pass the 2**22 size cap raises ParameterError naming its
-    distance and depth.
+    would pass the 2**22 size cap raises ParameterError naming it, its
+    distance and its depth.
     """
     zc = np.asarray(z, dtype=complex).ravel()
     dist = _support_distance(zc)
@@ -262,8 +262,8 @@ def _cf_depth(z) -> np.ndarray:
     if len(want) and int(want.max()) + 2 > _MAX_SIZE:
         i = int(np.argmax(want))
         raise ParameterError(
-            f"a point {dist[i]:.3g} from the support [0, 1] needs continued-fraction "
-            f"depth {int(want[i])}, past the 2**22 = {_MAX_SIZE} size cap"
+            f"a point {dist[i]:.3g} from the support [0, 1], z = {complex(zc[i])}, needs "
+            f"continued-fraction depth {int(want[i])}, past the 2**22 = {_MAX_SIZE} size cap"
         )
     return np.maximum(want.astype(np.int64), DEFAULT_DEPTH)
 

@@ -382,6 +382,64 @@ class TestStieltjes:
         assert [r[4] for r in rows] == ["cf"] * 2
         assert meta["depth"] == "948"
 
+    @pytest.mark.filterwarnings("ignore:continued fraction not converged")
+    @pytest.mark.parametrize(
+        "line, cf_rows, depths",
+        [
+            (["--im", "0.5", "--points", "61"], 20, {400}),  # the README call
+            # the row at re 5e-4 lies in the edge zone, 12 / sqrt(1e-4)
+            # = 1200 levels deep; the rest run max(400, 3 / sqrt(1e-4))
+            (["--re0", "5e-4", "--re1", "0.5", "--points", "5", "--im", "1e-4"], 5,
+             {400, 1200}),
+        ],
+    )
+    def test_cf_rows_share_one_truncation(self, capsys, monkeypatch, line, cf_rows, depths):
+        # every row the closed form refuses used to run stieltjes_auto's
+        # fallback alone, one truncation and one depth-halving check a
+        # row; now the rows share both and keep their bytes
+        import warnings
+
+        from betajacobi import stieltjes_auto
+        from betajacobi.spectral import _cf_depth
+
+        argv = ["stieltjes", "--a", "0.3", "--b", "0.7", "--c", "1.2"] + line
+        sizes = []
+        entries = spectral.tridiag_entries
+        monkeypatch.setattr(
+            spectral, "tridiag_entries",
+            lambda kind, p, size: sizes.append(size) or entries(kind, p, size),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(caught) <= 1
+        assert sizes == [max(depths) + 2]
+
+        def row_by_row(args):
+            p, kind = JacobiParams(args.a, args.b, args.c), ModelKind(args.kind)
+            rows, cf_z = [], []
+            for re in np.linspace(args.re0, args.re1, args.points):
+                z = complex(re, args.im)
+                s, route = stieltjes_auto(kind, p, z)
+                rows.append([float(re), args.im, s.real, s.imag, route])
+                if route == "cf":
+                    cf_z.append(z)
+            meta = cli._base_meta("stieltjes", p)
+            meta.update(
+                kind=args.kind, re0=args.re0, re1=args.re1, points=args.points,
+                im=args.im, depth=int(np.max(_cf_depth(cf_z), initial=400)),
+            )
+            cli._emit(meta, ["re_z", "im_z", "re_s", "im_s", "route"], rows, args)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_stieltjes", row_by_row)
+        sizes.clear()
+        assert run_cli(argv, capsys)[:2] == (0, out)
+        assert len(sizes) == cf_rows
+        cf_z = [complex(float(r[0]), float(r[1])) for r in read_csv_text(out)[2] if r[4] == "cf"]
+        assert len(cf_z) == cf_rows and set(_cf_depth(cf_z).tolist()) == depths
+
     def test_real_points_on_support_exit_two(self, capsys):
         # these rows used to be the zero-tail fraction's real values
         code, out, err = run_cli(
@@ -668,7 +726,7 @@ class TestErrorsAndFormats:
         def unreachable(*args, **kwargs):
             raise AssertionError("a command ran past its size check")
 
-        for name in ("_histogram", "density_profile", "stieltjes_auto"):
+        for name in ("_histogram", "density_profile", "stieltjes_closed"):
             monkeypatch.setattr(cli, name, unreachable)
         code, out, err = run_cli(argv + [str(2**22 + 1), "--a", "0.5", "--b", "0.5"], capsys)
         assert code == 2 and out == ""

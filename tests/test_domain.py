@@ -294,3 +294,30 @@ def test_boundary_solutions_and_normalizers_return_a_finite_real(route, abc, n, 
     except PACKAGE_ERRORS:
         return
     assert type(got) is float and math.isfinite(got), f"{route}({abc}, {arg}) returned {got!r}"
+
+
+# weights of any size the samplers take, and weights just above -1,
+# whose Beta shapes are tiny and whose gamma totals can underflow
+MC_WEIGHTS = st.one_of(WEIGHTS, st.floats(-1.0, -0.999, exclude_min=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1e-300)),
+    st.tuples(MC_WEIGHTS, MC_WEIGHTS),
+    st.integers(0, 12),
+    st.integers(2, 50),
+    st.sampled_from([1, 2]),
+)
+def test_mc_moments_at_extreme_valid_inputs_return_finite_or_refuse(
+    n, beta, ab, k_max, trials, threads
+):
+    try:
+        means, stderr = mc_moments(EnsembleConfig(n, beta, *ab), k_max, trials, 7,
+                                   threads=threads)
+    except PACKAGE_ERRORS:
+        return
+    label = f"mc_moments(N={n}, beta={beta}, (a, b)={ab}, k_max={k_max}, trials={trials})"
+    assert means[0] == 1.0 and stderr[0] == 0.0, label
+    assert np.isfinite(means.values).all() and np.isfinite(stderr).all(), label

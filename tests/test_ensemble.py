@@ -640,6 +640,13 @@ class TestMcMoments:
             (200, 81, ens._CHUNK),  # a lone last trial joins the block before
             (200, 95, ens._CHUNK),
             (ens._TRACE_BLOCK + 1, 5, ens._CHUNK),  # N alone fills a block
+            # a full chunk, whose blocks fill the buffer of its gamma
+            # totals: 11565, 7561 and 3709 trials at k_max = 0, 1 and 8
+            (3, ens._CHUNK, ens._CHUNK),
+            # 15, 10 and 5 trials a block at k_max = 0, 1 and 8, so
+            # 91 = 6 * 15 + 1 = 9 * 10 + 1 = 18 * 5 + 1 leaves a lone last
+            # trial at each
+            (2000, 91, ens._CHUNK),
         ],
     )
     @pytest.mark.parametrize("k_max", [0, 1, 8])
@@ -662,6 +669,26 @@ class TestMcMoments:
         want_means, want_stderr = mc_moments(cfg, k_max, trials, 11, threads=threads)
         assert means.values.tobytes() == want_means.values.tobytes()
         assert stderr.tobytes() == want_stderr.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, n, k_max, block",
+        [
+            (ens._CHUNK, 3, 3, 5617),  # 196608 doubles of totals // 35 a trial
+            (91, 2000, 8, 5),  # 182000 // 35999: 91 = 18 * 5 + 1
+            (100, 200, 2, 40),  # the floor, _TRACE_BLOCK // N
+            (2000, 200, 8, 111),  # 400000 // 3599
+            (5, ens._TRACE_BLOCK + 1, 4, 2),  # two trials at the least
+        ],
+    )
+    def test_blocks_fill_the_totals_buffer(self, rows, n, k_max, block):
+        work = ens._ChunkWork(rows, n, k_max)
+        assert work.block == block
+        # room for the largest block, one with a lone last trial joined
+        assert len(work.tot) >= work.trace_size(min(rows, block + 1), n, k_max)
+        if block > max(2, ens._TRACE_BLOCK // n):
+            # the blocks fill the totals' buffer, and outgrow it by that
+            # one trial at most
+            assert len(work.tot) < rows * n + work.trace_size(1, n, k_max)
 
     def test_memory_does_not_grow_with_k_max(self):
         # band powers of the whole chunk used to be held at once: 24 MiB at
@@ -732,16 +759,16 @@ class TestMcMoments:
 
     def test_nonfinite_trace_in_a_later_block_names_the_chunk(self, monkeypatch):
         calls = []
-        trace = ens._trace_moments
+        trace = ens._band_traces
 
-        def poisoned(diags, offs, k_max, work):
-            calls.append(len(diags))
-            out = trace(diags, offs, k_max, work)
+        def poisoned(d, e, k_max, scratch, out):
+            calls.append(d.shape[1])  # site-major: (N, trials of the block)
+            trace(d, e, k_max, scratch, out)
             if len(calls) == 2:
                 out[-1, -1] = np.inf
             return out
 
-        monkeypatch.setattr(ens, "_trace_moments", poisoned)
+        monkeypatch.setattr(ens, "_band_traces", poisoned)
         monkeypatch.setattr(ens, "_CHUNK", 100)
         # N = 200 puts 40 trials in a block, so trials 0..99 take three
         with pytest.raises(ConvergenceError, match=r"trials 0\.\.99;"):
@@ -755,12 +782,12 @@ class TestMcMoments:
     def test_nonfinite_trace_raises(self, monkeypatch):
         import betajacobi.ensemble as ens
 
-        def poisoned(diags, offs, k_max, work):
-            out = np.ones((len(diags), k_max + 1))
+        def poisoned(d, e, k_max, scratch, out):
+            out.fill(1.0)
             out[0, -1] = np.nan
             return out
 
-        monkeypatch.setattr(ens, "_trace_moments", poisoned)
+        monkeypatch.setattr(ens, "_band_traces", poisoned)
         with pytest.raises(ConvergenceError):
             mc_moments(CFG, 2, 10, seed=1)
 
