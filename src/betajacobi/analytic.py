@@ -36,7 +36,7 @@ from .errors import (
     as_real_array,
 )
 from .hypergeom import _finite, gamma_ratio, hyp2f1, ln_gamma
-from .spectral import _cf_depth, _cf_values, _support_distance, stieltjes_cf
+from .spectral import DEFAULT_RTOL, _cf_depth, _cf_values, _support_distance
 
 __all__ = [
     "DensityProfile",
@@ -104,11 +104,31 @@ def stieltjes_auto(kind: ModelKind, p: JacobiParams, z: complex) -> tuple[comple
     lies within 1000 d of 0 or 1, or outside [0, 1], and
     max(400, 3 / sqrt(d)) elsewhere, the tail seeded at the next level's
     own coefficients.  Returns (value, route)."""
-    try:
-        return stieltjes_closed(kind, p, z), "closed"
-    except UnsupportedRegionError:
-        depth = int(_cf_depth(z)[0])
-        return stieltjes_cf(kind, p, z, depth=depth), "cf"
+    values, routes, _ = _stieltjes_routes(kind, p, [z])
+    return values[0], routes[0]
+
+
+def _stieltjes_routes(kind: ModelKind, p: JacobiParams, zs: list) -> tuple[list, list, np.ndarray]:
+    """stieltjes_auto at each point of the list zs: (values, routes, the
+    fraction depths of the cf rows).  The closed form is tried point by
+    point; the points it refuses share one truncation, each at its own
+    depth, with one ConvergenceWarning at most (spectral._cf_values).  A
+    fraction's bits do not depend on the points evaluated with it."""
+    values, routes = [], []
+    for z in zs:
+        try:
+            values.append(stieltjes_closed(kind, p, z))
+            routes.append("closed")
+        except UnsupportedRegionError:
+            values.append(None)
+            routes.append("cf")
+    refused = [i for i, route in enumerate(routes) if route == "cf"]
+    cf_z = np.array([zs[i] for i in refused], dtype=complex)
+    depths = _cf_depth(cf_z)
+    if refused:
+        for i, s in zip(refused, _cf_values(kind, p, cf_z, depths, DEFAULT_RTOL).tolist()):
+            values[i] = s
+    return values, routes, depths
 
 
 def u_of_x(p: JacobiParams, x: float) -> float:

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .acceptance import format_line, run_all, slugs
-from .analytic import density_profile, stieltjes_closed
+from .analytic import _stieltjes_routes, density_profile
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
 from .ensemble import EnsembleConfig, _histogram, _spectrum_blocks
 from .errors import ConvergenceError, ParameterError, UnsupportedRegionError, as_count
-from .spectral import DEFAULT_DEPTH, DEFAULT_RTOL, _cf_depth, _cf_values, _operator_moments
+from .spectral import DEFAULT_DEPTH, _operator_moments
 
 DEFAULT_SEED = 20177
 
@@ -130,25 +130,8 @@ def cmd_stieltjes(args) -> int:
     p = JacobiParams(args.a, args.b, args.c)
     kind = ModelKind(args.kind)
     as_count("--points", args.points, 1, _MAX_SIZE)
-    # stieltjes_auto's routes: the closed form row by row, then every row
-    # it refuses off one truncation, each at its own depth, with one
-    # ConvergenceWarning at most; no fraction's bits depend on the points
-    # evaluated with it
     zs = [complex(re, args.im) for re in np.linspace(args.re0, args.re1, args.points)]
-    values, routes = [], []
-    for z in zs:
-        try:
-            values.append(stieltjes_closed(kind, p, z))
-            routes.append("closed")
-        except UnsupportedRegionError:
-            values.append(None)
-            routes.append("cf")
-    refused = [i for i, route in enumerate(routes) if route == "cf"]
-    cf_z = np.array([zs[i] for i in refused], dtype=complex)
-    depths = _cf_depth(cf_z)
-    if refused:
-        for i, s in zip(refused, _cf_values(kind, p, cf_z, depths, DEFAULT_RTOL).tolist()):
-            values[i] = s
+    values, routes, depths = _stieltjes_routes(kind, p, zs)
     rows = [[z.real, args.im, s.real, s.imag, route] for z, s, route in zip(zs, values, routes)]
     meta = _base_meta("stieltjes", p)
     meta.update(

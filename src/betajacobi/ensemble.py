@@ -215,9 +215,8 @@ def _beta_rows(alpha, beta, rng: np.random.Generator, rows: int, out=None) -> np
     rng.standard_gamma(alpha, out=x)
     rng.standard_gamma(beta, out=tot)
     tot += x  # the totals X + Y, drawn Y first
-    if tot.all():
-        return np.divide(x, tot, out=x)
-    _redraw_empty(x, tot, alpha, beta, rng)
+    if not tot.all():
+        _redraw_empty(x, tot, alpha, beta, rng)
     return _ratios(x, tot)
 
 
@@ -513,25 +512,6 @@ def _frobenius(x: list, y: list) -> np.ndarray:
     return acc
 
 
-def _trace_moments(diags: np.ndarray, offs: np.ndarray, k_max: int) -> np.ndarray:
-    """(1/N) tr J^k for k = 0..k_max over a stack of tridiagonal matrices.
-
-    diags is (m, N), offs is (m, N - 1); returns (m, k_max + 1).  The
-    trial-major entry of _band_traces: J is copied site-major onto a
-    buffer of _ChunkWork.trace_size doubles, behind which the band
-    powers are laid.  A row's bits do not depend on the rows stacked
-    with it while m >= 2; einsum sums a lone row in another order.
-    exact_moment gives the mean of these traces by the closed walks from
-    the first site.
-    """
-    m, n = diags.shape
-    buf = np.empty(_ChunkWork.trace_size(m, n, k_max))
-    d, e = _views(buf, (n, m), (n - 1, m))
-    np.copyto(d, diags.T)
-    np.copyto(e, offs.T)
-    return _band_traces(d, e, k_max, buf[d.size + e.size :], np.empty((m, k_max + 1)))
-
-
 def _band_traces(d: np.ndarray, e: np.ndarray, k_max: int, scratch: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """(1/N) tr J^k for k = 0..k_max into the (m, k_max + 1) out, for m
@@ -544,7 +524,10 @@ def _band_traces(d: np.ndarray, e: np.ndarray, k_max: int, scratch: np.ndarray,
     tr J^(i+j) = <J^i, J^j>_F.  J^j has min(j, N - 1) + 1 diagonals, so
     the work is O(m N k_max min(k_max, N)); the products (N, m) and the
     band powers, three sets of (ceil(k_max / 2) + 1, N, m) taken in turn,
-    are laid on the flat buffer scratch.  Returns out.
+    are laid on the flat buffer scratch.  Returns out.  A row's bits do
+    not depend on the rows stacked with it while m >= 2; einsum sums a
+    lone row in another order.  exact_moment gives the mean of these
+    traces by the closed walks from the first site.
     """
     n, m = d.shape
     half = (k_max + 1) // 2

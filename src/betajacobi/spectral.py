@@ -396,7 +396,7 @@ def _cf_values(kind: ModelKind, p: JacobiParams, zc: np.ndarray, depths, warn_to
     With a ``warn_tol``, each point's depth-halved fraction, seeded at
     its own next level, is evaluated too, and a relative difference past
     ``warn_tol`` emits one ConvergenceWarning, attributed to the caller
-    of stieltjes_cf.  A value that comes out non-finite raises
+    of stieltjes_cf or of analytic._stieltjes_routes.  A value that comes out non-finite raises
     ConvergenceError.
     """
     # a set, not np.unique, whose first call imports numpy.ma (about 16 ms)

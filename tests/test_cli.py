@@ -396,11 +396,10 @@ class TestStieltjes:
     def test_cf_rows_share_one_truncation(self, capsys, monkeypatch, line, cf_rows, depths):
         # every row the closed form refuses used to run stieltjes_auto's
         # fallback alone, one truncation and one depth-halving check a
-        # row; now the rows share both and keep their bytes
+        # row; now the rows share both and each keeps stieltjes_auto's bits
         import warnings
 
         from betajacobi import stieltjes_auto
-        from betajacobi.spectral import _cf_depth
 
         argv = ["stieltjes", "--a", "0.3", "--b", "0.7", "--c", "1.2"] + line
         sizes = []
@@ -415,30 +414,13 @@ class TestStieltjes:
         assert code == 0
         assert len(caught) <= 1
         assert sizes == [max(depths) + 2]
-
-        def row_by_row(args):
-            p, kind = JacobiParams(args.a, args.b, args.c), ModelKind(args.kind)
-            rows, cf_z = [], []
-            for re in np.linspace(args.re0, args.re1, args.points):
-                z = complex(re, args.im)
-                s, route = stieltjes_auto(kind, p, z)
-                rows.append([float(re), args.im, s.real, s.imag, route])
-                if route == "cf":
-                    cf_z.append(z)
-            meta = cli._base_meta("stieltjes", p)
-            meta.update(
-                kind=args.kind, re0=args.re0, re1=args.re1, points=args.points,
-                im=args.im, depth=int(np.max(_cf_depth(cf_z), initial=400)),
-            )
-            cli._emit(meta, ["re_z", "im_z", "re_s", "im_s", "route"], rows, args)
-            return 0
-
-        monkeypatch.setattr(cli, "cmd_stieltjes", row_by_row)
-        sizes.clear()
-        assert run_cli(argv, capsys)[:2] == (0, out)
-        assert len(sizes) == cf_rows
-        cf_z = [complex(float(r[0]), float(r[1])) for r in read_csv_text(out)[2] if r[4] == "cf"]
-        assert len(cf_z) == cf_rows and set(_cf_depth(cf_z).tolist()) == depths
+        meta, _, rows = read_csv_text(out)
+        assert meta["depth"] == str(max(depths))
+        assert sum(r[4] == "cf" for r in rows) == cf_rows
+        p = JacobiParams(0.3, 0.7, 1.2)
+        for re_z, im_z, re_s, im_s, route in rows:
+            s, want = stieltjes_auto(ModelKind.ASSOC_III, p, complex(float(re_z), float(im_z)))
+            assert (float(re_s), float(im_s), route) == (s.real, s.imag, want)
 
     def test_real_points_on_support_exit_two(self, capsys):
         # these rows used to be the zero-tail fraction's real values
@@ -726,7 +708,7 @@ class TestErrorsAndFormats:
         def unreachable(*args, **kwargs):
             raise AssertionError("a command ran past its size check")
 
-        for name in ("_histogram", "density_profile", "stieltjes_closed"):
+        for name in ("_histogram", "density_profile", "_stieltjes_routes"):
             monkeypatch.setattr(cli, name, unreachable)
         code, out, err = run_cli(argv + [str(2**22 + 1), "--a", "0.5", "--b", "0.5"], capsys)
         assert code == 2 and out == ""

@@ -112,7 +112,7 @@ COUNT_NAMES = {
 # public parameter with a default -> "module.function" of a caller outside
 # the tests that passes it by keyword
 OPTIONS = {
-    "stieltjes_cf.depth": "analytic.stieltjes_auto",
+    "stieltjes_cf.depth": "acceptance._mfunction",
     "stieltjes_cf.warn_tol": "acceptance._mfunction",
     "density_numeric.eps": "analytic.density_profile",
     "density_profile.method": "cli.cmd_density",

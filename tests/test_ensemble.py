@@ -34,7 +34,6 @@ from betajacobi.ensemble import (
     _bidiagonal_squares,
     _draw_pq,
     _shape_arrays,
-    _trace_moments,
     _tridiagonal_from_squares,
 )
 from betajacobi.spectral import _stevd
@@ -49,6 +48,16 @@ from oracles import (
 )
 
 CFG = EnsembleConfig(6, 2.0, 0.5, 0.5)
+
+
+def _trace_moments(diags, offs, k_max):
+    """(1/N) tr J^k, k = 0..k_max, of the (m, N) diagonals and (m, N - 1)
+    off-diagonals: the chunk's kernel, ens._band_traces, on site-major
+    copies."""
+    m, n = diags.shape
+    scratch = np.empty(ens._ChunkWork.trace_size(m, n, k_max))
+    d, e = np.ascontiguousarray(diags.T), np.ascontiguousarray(offs.T)
+    return ens._band_traces(d, e, k_max, scratch, np.empty((m, k_max + 1)))
 
 
 class TestConfig:
