@@ -664,7 +664,7 @@ def mc_moments(
     buffers linear in k_max: memory grows with k_max, and with the
     trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
     The sets are freed when the call returns, and the worker threads
-    allocate none: the `ensemble` benchmark's peak RSS read 68.1-68.5 MB
+    allocate none: the `ensemble` benchmark's peak RSS read 68.0-68.3 MB
     over twenty runs on a 2-vCPU host, and 80.1-88.7 MB when each worker
     kept its own.
     Returns (means, standard errors); means[0] is exactly 1, stderr[0] is
