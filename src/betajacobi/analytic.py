@@ -144,22 +144,21 @@ def u_of_x(p: JacobiParams, x: float) -> float:
 def v_of_x(p: JacobiParams, x: float) -> float:
     """Companion solution carrying the x^(1+a) (1-x)^(1+b) prefactor;
     identically zero at c = 0.  Defined for x in [0, 1], where a, b > -1
-    make both powers real and at most 1; any other x raises ParameterError."""
+    make both powers real and at most 1, and, at c != 0, for a at least
+    1e-8 from the integers, where its 1/sin(pi a) is finite
+    (_require_noninteger_a, the rule of density_closed); any other x or
+    a raises ParameterError."""
     x = as_real("x", x)
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"v_of_x needs x in [0, 1], got {_shown(x)}")
     a, b, c = p.a, p.b, p.c
     if c == 0.0:
         return 0.0
-    angle = math.pi * a
-    # pi a overflows only past 5.7e307, where every float is an integer
-    sin_a = math.sin(angle) if math.isfinite(angle) else 0.0
-    if sin_a == 0.0:
-        raise ParameterError("v_of_x needs a away from the integers")
+    _require_noninteger_a(a, "v_of_x")
     coef = (
         -math.pi
         * c
-        / sin_a
+        / math.sin(math.pi * a)
         * gamma_ratio((c + a + b + 2.0,), (1.0 + c + b, 2.0 + a))
     )
     val, _ = hyp2f1(1.0 - c, 2.0 + c + a + b, 2.0 + a, x)

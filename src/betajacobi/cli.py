@@ -24,7 +24,7 @@ from .acceptance import format_line, run_all, slugs
 from .analytic import _stieltjes_routes, density_profile
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
-from .ensemble import EnsembleConfig, _histogram, _spectrum_blocks
+from .ensemble import _MAX_THREADS, EnsembleConfig, _histogram, _spectrum_blocks
 from .errors import ConvergenceError, ParameterError, UnsupportedRegionError, as_count
 from .spectral import DEFAULT_DEPTH, _operator_moments
 
@@ -194,7 +194,7 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = as_count("--threads", args.threads, 1)
+    threads = as_count("--threads", args.threads, 1, _MAX_THREADS)
     only = args.only if args.only else None
     results = run_all(only, threads=threads)
     for r in results:

@@ -60,6 +60,11 @@ _FAIL_TOL = 1e-10
 _CHUNK = 65536
 _CHUNK_ENTRIES = 1 << 20
 _CHUNK_KEY_BASE = 1 << 62
+# largest thread count of mc_moments (and `verify --threads`): a call
+# starts that many threads at most and allocates as many work sets
+# (_ChunkWork), 6.0 MiB each at a full chunk at N = 3, k_max = 3 and
+# 24.3 MiB at N = 200, k_max = 8, so 0.4 and 1.5 GiB here
+_MAX_THREADS = 64
 # matrix entries (trials times N) per block of sampled spectra
 _SPECTRUM_BLOCK = 1 << 16
 # bins per site up to which a `sample` histogram takes Sturm counts at
@@ -663,6 +668,7 @@ def mc_moments(
     allocates in its own thread, with (rows, k_max + 1) moments and band
     buffers linear in k_max: memory grows with k_max, and with the
     trials until a chunk is full; each trial costs O(N k_max min(k_max, N)).
+    `threads` is at most 64 (_MAX_THREADS).
     The sets are freed when the call returns, and the worker threads
     allocate none: the `ensemble` benchmark's peak RSS read 68.0-68.3 MB
     over twenty runs on a 2-vCPU host, and 80.1-88.7 MB when each worker
@@ -672,7 +678,7 @@ def mc_moments(
     """
     trials = as_count("trials", trials, 2)
     k_max = as_count("k_max", k_max)
-    threads = as_count("threads", threads, 1)
+    threads = as_count("threads", threads, 1, _MAX_THREADS)
     folded = _fold_seed(seed)
     shapes = _shape_arrays(cfg)
     step = min(_CHUNK, max(1, _CHUNK_ENTRIES // cfg.N))

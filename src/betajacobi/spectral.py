@@ -250,13 +250,15 @@ def _cf_depth(z) -> np.ndarray:
     the limit root needed, and is as accurate or more.  Where Re z lies
     within 1000 d of 0 or 1, or outside [0, 1], the next level's band
     [d - 2e, d + 2e] can overhang the support, and the point keeps
-    max(DEFAULT_DEPTH, 12 / sqrt(d)).  A point whose depth + 2 rows
-    would pass the 2**22 size cap raises ParameterError naming it, its
-    distance and its depth.
+    max(DEFAULT_DEPTH, 12 / sqrt(d)); past d = 1.8e305 the zone 1000 d
+    is inf, which holds every Re z, and the depth is the 400 floor either
+    way.  A point whose depth + 2 rows would pass the 2**22 size cap
+    raises ParameterError naming it, its distance and its depth.
     """
     zc = np.asarray(z, dtype=complex).ravel()
     dist = _support_distance(zc)
-    zone = 1000.0 * dist
+    with np.errstate(over="ignore"):
+        zone = 1000.0 * dist
     edge = (zc.real <= zone) | (zc.real >= 1.0 - zone)
     want = np.where(edge, 12.0, 3.0) / np.sqrt(dist)
     if len(want) and int(want.max()) + 2 > _MAX_SIZE:
@@ -266,40 +268,6 @@ def _cf_depth(z) -> np.ndarray:
             f"continued-fraction depth {int(want[i])}, past the 2**22 = {_MAX_SIZE} size cap"
         )
     return np.maximum(want.astype(np.int64), DEFAULT_DEPTH)
-
-
-def _limit_tail(zc: np.ndarray) -> np.ndarray:
-    """Herglotz fixed point of the deep-level map: the tail seed of real
-    z and of the far field (_tail_seed).
-
-    The coefficient streams tend to 1/4, so levels far down look like the
-    constant-coefficient operator with d = 1/2, e^2 = 1/16, whose
-    transform solves S = -1/(z - 1/2 + S/16).  Seeding the tail with this
-    root keeps the approximated spectrum continuous for z within an
-    eigenvalue spacing of the support, where a zero tail would converge
-    to the purely atomic measure of the truncation.
-
-    Past |w| = 1e153, w = z - 1/2, the root is -1/w to double precision
-    (the next term is 1/(16 w^2) relative), and it is taken so, because
-    w * w overflows from |w| = 1.3e154 on.
-    """
-    w = zc - 0.5
-    far = np.abs(w) > 1e153
-    w_near = np.where(far, 0.0, w)
-    disc = np.sqrt(w_near * w_near - 0.25 + 0j)
-    s = 8.0 * (-w_near + disc)
-    alt = 8.0 * (-w_near - disc)
-    off_axis = zc.imag != 0.0
-    pick_alt = np.where(
-        off_axis,
-        s.imag * np.sign(zc.imag) <= 0.0,
-        np.abs(alt) < np.abs(s),
-    )
-    root = np.where(pick_alt, alt, s)
-    # halved first: the complex division overflows for a w near the
-    # largest double in both parts
-    root[far] = -0.5 / (0.5 * w[far])
-    return root
 
 
 def _cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
@@ -358,28 +326,42 @@ def _cf_eval(d, e2, seed, zc, levels: int, depth: int) -> np.ndarray:
     return out
 
 
-def _tail_seed(d, e2, zc: np.ndarray, limit: np.ndarray, level: int) -> np.ndarray:
-    """Tail seed of fractions cut after `level` levels: the transform of
-    the operator from row `level` down, as the Herglotz root of
-    S = -1/(z - d_level + e2_level S), the fixed point of that row's own
-    coefficients (the classical tail modification of a limit-periodic
-    continued fraction).  The streams tend to their limits only like
-    1/n^2, so this root tracks the true tail where the limit root
-    (_limit_tail) leaves an O(1/level^2) mismatch.
+def _tail_seed(d, e2, zc: np.ndarray, level: int) -> np.ndarray:
+    """Tail seeds of fractions cut after `level` levels, one per point of
+    zc: the transform of the operator from row `level` down.
 
-    Off the real axis the Herglotz root is the one of smaller modulus,
-    taken as 2 / q with q the root-sum of larger modulus, so it never
-    cancels; it is formed per point in Python complex arithmetic, a
-    microsecond a point where numpy's per-call overhead on one point
-    was ten.  Real z and the far field |z - 1/2| > 1e153 keep their
-    limit root, passed in as `limit`: the band [d - 2e, d + 2e] of one
-    level can overhang [0, 1] by a little, and a real z there would read
-    a spurious density.
+    - Off the real axis, the Herglotz root of
+      S = -1/(z - d_level + e2_level S), the fixed point of that row's
+      own coefficients (the classical tail modification of a
+      limit-periodic continued fraction): the streams tend to their
+      limits only like 1/n^2, so it tracks the true tail where the limit
+      root leaves an O(1/level^2) mismatch.  It is the root of smaller
+      modulus, 2 / q with q the root-sum of larger modulus: no cancelling.
+    - Real z, the limit root, of S = -1/(z - 1/2 + S/16) that the streams
+      tend to: of 8(-w +- sqrt(w^2 - 1/4)), w = z - 1/2, the one of
+      smaller modulus.  One level's band [d - 2e, d + 2e] can overhang
+      [0, 1], and a real z there would read a spurious density.
+    - Past |w| = 1e153, -1/w, the root to double precision (the next
+      term is 1/(16 w^2) relative), since w * w overflows from 1.3e154.
+
+    Either root keeps the spectrum continuous for z within an eigenvalue
+    spacing of the support, where a zero tail sees the truncation's
+    atoms.  The seeds are formed in Python complex arithmetic, a
+    microsecond a point where numpy's per-call overhead was ten.
     """
     dl, e2l = float(d[level]), float(e2[level])
-    seed = limit.copy()
+    seed = np.empty(len(zc), dtype=complex)
     for i, zi in enumerate(zc.tolist()):
-        if zi.imag != 0.0 and abs(zi - 0.5) <= 1e153:
+        w = zi - 0.5
+        if abs(w) > 1e153:
+            # halved first: the complex division overflows for a w near
+            # the largest double in both parts
+            seed[i] = -0.5 / (0.5 * w)
+        elif zi.imag == 0.0:
+            disc = cmath.sqrt(w * w - 0.25)
+            s, alt = 8.0 * (-w + disc), 8.0 * (-w - disc)
+            seed[i] = alt if abs(alt) < abs(s) else s
+        else:
             w = zi - dl
             disc = cmath.sqrt(w * w - 4.0 * e2l)
             flip = w.real * disc.real + w.imag * disc.imag < 0.0
@@ -390,14 +372,16 @@ def _tail_seed(d, e2, zc: np.ndarray, limit: np.ndarray, level: int) -> np.ndarr
 def _cf_values(kind: ModelKind, p: JacobiParams, zc: np.ndarray, depths, warn_tol):
     """The fraction at each point of zc (1-d, checked) at its own depth
     in `depths`, off one truncation deep enough for the deepest point
-    (depth + 2 rows: the seed reads the row below the last level), each
-    fraction seeded at its own next level (_tail_seed).
+    (depth + 2 rows: the seed reads the row below the last level), the
+    points grouped by depth and each group's tails seeded by one
+    _tail_seed call at that depth.
 
-    With a ``warn_tol``, each point's depth-halved fraction, seeded at
-    its own next level, is evaluated too, and a relative difference past
-    ``warn_tol`` emits one ConvergenceWarning, attributed to the caller
-    of stieltjes_cf or of analytic._stieltjes_routes.  A value that comes out non-finite raises
-    ConvergenceError.
+    With a ``warn_tol``, each point's depth-halved fraction, its tail
+    seeded by _tail_seed at the halved depth, is evaluated too, and a
+    relative difference past ``warn_tol`` emits one ConvergenceWarning,
+    attributed to the caller of stieltjes_cf or of
+    analytic._stieltjes_routes.  A value that comes out non-finite
+    raises ConvergenceError.
     """
     # a set, not np.unique, whose first call imports numpy.ma (about 16 ms)
     levels = sorted(set(depths.tolist()))
@@ -408,8 +392,7 @@ def _cf_values(kind: ModelKind, p: JacobiParams, zc: np.ndarray, depths, warn_to
     for depth in levels:
         at = depths == depth if len(levels) > 1 else slice(None)
         z_at = zc[at]
-        limit = _limit_tail(z_at)
-        s = _cf_eval(d, e2, _tail_seed(d, e2, z_at, limit, depth), z_at, depth, depth)
+        s = _cf_eval(d, e2, _tail_seed(d, e2, z_at, depth), z_at, depth, depth)
         finite = np.isfinite(s)
         if not finite.all():
             raise ConvergenceError(
@@ -419,8 +402,7 @@ def _cf_values(kind: ModelKind, p: JacobiParams, zc: np.ndarray, depths, warn_to
         out[at] = s
         if warn_tol is not None:
             half = depth // 2
-            seed = _tail_seed(d, e2, z_at, limit, half)
-            s_half = _cf_eval(d, e2, seed, z_at, half, depth)
+            s_half = _cf_eval(d, e2, _tail_seed(d, e2, z_at, half), z_at, half, depth)
             rel = np.max(np.abs(s - s_half) / np.maximum(np.abs(s), 1e-300))
             if rel > worst:
                 worst, worst_depth = rel, depth
@@ -447,25 +429,25 @@ def stieltjes_cf(
     continued fraction of the given depth.
 
     Satisfies -1/S_J(z) = z - d_1 + e_1^2 S_J'(z) level by level.  The
-    tail below `depth` is seeded, off the real axis, with the Herglotz
-    fixed point of the next level's own coefficients d_depth, e_depth^2
-    (_tail_seed), and on it, or past |z - 1/2| = 1e153, with that of the
-    constant-coefficient operator the streams tend to (_limit_tail); so
-    z closer to the support than the truncation's eigenvalue spacing
-    still sees a continuous spectrum.  The fraction is evaluated as the
-    resolvent entry (T - z)^{-1}_{11} of the depth-by-depth truncation
-    T, tail folded into its last diagonal entry, by one LAPACK LU
-    factorization (zgttrf) per point; the rows are taken deepest first,
-    so the elimination runs up the levels like the backward recursion
-    and equals it up to rounding, and the entry is read off the last
-    pivot (_cf_eval).  It reads depth + 2 rows of the operator, so depth
-    is at most 2**22 - 2.
+    tail below `depth` is seeded by _tail_seed: off the real axis with
+    the Herglotz fixed point of the next level's own coefficients
+    d_depth, e_depth^2, on it with that of the constant-coefficient
+    operator the streams tend to, and past |z - 1/2| = 1e153 with
+    -1/(z - 1/2); so z closer to the support than the truncation's
+    eigenvalue spacing still sees a continuous spectrum.  The fraction
+    is evaluated as the resolvent entry (T - z)^{-1}_{11} of the
+    depth-by-depth truncation T, tail folded into its last diagonal
+    entry, by one LAPACK LU factorization (zgttrf) per point; the rows
+    are taken deepest first, so the elimination runs up the levels like
+    the backward recursion and equals it up to rounding, and the entry
+    is read off the last pivot (_cf_eval).  It reads depth + 2 rows of
+    the operator, so depth is at most 2**22 - 2.
 
     Accepts scalar or array z (finite numbers off the support): a z of
     str, bytes, bool or object dtype, or a real z in [0, 1], raises
     ParameterError, and a z the solver finds singular, or a value that
     comes out non-finite, raises ConvergenceError.  When the depth-halved
-    value, seeded at its own next level, differs by more than
+    value, its tail seeded at the halved depth, differs by more than
     ``warn_tol`` (relative, a real >= 0), a ConvergenceWarning is
     emitted; pass ``warn_tol=None`` to skip that second evaluation.
     """

@@ -324,14 +324,116 @@ def backward_cf(diag, offdiag, z: complex, tail: str = "zero") -> complex:
     return s
 
 
+def limit_tail(zc: np.ndarray) -> np.ndarray:
+    """Herglotz fixed point of the deep-level map, vectorised: the tail
+    seed of real z and of the far field as spectral._limit_tail formed it
+    before spectral._tail_seed formed every seed per point, kept
+    verbatim.
+
+    The coefficient streams tend to 1/4, so levels far down look like the
+    constant-coefficient operator with d = 1/2, e^2 = 1/16, whose
+    transform solves S = -1/(z - 1/2 + S/16).  Seeding the tail with this
+    root keeps the approximated spectrum continuous for z within an
+    eigenvalue spacing of the support, where a zero tail would converge
+    to the purely atomic measure of the truncation.
+
+    Past |w| = 1e153, w = z - 1/2, the root is -1/w to double precision
+    (the next term is 1/(16 w^2) relative), and it is taken so, because
+    w * w overflows from |w| = 1.3e154 on.
+    """
+    w = zc - 0.5
+    far = np.abs(w) > 1e153
+    w_near = np.where(far, 0.0, w)
+    disc = np.sqrt(w_near * w_near - 0.25 + 0j)
+    s = 8.0 * (-w_near + disc)
+    alt = 8.0 * (-w_near - disc)
+    off_axis = zc.imag != 0.0
+    pick_alt = np.where(
+        off_axis,
+        s.imag * np.sign(zc.imag) <= 0.0,
+        np.abs(alt) < np.abs(s),
+    )
+    root = np.where(pick_alt, alt, s)
+    # halved first: the complex division overflows for a w near the
+    # largest double in both parts
+    root[far] = -0.5 / (0.5 * w[far])
+    return root
+
+
+def two_pass_tail_seed(d, e2, zc: np.ndarray, limit: np.ndarray, level: int) -> np.ndarray:
+    """Tail seeds as spectral._tail_seed formed them while the limit
+    root came from a pass of its own, kept verbatim: `limit`
+    (limit_tail's root at every point) copied, then every off-axis point
+    below the far field overwritten with the Herglotz root of its next
+    level's own coefficients, 2 / q with q the root-sum of larger
+    modulus."""
+    import cmath
+
+    dl, e2l = float(d[level]), float(e2[level])
+    seed = limit.copy()
+    for i, zi in enumerate(zc.tolist()):
+        if zi.imag != 0.0 and abs(zi - 0.5) <= 1e153:
+            w = zi - dl
+            disc = cmath.sqrt(w * w - 4.0 * e2l)
+            flip = w.real * disc.real + w.imag * disc.imag < 0.0
+            seed[i] = -2.0 / (w - disc if flip else w + disc)
+    return seed
+
+
+def two_pass_cf_values(kind, p, zc, depths, warn_tol):
+    """spectral._cf_values as it was while its seeds took two passes, kept
+    verbatim but for the seeds: per depth group, limit_tail's root at
+    every point, then two_pass_tail_seed's next-level overwrite, at the
+    depth and, with a ``warn_tol``, at the halved depth."""
+    import warnings
+
+    from betajacobi.coeffs import tridiag_entries
+    from betajacobi.errors import ConvergenceError, ConvergenceWarning
+    from betajacobi.spectral import _cf_eval
+
+    levels = sorted(set(depths.tolist()))
+    d, e = tridiag_entries(kind, p, max(levels, default=2) + 2)
+    e2 = e**2
+    out = np.empty(len(zc), dtype=complex)
+    worst, worst_depth = 0.0, 0
+    for depth in levels:
+        at = depths == depth if len(levels) > 1 else slice(None)
+        z_at = zc[at]
+        limit = limit_tail(z_at)
+        s = _cf_eval(d, e2, two_pass_tail_seed(d, e2, z_at, limit, depth), z_at, depth, depth)
+        finite = np.isfinite(s)
+        if not finite.all():
+            raise ConvergenceError(
+                f"the {depth}-level continued fraction is not finite at "
+                f"z = {complex(z_at[np.argmin(finite)])}"
+            )
+        out[at] = s
+        if warn_tol is not None:
+            half = depth // 2
+            seed = two_pass_tail_seed(d, e2, z_at, limit, half)
+            s_half = _cf_eval(d, e2, seed, z_at, half, depth)
+            rel = np.max(np.abs(s - s_half) / np.maximum(np.abs(s), 1e-300))
+            if rel > worst:
+                worst, worst_depth = rel, depth
+    if warn_tol is not None and worst > warn_tol:
+        warnings.warn(
+            f"continued fraction not converged at depth {worst_depth} "
+            f"(depth-halving delta {worst:.3e}); increase depth or move z "
+            "away from the support",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    return out
+
+
 def limit_tail_cf(kind, p, z):
     """The fraction at each point of z as stieltjes_auto and
     density_numeric took it before each tail was seeded at its own next
-    level: the limit root (spectral._limit_tail) below
+    level: the limit root (limit_tail) below
     max(400, 12 / sqrt(d)) levels, d the point's distance to the support,
     off one truncation per depth."""
     from betajacobi.coeffs import tridiag_entries
-    from betajacobi.spectral import _cf_eval, _limit_tail, _support_distance
+    from betajacobi.spectral import _cf_eval, _support_distance
 
     zc = np.asarray(z, dtype=complex).ravel()
     depths = np.maximum(400, (12.0 / np.sqrt(_support_distance(zc))).astype(np.int64))
@@ -339,7 +441,7 @@ def limit_tail_cf(kind, p, z):
     for depth in np.unique(depths).tolist():
         at = depths == depth
         d, e = tridiag_entries(kind, p, depth + 1)
-        out[at] = _cf_eval(d, e**2, _limit_tail(zc[at]), zc[at], depth, depth)
+        out[at] = _cf_eval(d, e**2, limit_tail(zc[at]), zc[at], depth, depth)
     return out
 
 

@@ -244,13 +244,25 @@ class TestBoundarySolutions:
     def test_v_overflow_raises(self):
         from betajacobi import v_of_x
 
-        # c / sin(pi a) overflows: inf * 0 came back as NaN at x = 0, -inf
-        # just right of it, and pi a past 5.7e307 leaked ValueError
-        for abc, x in (((1e-300, 0.5, 1e10 + 0.5), 0.0), ((1e-300, 0.5, 1e10 + 0.5), 1e-300)):
+        # the coefficient c / sin(pi a) * gamma ratio overflows: inf * 0
+        # came back as NaN at x = 0, -inf just right of it, and pi a past
+        # 5.7e307 leaked ValueError (a within 1e-8 of an integer, where
+        # 1/sin(pi a) itself blows up, is refused before the product)
+        for abc, x in (((30 + 2e-8, 0.5, 3e10 + 0.5), 0.0), ((30 + 2e-8, 0.5, 3e10 + 0.5), 1e-300)):
             with pytest.raises(ConvergenceError, match="not finite"):
                 v_of_x(JacobiParams(*abc), x)
         with pytest.raises(ParameterError, match="away from the integers"):
             v_of_x(JacobiParams(5.8e307, 0.5, 1.0), 0.5)
+
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 5.0, 1.0 + 1e-9, 1e15, 1e-300])
+    def test_v_refuses_integer_a(self, a):
+        from betajacobi import v_of_x
+
+        # sin(pi a) is -2.4e-16, not 0, at a = 2: v_of_x returned -5.9e15
+        # at a = 1, 1.3e15 at a = 2, and 0.0 at a = 1e15
+        with pytest.raises(ParameterError, match=r"^v_of_x needs a away from the integers"):
+            v_of_x(JacobiParams(a, 0.5, 1.0), 0.3)
+        assert v_of_x(JacobiParams(a, 0.5, 0.0), 0.3) == 0.0
 
     def test_nonfinite_x_raises(self):
         from betajacobi import u_of_x, v_of_x

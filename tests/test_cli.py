@@ -721,6 +721,16 @@ class TestErrorsAndFormats:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_thread_count_above_the_cap_exits_two(self, capsys, monkeypatch):
+        # 2000 threads started 2000 OS threads and asked for 2000 work sets
+        def unreachable(*args, **kwargs):
+            raise AssertionError("verify ran a criterion past its thread check")
+
+        monkeypatch.setattr(cli, "run_all", unreachable)
+        code, out, err = run_cli(["verify", "--threads", "65"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --threads must be <= 64, got 65\n"
+
     def test_json_structure(self, capsys):
         code, out, _ = run_cli(
             ["moments", "--a", "0.5", "--b", "0.5", "--c", "1",

@@ -5,6 +5,7 @@ too-small or too-large value with ParameterError; every bound is an
 argument of errors.as_count.  And no dead options: every public
 parameter with a default is set by some caller in the package."""
 
+import argparse
 import ast
 import dataclasses
 import enum
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import JacobiParams, ModelKind, ParameterError
+from betajacobi import JacobiParams, ModelKind, ParameterError, cli
 
 P = JacobiParams(0.3, 0.7, 1.2)
 K = ModelKind.ASSOC_III
@@ -91,6 +92,19 @@ CAPS = {
     "limit_bidiagonal_squares.size": (2**22, "size"),
     "simulate_moments.n": (2**22, "N"),
     "stationary_uk.k_max": (2**14, "k_max"),
+    # a call starts this many threads at most, each with a work set of up
+    # to 24.3 MiB (ensemble._ChunkWork at a full chunk); refused before
+    # any thread starts
+    "mc_moments.threads": (64, "threads"),
+    "verify.--threads": (64, "--threads"),
+}
+
+# capped count flags of the CLI: "command.--flag" -> call of the command's
+# handler with the count, refused before any criterion runs
+CLI_COUNTS = {
+    "verify.--threads": lambda v: cli.cmd_verify(
+        argparse.Namespace(threads=v, only=["gauss-exactness"], output=None)
+    ),
 }
 
 # count-named parameters that are not counts, with the reason
@@ -181,7 +195,7 @@ class TestCountPolicy:
 
 @pytest.mark.parametrize("label", sorted(CAPS))
 def test_count_above_its_cap_names_the_parameter(label):
-    call, _, _ = COUNTS[label]
+    call = CLI_COUNTS[label] if label in CLI_COUNTS else COUNTS[label][0]
     top, name = CAPS[label]
     bound = rf"(2\*\*\d+( - 1)? = )?{top}"
     message = rf"^{re.escape(name)} must be <= {bound}, got {top + 1}$"
@@ -192,7 +206,9 @@ def test_count_above_its_cap_names_the_parameter(label):
 # the bounds of counts, and the functions that may compare a count with
 # them: the guard, and _cf_depth, whose refusal names the point its depth
 # comes from
-_CAP_NAMES = {"_MAX_SIZE", "_MAX_ORDER", "_MAX_MOMENT_ORDER", "MAX_EXACT_K", "_CHUNK_KEY_BASE"}
+_CAP_NAMES = {
+    "_MAX_SIZE", "_MAX_ORDER", "_MAX_MOMENT_ORDER", "MAX_EXACT_K", "_CHUNK_KEY_BASE", "_MAX_THREADS"
+}
 _CAP_CHECKERS = {"as_count", "_cf_depth"}
 
 

@@ -10,7 +10,11 @@ input of any magnitude, return a finite number or raise one of the
 package's errors; ln_gamma's inf past about 2.5e305 is the one stated
 exception.  The boundary solutions u_of_x and v_of_x and the
 normalizers zeta_n and zeta_asymptotic return a finite real there, never
-a complex number, or raise one of the package's errors."""
+a complex number, or raise one of the package's errors.  The Stieltjes
+routes (stieltjes_cf, stieltjes_closed, stieltjes_auto) and
+density_numeric, at valid parameters and any finite z or eps, return a
+finite value or raise one of the package's errors, without a numpy
+RuntimeWarning."""
 
 import cmath
 import math
@@ -18,16 +22,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betajacobi import (
     ConvergenceError,
+    ConvergenceWarning,
     EnsembleConfig,
     JacobiParams,
     ModelKind,
     ParameterError,
     UnsupportedRegionError,
+    density_numeric,
     empirical_measure,
     exact_moment,
     gamma_ratio,
@@ -42,7 +48,9 @@ from betajacobi import (
     recurrence_rn,
     sample_model,
     stationary_uk,
+    stieltjes_auto,
     stieltjes_cf,
+    stieltjes_closed,
     substream,
     tridiag_entries,
     u_of_x,
@@ -51,6 +59,7 @@ from betajacobi import (
     zeta_asymptotic,
     zeta_n,
 )
+from betajacobi.spectral import _support_distance
 
 # any magnitude the parameters admit, and weights a, b > -1
 REALS = st.floats(-1e6, 1e6)
@@ -321,3 +330,68 @@ def test_mc_moments_at_extreme_valid_inputs_return_finite_or_refuse(
     label = f"mc_moments(N={n}, beta={beta}, (a, b)={ab}, k_max={k_max}, trials={trials})"
     assert means[0] == 1.0 and stderr[0] == 0.0, label
     assert np.isfinite(means.values).all() and np.isfinite(stderr).all(), label
+
+
+@st.composite
+def valid_models(draw):
+    """(kind, JacobiParams) inside the kind's constraints, weights up to
+    1e6 (rounding at the bound may still make the model refuse them)."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    a, b = draw(WEIGHTS), draw(WEIGHTS)
+    if kind is ModelKind.CLASSICAL:
+        c = 0.0
+    elif kind is ModelKind.ASSOC_III:
+        c = draw(st.floats(-1.0 - min(0.0, a, b), 1e6, exclude_min=True))
+    else:
+        c = draw(st.floats(max(0.0, -a, -b), 1e6))
+    return kind, JacobiParams(a, b, c)
+
+
+# distances to the support the fraction routes run at: from 1e-8 on a
+# point runs 120000 levels at most; below 4e-13 its depth passes the
+# 2**22 size cap and it is refused; in between it would run up to 4M
+# levels (hundreds of MB, seconds), which the accuracy tests cover
+def _cheap_distance(d: float) -> bool:
+    return d >= 1e-8 or d < 4e-13
+
+
+# parts of z of every magnitude from 1e-300 to 1e308, zero and the edges
+Z_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+    st.floats(-3.0, 3.0),
+    st.floats(1e-300, 1e308).flatmap(lambda v: st.sampled_from([v, -v, 1.0 + v])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    valid_models(),
+    Z_PART,
+    Z_PART,
+    st.floats(0.0, 1e308, exclude_min=True),
+    st.floats(0.0, 1.0),
+)
+def test_stieltjes_and_density_routes_return_finite_or_refuse(model, re, im, eps, x):
+    # density_numeric at eps = 1e306 overflowed 1000 eps in _cf_depth's
+    # edge test (a numpy RuntimeWarning)
+    kind, p = model
+    z = complex(re, im)
+    on_support = im == 0.0 and 0.0 <= re <= 1.0
+    assume(_cheap_distance(eps))
+    assume(on_support or _cheap_distance(_support_distance(z)[0]))
+    calls = {
+        "stieltjes_cf": lambda: stieltjes_cf(kind, p, z),
+        "stieltjes_closed": lambda: stieltjes_closed(kind, p, z),
+        "stieltjes_auto": lambda: stieltjes_auto(kind, p, z)[0],
+        "density_numeric": lambda: density_numeric(kind, p, x, eps=eps),
+    }
+    for route, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            try:
+                got = call()
+            except PACKAGE_ERRORS:
+                continue
+        label = f"{route} at {kind.value}, {p}, z={z}, x={x}, eps={eps}"
+        assert cmath.isfinite(got), f"{label} returned {got!r}"

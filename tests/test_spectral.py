@@ -35,7 +35,6 @@ from betajacobi.spectral import (
     _cf_values,
     _operator_moments,
     _dstevd,
-    _limit_tail,
     _matvec,
     _stevd,
     _support_distance,
@@ -46,9 +45,12 @@ from betajacobi.spectral import (
 from oracles import (
     backward_cf,
     frac_beta_moment,
+    limit_tail,
     limit_tail_cf,
     per_order_moment11,
     sturm_eigenvalues,
+    two_pass_cf_values,
+    two_pass_tail_seed,
     uniform_stieltjes,
     zgtsv_cf_eval,
 )
@@ -436,17 +438,6 @@ class TestStieltjesCF:
             s = stieltjes_cf(ModelKind.ASSOC_III, P_REF, z)
         assert abs(s - (-1.0 / z)) <= 1e-12 * abs(1.0 / z)
 
-    def test_limit_tail_bits_below_the_far_field(self):
-        # the squared-w root, as before the far-field branch
-        zc = np.array([2 + 1j, 0.5 + 0.5j, -1 + 0.25j, 1e150 + 1j])
-        w = zc - 0.5
-        disc = np.sqrt(w * w - 0.25 + 0j)
-        s, alt = 8.0 * (-w + disc), 8.0 * (-w - disc)
-        pick_alt = np.where(
-            zc.imag != 0.0, s.imag * np.sign(zc.imag) <= 0.0, np.abs(alt) < np.abs(s)
-        )
-        assert _limit_tail(zc).tobytes() == np.where(pick_alt, alt, s).tobytes()
-
     def test_min_depth_enforced(self):
         with pytest.raises(ParameterError):
             stieltjes_cf(ModelKind.ASSOC_III, P_REF, 1.0j, depth=1)
@@ -565,16 +556,15 @@ class TestResolventKernel:
         # the wrapper's three rows and at them
         d, e = tridiag_entries(kind, p, depth + 2)
         e2 = e**2
-        limit = _limit_tail(KERNEL_Z)
         for levels in (depth, depth // 2):
-            seed = _tail_seed(d, e2, KERNEL_Z, limit, levels)
+            seed = _tail_seed(d, e2, KERNEL_Z, levels)
             got = _cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
             want = zgtsv_cf_eval(d, e2, seed, KERNEL_Z, levels, depth)
             assert got.tobytes() == want.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             s = stieltjes_cf(kind, p, KERNEL_Z, depth)
-        seed = _tail_seed(d, e2, KERNEL_Z, limit, depth)
+        seed = _tail_seed(d, e2, KERNEL_Z, depth)
         assert s.tobytes() == zgtsv_cf_eval(d, e2, seed, KERNEL_Z, depth, depth).tobytes()
 
     def test_grid_reaches_a_last_step_interchange(self, monkeypatch):
@@ -621,6 +611,14 @@ SWEEP_D = np.array([1e-4, 1e-5, 1e-6])
 SWEEP_FLOOR = 1e-12
 
 
+# one model per kind, and ASSOC_III also at a weight where the streams
+# approach their limits from the other side
+CF_VALUES_MODELS = [
+    *KERNEL_MODELS,
+    (ModelKind.ASSOC_III, JacobiParams(1.9, 0.0, 0.5)),
+]
+
+
 def _sweep_params(kind, rng):
     a, b = rng.uniform(-0.9, 2.0, 2)
     if kind is ModelKind.CLASSICAL:
@@ -653,6 +651,53 @@ class TestTailSeed:
         bulk = _cf_depth(z) < old_depths
         assert bulk.sum() == 5 and np.all(new[bulk] < old[bulk])
 
+    def test_seed_bits_in_each_case(self):
+        # one seed per point: the limit root on the real axis, the next
+        # level's root off it, -1/w past |z - 1/2| = 1e153
+        d, e = tridiag_entries(ModelKind.ASSOC_III, P_REF, 12)
+        e2 = e**2
+        x = 10.0 ** np.linspace(-7.0, 3.0, 60)
+        real = np.concatenate([-x, 1.0 + x, [-1e150, 1e152]]).astype(complex)
+        real = np.concatenate([real, np.conj(real)])  # +0.0 and -0.0 imaginary parts
+        off = np.array([2 + 1j, 0.5 + 0.5j, -1 + 0.25j, 1e150 + 1j, 0.5 - 1e-6j, 1e-9j])
+        far = np.array([1e154, -1e200, 1e308, 1e-3 + 1e200j, 5e153 - 5e153j, -1e300j])
+        z = np.concatenate([real, off, far])
+        for level in (2, 10):
+            got = _tail_seed(d, e2, z, level)
+            want = two_pass_tail_seed(d, e2, z, limit_tail(z), level)
+            n = len(real)
+            assert got[:n].tobytes() == limit_tail(real).tobytes()
+            assert got[n : -len(far)].tobytes() == want[n : -len(far)].tobytes()
+            w = far - 0.5
+            ulp = np.spacing(np.abs(1.0 / w))
+            assert np.all(np.abs(got[-len(far) :] - (-1.0 / w)) <= ulp)
+
+    @pytest.mark.parametrize(
+        "kind, p",
+        CF_VALUES_MODELS,
+        ids=["classical", "assoc-i", "assoc-ii", "assoc-iii", "assoc-iii-b"],
+    )
+    def test_cf_values_bits_of_the_two_pass_seeds(self, kind, p):
+        # every value, and every warning text, of the fraction at its own
+        # depth, at fixed depths below and at the wrapper's three rows,
+        # with and without the depth-halving check, as off the limit root
+        # pass and the next-level overwrite
+        rng = np.random.default_rng([33, CF_VALUES_MODELS.index((kind, p))])
+        im = 10.0 ** rng.uniform(-5.0, 0.0, 400) * rng.choice([-1.0, 1.0], 400)
+        off = rng.uniform(-0.5, 1.5, 400) + 1j * im
+        x = 10.0 ** np.linspace(-7.0, 3.0, 60)
+        z = np.concatenate([KERNEL_Z, off, -x, 1.0 + x])
+        for depths in (_cf_depth(z), *(np.full(len(z), n) for n in (2, 3, 7, 400))):
+            for warn_tol in (DEFAULT_RTOL, None):
+                with warnings.catch_warnings(record=True) as got_w:
+                    warnings.simplefilter("always")
+                    got = _cf_values(kind, p, z, depths, warn_tol)
+                with warnings.catch_warnings(record=True) as want_w:
+                    warnings.simplefilter("always")
+                    want = two_pass_cf_values(kind, p, z, depths, warn_tol)
+                assert got.tobytes() == want.tobytes()
+                assert [str(w.message) for w in got_w] == [str(w.message) for w in want_w]
+
     @pytest.mark.parametrize("abc", [(1.0, 0.0, 1.2), (1.9, 0.0, 0.5)])
     def test_real_axis_keeps_the_limit_root(self, abc):
         # the band [d - 2e, d + 2e] of level 400 overhangs [0, 1] here, so
@@ -663,7 +708,7 @@ class TestTailSeed:
         assert d[400] + 2.0 * e[400] > 1.0
         z = np.array([-1e-9, 1.0 + 1e-9])
         got = stieltjes_cf(ModelKind.ASSOC_III, p, z, depth=400, warn_tol=None)
-        want = _cf_eval(d, e**2, _limit_tail(z.astype(complex)), z, 400, 400)
+        want = _cf_eval(d, e**2, limit_tail(z.astype(complex)), z, 400, 400)
         assert got.tobytes() == want.tobytes()
         assert np.all(got.imag == 0.0)
 
