@@ -24,7 +24,7 @@ from .acceptance import format_line, run_all, slugs
 from .analytic import _stieltjes_routes, density_profile
 from .coeffs import _MAX_SIZE, JacobiParams, ModelKind
 from .dynamics import integrate_moments, simulate_moments, stationary_uk
-from .ensemble import _MAX_THREADS, EnsembleConfig, _histogram, _spectrum_blocks
+from .ensemble import _MAX_THREADS, EnsembleConfig, _histogram, _sampled_blocks, _spectra
 from .errors import ConvergenceError, ParameterError, UnsupportedRegionError, as_count
 from .spectral import DEFAULT_DEPTH, _operator_moments
 
@@ -100,8 +100,8 @@ def cmd_sample(args) -> int:
         ]
         _emit(meta, ["bin_left", "bin_right", "count", "mass"], rows, args)
     else:
-        blocks = _spectrum_blocks(cfg, args.seed, args.trials)
-        spectra = (nodes for block in blocks for nodes in block)
+        blocks = _sampled_blocks(cfg, args.seed, args.trials)
+        spectra = (nodes for j in blocks for nodes in _spectra(*j))
         rows = (
             [trial, i, float(v)]
             for trial, nodes in enumerate(spectra)

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .coeffs import JacobiParams, ModelKind, lambda_hat0, validate_model
+from .coeffs import _MAX_SIZE, JacobiParams, ModelKind, lambda_hat0, validate_model
 from .ensemble import EnsembleConfig, substream
 from .errors import ConvergenceError, ParameterError, as_count, as_real, as_real_array
 from .spectral import _MAX_MOMENT_ORDER, MomentVector
@@ -230,9 +230,10 @@ def simulate_moments(
     evenly spaced steps, and the final step.  t_end must be a whole
     number of steps dt.
     """
-    paths = as_count("paths", paths, 2)
-    k_max = as_count("k_max", k_max)
     n, beta, a, b = astuple(EnsembleConfig(n, beta, a, b))  # the ensemble's checks
+    # the (paths, N) positions, at most the package's largest truncation
+    paths = as_count("paths", paths, 2, _MAX_SIZE // n)
+    k_max = as_count("k_max", k_max, 0, _MAX_MOMENT_ORDER)
     dt, steps, stride = _schedule(t_end, dt)
 
     start = as_real_array("x0", x0) if np.ndim(x0) else np.full(n, as_real("x0", x0))

@@ -12,7 +12,8 @@ the spectrum: up to _COUNT_BINS_PER_SITE bins per site, histogram counts
 are differences of Sturm counts at the bin edges, and (1/N) tr J^k is
 read from the tridiagonal entries by band powers of J.  Sampled spectra,
 the eigensolve route, stay behind empirical_measure, `sample --bins 0`
-and histograms with more bins.
+and histograms with more bins; both `sample` routes read the J of each
+block of trials drawn once (_sampled_blocks).
 Exact mean moments at every N sum the closed walks of J from its first
 site: the spectral weights of J at e1 are Dirichlet(kappa, ..., kappa)
 and independent of the eigenvalues (Killip and Nenciu, IMRN 2004:50),
@@ -65,7 +66,7 @@ _CHUNK_KEY_BASE = 1 << 62
 # (_ChunkWork), 6.0 MiB each at a full chunk at N = 3, k_max = 3 and
 # 24.3 MiB at N = 200, k_max = 8, so 0.4 and 1.5 GiB here
 _MAX_THREADS = 64
-# matrix entries (trials times N) per block of sampled spectra
+# matrix entries (trials times N) per block of `sample` trials
 _SPECTRUM_BLOCK = 1 << 16
 # bins per site up to which a `sample` histogram takes Sturm counts at
 # its bin edges instead of the eigenvalues (_histogram)
@@ -340,8 +341,8 @@ def _escape_error(vals: np.ndarray) -> ConvergenceError:
 
 
 def _spectra(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Sorted spectra of the (m, N) rows of J (_sampled_j), as an (m, N)
-    array.
+    """Spectra of the (m, N) rows of J (_sampled_j), each ascending as
+    _stevd gives it (the clamp keeps the order), as an (m, N) array.
 
     The eigensolve kernel behind empirical_measure and the `sample`
     command: one LAPACK call per row, and the escape check and the clamp
@@ -352,7 +353,6 @@ def _spectra(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     vals = np.empty_like(diag)
     for i in range(len(vals)):
         vals[i] = _stevd(diag[i], off[i])[0]
-    vals.sort(axis=1)
     escaped = (vals[:, 0] < -_FAIL_TOL) | (vals[:, -1] > 1.0 + _FAIL_TOL)
     if escaped.any():
         raise _escape_error(vals[np.argmax(escaped)])
@@ -408,37 +408,27 @@ def _bin_counts(diag: np.ndarray, off: np.ndarray, edges: np.ndarray) -> np.ndar
     escaped = (count[:, 0] > 0) | (count[:, -1] < n)
     if escaped.any():
         i = np.argmax(escaped)
-        raise _escape_error(np.sort(_stevd(diag[i], off[i])[0]))
+        raise _escape_error(_stevd(diag[i], off[i])[0])
     return np.diff(count[:, 1:-1].sum(axis=0, dtype=np.int64))
 
 
-def _trial_blocks(cfg: EnsembleConfig, seed: int, trials: int):
-    """The streams of trials 0..trials-1 under `seed` (checked at the
-    call), in order, one re-keyed generator (_TrialStreams) per block of
-    about _SPECTRUM_BLOCK matrix entries."""
+def _sampled_blocks(cfg: EnsembleConfig, seed: int, trials: int):
+    """J of trials 0..trials-1 under `seed` (checked at the call), in
+    order, as (diag, off) blocks of about _SPECTRUM_BLOCK matrix entries
+    (_sampled_j), each drawn from one re-keyed generator (_TrialStreams);
+    the spectra of the rows (_spectra) for trial i are bit for bit
+    empirical_measure(cfg, substream(seed, i)).nodes."""
+    shapes = _shape_arrays(cfg)
     folded = _fold_seed(seed)
     step = max(1, _SPECTRUM_BLOCK // cfg.N)
-    return (
-        _TrialStreams(folded, range(lo, min(lo + step, trials)))
-        for lo in range(0, trials, step)
-    )
-
-
-def _spectrum_blocks(cfg: EnsembleConfig, seed: int, trials: int):
-    """Spectra of trials 0..trials-1 under `seed` (checked at the call),
-    in order as (m, N) blocks of about _SPECTRUM_BLOCK entries; row for
-    trial i is bit for bit empirical_measure(cfg, substream(seed, i)).nodes."""
-    shapes = _shape_arrays(cfg)
-    return (
-        _spectra(*_sampled_j(*_draw_each(shapes, streams)))
-        for streams in _trial_blocks(cfg, seed, trials)
-    )
+    blocks = (range(lo, min(lo + step, trials)) for lo in range(0, trials, step))
+    return (_sampled_j(*_draw_each(shapes, _TrialStreams(folded, ids))) for ids in blocks)
 
 
 def _histogram(cfg: EnsembleConfig, seed: int, trials: int, bins: int):
     """(counts, edges) of np.histogram over `bins` equal bins of [0, 1] of
-    every eigenvalue of trials 0..trials-1 under `seed`, as
-    _spectrum_blocks gives them, the counts summed block by block.
+    every eigenvalue of trials 0..trials-1 under `seed`, the counts
+    summed over the blocks of _sampled_blocks.
 
     Up to _COUNT_BINS_PER_SITE bins per site the counts come from Sturm
     counts at the bin edges (_bin_counts), with no eigensolve; past it,
@@ -452,11 +442,9 @@ def _histogram(cfg: EnsembleConfig, seed: int, trials: int, bins: int):
     rule.  It also keeps the count arrays of a block near
     _COUNT_BINS_PER_SITE * _SPECTRUM_BLOCK entries.
     """
-    shapes = _shape_arrays(cfg)
     edges = np.linspace(0.0, 1.0, bins + 1)  # np.histogram's, for range (0, 1)
     counts = np.zeros(bins, dtype=np.int64)
-    for streams in _trial_blocks(cfg, seed, trials):
-        j = _sampled_j(*_draw_each(shapes, streams))
+    for j in _sampled_blocks(cfg, seed, trials):
         if bins <= _COUNT_BINS_PER_SITE * cfg.N:
             counts += _bin_counts(*j, edges)
         else:

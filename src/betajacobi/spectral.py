@@ -78,9 +78,9 @@ _dstevd, _zgttrf = _lapack_routines()
 # default relative tolerance for deterministic identity checks
 DEFAULT_RTOL = 1e-10
 
-# largest moment order of moment11 and dynamics.stationary_uk: both take
-# time quadratic in it, about 0.66 and 0.53 s at 2**14 on a 2-vCPU host,
-# 2.3 and 2.0 s at 2**15
+# largest moment order of moment11, dynamics.stationary_uk and
+# dynamics.simulate_moments: the first two take time quadratic in it,
+# about 0.66 and 0.53 s at 2**14 on a 2-vCPU host, 2.3 and 2.0 s at 2**15
 _MAX_MOMENT_ORDER = 1 << 14
 
 # continued-fraction depth of stieltjes_cf when the caller gives none,

@@ -518,6 +518,17 @@ class TestDynamics:
         # the particles run the hierarchy's model, beta = 2c/N
         assert meta["sde_beta"] == _fmt_float(2.0 * 0.5 / 5)
 
+    def test_sde_paths_above_the_cap_exit_two(self, capsys):
+        # paths times N at most 2**22, refused before the ode rows are
+        # written or any (paths, N) array is allocated
+        code, out, err = run_cli(
+            ["dynamics", "--a", "0.0", "--b", "0.0", "--c", "0.5", "--kmax", "2",
+             "--t-end", "0.01", "--sde", "--sde-n", "40", "--paths", "104858"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: paths must be <= 104857, got 104858\n"
+
     def test_no_beta_flag(self, capsys):
         # the particle beta is always 2c/--sde-n
         with pytest.raises(SystemExit) as exc:

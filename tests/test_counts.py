@@ -91,6 +91,9 @@ CAPS = {
     "limit_pq.size": (2**22, "size"),
     "limit_bidiagonal_squares.size": (2**22, "size"),
     "simulate_moments.n": (2**22, "N"),
+    # paths times N (3 here) at most 2**22; k_max at moment11's cap
+    "simulate_moments.paths": (2**22 // 3, "paths"),
+    "simulate_moments.k_max": (2**14, "k_max"),
     "stationary_uk.k_max": (2**14, "k_max"),
     # a call starts this many threads at most, each with a work set of up
     # to 24.3 MiB (ensemble._ChunkWork at a full chunk); refused before

@@ -341,13 +341,13 @@ class TestSpectrumKernel:
     @pytest.mark.parametrize("cfg", SPECTRUM_GRID, ids=repr)
     def test_blocks_are_the_per_trial_route(self, cfg, monkeypatch):
         monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 2 * cfg.N)
-        blocks = list(ens._spectrum_blocks(cfg, 13, 7))
+        blocks = [ens._spectra(*j) for j in ens._sampled_blocks(cfg, 13, 7)]
         assert [b.shape for b in blocks] == [(2, cfg.N)] * 3 + [(1, cfg.N)]
         assert np.vstack(blocks).tobytes() == _per_trial(cfg, 13, 7).tobytes()
 
     def test_default_block_size(self):
         cfg = EnsembleConfig(60, 2.0 / 60, 0.5, 0.5)
-        blocks = list(ens._spectrum_blocks(cfg, 3, 1100))
+        blocks = [ens._spectra(*j) for j in ens._sampled_blocks(cfg, 3, 1100)]
         assert [len(b) for b in blocks] == [(1 << 16) // 60, 1100 - (1 << 16) // 60]
         assert np.vstack(blocks)[-3:].tobytes() == np.array(
             [per_trial_spectrum(cfg, 3, i) for i in (1097, 1098, 1099)]
@@ -364,7 +364,7 @@ class TestSpectrumKernel:
         )
         monkeypatch.setattr(ens, "_SPECTRUM_BLOCK", 4 * n)
         cfg = EnsembleConfig(n, 2.0, -0.9999, -0.9999)
-        got = np.vstack(list(ens._spectrum_blocks(cfg, 13, 9)))
+        got = np.vstack([ens._spectra(*j) for j in ens._sampled_blocks(cfg, 13, 9)])
         assert restarts and set(restarts) < set(range(9))
         monkeypatch.undo()
         assert got.tobytes() == _per_trial(cfg, 13, 9).tobytes()
@@ -377,7 +377,8 @@ class TestSpectrumKernel:
         monkeypatch.setattr(
             ens, "_redraw_empty", lambda *args: calls.append(1) or redraw(*args)
         )
-        list(ens._spectrum_blocks(EnsembleConfig(1, 2.0, -0.9999, -0.9999), 13, 7))
+        cfg = EnsembleConfig(1, 2.0, -0.9999, -0.9999)
+        [ens._spectra(*j) for j in ens._sampled_blocks(cfg, 13, 7)]
         assert len(calls) >= 3
 
     def test_clamp_and_escape(self, monkeypatch):
@@ -399,6 +400,30 @@ class TestSpectrumKernel:
         monkeypatch.setattr(ens, "_tridiagonal_from_squares", nan_j)
         with pytest.raises(ParameterError, match="finite"):
             empirical_measure(CFG, substream(1, 0))
+
+    def test_eigensolve_returns_each_spectrum_ascending(self):
+        # _spectra and _bin_counts' escape error take dstevd's values as
+        # they come: its jobz='N' path (dsterf) sorts them, byte for byte
+        # np.sort of themselves, on sampled J (N = 1, and beta = 0 with an
+        # off-diagonal of exact zeros) and on clustered and split spectra
+        rng = np.random.default_rng(34)
+        blocks = [
+            j
+            for cfg in SPECTRUM_GRID + [EnsembleConfig(7, 0.0, 0.5, 0.5)]
+            for j in ens._sampled_blocks(cfg, 34, 20)
+        ]
+        for n in (1, 2, 7, 60):
+            d = rng.uniform(0.0, 1.0, (20, n))
+            blocks += [
+                (0.5 + 1e-15 * d, 1e-12 * d[:, 1:]),  # clustered within 1e-12
+                (d, np.zeros((20, n - 1))),  # split: the diagonal, unsorted
+                (d, d[:, 1:] * (d[:, 1:] > 0.5)),  # split at random sites
+            ]
+        assert any(not off.any() for _, off in blocks[:-12] if off.size)
+        for diag, off in blocks:
+            for d, e in zip(diag, off):
+                vals = _stevd(d, e)[0]
+                assert vals.tobytes() == np.sort(vals).tobytes()
 
 
 def _stevd_unreachable(d, e):

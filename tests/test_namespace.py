@@ -6,6 +6,7 @@ public without one."""
 import ast
 import importlib
 import inspect
+import types
 from pathlib import Path
 
 import betajacobi
@@ -130,6 +131,41 @@ def test_package_all_is_the_union_of_the_layers():
     assert _public_names() == layers
     for name in layers:
         assert hasattr(betajacobi, name), name
+
+
+def _leaked(package) -> list:
+    """Public attributes of package that are none of: a name in its
+    __all__, a betajacobi submodule, an upper-case name of a layer's
+    __all__ (the constants, bound but not republished)."""
+    constants = {
+        name
+        for layer in LAYERS
+        for name in importlib.import_module(f"betajacobi.{layer}").__all__
+        if name.isupper()
+    }
+    return sorted(
+        name
+        for name, obj in vars(package).items()
+        if not name.startswith("_")
+        and name not in package.__all__
+        and name not in constants
+        and not (inspect.ismodule(obj) and obj.__name__ == f"betajacobi.{name}")
+    )
+
+
+def test_package_binds_nothing_but_the_layers_public_names():
+    # every public attribute of the package is declared by a layer's
+    # __all__ or is a submodule: a name bound in __init__ itself, or by
+    # a wildcard import of a module without __all__ (math, np, ...),
+    # fails.  The check is not blind: the namespace with hypergeom's
+    # wildcard taken as if it had no __all__
+    from betajacobi import hypergeom
+
+    planted = types.ModuleType("betajacobi")
+    vars(planted).update(vars(betajacobi))
+    vars(planted).update({k: v for k, v in vars(hypergeom).items() if not k.startswith("_")})
+    assert {"cmath", "math"} <= set(_leaked(planted))
+    assert not _leaked(betajacobi), f"package attributes outside __all__: {_leaked(betajacobi)}"
 
 
 # the one-order forms of the moment rows: a caller that wants a sequence
